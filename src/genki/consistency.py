@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import CorpusStats, split_sentences, tokenize
-from .lm_core import LmScorer, masked_cond_logprob
+from .lm_core import LmScorer
 from .textstats import TextStatsError, nisf
 
 
@@ -36,7 +36,7 @@ def _weighted_term(text: str, conditioning: str, scorer: LmScorer, stats: Corpus
     total = 0.0
     for weight in nisf(sentences, stats):
         target = scorer.encode(weight.sentence)
-        total += weight.nisf * masked_cond_logprob(scorer, context, target)
+        total += weight.nisf * scorer.logprob_cond(context, target)
     return total
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -206,6 +207,47 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
             yield lineno, obj
+
+
+def read_checkpoint_json(path: str | Path) -> dict:
+    """Parse a checkpoint file that must hold one JSON object; ValueError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid checkpoint JSON ({exc.msg})") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid checkpoint JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
+    return payload
+
+
+def checkpoint_int(payload: dict, key: str, path: str | Path) -> int:
+    """The integer field *key* of a checkpoint payload; ValueError otherwise."""
+    value = payload[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{path}: checkpoint field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def write_checkpoint_json(path: str | Path, payload: dict) -> None:
+    """Write *payload* as compact sorted JSON, atomically.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces *path*; a failed or interrupted write leaves the previous file
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require_str(obj: dict, key: str, path: str | Path, lineno: int) -> str:

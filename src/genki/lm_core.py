@@ -9,19 +9,30 @@ and the combined objective lambda1 * loss_r + lambda2 * loss_f with
 lambda1 > lambda2 > 0, so raw domain text carries more weight than the
 instruction pairs.  ToyLm is the smallest autoregressive model that
 exercises every term exactly: a V x V table of bigram logits trained by
-plain gradient descent, deterministic under a seed.
+plain gradient descent, deterministic under a seed.  Checkpoints are JSON
+with the table packed as base64 float64 (schema version 2); the older
+nested-list form is still read.
 """
 
 from __future__ import annotations
 
-import json
+import base64
+import binascii
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import TokenSeq, Vocabulary
+from .corpus import (
+    TokenSeq,
+    Vocabulary,
+    checkpoint_int,
+    read_checkpoint_json,
+    write_checkpoint_json,
+)
+
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class LmScorer(Protocol):
@@ -60,11 +71,6 @@ class TrainExample:
             raise ValueError("train example answer must be non-empty")
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    m = float(row.max())
-    return row - (m + np.log(np.exp(row - m).sum()))
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
@@ -80,7 +86,9 @@ class ToyLm:
     """Trainable bigram model: logits[i, j] scores token j following token i.
 
     Greedy decoding, seeded initialization, no hidden state; small enough
-    that every loss and gradient can be checked by hand.
+    that every loss and gradient can be checked by hand.  The table is a
+    read-only copy, so the per-row log-normalisers and greedy successors
+    cached at construction always match it.
     """
 
     def __init__(
@@ -99,28 +107,30 @@ class ToyLm:
             rng = np.random.default_rng(seed)
             # init_scale=0 gives the uniform model (all logits equal)
             logits = rng.normal(0.0, init_scale, (vocab.size, vocab.size))
-        logits = np.asarray(logits, dtype=np.float64)
+        logits = np.array(logits, dtype=np.float64)
         if logits.shape != (vocab.size, vocab.size):
             raise ValueError(f"logits must be {vocab.size}x{vocab.size}, got {logits.shape}")
         if not np.all(np.isfinite(logits)):
             raise ValueError("logits must be finite")
-        self.logits = logits
+        logits.setflags(write=False)
+        self._logits = logits
+        self._log_norm = _logsumexp_rows(logits)
+        self._greedy_next = logits.argmax(axis=1).tolist()
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self._logits
 
     @property
     def vocab_size(self) -> int:
         return self.vocab.size
 
-    def clone(self) -> "ToyLm":
-        copy = ToyLm(self.vocab, self.seed, self.learning_rate, logits=self.logits.copy())
-        copy.step = self.step
-        return copy
-
     def encode(self, text: str) -> TokenSeq:
         return self.vocab.encode(text)
 
     def token_logprob(self, prev_id: int, next_id: int) -> float:
-        """log P(next token | previous token) under the current table."""
-        return float(_log_softmax(self.logits[prev_id])[next_id])
+        """log P(next token | previous token) under the table."""
+        return float(self._logits[prev_id, next_id] - self._log_norm[prev_id])
 
     def logprob_cond(self, context: TokenSeq, target: TokenSeq) -> float:
         """Total log-probability of *target* continuing *context*; always <= 0."""
@@ -148,7 +158,7 @@ class ToyLm:
         out: list[int] = []
         prev = prompt.tokens[-1]
         for _ in range(max_tokens):
-            nxt = int(np.argmax(self.logits[prev]))
+            nxt = self._greedy_next[prev]
             if nxt == self.vocab.eos_id:
                 break
             out.append(nxt)
@@ -189,18 +199,6 @@ def loss_combined(
 ) -> float:
     """The training objective: w.lambda1 * loss_r + w.lambda2 * loss_f."""
     return w.lambda1 * loss_r(model, passages) + w.lambda2 * loss_f(model, batch)
-
-
-def masked_cond_logprob(scorer: LmScorer, context: TokenSeq, target: TokenSeq) -> float:
-    """Log-probability of *target* as a continuation of *context*.
-
-    Infilling a masked slot is realized as conditional continuation, which
-    any autoregressive scorer supports; scorers with true bidirectional
-    infilling can override logprob_cond to use it.
-    """
-    if not target.tokens:
-        raise ValueError("target must be non-empty")
-    return scorer.logprob_cond(context, target)
 
 
 def _weighted_counts(
@@ -252,7 +250,9 @@ def train(
     """Full-batch gradient descent on the combined loss.
 
     Returns a new model; the input model is left untouched.  Uses the
-    model's learning_rate.  Raises if the loss goes non-finite.
+    model's learning_rate.  Raises if the loss goes non-finite.  Only rows
+    with transitions are updated: every other row has a zero gradient and
+    keeps its logits bit for bit.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -260,47 +260,90 @@ def train(
         raise ValueError("training needs a non-empty instruction batch")
     counts = _weighted_counts(model, passages, batch, w)
     row_totals = counts.sum(axis=1)
-    trained = model.clone()
+    active = np.flatnonzero(row_totals > 0)
+    counts, row_totals = counts[active], row_totals[active]
+    theta = model.logits[active]
     # overflow shows up as a non-finite loss, which we check for explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            loss = float(
-                row_totals @ _logsumexp_rows(trained.logits) - (counts * trained.logits).sum()
-            )
+            # one max/exp/sum per step serves both the loss and the softmax
+            m = theta.max(axis=1, keepdims=True)
+            expd = np.exp(theta - m)
+            z = expd.sum(axis=1, keepdims=True)
+            loss = float(row_totals @ (m[:, 0] + np.log(z[:, 0])) - (counts * theta).sum())
             if not np.isfinite(loss):
                 raise ValueError(
                     f"training diverged (non-finite loss) at step {step}; lower the learning rate"
                 )
-            grad = _softmax_rows(trained.logits) * row_totals[:, None] - counts
-            trained.logits = trained.logits - trained.learning_rate * grad
-            trained.step += 1
+            grad = expd / z * row_totals[:, None] - counts
+            theta = theta - model.learning_rate * grad
+    logits = model.logits.copy()
+    logits[active] = theta
+    trained = ToyLm(model.vocab, model.seed, model.learning_rate, logits=logits)
+    trained.step = model.step + steps
     return trained
 
 
 def save_checkpoint(model: ToyLm, path: str | Path) -> None:
-    """Write the model as human-diffable JSON: {vocab, logits, seed, step}."""
+    """Write the model as JSON {schema_version, vocab, logits, seed, step}, atomically.
+
+    ``logits`` is base64 of the little-endian float64 table in row-major
+    order, so the round trip is exact.
+    """
+    table = np.ascontiguousarray(model.logits, dtype="<f8")
     payload = {
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "vocab": model.vocab.words(),
-        "logits": [[float(v) for v in row] for row in model.logits],
+        "logits": base64.b64encode(table.tobytes()).decode("ascii"),
         "seed": model.seed,
         "step": model.step,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_checkpoint_json(path, payload)
+
+
+def _checkpoint_logits(payload: dict, size: int) -> np.ndarray:
+    raw = payload["logits"]
+    if "schema_version" not in payload:
+        # version 1: the table as nested JSON lists
+        try:
+            return np.array(raw, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError("checkpoint logits are not a numeric table") from exc
+    if payload["schema_version"] != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {payload['schema_version']!r}")
+    if not isinstance(raw, str):
+        raise ValueError("checkpoint logits must be a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"checkpoint logits are not valid base64 ({exc})") from exc
+    if len(data) != 8 * size * size:
+        raise ValueError(
+            f"checkpoint logits hold {len(data)} bytes, need {8 * size * size} "
+            f"for a {size}x{size} table"
+        )
+    return np.frombuffer(data, dtype="<f8").reshape(size, size)
 
 
 def load_checkpoint(path: str | Path) -> ToyLm:
-    """Rebuild a ToyLm from save_checkpoint() output; exact float round-trip."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid checkpoint JSON ({exc.msg})") from exc
+    """Rebuild a ToyLm from save_checkpoint() output; exact float round-trip.
+
+    Also reads version-1 checkpoints (nested lists, no schema_version).
+    Any malformed content raises ValueError.
+    """
+    payload = read_checkpoint_json(path)
     missing = {"vocab", "logits", "seed", "step"} - set(payload)
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields: {sorted(missing)}")
-    vocab = Vocabulary(payload["vocab"])
-    model = ToyLm(vocab, seed=int(payload["seed"]), logits=np.array(payload["logits"]))
-    model.step = int(payload["step"])
+    words = payload["vocab"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ValueError(f"{path}: checkpoint vocab must be a list of strings")
+    seed = checkpoint_int(payload, "seed", path)
+    step = checkpoint_int(payload, "step", path)
+    try:
+        vocab = Vocabulary(words)
+        model = ToyLm(vocab, seed=seed, logits=_checkpoint_logits(payload, vocab.size))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    model.step = step
     return model

@@ -9,14 +9,19 @@ through the same score(answer, format) interface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AnswerKind, tokenize
+from .corpus import (
+    AnswerKind,
+    checkpoint_int,
+    read_checkpoint_json,
+    tokenize,
+    write_checkpoint_json,
+)
 
 FEATURE_NAMES = ("answer_length", "format_overlap", "question_fraction")
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -169,26 +174,28 @@ def train_reward(
 
 
 def save_reward_checkpoint(model: ToyRewardModel, path: str | Path) -> None:
-    """Write the weights plus the feature schema they were trained against."""
+    """Write the weights plus the feature schema they were trained against, atomically."""
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "features": list(FEATURE_NAMES),
         "weights": [float(v) for v in model.weights],
         "seed": model.seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_checkpoint_json(path, payload)
 
 
 def load_reward_checkpoint(path: str | Path) -> ToyRewardModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid checkpoint JSON ({exc.msg})") from exc
+    """Rebuild a ToyRewardModel; any malformed content raises ValueError."""
+    payload = read_checkpoint_json(path)
     if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {payload.get('schema_version')!r}")
     if payload.get("features") != list(FEATURE_NAMES):
         raise ValueError(f"{path}: feature schema mismatch: {payload.get('features')!r}")
-    return ToyRewardModel(weights=np.array(payload["weights"]), seed=int(payload.get("seed", 0)))
+    if "weights" not in payload:
+        raise ValueError(f"{path}: checkpoint missing fields: ['weights']")
+    seed = checkpoint_int(payload, "seed", path) if "seed" in payload else 0
+    try:
+        weights = np.array(payload["weights"], dtype=np.float64)
+        return ToyRewardModel(weights=weights, seed=seed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad reward weights ({exc})") from exc

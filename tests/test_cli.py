@@ -6,6 +6,7 @@ text are asserted directly.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -145,6 +146,30 @@ class TestAnswer:
         err = capsys.readouterr().err
         assert "l1.json" in err
         assert "genki train" in err
+
+    @pytest.mark.parametrize("content", ['{"vocab": 5, "logits": [], "seed": 0, "step": 0}',
+                                         '{"schema_version": 2, "vocab": ["<unk>", "</s>"], '
+                                         '"logits": "AAAA", "seed": 0, "step": 0}',
+                                         "[]"])
+    def test_corrupt_checkpoint_is_data_error(self, workdir, tmp_path, capsys, content):
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        (models / "l2.json").write_text(content)
+        assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert "l2.json" in err
+
+    def test_corrupt_reward_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        (models / "reward.json").write_text("[1, 2, 3]")
+        assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
 
     def test_remote_backend_needs_judge_url(self, workdir, tmp_path, capsys):
         assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],

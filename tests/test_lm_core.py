@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 import random
 
@@ -14,7 +16,6 @@ from genki.lm_core import (
     loss_combined_grad,
     loss_f,
     loss_r,
-    masked_cond_logprob,
     save_checkpoint,
     train,
 )
@@ -170,14 +171,16 @@ class TestChainOracle:
 
 
 class TestMaskedCondLogprob:
+    """A masked slot is scored as the conditional continuation logprob_cond."""
+
     def test_uniform_two_token_target(self):
         model = uniform_model(V4)
-        got = masked_cond_logprob(model, seq(V4, "a"), seq(V4, "b a"))
+        got = model.logprob_cond(seq(V4, "a"), seq(V4, "b a"))
         assert got == pytest.approx(2 * math.log(1 / 4), abs=1e-9)
 
     def test_certain_scorer_zero(self):
         model = certain_model(V4, [("a", "b")])
-        assert masked_cond_logprob(model, seq(V4, "a"), seq(V4, "b")) == pytest.approx(0.0)
+        assert model.logprob_cond(seq(V4, "a"), seq(V4, "b")) == pytest.approx(0.0)
 
     def test_longer_target_never_higher(self):
         rng = np.random.default_rng(5)
@@ -187,13 +190,13 @@ class TestMaskedCondLogprob:
         prev = 0.0
         for cut in range(1, len(full.tokens) + 1):
             part = TokenSeq(full.tokens[:cut], "")
-            lp = masked_cond_logprob(model, context, part)
+            lp = model.logprob_cond(context, part)
             assert lp <= prev + 1e-12
             prev = lp
 
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
-            masked_cond_logprob(uniform_model(V4), seq(V4, "a"), TokenSeq((), ""))
+            uniform_model(V4).logprob_cond(seq(V4, "a"), TokenSeq((), ""))
 
 
 class TestGradient:
@@ -285,6 +288,112 @@ class TestTrain:
             train(model, passages, batch, LossWeights(), steps=5)
 
 
+def dense_reference_train(model, passages, batch, w, steps):
+    """Every row, every step: the dense V x V descent loop the fast path must match."""
+    counts = np.zeros((model.vocab_size, model.vocab_size))
+    for p in passages:
+        for prev, nxt in zip(p.tokens, p.tokens[1:]):
+            counts[prev, nxt] += w.lambda1
+    for ex in batch:
+        prev = ex.x.tokens[-1]
+        for tok in ex.answer.tokens:
+            counts[prev, tok] += w.lambda2
+            prev = tok
+    row_totals = counts.sum(axis=1)
+    logits = model.logits.copy()
+    for _ in range(steps):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expd = np.exp(shifted)
+        softmax = expd / expd.sum(axis=1, keepdims=True)
+        logits = logits - model.learning_rate * (softmax * row_totals[:, None] - counts)
+    return logits
+
+
+def oracle_log_softmax(row):
+    m = float(row.max())
+    return row - (m + np.log(np.exp(row - m).sum()))
+
+
+class TestBitExactOracles:
+    """The fast paths reproduce the dense arithmetic bit for bit."""
+
+    VOCAB = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(14)])
+
+    def world(self):
+        rng = random.Random(21)
+        used = [f"w{i}" for i in range(8)]  # w8..w13 never precede a token
+        passages = [
+            seq(self.VOCAB, " ".join(rng.choice(used) for _ in range(rng.randint(2, 9))))
+            for _ in range(15)
+        ]
+        batch = [
+            TrainExample(seq(self.VOCAB, "w1 w2"), seq(self.VOCAB, "w3 w4")),
+            TrainExample(seq(self.VOCAB, "w9"), seq(self.VOCAB, "w5")),
+        ]
+        return passages, batch
+
+    @pytest.mark.parametrize("seed,rate", [(0, 0.1), (5, 0.5), (9, 2.0)])
+    def test_train_matches_dense_loop_with_idle_rows(self, seed, rate):
+        passages, batch = self.world()
+        w = LossWeights(1.0, 0.5)
+        model = ToyLm(self.VOCAB, seed=seed, learning_rate=rate, init_scale=0.3)
+        trained = train(model, passages, batch, w, steps=40)
+        reference = dense_reference_train(model, passages, batch, w, 40)
+        assert trained.logits.tobytes() == reference.tobytes()
+        idle = self.VOCAB.id("w12")
+        assert trained.logits[idle].tobytes() == model.logits[idle].tobytes()
+
+    def test_train_matches_dense_loop_from_uniform_init(self):
+        passages, batch = self.world()
+        w = LossWeights(2.0, 0.25)
+        model = ToyLm(self.VOCAB, learning_rate=0.5, init_scale=0.0)
+        trained = train(model, passages, batch, w, steps=60)
+        assert trained.logits.tobytes() == dense_reference_train(model, passages, batch, w, 60).tobytes()
+
+    def test_repeated_training_continues_the_dense_loop(self):
+        passages, batch = self.world()
+        w = LossWeights()
+        model = ToyLm(self.VOCAB, seed=2, learning_rate=0.3)
+        twice = train(train(model, passages, batch, w, 7), passages, batch, w, 5)
+        assert twice.step == 12
+        assert twice.logits.tobytes() == dense_reference_train(model, passages, batch, w, 12).tobytes()
+
+    @pytest.mark.parametrize("size", [6, 37, 507])
+    def test_token_logprob_matches_row_log_softmax(self, size):
+        vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(size - 2)])
+        rng = np.random.default_rng(size)
+        logits = rng.normal(0.0, 3.0, (size, size))
+        model = ToyLm(vocab, logits=logits)
+        rows = range(size) if size < 100 else rng.integers(0, size, 25)
+        for prev in rows:
+            expected = oracle_log_softmax(logits[prev])
+            cols = range(size) if size < 100 else rng.integers(0, size, 40)
+            for nxt in cols:
+                assert model.token_logprob(int(prev), int(nxt)) == float(expected[nxt])
+
+    def test_generate_follows_row_argmax(self):
+        vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(10)])
+        rng = np.random.default_rng(8)
+        logits = rng.integers(0, 3, (12, 12)).astype(float)  # many ties
+        model = ToyLm(vocab, logits=logits)
+        for start in range(12):
+            expected, prev = [], start
+            for _ in range(9):
+                prev = int(np.argmax(logits[prev]))
+                if prev == vocab.eos_id:
+                    break
+                expected.append(prev)
+            assert list(model.generate(TokenSeq((start,), ""), 9).tokens) == expected
+
+    def test_table_is_a_read_only_copy(self):
+        logits = np.zeros((V4.size, V4.size))
+        model = ToyLm(V4, logits=logits)
+        logits[2, 3] = 50.0  # the caller's array is not the model's table
+        assert model.token_logprob(2, 3) == pytest.approx(-math.log(4), abs=1e-12)
+        with pytest.raises(ValueError):
+            model.logits[2, 3] = 50.0
+
+
 class TestGenerate:
     def test_follows_argmax_path(self):
         model = certain_model(V4, [("a", "b"), ("b", "a")])
@@ -338,6 +447,85 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         path.write_text('{"vocab": ["<unk>", "</s>"]}')
         with pytest.raises(ValueError, match="missing"):
+            load_checkpoint(path)
+
+    def payload(self):
+        rng = np.random.default_rng(13)
+        logits = rng.normal(size=(V6.size, V6.size))
+        return logits, {
+            "schema_version": 2,
+            "vocab": V6.words(),
+            "logits": base64.b64encode(logits.astype("<f8").tobytes()).decode("ascii"),
+            "seed": 2,
+            "step": 40,
+        }
+
+    def test_written_format_is_version_2(self, tmp_path):
+        logits, expected = self.payload()
+        model = ToyLm(V6, seed=2, logits=logits)
+        model.step = 40
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        assert json.loads(path.read_text()) == expected
+
+    def test_version_1_nested_lists_still_load(self, tmp_path):
+        logits, _ = self.payload()
+        v1 = {"vocab": V6.words(), "logits": [[float(v) for v in row] for row in logits],
+              "seed": 2, "step": 40}
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
+        from_v1 = load_checkpoint(old)
+        assert from_v1.logits.tobytes() == logits.tobytes()
+        assert (from_v1.seed, from_v1.step) == (2, 40)
+        rewritten = tmp_path / "v2.json"
+        save_checkpoint(from_v1, rewritten)
+        assert json.loads(rewritten.read_text())["schema_version"] == 2
+        assert load_checkpoint(rewritten).logits.tobytes() == from_v1.logits.tobytes()
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("vocab", 5, "vocab"),
+            ("vocab", ["<unk>", "</s>", 3], "vocab"),
+            ("logits", "not base64!", "base64"),
+            ("logits", base64.b64encode(b"\0" * 8 * 35).decode(), "bytes"),
+            ("logits", [[0.0] * 6] * 6, "base64 string"),
+            ("logits", base64.b64encode(np.full(36, np.inf).tobytes()).decode(), "finite"),
+            ("seed", "2", "seed"),
+            ("seed", 2.5, "seed"),
+            ("step", True, "step"),
+            ("step", None, "step"),
+            ("schema_version", 3, "schema version"),
+        ],
+    )
+    def test_bad_field_rejected(self, tmp_path, field, value, match):
+        _, payload = self.payload()
+        payload[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("logits", [[[1, 2], [3]], [[None] * 6] * 6, [["a"] * 6] * 6, 7])
+    def test_bad_version_1_table_rejected(self, tmp_path, logits):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": V6.words(), "logits": logits, "seed": 0, "step": 0}))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_version_1_non_finite_rejected(self, tmp_path):
+        logits = [[0.0] * 6 for _ in range(6)]
+        logits[3][1] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": V6.words(), "logits": logits, "seed": 0, "step": 0}))
+        with pytest.raises(ValueError, match="finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "1e999"])
+    def test_non_object_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="object"):
             load_checkpoint(path)
 
 
