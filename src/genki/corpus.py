@@ -6,11 +6,12 @@ import json
 import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 UNK = "<unk>"
 EOS = "</s>"
@@ -231,23 +232,30 @@ def checkpoint_int(payload: dict, key: str, path: str | Path) -> int:
     return value
 
 
-def write_checkpoint_json(path: str | Path, payload: dict) -> None:
-    """Write *payload* as compact sorted JSON, atomically.
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a temporary file next to *path*; on success it replaces *path*.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces *path*; a failed or interrupted write leaves the previous file
-    as it was.
+    The temporary file lives in the same directory, so os.replace() is
+    atomic: a failed or interrupted write leaves the previous file as it
+    was and removes the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_checkpoint_json(path: str | Path, payload: dict) -> None:
+    """Write *payload* as compact sorted JSON, atomically (see atomic_write)."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def _require_str(obj: dict, key: str, path: str | Path, lineno: int) -> str:

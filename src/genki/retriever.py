@@ -1,29 +1,43 @@
 """Dense retrieval: embeddings, inner-product scoring, top-k, and index files.
 
+Retrieval is exact: top_k_batch() returns what a float64 scan of every row
+would, ordered by score descending, then passage id ascending, with float64
+scores.  It scores all rows with one float32 product, keeps the rows within
+twice a proven rounding bound of each query's k-th float32 score, and
+rescores only those in float64 (see top_k_batch for the bound and its
+proof).
+
 The index file layout is fixed little-endian binary:
 
     magic b"GKIX1" | u32 dim | u64 count | count*dim float32 vectors (row
     major) | per id: u32 byte length + UTF-8 bytes
 
-load_index(save_index(x)) reproduces x bit for bit.
+load_index(save_index(x)) reproduces x bit for bit; save_index replaces the
+file atomically, and load_index raises IndexFormatError on any file that
+does not follow the layout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Passage, tokenize
+from .corpus import Passage, atomic_write, tokenize
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"GKIX1"
+HEADER_BYTES = len(MAGIC) + 4 + 8
+# Float32 screen scores held at once by top_k_batch (16 MB).
+SCREEN_BLOCK = 1 << 22
 
 
 class IndexFormatError(ValueError):
@@ -94,7 +108,11 @@ class RetrievalResult:
 
 
 class DenseIndex:
-    """Passage vectors (float32, row major) plus aligned passage ids."""
+    """Passage vectors (float32, row major) plus aligned passage ids.
+
+    The index holds a read-only view of *matrix*; the caller must not
+    change the array afterwards (max_row_norm is computed once).
+    """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float32)
@@ -108,7 +126,8 @@ class DenseIndex:
             raise ValueError("index vectors must be finite")
         if len(set(ids)) != len(ids):
             raise ValueError("passage ids must be unique")
-        self.matrix = matrix
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
         self.ids = list(ids)
 
     @classmethod
@@ -127,6 +146,12 @@ class DenseIndex:
     def count(self) -> int:
         return int(self.matrix.shape[0])
 
+    @cached_property
+    def max_row_norm(self) -> float:
+        """Largest L2 norm of a row, summed in float64 so it cannot overflow."""
+        squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
+        return float(np.sqrt(squares.max()))
+
 
 def similarity(question_vec: np.ndarray, passage_vec: np.ndarray) -> float:
     """Inner-product relevance score between two vectors of equal dimension."""
@@ -138,27 +163,111 @@ def similarity(question_vec: np.ndarray, passage_vec: np.ndarray) -> float:
 
 
 def top_k(index: DenseIndex, question_vec: np.ndarray, k: int) -> list[RetrievalResult]:
-    """The k highest-scoring passages by inner product.
+    """The k highest-scoring passages for one query; see top_k_batch."""
+    return top_k_batch(index, [question_vec], k)[0]
 
-    Ordered by descending score; exact score ties break by ascending passage
-    id.  Asking for more passages than the index holds returns them all.
+
+def top_k_batch(
+    index: DenseIndex, questions: Sequence[np.ndarray] | np.ndarray, k: int
+) -> list[list[RetrievalResult]]:
+    """The k highest-scoring passages by inner product, for each query.
+
+    Each list is ordered by descending float64 score; exact score ties
+    break by ascending passage id.  Asking for more passages than the index
+    holds returns them all; zero queries give [].  Queries must be finite
+    vectors of the index's dimension (ValueError otherwise).
+
+    Method.  Each query q is scaled by a power of two s, so that
+    max|s·q| < 2**100 and every score is below sqrt(dim)·2**64; the scaled
+    queries are rounded to float32 and scored against all rows in one
+    float32 product.  Per query, the rows whose float32 score a_i is at
+    least θ - 2·B, where θ is the k-th largest a_i, are the candidates.
+    Only they are rescored, in float64 with the unscaled query (c_i), and
+    sorted by (-c_i, id).
+
+    Bound.  With q' = s·q, n = dim, u = 2**-24, M = max_row_norm and
+    t_i = row_i·q' the exact score, in units of q':
+
+        B = (n+2)·2**-23·‖q'‖·M + n·(M+1)·2**-149 + n·s·2**-1074
+          ≥ |a_i - t_i| + |s·c_i - t_i|.
+
+    Scaling by s is exact, barring float64 underflow far below B.  Rounding
+    q' to x = float32(q') moves the score by at most u·M·‖q'‖ plus
+    2**-150·sqrt(n)·M from gradual underflow; nothing overflows, by the
+    choice of s.  A float32 dot product of length n, in any summation order
+    and with or without fused multiply-add, is off by at most
+    γ_n·M·‖x‖ + n·2**-150, where γ_n = n·u/(1-n·u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., §3.1) and each product may
+    underflow by 2**-150.  The float64 rescore is off by at most
+    γ64_n·M·‖q'‖ + n·s·2**-1074 once scaled, with γ64_n the same for
+    u = 2**-53.  For n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the
+    relative terms total at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves
+    room inside (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M,
+    ‖q'‖ and B; the absolute terms total at most n·(M+1)·2**-149 and
+    n·s·2**-1074.
+
+    Exactness.  Let J be k rows with a_j ≥ θ.  For a row i that is not a
+    candidate and any j in J:
+
+        s·c_j ≥ a_j - B ≥ θ - B > a_i + B ≥ s·c_i,
+
+    so k rows have a strictly higher float64 score than row i, and i is
+    not in the float64 top k whatever its id.  The candidates therefore
+    hold the float64 top k, including every row tied with the k-th float64
+    score.  This assumes the float64 scores do not overflow
+    (‖q‖·M < 2**1000).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = np.asarray(question_vec, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape} vs index dim {index.dim}")
-    scores = index.matrix.astype(np.float64) @ q
-    order = sorted(range(index.count), key=lambda i: (-scores[i], index.ids[i]))
-    return [
-        RetrievalResult(passage_id=index.ids[i], score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order[:k], start=1)
-    ]
+    queries = np.asarray(questions, dtype=np.float64)
+    if queries.shape == (0,):  # an empty sequence of queries
+        queries = queries.reshape(0, index.dim)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError(f"dimension mismatch: queries {queries.shape} vs index dim {index.dim}")
+    if not np.isfinite(queries).all():
+        raise ValueError("query vectors must be finite")
+    count, dim = index.count, index.dim
+    norm = index.max_row_norm
+    _, row_exp = np.frexp(norm)
+    _, query_exp = np.frexp(np.abs(queries).max(axis=1))
+    shift = 64 - max(int(row_exp), -36) - query_exp
+    scaled = np.ldexp(queries, shift[:, None])
+    bounds = (
+        (dim + 2) * 2.0**-23 * np.linalg.norm(scaled, axis=1) * norm
+        + dim * (norm + 1.0) * 2.0**-149
+        + np.ldexp(float(dim), shift - 1074)
+    )
+    results = []
+    step = max(1, SCREEN_BLOCK // count)
+    for start in range(0, len(queries), step):
+        screen = scaled[start:start + step].astype(np.float32) @ index.matrix.T
+        for offset, row_scores in enumerate(screen):
+            query = queries[start + offset]
+            if k < count:
+                kth = np.partition(row_scores, count - k)[count - k]
+                cutoff = float(kth) - 2.0 * bounds[start + offset]
+                candidates = np.flatnonzero(row_scores.astype(np.float64) >= cutoff)
+            else:
+                candidates = np.arange(count)
+            # Row-wise float64 products summed per row: a row's score does
+            # not depend on which other rows are candidates.
+            scores = (index.matrix[candidates].astype(np.float64) * query).sum(axis=1)
+            order = sorted(
+                range(len(candidates)),
+                key=lambda c: (-scores[c], index.ids[candidates[c]]),
+            )[:k]
+            results.append([
+                RetrievalResult(
+                    passage_id=index.ids[candidates[c]], score=float(scores[c]), rank=rank
+                )
+                for rank, c in enumerate(order, start=1)
+            ])
+    return results
 
 
 def save_index(index: DenseIndex, path: str | Path) -> None:
-    """Write *index* to *path* in the binary layout documented above."""
-    with open(path, "wb") as fh:
+    """Write *index* to *path* in the binary layout documented above, atomically."""
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", index.dim))
         fh.write(struct.pack("<Q", index.count))
@@ -179,10 +288,15 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 def load_index(path: str | Path) -> DenseIndex:
     """Read an index file written by save_index().
 
-    Raises IndexFormatError on a wrong magic, truncation, or trailing bytes;
-    a missing file raises the usual FileNotFoundError.
+    Raises IndexFormatError on any file that does not follow the layout: a
+    wrong magic, a header that claims more bytes than the file holds, a
+    truncation, trailing bytes, ids that are not UTF-8 or not unique, or
+    non-finite vectors.  The header is checked against the file size before
+    anything is allocated.  A missing file raises the usual
+    FileNotFoundError.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise IndexFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
@@ -190,12 +304,25 @@ def load_index(path: str | Path) -> DenseIndex:
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "count"))
         if dim < 1 or count < 1:
             raise IndexFormatError(f"{path}: degenerate shape {count}x{dim}")
+        # Each row takes dim*4 vector bytes and at least a 4-byte id length.
+        if count * (dim * 4 + 4) > size - HEADER_BYTES:
+            raise IndexFormatError(
+                f"{path}: header claims {count}x{dim} vectors, more than its {size} bytes hold"
+            )
         raw = _read_exact(fh, count * dim * 4, "vectors")
         matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
         ids = []
         for i in range(count):
             (length,) = struct.unpack("<I", _read_exact(fh, 4, f"id {i} length"))
-            ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
+            if length > size - fh.tell() - 4 * (count - 1 - i):
+                raise IndexFormatError(f"{path}: id {i} claims {length} bytes past the end")
+            try:
+                ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"{path}: id {i} is not UTF-8 ({exc})") from exc
         if fh.read(1):
             raise IndexFormatError(f"{path}: trailing bytes after {count} ids")
-    return DenseIndex(matrix, ids)
+    try:
+        return DenseIndex(matrix, ids)
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from exc

@@ -1,7 +1,9 @@
-"""Checkpoint files: loaders reject any malformed input with ValueError, and
-writers replace the previous file atomically."""
+"""Checkpoint and index files: loaders reject any malformed input with
+ValueError (IndexFormatError for index files), and writers replace the
+previous file atomically."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import genki.corpus
 from genki.corpus import Vocabulary
 from genki.lm_core import ToyLm, load_checkpoint, save_checkpoint
+from genki.retriever import MAGIC, DenseIndex, IndexFormatError, load_index, save_index
 from genki.reward import ToyRewardModel, load_reward_checkpoint, save_reward_checkpoint
 
 V5 = Vocabulary(["<unk>", "</s>", "a", "b", "c"])
@@ -165,3 +168,80 @@ def test_write_replaces_existing_file(tmp_path):
     assert load_checkpoint(path).seed == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+
+
+def loads_or_index_error(path):
+    try:
+        load_index(path)
+    except IndexFormatError:
+        pass
+
+
+def small_index(ids=("a", "b", "文档")):
+    matrix = np.random.default_rng(6).normal(size=(len(ids), 3)).astype(np.float32)
+    return DenseIndex(matrix, list(ids))
+
+
+@FUZZ
+@given(data=st.binary(max_size=200))
+def test_index_arbitrary_bytes(tmp_path, data):
+    path = tmp_path / "index.bin"
+    path.write_bytes(data)
+    loads_or_index_error(path)
+
+
+@FUZZ
+@given(
+    dim=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=2**64 - 1),
+    tail=st.binary(max_size=120),
+)
+def test_index_arbitrary_header(tmp_path, dim, count, tail):
+    path = tmp_path / "index.bin"
+    path.write_bytes(MAGIC + struct.pack("<IQ", dim, count) + tail)
+    loads_or_index_error(path)
+
+
+@FUZZ
+@given(
+    cut=st.integers(min_value=0, max_value=200),
+    flip=st.integers(min_value=0, max_value=255),
+    truncate=st.booleans(),
+)
+def test_damaged_index_bytes(tmp_path, cut, flip, truncate):
+    path = tmp_path / "index.bin"
+    save_index(small_index(), path)
+    data = bytearray(path.read_bytes())
+    data[cut % len(data)] ^= flip
+    path.write_bytes(bytes(data[: cut % len(data)] if truncate else data))
+    loads_or_index_error(path)
+
+
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        (MAGIC + struct.pack("<IQ", 4, 2**50) + bytes(13), "header claims"),
+        (MAGIC + struct.pack("<IQ", 1, 1) + bytes(4) + struct.pack("<I", 2**32 - 1), "past the end"),
+        (MAGIC + struct.pack("<IQ", 1, 1) + bytes(4) + struct.pack("<I", 1) + b"\xff", "UTF-8"),
+        (MAGIC + struct.pack("<IQ", 1, 2) + bytes(8) + (struct.pack("<I", 1) + b"a") * 2, "unique"),
+        (MAGIC + struct.pack("<IQ", 1, 1) + struct.pack("<f", float("nan"))
+         + struct.pack("<I", 1) + b"a", "finite"),
+    ],
+)
+def test_index_rejected(tmp_path, data, match):
+    path = tmp_path / "index.bin"
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match=match):
+        load_index(path)
+
+
+def test_failed_index_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "index.bin"
+    save_index(small_index(), path)
+    before = path.read_bytes()
+    # A lone surrogate cannot be encoded: the write fails after the vectors.
+    with pytest.raises(UnicodeEncodeError):
+        save_index(small_index(ids=("a", "\ud800", "c")), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["index.bin"]
+    assert load_index(path).ids == ["a", "b", "文档"]

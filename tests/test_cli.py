@@ -6,6 +6,7 @@ text are asserted directly.
 """
 
 import json
+import struct
 import shutil
 
 import pytest
@@ -110,6 +111,15 @@ class TestRetrieve:
         err = capsys.readouterr().err
         assert missing in err
         assert "genki index" in err
+
+    def test_corrupt_header_is_data_error(self, workdir, tmp_path, capsys):
+        # 30 bytes whose header claims 2**50 vectors of dim 4.
+        index = tmp_path / "index.bin"
+        index.write_bytes(b"GKIX1" + struct.pack("<IQ", 4, 2**50) + bytes(13))
+        assert main(["retrieve", "--index", str(index), "--qa", workdir["qa"]]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert str(index) in err
 
 
 class TestAnswer:

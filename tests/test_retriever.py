@@ -13,6 +13,7 @@ from genki.retriever import (
     save_index,
     similarity,
     top_k,
+    top_k_batch,
 )
 
 
@@ -102,6 +103,159 @@ class TestTopK:
         shuffled = DenseIndex(matrix[order], [ids[i] for i in order])
         redo = [(r.passage_id, r.score) for r in top_k(shuffled, query, 12)]
         assert redo == base
+
+
+def full_scan(matrix, ids, query, k):
+    """Ids and scores of a float64 scan of every row, ties by id."""
+    scores = [float(np.dot(row.astype(np.float64), query)) for row in matrix]
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    return [ids[i] for i in order], [scores[i] for i in order]
+
+
+def assert_exact(matrix, ids, query, k):
+    got = top_k(DenseIndex(matrix, ids), query, k)
+    want_ids, want_scores = full_scan(matrix, ids, query, k)
+    assert [r.passage_id for r in got] == want_ids
+    assert [r.rank for r in got] == list(range(1, len(want_ids) + 1))
+    assert [r.score for r in got] == pytest.approx(want_scores, rel=1e-9, abs=0.0)
+
+
+class TestScreenExactness:
+    """Inputs built to trip a float32 screen: top_k must still match the
+    float64 full scan exactly."""
+
+    def test_rows_one_ulp_apart(self):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            dim = int(rng.choice([3, 64, 300]))
+            base = rng.normal(size=dim).astype(np.float32)
+            rows = [base.copy() for _ in range(40)]
+            for row in rows[1:]:
+                j = int(rng.integers(dim))
+                row[j] = np.nextafter(row[j], np.float32(rng.choice([-np.inf, np.inf])))
+            ids = [f"p{i:02d}" for i in range(40)]
+            rng.shuffle(ids)
+            assert_exact(np.stack(rows), ids, rng.normal(size=dim), int(rng.integers(1, 12)))
+
+    def test_float32_order_differs_from_float64_order(self):
+        rng = np.random.default_rng(32)
+        misordered = 0
+        for trial in range(20):
+            dim, count, k = 256, 60, 5
+            base = rng.normal(size=dim)
+            base /= np.linalg.norm(base)
+            # Perturbations far below float32 rounding of a 256-term sum.
+            matrix = (base + rng.normal(scale=1e-8, size=(count, dim))).astype(np.float32)
+            ids = [f"p{i:02d}" for i in range(count)]
+            query = rng.normal(size=dim)
+            f32 = matrix @ query.astype(np.float32)
+            f32_ids = [ids[i] for i in sorted(range(count), key=lambda i: (-f32[i], ids[i]))[:k]]
+            misordered += f32_ids != full_scan(matrix, ids, query, k)[0]
+            assert_exact(matrix, ids, query, k)
+        assert misordered > 0, "no trial separated the float32 and float64 orders"
+
+    def test_duplicates_tied_at_kth_score(self):
+        rng = np.random.default_rng(33)
+        for trial in range(20):
+            count, dim = 50, 16
+            matrix = rng.normal(size=(count, dim)).astype(np.float32)
+            query = rng.normal(size=dim)
+            best = int(np.argmax(matrix.astype(np.float64) @ query))
+            copies = rng.choice(count, size=8, replace=False)
+            matrix[copies] = matrix[best]
+            ids = [f"p{i:02d}" for i in range(count)]
+            rng.shuffle(ids)
+            tied = {ids[i] for i in copies} | {ids[best]}
+            k = int(rng.integers(1, len(tied)))
+            got = top_k(DenseIndex(matrix, ids), query, k)
+            assert [r.passage_id for r in got] == sorted(tied)[:k]
+            assert len({r.score for r in got}) == 1
+            assert_exact(matrix, ids, query, k)
+
+    def test_zero_rows_and_zero_query(self):
+        rng = np.random.default_rng(34)
+        matrix = rng.normal(size=(30, 8)).astype(np.float32)
+        matrix[::3] = 0.0
+        ids = [f"p{i:02d}" for i in range(30)]
+        rng.shuffle(ids)
+        for query in (np.zeros(8), rng.normal(size=8), -np.abs(rng.normal(size=8))):
+            for k in (1, 5, 15, 30):
+                assert_exact(matrix, ids, query, k)
+        got = top_k(DenseIndex(matrix, ids), np.zeros(8), 30)
+        assert [r.passage_id for r in got] == sorted(ids)
+        assert all(r.score == 0.0 for r in got)
+        zeros = DenseIndex(np.zeros((4, 3), dtype=np.float32), ["d", "c", "b", "a"])
+        assert [r.passage_id for r in top_k(zeros, np.ones(3), 2)] == ["a", "b"]
+
+    def test_mixed_row_norms(self):
+        rng = np.random.default_rng(35)
+        for trial in range(20):
+            count, dim = 80, 32
+            matrix = rng.normal(size=(count, dim)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+            matrix = matrix.astype(np.float32)
+            ids = [f"p{i:02d}" for i in range(count)]
+            assert_exact(matrix, ids, rng.normal(size=dim), int(rng.integers(1, 20)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 2048])
+    def test_extreme_dims(self, dim):
+        rng = np.random.default_rng(36 + dim)
+        for trial in range(5):
+            count = int(rng.integers(1, 200))
+            matrix = rng.normal(size=(count, dim)).astype(np.float32)
+            if count > 4:
+                matrix[count // 2] = matrix[0]
+            ids = [f"p{i:03d}" for i in range(count)]
+            rng.shuffle(ids)
+            assert_exact(matrix, ids, rng.normal(size=dim), int(rng.integers(1, 8)))
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-40, 1e40, 1e300])
+    def test_extreme_query_magnitudes(self, magnitude):
+        rng = np.random.default_rng(37)
+        matrix = rng.normal(size=(50, 16)).astype(np.float32)
+        ids = [f"p{i:02d}" for i in range(50)]
+        assert_exact(matrix, ids, rng.normal(size=16) * magnitude, 7)
+
+    def test_batch_equals_per_query(self):
+        rng = np.random.default_rng(38)
+        matrix = rng.normal(size=(300, 24)).astype(np.float32)
+        matrix[10] = matrix[20]
+        index = DenseIndex(matrix, [f"p{i:03d}" for i in range(300)])
+        queries = rng.normal(size=(25, 24))
+        queries[3] = 0.0
+        for k in (1, 4, 300, 400):
+            assert top_k_batch(index, queries, k) == [top_k(index, q, k) for q in queries]
+
+
+class TestTopKBatchContract:
+    def test_zero_queries(self):
+        index = index_from_rows([[1.0, 0.0]], ["a"])
+        assert top_k_batch(index, [], 3) == []
+        assert top_k_batch(index, np.zeros((0, 2)), 3) == []
+
+    def test_k_beyond_count_returns_all(self):
+        index = index_from_rows([[0.2], [0.8], [0.5]], ["a", "b", "c"])
+        got = top_k_batch(index, [[1.0], [-1.0]], 10)
+        assert [[r.passage_id for r in results] for results in got] == [
+            ["b", "c", "a"],
+            ["a", "c", "b"],
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index = index_from_rows([[1.0, 0.0], [0.0, 1.0]], ["a", "b"])
+        with pytest.raises(ValueError, match="finite"):
+            top_k(index, np.array([1.0, bad]), 1)
+        with pytest.raises(ValueError, match="finite"):
+            top_k_batch(index, [[1.0, 0.0], [bad, 0.0]], 1)
+
+    def test_shape_rejected(self):
+        index = index_from_rows([[1.0, 0.0]], ["a"])
+        with pytest.raises(ValueError):
+            top_k(index, np.ones((1, 2)), 1)
+        with pytest.raises(ValueError):
+            top_k_batch(index, np.ones(2), 1)
+        with pytest.raises(ValueError):
+            top_k_batch(index, np.ones((2, 3)), 1)
 
 
 class TestDenseIndexValidation:
