@@ -24,6 +24,7 @@ from .corpus import (
     CorpusError,
     Passage,
     QaPair,
+    atomic_write,
     build_stats,
     ingest_passages,
     ingest_qa_pairs,
@@ -32,6 +33,7 @@ from .ensemble import stub_judge
 from .generation import (
     DEFAULT_TEMPLATES,
     PipelineConfig,
+    PipelineError,
     PipelineModels,
     build_vocabulary,
     drafts_for_questions,
@@ -54,9 +56,9 @@ from .retriever import (
     HashEmbedder,
     IndexFormatError,
     load_index,
+    retrieve_texts,
     save_index,
     top_k,  # noqa: F401  (perfbench/selftest.py checks the tracer wraps it here)
-    top_k_batch,
 )
 from .reward import FormatSpec, ToyRewardModel, load_reward_checkpoint, save_reward_checkpoint, train_reward
 
@@ -229,13 +231,13 @@ def _load_qa(path: str) -> list[QaPair]:
 
 
 def _write_json(path: Path, payload: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
@@ -292,7 +294,7 @@ def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load_index_checked(_need(cfg.index, "--index", "an index file"))
     qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
     embedder = HashEmbedder(index.dim, cfg.embedder_seed)
-    vectors = [embedder.embed_question(qa.question) for qa in qa_pairs]
+    retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
     records = [
         {
             "qid": qa.id,
@@ -301,7 +303,7 @@ def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        for qa, results in zip(qa_pairs, top_k_batch(index, vectors, cfg.k))
+        for qa, results in zip(qa_pairs, retrievals)
     ]
     if cfg.out:
         _write_jsonl(Path(cfg.out), records)
@@ -328,12 +330,17 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
             steps=cfg.train_steps, learning_rate=cfg.train_learning_rate,
         )
         drafts = drafts_for_questions(
-            qa_pairs, models.retrieved, index, embedder, passage_map, pipeline_cfg
+            qa_pairs, models.retrievals, models.retrieved, passage_map, pipeline_cfg
         )
         pairs = preference_pairs_from_drafts(qa_pairs, drafts, pipeline_cfg.format)
         reward = ToyRewardModel(seed=cfg.seed, learning_rate=cfg.reward_learning_rate)
         if pairs:
             reward = train_reward(reward, pairs, cfg.reward_steps)
+    except PipelineError as exc:  # retrieved ids missing from the corpus
+        raise DataError(
+            f"{cfg.index} does not match {cfg.corpus}: {exc}; rebuild it with: "
+            f"genki index --corpus {cfg.corpus} --out {cfg.index}"
+        ) from exc
     except (ValueError, RuntimeError) as exc:
         raise ModelError(f"training failed: {exc}") from exc
     save_checkpoint(models.full, out / "l1.json")
@@ -458,7 +465,8 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     rendered = report_tsv(report)
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(cfg.out).write_text(rendered, encoding="utf-8")
+        with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(rendered)
     print(
         f"em {report.em:.4f}  recall {report.recall:.4f}  f1 {report.f1:.4f}  "
         f"bleu1 {report.bleu[1]:.4f}  rouge_l {report.rouge_l:.4f}"
@@ -501,7 +509,7 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")
     buckets = quality_recall_points(points)
-    with open(out / "analysis.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "analysis.csv", "w", encoding="utf-8") as fh:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:
             fh.write(f"{mid:.6f},{mean_recall:.6f},{count}\n")

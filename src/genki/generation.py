@@ -5,7 +5,9 @@ from a prompt alone (it saw every passage during training), the
 retrieved-knowledge model answers from a prompt carrying the top-k
 passages, and the postprocessor rewrites each draft into the requested
 format.  The ensemble module then picks one of the two postprocessed
-candidates.
+candidates.  run_pipeline and train_pipeline_models retrieve each question
+once, in blocks (retriever.retrieve_texts), and pass every stage its
+question's results.
 
 Training the roles is three invocations of lm_core.train over different
 material: all passages, the retrieved subsets, and format-transcription
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary
+from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, atomic_write
 from .ensemble import (
     AnswerCandidate,
     ExternalJudge,
@@ -33,7 +35,13 @@ from .ensemble import (
 )
 from .lm_core import LmScorer, LossWeights, ToyLm, TrainExample, train
 from .metrics import normalize_answer
-from .retriever import DenseIndex, Embedder, top_k
+from .retriever import (
+    DenseIndex,
+    Embedder,
+    RetrievalResult,
+    retrieve_texts,
+    top_k,  # noqa: F401  (perfbench/selftest.py checks the tracer wraps it here)
+)
 from .reward import FormatSpec, PreferencePair, RewardModel
 
 DEFAULT_MAX_OUTPUT_TOKENS = 50
@@ -85,6 +93,27 @@ def _format_slot(format: FormatSpec) -> str:
     return format.description if format.description else format.kind.value
 
 
+def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[Passage]:
+    """The passages with *ids*; ids missing from *passages* raise PipelineError."""
+    missing = [pid for pid in ids if pid not in passages]
+    if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise PipelineError(f"index returned unknown passage ids: {missing[:10]}{more}")
+    return [passages[pid] for pid in ids]
+
+
+def render_retrieved_prompt(
+    question: str,
+    results: Sequence[RetrievalResult],
+    passages: Mapping[str, Passage],
+    cfg: PipelineConfig,
+) -> str:
+    """Template II: the question with the text of its retrieved passages."""
+    ids = [r.passage_id for r in results]
+    joined = " ".join(p.text for p in _passages_for(ids, passages))
+    return _render(cfg.prompt_templates, "II", passages=joined, question=question)
+
+
 @dataclass(frozen=True)
 class PipelineRun:
     """Everything one question produced, including the routing audit."""
@@ -120,37 +149,33 @@ class PipelineModels:
 
 def answer_paths(
     q: QaPair,
+    results: Sequence[RetrievalResult],
     full_model: LmScorer,
     retr_model: LmScorer,
-    index: DenseIndex,
-    embedder: Embedder,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
 ) -> tuple[AnswerCandidate, AnswerCandidate, tuple[str, ...]]:
     """Generate the two raw answer drafts for one question.
 
-    Returns (full-knowledge candidate, retrieved-knowledge candidate,
-    retrieved passage ids).  A failure on either path raises PipelineError
-    naming the path.
+    *results* are the question's top-k retrievals.  Returns (full-knowledge
+    candidate, retrieved-knowledge candidate, retrieved passage ids).  A
+    failure on either path raises PipelineError naming the path.
     """
-    results = top_k(index, embedder.embed_question(q.question), cfg.k)
     retrieved_ids = tuple(r.passage_id for r in results)
-    missing = [pid for pid in retrieved_ids if pid not in passages]
-    if missing:
-        raise PipelineError(f"index returned unknown passage ids: {missing}")
-    joined = " ".join(passages[pid].text for pid in retrieved_ids)
+    prompt_retr = render_retrieved_prompt(q.question, results, passages, cfg)
 
     prompt_full = _render(cfg.prompt_templates, "I", question=q.question)
     try:
-        draft_full = full_model.generate(full_model.encode(prompt_full), cfg.max_output_tokens)
-        cand_full = AnswerCandidate(draft_full.text, Provenance.FULL_KNOWLEDGE)
+        cand_full = AnswerCandidate(
+            _draft(full_model, prompt_full, cfg), Provenance.FULL_KNOWLEDGE
+        )
     except Exception as exc:
         raise PipelineError(f"full-knowledge path failed: {exc}") from exc
 
-    prompt_retr = _render(cfg.prompt_templates, "II", passages=joined, question=q.question)
     try:
-        draft_retr = retr_model.generate(retr_model.encode(prompt_retr), cfg.max_output_tokens)
-        cand_retr = AnswerCandidate(draft_retr.text, Provenance.RETRIEVED_KNOWLEDGE)
+        cand_retr = AnswerCandidate(
+            _draft(retr_model, prompt_retr, cfg), Provenance.RETRIEVED_KNOWLEDGE
+        )
     except Exception as exc:
         raise PipelineError(f"retrieved-knowledge path failed: {exc}") from exc
     return cand_full, cand_retr, retrieved_ids
@@ -183,9 +208,8 @@ def postprocess(
 
 def _run_one(
     qa: QaPair,
+    results: Sequence[RetrievalResult],
     models: PipelineModels,
-    index: DenseIndex,
-    embedder: Embedder,
     passages: Mapping[str, Passage],
     stats: CorpusStats,
     cfg: PipelineConfig,
@@ -194,7 +218,7 @@ def _run_one(
     raw_full = raw_retrieved = post_full_text = post_retr_text = ""
     try:
         cand_full, cand_retr, retrieved_ids = answer_paths(
-            qa, models.full, models.retrieved, index, embedder, passages, cfg
+            qa, results, models.full, models.retrieved, passages, cfg
         )
         raw_full, raw_retrieved = cand_full.text, cand_retr.text
         post_full = postprocess(cand_full, models.postp, cfg.format, cfg)
@@ -243,25 +267,26 @@ def run_pipeline(
 ) -> list[PipelineRun]:
     """Answer every question; failures are recorded per question, not raised.
 
-    Questions are independent, so jobs > 1 fans them out over threads;
-    results and audit rows keep the input order either way.
+    Every question is retrieved first, one block at a time (retrieve_texts);
+    a retrieval failure, such as an embedder whose dimension differs from
+    the index's, raises.  Questions are then independent, so jobs > 1 fans
+    them out over threads; results and audit rows keep the input order
+    either way.  audit.jsonl is written atomically.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    retrievals = retrieve_texts(index, embedder, [qa.question for qa in questions], cfg.k)
+
+    def run_one(qa: QaPair, results: Sequence[RetrievalResult]) -> PipelineRun:
+        return _run_one(qa, results, models, passages, stats, cfg)
+
     if jobs == 1:
-        runs = [
-            _run_one(qa, models, index, embedder, passages, stats, cfg) for qa in questions
-        ]
+        runs = list(map(run_one, questions, retrievals))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(
-                pool.map(
-                    lambda qa: _run_one(qa, models, index, embedder, passages, stats, cfg),
-                    questions,
-                )
-            )
+            runs = list(pool.map(run_one, questions, retrievals))
     if audit_path is not None:
-        with open(audit_path, "w", encoding="utf-8") as fh:
+        with atomic_write(audit_path, "w", encoding="utf-8") as fh:
             for run in runs:
                 if run.bundle is None:
                     continue
@@ -305,11 +330,16 @@ def run_record(run: PipelineRun) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModels:
-    """The three trained model roles."""
+    """The three trained model roles and the training questions' retrievals.
+
+    retrievals[i] is the top-k of the i-th training question, so the drafts
+    for the reward model reuse it instead of retrieving again.
+    """
 
     full: ToyLm
     retrieved: ToyLm
     postp: ToyLm
+    retrievals: tuple[list[RetrievalResult], ...]
 
 
 def build_vocabulary(
@@ -330,21 +360,15 @@ def _with_eos(seq: TokenSeq, vocab: Vocabulary) -> TokenSeq:
 
 
 def retrieved_passages(
-    questions: Sequence[QaPair],
-    index: DenseIndex,
-    embedder: Embedder,
+    retrievals: Sequence[Sequence[RetrievalResult]],
     passages: Mapping[str, Passage],
-    k: int,
 ) -> list[Passage]:
-    """Union of every question's top-k passages, first-seen order, no repeats."""
-    seen: set[str] = set()
-    union: list[Passage] = []
-    for qa in questions:
-        for result in top_k(index, embedder.embed_question(qa.question), k):
-            if result.passage_id not in seen:
-                seen.add(result.passage_id)
-                union.append(passages[result.passage_id])
-    return union
+    """Union of every question's top-k passages, first-seen order, no repeats.
+
+    Ids missing from *passages* raise PipelineError naming all of them.
+    """
+    ids = dict.fromkeys(r.passage_id for results in retrievals for r in results)
+    return _passages_for(list(ids), passages)
 
 
 def train_pipeline_models(
@@ -359,77 +383,74 @@ def train_pipeline_models(
 ) -> TrainedModels:
     """Train the three model roles from scratch.
 
-    The full-knowledge role sees every passage, the retrieved-knowledge role
-    only the union of top-k retrievals, and the format role trains purely on
-    instruction pairs mapping each retrieved-knowledge draft to its gold
-    answer with an end token appended, which is what teaches it to stop.
+    Each training question is retrieved once; the results are returned
+    with the models.  The full-knowledge role sees every passage, the
+    retrieved-knowledge role only the union of top-k retrievals, and the
+    format role trains purely on instruction pairs mapping each
+    retrieved-knowledge draft to its gold answer with an end token
+    appended, which is what teaches it to stop.  Retrieved ids missing from
+    *passages* raise PipelineError before any training.
     """
     if not train_qa:
         raise ValueError("training needs at least one qa pair")
     passage_map = {p.id: p for p in passages}
+    retrievals = tuple(
+        retrieve_texts(index, embedder, [qa.question for qa in train_qa], cfg.k)
+    )
+    retr_union = retrieved_passages(retrievals, passage_map)
     passage_seqs = [vocab.encode(p.text) for p in passages]
 
-    def instruction_batch(template_name: str) -> list[TrainExample]:
-        batch = []
-        for qa in train_qa:
-            if template_name == "I":
-                prompt = _render(cfg.prompt_templates, "I", question=qa.question)
-            else:
-                retrieved = top_k(index, embedder.embed_question(qa.question), cfg.k)
-                joined = " ".join(
-                    passage_map[r.passage_id].text
-                    for r in retrieved
-                    if r.passage_id in passage_map
-                )
-                prompt = _render(cfg.prompt_templates, "II", passages=joined, question=qa.question)
-            batch.append(TrainExample(vocab.encode(prompt), vocab.encode(qa.answers[0])))
-        return batch
+    def examples(prompts: Sequence[str]) -> list[TrainExample]:
+        return [
+            TrainExample(vocab.encode(prompt), vocab.encode(qa.answers[0]))
+            for prompt, qa in zip(prompts, train_qa)
+        ]
 
     def fresh() -> ToyLm:
         return ToyLm(vocab, seed=cfg.seed, learning_rate=learning_rate)
 
-    full = train(fresh(), passage_seqs, instruction_batch("I"), cfg.weights, steps)
+    prompts_full = [_render(cfg.prompt_templates, "I", question=qa.question) for qa in train_qa]
+    full = train(fresh(), passage_seqs, examples(prompts_full), cfg.weights, steps)
 
-    retr_union = retrieved_passages(train_qa, index, embedder, passage_map, cfg.k)
+    prompts_retr = [
+        render_retrieved_prompt(qa.question, results, passage_map, cfg)
+        for qa, results in zip(train_qa, retrievals)
+    ]
     retr_seqs = [vocab.encode(p.text) for p in retr_union]
-    retrieved = train(fresh(), retr_seqs, instruction_batch("II"), cfg.weights, steps)
+    retrieved = train(fresh(), retr_seqs, examples(prompts_retr), cfg.weights, steps)
 
     format_batch = []
-    for qa in train_qa:
-        draft = _draft(qa, retrieved, index, embedder, passage_map, cfg)
+    for qa, prompt_retr in zip(train_qa, prompts_retr):
+        draft = _draft(retrieved, prompt_retr, cfg)
         prompt = _render(
             cfg.prompt_templates, "III", format=_format_slot(cfg.format), draft=draft
         )
         target = _with_eos(vocab.encode(qa.answers[0]), vocab)
         format_batch.append(TrainExample(vocab.encode(prompt), target))
     postp = train(fresh(), [], format_batch, cfg.weights, steps)
-    return TrainedModels(full=full, retrieved=retrieved, postp=postp)
+    return TrainedModels(full=full, retrieved=retrieved, postp=postp, retrievals=retrievals)
 
 
-def _draft(
-    qa: QaPair,
-    model: LmScorer,
-    index: DenseIndex,
-    embedder: Embedder,
-    passages: Mapping[str, Passage],
-    cfg: PipelineConfig,
-) -> str:
-    results = top_k(index, embedder.embed_question(qa.question), cfg.k)
-    joined = " ".join(passages[r.passage_id].text for r in results if r.passage_id in passages)
-    prompt = _render(cfg.prompt_templates, "II", passages=joined, question=qa.question)
+def _draft(model: LmScorer, prompt: str, cfg: PipelineConfig) -> str:
     return model.generate(model.encode(prompt), cfg.max_output_tokens).text
 
 
 def drafts_for_questions(
     questions: Sequence[QaPair],
+    retrievals: Sequence[Sequence[RetrievalResult]],
     model: LmScorer,
-    index: DenseIndex,
-    embedder: Embedder,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
 ) -> dict[str, str]:
-    """Retrieved-knowledge drafts keyed by question id."""
-    return {qa.id: _draft(qa, model, index, embedder, passages, cfg) for qa in questions}
+    """Retrieved-knowledge drafts keyed by question id.
+
+    retrievals[i] is the top-k of questions[i], for example
+    TrainedModels.retrievals for the training questions.
+    """
+    return {
+        qa.id: _draft(model, render_retrieved_prompt(qa.question, results, passages, cfg), cfg)
+        for qa, results in zip(questions, retrievals, strict=True)
+    }
 
 
 def preference_pairs_from_drafts(

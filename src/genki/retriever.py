@@ -5,7 +5,8 @@ would, ordered by score descending, then passage id ascending, with float64
 scores.  It scores all rows with one float32 product, keeps the rows within
 twice a proven rounding bound of each query's k-th float32 score, and
 rescores only those in float64 (see top_k_batch for the bound and its
-proof).
+proof).  retrieve_texts embeds and retrieves many questions one block at a
+time, so memory stays bounded however many there are.
 
 The index file layout is fixed little-endian binary:
 
@@ -38,6 +39,11 @@ MAGIC = b"GKIX1"
 HEADER_BYTES = len(MAGIC) + 4 + 8
 # Float32 screen scores held at once by top_k_batch (16 MB).
 SCREEN_BLOCK = 1 << 22
+# Query floats converted at once by top_k_batch and retrieve_texts (64
+# queries at dim 1024).
+QUERY_BLOCK = 1 << 16
+# Float64 products held at once by the rescore in top_k_batch (512 KB).
+RESCORE_BLOCK = 1 << 16
 
 
 class IndexFormatError(ValueError):
@@ -111,7 +117,8 @@ class DenseIndex:
     """Passage vectors (float32, row major) plus aligned passage ids.
 
     The index holds a read-only view of *matrix*; the caller must not
-    change the array afterwards (max_row_norm is computed once).
+    change the array or ``ids`` afterwards (max_row_norm and id_rank are
+    computed once).
     """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
@@ -152,6 +159,13 @@ class DenseIndex:
         squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
         return float(np.sqrt(squares.max()))
 
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Position of each row's id in ascending id order (the top-k tie-break)."""
+        rank = np.empty(self.count, dtype=np.intp)
+        rank[sorted(range(self.count), key=self.ids.__getitem__)] = np.arange(self.count)
+        return rank
+
 
 def similarity(question_vec: np.ndarray, passage_vec: np.ndarray) -> float:
     """Inner-product relevance score between two vectors of equal dimension."""
@@ -183,7 +197,10 @@ def top_k_batch(
     float32 product.  Per query, the rows whose float32 score a_i is at
     least θ - 2·B, where θ is the k-th largest a_i, are the candidates.
     Only they are rescored, in float64 with the unscaled query (c_i), and
-    sorted by (-c_i, id).
+    sorted by (-c_i, id).  Queries go through in blocks of at most
+    QUERY_BLOCK floats and SCREEN_BLOCK screen scores; each block is
+    selected, rescored and sorted with array operations, and the rescore
+    holds at most RESCORE_BLOCK float64 products at once.
 
     Bound.  With q' = s·q, n = dim, u = 2**-24, M = max_row_norm and
     t_i = row_i·q' the exact score, in units of q':
@@ -219,9 +236,18 @@ def top_k_batch(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    step = max(1, min(SCREEN_BLOCK // index.count, QUERY_BLOCK // index.dim))
+    results: list[list[RetrievalResult]] = []
+    for start in range(0, len(questions), step):
+        results.extend(_top_k_block(index, questions[start:start + step], k))
+    return results
+
+
+def _top_k_block(
+    index: DenseIndex, questions: Sequence[np.ndarray] | np.ndarray, k: int
+) -> list[list[RetrievalResult]]:
+    """top_k_batch for one block of queries, with array operations only."""
     queries = np.asarray(questions, dtype=np.float64)
-    if queries.shape == (0,):  # an empty sequence of queries
-        queries = queries.reshape(0, index.dim)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs index dim {index.dim}")
     if not np.isfinite(queries).all():
@@ -237,31 +263,55 @@ def top_k_batch(
         + dim * (norm + 1.0) * 2.0**-149
         + np.ldexp(float(dim), shift - 1074)
     )
-    results = []
-    step = max(1, SCREEN_BLOCK // count)
-    for start in range(0, len(queries), step):
-        screen = scaled[start:start + step].astype(np.float32) @ index.matrix.T
-        for offset, row_scores in enumerate(screen):
-            query = queries[start + offset]
-            if k < count:
-                kth = np.partition(row_scores, count - k)[count - k]
-                cutoff = float(kth) - 2.0 * bounds[start + offset]
-                candidates = np.flatnonzero(row_scores.astype(np.float64) >= cutoff)
-            else:
-                candidates = np.arange(count)
-            # Row-wise float64 products summed per row: a row's score does
-            # not depend on which other rows are candidates.
-            scores = (index.matrix[candidates].astype(np.float64) * query).sum(axis=1)
-            order = sorted(
-                range(len(candidates)),
-                key=lambda c: (-scores[c], index.ids[candidates[c]]),
-            )[:k]
-            results.append([
-                RetrievalResult(
-                    passage_id=index.ids[candidates[c]], score=float(scores[c]), rank=rank
-                )
-                for rank, c in enumerate(order, start=1)
-            ])
+    screen = scaled.astype(np.float32) @ index.matrix.T
+    if k < count:
+        kth = np.partition(screen, count - k, axis=1)[:, count - k]
+        cutoff = kth - 2.0 * bounds
+        # (query, row) candidate pairs, query-major; float32 scores compare
+        # against the float64 cutoffs exactly.
+        query_of, rows = np.nonzero(screen >= cutoff[:, None])
+    else:
+        query_of = np.repeat(np.arange(len(queries)), count)
+        rows = np.tile(np.arange(count), len(queries))
+    del screen
+    # Row-wise float64 products summed per row: a candidate's score does not
+    # depend on which other rows are candidates or on the chunking.
+    scores = np.empty(len(rows))
+    chunk = max(1, RESCORE_BLOCK // dim)
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        product = queries[query_of[part]]
+        np.multiply(index.matrix[rows[part]], product, out=product)
+        scores[part] = product.sum(axis=1)
+    order = np.lexsort((index.id_rank[rows], -scores, query_of))
+    query_of, rows, scores = query_of[order], rows[order], scores[order]
+    # Each query has at least min(k, count) candidates; keep its first ones.
+    rank = np.arange(len(rows)) - np.searchsorted(query_of, query_of) + 1
+    keep = rank <= k
+    ids = index.ids
+    flat = [
+        RetrievalResult(passage_id=ids[row], score=score, rank=r)
+        for row, score, r in zip(
+            rows[keep].tolist(), scores[keep].tolist(), rank[keep].tolist()
+        )
+    ]
+    width = min(k, count)
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def retrieve_texts(
+    index: DenseIndex, embedder: Embedder, texts: Sequence[str], k: int
+) -> list[list[RetrievalResult]]:
+    """top_k_batch for each text as a question, embedding one block at a time.
+
+    At most QUERY_BLOCK query floats are held at once, however many texts
+    there are; only the results are kept for all of them.
+    """
+    step = max(1, QUERY_BLOCK // index.dim)
+    results: list[list[RetrievalResult]] = []
+    for start in range(0, len(texts), step):
+        vectors = [embedder.embed_question(text) for text in texts[start:start + step]]
+        results.extend(top_k_batch(index, vectors, k))
     return results
 
 
@@ -311,17 +361,24 @@ def load_index(path: str | Path) -> DenseIndex:
             )
         raw = _read_exact(fh, count * dim * 4, "vectors")
         matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
-        ids = []
-        for i in range(count):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4, f"id {i} length"))
-            if length > size - fh.tell() - 4 * (count - 1 - i):
-                raise IndexFormatError(f"{path}: id {i} claims {length} bytes past the end")
-            try:
-                ids.append(_read_exact(fh, length, f"id {i}").decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise IndexFormatError(f"{path}: id {i} is not UTF-8 ({exc})") from exc
-        if fh.read(1):
-            raise IndexFormatError(f"{path}: trailing bytes after {count} ids")
+        # The id block is read once and parsed from memory.
+        block = fh.read()
+    ids = []
+    pos, end = 0, len(block)
+    for i in range(count):
+        if end - pos < 4:
+            raise IndexFormatError(f"truncated index file while reading id {i} length")
+        (length,) = struct.unpack_from("<I", block, pos)
+        pos += 4
+        if length > end - pos - 4 * (count - 1 - i):
+            raise IndexFormatError(f"{path}: id {i} claims {length} bytes past the end")
+        try:
+            ids.append(block[pos:pos + length].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path}: id {i} is not UTF-8 ({exc})") from exc
+        pos += length
+    if pos != end:
+        raise IndexFormatError(f"{path}: trailing bytes after {count} ids")
     try:
         return DenseIndex(matrix, ids)
     except ValueError as exc:

@@ -589,17 +589,17 @@ def test_training_direction():
         ) / len(qa_pairs)
 
     trained_drafts = drafts_for_questions(
-        qa_pairs, trained.retrieved, index, embedder, passage_map, cfg
+        qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg
     )
     untrained_drafts = drafts_for_questions(
-        qa_pairs, ToyLm(vocab, seed=0), index, embedder, passage_map, cfg
+        qa_pairs, trained.retrievals, ToyLm(vocab, seed=0), passage_map, cfg
     )
     recall_trained = mean_recall(trained_drafts)
     recall_untrained = mean_recall(untrained_drafts)
     assert recall_trained - recall_untrained >= 0.20, (recall_trained, recall_untrained)
 
     drafts = drafts_for_questions(
-        qa_pairs, trained.retrieved, index, embedder, passage_map, cfg
+        qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg
     )
     pairs = preference_pairs_from_drafts(qa_pairs, drafts, fmt)
     reward = train_reward_or_fresh(pairs)

@@ -8,9 +8,11 @@ text are asserted directly.
 import json
 import struct
 import shutil
+from collections import Counter
 
 import pytest
 
+from genki import cli
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
@@ -120,6 +122,70 @@ class TestRetrieve:
         err = capsys.readouterr().err
         assert "data error:" in err
         assert str(index) in err
+
+
+class TestTrain:
+    def test_index_from_another_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        # The same passages under other ids: every retrieved id is unknown.
+        other = tmp_path / "other.jsonl"
+        with open(workdir["corpus"], encoding="utf-8") as src, \
+                open(other, "w", encoding="utf-8") as dst:
+            for line in src:
+                record = json.loads(line)
+                record["id"] = "x" + record["id"]
+                dst.write(json.dumps(record) + "\n")
+        index = tmp_path / "other.bin"
+        assert main(["index", "--config", workdir["config"], "--corpus", str(other),
+                     "--out", str(index)]) == EXIT_OK
+        models = tmp_path / "models"
+        assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", str(index),
+                     "--out", str(models)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "'xp000'" in err
+        assert "rebuild it with: genki index" in err
+        assert "Traceback" not in err
+        assert list(models.iterdir()) == []
+
+    def test_each_question_embedded_once(self, workdir, tmp_path, monkeypatch):
+        counts = Counter()
+
+        class CountingEmbedder(cli.HashEmbedder):
+            def embed_question(self, text):
+                counts[text] += 1
+                return super().embed_question(text)
+
+        monkeypatch.setattr(cli, "HashEmbedder", CountingEmbedder)
+        assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--out", str(tmp_path / "models")]) == EXIT_OK
+        questions = [json.loads(line)["question"]
+                     for line in open(workdir["qa"], encoding="utf-8")]
+        assert counts == Counter(questions)
+        for name in ("l1.json", "l2.json", "l3.json", "reward.json"):
+            reference = (workdir["root"] / "models" / name).read_bytes()
+            assert (tmp_path / "models" / name).read_bytes() == reference
+
+
+class TestAtomicOutputs:
+    def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        cli._write_jsonl(path, [{"qid": "q0"}])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_jsonl(path, [{"qid": "q1"}, {"qid": object()}])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "fit.json"
+        cli._write_json(path, {"fit": None})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"fit": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
 
 
 class TestAnswer:

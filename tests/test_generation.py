@@ -6,11 +6,14 @@ isolation, and training effects (draft recall, format-stage exactness).
 """
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from genki.corpus import AnswerKind, Passage, QaPair, build_stats
 from genki.ensemble import Choice, Provenance, AnswerCandidate, stub_judge
+from genki import generation
 from genki.generation import (
     DEFAULT_TEMPLATES,
     PipelineConfig,
@@ -28,7 +31,7 @@ from genki.generation import (
 )
 from genki.lm_core import ToyLm
 from genki.metrics import exact_match, text_recall
-from genki.retriever import DenseIndex, HashEmbedder
+from genki.retriever import DenseIndex, HashEmbedder, retrieve_texts, top_k
 from genki.reward import FormatSpec, PreferencePair, ToyRewardModel, train_reward
 from genki.synth import synthetic_world
 
@@ -53,7 +56,7 @@ def world():
         passages, qa_pairs, index, embedder, vocab, cfg, steps=60, learning_rate=0.5
     )
     drafts = drafts_for_questions(
-        qa_pairs, trained.retrieved, index, embedder, {p.id: p for p in passages}, cfg
+        qa_pairs, trained.retrievals, trained.retrieved, {p.id: p for p in passages}, cfg
     )
     pairs = preference_pairs_from_drafts(qa_pairs, drafts, FORMAT)
     reward = train_reward(ToyRewardModel(seed=0), pairs, 100) if pairs else ToyRewardModel(seed=0)
@@ -76,6 +79,11 @@ def world():
         "models": models,
         "stats": build_stats(passages),
     }
+
+
+def retrieve(world, qa, k=2):
+    """The top-k of one question, the reference the pipeline's blocks must equal."""
+    return top_k(world["index"], world["embedder"].embed_question(qa.question), k)
 
 
 class TestPipelineConfig:
@@ -112,9 +120,10 @@ class TestBuildVocabulary:
 
 class TestRetrievedPassages:
     def test_union_first_seen_no_repeats(self, world):
-        union = retrieved_passages(
-            world["qa"], world["index"], world["embedder"], world["passage_map"], 2
+        retrievals = retrieve_texts(
+            world["index"], world["embedder"], [qa.question for qa in world["qa"]], 2
         )
+        union = retrieved_passages(retrievals, world["passage_map"])
         ids = [p.id for p in union]
         assert len(ids) == len(set(ids))
         # every question's own passage is in the union
@@ -126,16 +135,16 @@ class TestAnswerPaths:
     def test_retrieval_targets_topic_passage(self, world):
         qa = world["qa"][3]
         _, _, retrieved = answer_paths(
-            qa, world["trained"].full, world["trained"].retrieved,
-            world["index"], world["embedder"], world["passage_map"], world["cfg"],
+            qa, retrieve(world, qa), world["trained"].full, world["trained"].retrieved,
+            world["passage_map"], world["cfg"],
         )
         assert retrieved[0] == "p003"
 
     def test_retrieved_draft_contains_answer_tokens(self, world):
         qa = world["qa"][0]
         _, cand_retr, _ = answer_paths(
-            qa, world["trained"].full, world["trained"].retrieved,
-            world["index"], world["embedder"], world["passage_map"], world["cfg"],
+            qa, retrieve(world, qa), world["trained"].full, world["trained"].retrieved,
+            world["passage_map"], world["cfg"],
         )
         assert cand_retr.provenance is Provenance.RETRIEVED_KNOWLEDGE
         assert not cand_retr.postprocessed
@@ -144,15 +153,15 @@ class TestAnswerPaths:
     def test_k_larger_than_corpus(self, world):
         cfg = make_config(k=100)
         _, _, retrieved = answer_paths(
-            world["qa"][0], world["trained"].full, world["trained"].retrieved,
-            world["index"], world["embedder"], world["passage_map"], cfg,
+            world["qa"][0], retrieve(world, world["qa"][0], cfg.k), world["trained"].full,
+            world["trained"].retrieved, world["passage_map"], cfg,
         )
         assert len(retrieved) == len(world["passages"])
 
     def test_deterministic(self, world):
         args = (
-            world["qa"][1], world["trained"].full, world["trained"].retrieved,
-            world["index"], world["embedder"], world["passage_map"], world["cfg"],
+            world["qa"][1], retrieve(world, world["qa"][1]), world["trained"].full,
+            world["trained"].retrieved, world["passage_map"], world["cfg"],
         )
         a1, b1, r1 = answer_paths(*args)
         a2, b2, r2 = answer_paths(*args)
@@ -163,8 +172,8 @@ class TestAnswerPaths:
         del partial["p000"]
         with pytest.raises(PipelineError, match="unknown passage ids"):
             answer_paths(
-                world["qa"][0], world["trained"].full, world["trained"].retrieved,
-                world["index"], world["embedder"], partial, world["cfg"],
+                world["qa"][0], retrieve(world, world["qa"][0]), world["trained"].full,
+                world["trained"].retrieved, partial, world["cfg"],
             )
 
 
@@ -172,8 +181,8 @@ class TestPostprocess:
     def test_output_respects_token_cap(self, world):
         qa = world["qa"][0]
         _, cand_retr, _ = answer_paths(
-            qa, world["trained"].full, world["trained"].retrieved,
-            world["index"], world["embedder"], world["passage_map"], world["cfg"],
+            qa, retrieve(world, qa), world["trained"].full, world["trained"].retrieved,
+            world["passage_map"], world["cfg"],
         )
         out = postprocess(cand_retr, world["trained"].postp, FORMAT, world["cfg"])
         assert out.postprocessed
@@ -211,12 +220,12 @@ class TestTrainingEffects:
     def test_trained_drafts_beat_untrained(self, world):
         untrained = ToyLm(world["vocab"], seed=0)
         trained_drafts = drafts_for_questions(
-            world["qa"], world["trained"].retrieved, world["index"],
-            world["embedder"], world["passage_map"], world["cfg"],
+            world["qa"], world["trained"].retrievals, world["trained"].retrieved,
+            world["passage_map"], world["cfg"],
         )
         untrained_drafts = drafts_for_questions(
-            world["qa"], untrained, world["index"],
-            world["embedder"], world["passage_map"], world["cfg"],
+            world["qa"], world["trained"].retrievals, untrained,
+            world["passage_map"], world["cfg"],
         )
 
         def mean_recall(drafts):
@@ -276,6 +285,53 @@ class TestRunPipeline:
             world["passage_map"], world["stats"], world["cfg"],
         )
         assert run_pipeline(*args, jobs=1) == run_pipeline(*args, jobs=3)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_blocked_retrieval_equals_per_question_top_k(self, world, jobs):
+        # 65 phrased questions: one block of 64 queries at dim 1024, plus one.
+        rng = random.Random(65)
+        words = ["what", "goes", "with", "tell", "the", "values", "of"]
+        stream = []
+        for i in range(65):
+            qa = world["qa"][rng.randrange(len(world["qa"]))]
+            topic = qa.question.split()[-1]
+            question = " ".join(rng.choice(words) for _ in range(rng.randint(2, 7)))
+            stream.append(QaPair(f"s{i:03d}", f"{question} {topic}", qa.answers, qa.format))
+        reference = [
+            generation._run_one(
+                qa, retrieve(world, qa), world["models"], world["passage_map"],
+                world["stats"], world["cfg"],
+            )
+            for qa in stream
+        ]
+        runs = run_pipeline(
+            stream, world["models"], world["index"], world["embedder"],
+            world["passage_map"], world["stats"], world["cfg"], jobs=jobs,
+        )
+        assert runs == reference
+        assert all(run.error is None for run in runs)
+
+    def test_failed_audit_write_keeps_previous_file(self, world, tmp_path, monkeypatch):
+        audit = tmp_path / "audit.jsonl"
+        args = (
+            world["qa"], world["models"], world["index"], world["embedder"],
+            world["passage_map"], world["stats"], world["cfg"],
+        )
+        run_pipeline(*args, audit_path=audit)
+        before = audit.read_bytes()
+        calls = []
+
+        def failing_record(qid, bundle, winner):
+            calls.append(qid)
+            if len(calls) > 2:
+                raise OSError("disk full")
+            return {"qid": qid}
+
+        monkeypatch.setattr(generation, "audit_record", failing_record)
+        with pytest.raises(OSError, match="disk full"):
+            run_pipeline(*args, audit_path=audit)
+        assert audit.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl"]
 
     def test_bad_jobs_rejected(self, world):
         with pytest.raises(ValueError):
@@ -341,6 +397,56 @@ class TestRunPipeline:
             assert again["qid"] == run.qid
             assert again["bundle"]["route"] in ("RewardPick", "ExternalPick")
             assert again["error"] is None
+
+
+class CountingEmbedder:
+    """An embedder that counts how often each question is embedded."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.questions = Counter()
+
+    def embed_question(self, text):
+        self.questions[text] += 1
+        return self.inner.embed_question(text)
+
+    def embed_passage(self, text):
+        return self.inner.embed_passage(text)
+
+
+class TestRetrieveOnce:
+    def test_training_and_drafts_embed_each_question_once(self, world):
+        embedder = CountingEmbedder(world["embedder"])
+        trained = train_pipeline_models(
+            world["passages"], world["qa"], world["index"], embedder,
+            world["vocab"], world["cfg"], steps=5,
+        )
+        drafts = drafts_for_questions(
+            world["qa"], trained.retrievals, trained.retrieved, world["passage_map"],
+            world["cfg"],
+        )
+        assert embedder.questions == Counter(qa.question for qa in world["qa"])
+        assert set(drafts) == {qa.id for qa in world["qa"]}
+        assert list(trained.retrievals) == [retrieve(world, qa) for qa in world["qa"]]
+
+    def test_unknown_ids_raise_before_training(self, world, monkeypatch):
+        partial = [p for p in world["passages"] if p.id != "p003"]
+        trained = []
+        monkeypatch.setattr(generation, "train", lambda *a, **kw: trained.append(1))
+        with pytest.raises(PipelineError, match="unknown passage ids: \\['p003'\\]"):
+            train_pipeline_models(
+                partial, world["qa"], world["index"], world["embedder"],
+                world["vocab"], world["cfg"],
+            )
+        assert trained == []
+        with pytest.raises(PipelineError, match="unknown passage ids"):
+            retrieved_passages([retrieve(world, world["qa"][3])], {})
+        with pytest.raises(PipelineError, match="unknown passage ids"):
+            drafts_for_questions(
+                world["qa"][3:4], [retrieve(world, world["qa"][3])], world["trained"].retrieved,
+                {}, world["cfg"],
+            )
 
 
 class TestPreferencePairs:

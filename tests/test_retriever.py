@@ -1,15 +1,18 @@
 import logging
 import random
+import struct
 
 import numpy as np
 import pytest
 
+from genki import retriever
 from genki.corpus import Passage
 from genki.retriever import (
     DenseIndex,
     HashEmbedder,
     IndexFormatError,
     load_index,
+    retrieve_texts,
     save_index,
     similarity,
     top_k,
@@ -256,6 +259,147 @@ class TestTopKBatchContract:
             top_k_batch(index, np.ones(2), 1)
         with pytest.raises(ValueError):
             top_k_batch(index, np.ones((2, 3)), 1)
+
+
+def bits(results):
+    """(id, score bits, rank) of each result: equal only if bit-identical."""
+    return [(r.passage_id, struct.pack("<d", r.score), r.rank) for r in results]
+
+
+def exact_scan(matrix, ids, query, k):
+    """A float64 scan of every row with the rescore's per-row expression."""
+    scores = (matrix.astype(np.float64) * np.asarray(query, dtype=np.float64)).sum(axis=1)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    return [
+        (ids[i], struct.pack("<d", float(scores[i])), rank)
+        for rank, i in enumerate(order, start=1)
+    ]
+
+
+def assert_blocked_exact(matrix, ids, queries, k):
+    """top_k_batch over all queries equals per-query top_k and the exact scan."""
+    index = DenseIndex(matrix, ids)
+    got = top_k_batch(index, queries, k)
+    assert len(got) == len(queries)
+    for results, query in zip(got, queries):
+        assert bits(results) == bits(top_k(index, query, k))
+        assert bits(results) == exact_scan(matrix, ids, query, k)
+
+
+def tied_world(rng, count=120, dim=1024, copies=12):
+    """Rows where *copies* duplicates of row 0 tie, ids shuffled."""
+    matrix = rng.normal(size=(count, dim)).astype(np.float32)
+    matrix[1:copies] = matrix[0]
+    ids = [f"p{i:03d}" for i in range(count)]
+    rng.shuffle(ids)
+    return matrix, ids
+
+
+class NumpySpy:
+    """numpy for the retriever module, recording the rows of each multiply."""
+
+    def __init__(self):
+        self.multiplied = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, a, b, **kwargs):
+        self.multiplied.append(len(a))
+        return np.multiply(a, b, **kwargs)
+
+
+class TestBlockedSelection:
+    """top_k_batch selects, rescores and sorts a block of queries at once;
+    every block boundary must give what one query at a time gives."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_query_counts_around_one_block(self, extra):
+        rng = np.random.default_rng(60 + extra)
+        dim = 1024
+        block = retriever.QUERY_BLOCK // dim
+        matrix, ids = tied_world(rng, dim=dim)
+        queries = rng.normal(size=(block + extra, dim))
+        queries[::5] = matrix[0]  # these tie with every copy of row 0
+        for k in (1, 3, 12):
+            assert_blocked_exact(matrix, ids, queries, k)
+
+    def test_block_mixes_one_and_many_candidates(self):
+        rng = np.random.default_rng(63)
+        matrix, ids = tied_world(rng, count=80, dim=64, copies=20)
+        queries = rng.normal(size=(30, 64))
+        queries[1::2] = matrix[0] * rng.uniform(0.5, 2.0, size=(15, 1))
+        k = 2
+        index = DenseIndex(matrix, ids)
+        scan = [exact_scan(matrix, ids, q, len(ids)) for q in queries]
+        # Odd queries tie 20 rows at the top score, even ones do not tie.
+        tied = [sum(row[1] == ranked[0][1] for row in ranked) for ranked in scan]
+        assert tied[1::2] == [20] * 15
+        assert set(tied[0::2]) == {1}
+        assert_blocked_exact(matrix, ids, queries, k)
+        assert [len(r) for r in top_k_batch(index, queries, k)] == [k] * 30
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_k_at_least_count_with_several_queries(self, k):
+        rng = np.random.default_rng(64)
+        matrix = rng.normal(size=(5, 8)).astype(np.float32)
+        matrix[3] = matrix[1]
+        ids = ["e", "c", "a", "d", "b"]
+        queries = rng.normal(size=(4, 8))
+        queries[2] = 0.0
+        assert_blocked_exact(matrix, ids, queries, k)
+        got = top_k_batch(DenseIndex(matrix, ids), queries, k)
+        assert all(sorted(r.passage_id for r in results) == sorted(ids) for results in got)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_rescore_chunks_split_one_query(self, monkeypatch, chunk):
+        rng = np.random.default_rng(65)
+        dim = 32
+        matrix, ids = tied_world(rng, count=60, dim=dim, copies=16)
+        queries = rng.normal(size=(6, dim))
+        queries[[1, 4]] = matrix[0]  # 16 tied candidates each
+        index = DenseIndex(matrix, ids)
+        want = [bits(r) for r in top_k_batch(index, queries, 4)]
+        monkeypatch.setattr(retriever, "RESCORE_BLOCK", chunk * dim)
+        spy = NumpySpy()
+        monkeypatch.setattr(retriever, "np", spy)
+        got = [bits(r) for r in top_k_batch(index, queries, 4)]
+        monkeypatch.undo()
+        # Each rescore chunk multiplies at most *chunk* candidate rows, so
+        # the 16 tied candidates of queries 1 and 4 were split.
+        assert max(spy.multiplied) <= chunk
+        assert len(spy.multiplied) >= 2 * (16 // chunk)
+        assert got == want
+        for results, query in zip(got, queries):
+            assert results == exact_scan(matrix, ids, query, 4)
+
+
+class TestRetrieveTexts:
+    def test_equals_per_question_top_k(self):
+        embedder = HashEmbedder(dim=1024, seed=0)
+        passages = [Passage(f"p{i:03d}", f"topic{i % 7} alpha{i} shared words") for i in range(90)]
+        index = DenseIndex.build(passages, embedder)
+        block = retriever.QUERY_BLOCK // index.dim
+        texts = [f"what about topic{i % 9} shared" for i in range(block + 1)]
+        got = retrieve_texts(index, embedder, texts, 3)
+        want = [top_k(index, embedder.embed_question(t), 3) for t in texts]
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        assert retrieve_texts(index, embedder, [], 3) == []
+
+    def test_embeds_one_block_at_a_time(self, monkeypatch):
+        embedder = HashEmbedder(dim=1024, seed=0)
+        index = DenseIndex.build([Passage("a", "x y"), Passage("b", "y z")], embedder)
+        sizes = []
+        real = retriever.top_k_batch
+
+        def spy(index, questions, k):
+            sizes.append(len(questions))
+            return real(index, questions, k)
+
+        monkeypatch.setattr(retriever, "top_k_batch", spy)
+        retrieve_texts(index, embedder, ["x"] * 150, 1)
+        block = retriever.QUERY_BLOCK // 1024
+        assert sizes == [block, block, 150 - 2 * block]
 
 
 class TestDenseIndexValidation:
