@@ -14,8 +14,6 @@ from .clients import (
     RemoteJudge,
     RemoteScorer,
     TransportError,
-    remote_judge,
-    remote_scorer,
 )
 from .consistency import ConsistencyScore, consistency
 from .corpus import (
@@ -32,6 +30,7 @@ from .corpus import (
     ingest_passages,
     ingest_qa_pairs,
     normalize_text,
+    read_jsonl,
     split_sentences,
     tokenize,
 )
@@ -44,11 +43,10 @@ from .ensemble import (
     Route,
     ScoreBundle,
     StubJudge,
-    audit_record,
+    bundle_record,
     judgment_score,
     resolve_winner,
     select,
-    stub_judge,
 )
 from .generation import (
     DEFAULT_MAX_OUTPUT_TOKENS,
@@ -120,121 +118,8 @@ from .reward import (
     pairwise_loss,
     pairwise_loss_grad,
     save_reward_checkpoint,
-    toy_reward_model,
     train_reward,
 )
 from .textstats import OOV_WORDS, SentenceWeight, TextStatsError, isf, iwf, nisf
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AUTH_ENV_VAR",
-    "AnswerCandidate",
-    "AnswerKind",
-    "Choice",
-    "ClientError",
-    "ConsistencyScore",
-    "CorpusError",
-    "CorpusStats",
-    "DEFAULT_MAX_OUTPUT_TOKENS",
-    "DEFAULT_TEMPLATES",
-    "DenseIndex",
-    "Embedder",
-    "EndpointConfig",
-    "EOS",
-    "ExternalJudge",
-    "FEATURE_NAMES",
-    "FitResult",
-    "FormatSpec",
-    "HashEmbedder",
-    "HttpStatusError",
-    "IndexFormatError",
-    "JudgeError",
-    "LineFit",
-    "LmScorer",
-    "LossWeights",
-    "MetricReport",
-    "OOV_WORDS",
-    "Passage",
-    "PipelineConfig",
-    "PipelineError",
-    "PipelineModels",
-    "PipelineRun",
-    "PreferencePair",
-    "ProtocolError",
-    "Provenance",
-    "QaPair",
-    "QuestionScore",
-    "RemoteJudge",
-    "RemoteScorer",
-    "RetrievalResult",
-    "RewardModel",
-    "Route",
-    "ScoreBundle",
-    "SentenceWeight",
-    "StubJudge",
-    "TextStatsError",
-    "TokenSeq",
-    "ToyLm",
-    "ToyRewardModel",
-    "TrainExample",
-    "TrainedModels",
-    "TransportError",
-    "UNK",
-    "Vocabulary",
-    "answer_paths",
-    "audit_record",
-    "bleu",
-    "build_stats",
-    "build_vocabulary",
-    "consistency",
-    "drafts_for_questions",
-    "evaluate_answers",
-    "exact_match",
-    "extract_features",
-    "ingest_passages",
-    "ingest_qa_pairs",
-    "isf",
-    "iwf",
-    "judgment_score",
-    "load_checkpoint",
-    "load_index",
-    "load_reward_checkpoint",
-    "loss_combined",
-    "loss_combined_grad",
-    "loss_f",
-    "loss_r",
-    "nisf",
-    "normalize_answer",
-    "normalize_text",
-    "pairwise_loss",
-    "pairwise_loss_grad",
-    "postprocess",
-    "preference_pairs_from_drafts",
-    "quality_recall_points",
-    "remote_judge",
-    "remote_scorer",
-    "report_tsv",
-    "resolve_winner",
-    "retrieval_quality",
-    "rouge_l",
-    "run_pipeline",
-    "run_record",
-    "save_checkpoint",
-    "save_index",
-    "save_reward_checkpoint",
-    "select",
-    "similarity",
-    "split_sentences",
-    "stub_judge",
-    "text_f1",
-    "text_recall",
-    "tokenize",
-    "top_k",
-    "top_k_batch",
-    "toy_reward_model",
-    "train",
-    "train_pipeline_models",
-    "train_reward",
-    "two_segment_fit",
-]

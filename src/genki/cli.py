@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .clients import ClientError, EndpointConfig, RemoteJudge, RemoteScorer
 from .corpus import (
@@ -28,8 +28,9 @@ from .corpus import (
     build_stats,
     ingest_passages,
     ingest_qa_pairs,
+    read_jsonl,
 )
-from .ensemble import stub_judge
+from .ensemble import StubJudge
 from .generation import (
     DEFAULT_TEMPLATES,
     PipelineConfig,
@@ -104,8 +105,8 @@ class CliConfig:
     embedder_seed: int = 0
     train_steps: int = 50
     train_learning_rate: float = 0.5
-    reward_steps: int = 100
-    reward_learning_rate: float = 0.05
+    train_reward_steps: int = 100
+    train_reward_learning_rate: float = 0.05
     remote_scorer_url: str = ""
     remote_judge_url: str = ""
     remote_timeout_ms: int = 10_000
@@ -113,16 +114,10 @@ class CliConfig:
     remote_max_in_flight: int = 4
 
 
-_NESTED_SECTIONS = {
-    "format": {"kind": "format_kind", "max_tokens": "format_max_tokens",
-               "description": "format_description"},
-    "embedder": {"dim": "embedder_dim", "seed": "embedder_seed"},
-    "train": {"steps": "train_steps", "learning_rate": "train_learning_rate",
-              "reward_steps": "reward_steps", "reward_learning_rate": "reward_learning_rate"},
-    "remote": {"scorer_url": "remote_scorer_url", "judge_url": "remote_judge_url",
-               "timeout_ms": "remote_timeout_ms", "retries": "remote_retries",
-               "max_in_flight": "remote_max_in_flight"},
-}
+# Config-file tables: the key <section>.<key> sets the CliConfig field
+# <section>_<key>; every other field is a top-level key of the same name.
+_SECTIONS = ("format", "embedder", "train", "remote")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a table of strings"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -151,29 +146,47 @@ def _load_config_file(path: str) -> dict:
     return parsed
 
 
+def _config_items(data: dict) -> Iterator[tuple[str, str, object]]:
+    """(name in messages, CliConfig field, value) for each config-file setting."""
+    for key, value in data.items():
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be a table")
+            for sub_key, sub_value in value.items():
+                yield f"{key}.{sub_key}", f"{key}_{sub_key}", sub_value
+        elif key.partition("_")[0] in _SECTIONS:  # a flat spelling such as format_kind
+            raise ConfigError(f"unknown config field {key!r}")
+        else:
+            yield repr(key), key, value
+
+
+def _checked(label: str, default: object, value: object) -> object:
+    """*value* if it has the type of the field's *default*; ConfigError otherwise.
+
+    An integer is accepted where a number is expected; a bool never is.
+    """
+    kind = type(default)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or (kind is dict and not all(isinstance(v, str) for v in value.values()))
+    ):
+        raise ConfigError(f"config field {label} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def load_cli_config(args: argparse.Namespace) -> CliConfig:
     """Defaults, then the config file, then command-line flags; later wins."""
     cfg = CliConfig()
-    scalar_names = {f.name for f in fields(CliConfig)} - {"templates"}
+    names = {f.name for f in fields(CliConfig)}
     if getattr(args, "config", None):
-        data = _load_config_file(args.config)
-        for key, value in data.items():
-            if key == "templates":
-                if not isinstance(value, dict):
-                    raise ConfigError("config field 'templates' must be a table of strings")
-                cfg.templates = {**cfg.templates, **value}
-            elif key in _NESTED_SECTIONS:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be a table")
-                for sub_key, sub_value in value.items():
-                    target = _NESTED_SECTIONS[key].get(sub_key)
-                    if target is None:
-                        raise ConfigError(f"unknown config field {key}.{sub_key}")
-                    setattr(cfg, target, sub_value)
-            elif key in scalar_names:
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"unknown config field {key!r}")
+        for label, name, value in _config_items(_load_config_file(args.config)):
+            if name not in names:
+                raise ConfigError(f"unknown config field {label}")
+            value = _checked(label, getattr(cfg, name), value)
+            setattr(cfg, name, {**cfg.templates, **value} if name == "templates" else value)
     for name in ("k", "lambda1", "lambda2", "seed", "jobs", "backend",
                  "max_output_tokens", "corpus", "qa", "index", "models", "out"):
         value = getattr(args, name.replace("-", "_"), None)
@@ -181,8 +194,9 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
             setattr(cfg, name, value)
     if cfg.backend not in ("toy", "remote"):
         raise ConfigError(f"backend must be 'toy' or 'remote', got {cfg.backend!r}")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+    for name in ("k", "jobs", "embedder_dim"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1")
     return cfg
 
 
@@ -217,17 +231,11 @@ def _require_file(path: str, producer: str) -> str:
 
 
 def _load_passages(path: str) -> list[Passage]:
-    try:
-        return ingest_passages(_require_file(path, "your corpus exporter (JSONL of id/text)"))
-    except CorpusError as exc:
-        raise DataError(str(exc)) from exc
+    return ingest_passages(_require_file(path, "your corpus exporter (JSONL of id/text)"))
 
 
 def _load_qa(path: str) -> list[QaPair]:
-    try:
-        return ingest_qa_pairs(_require_file(path, "your QA exporter (JSONL of id/question/answers/format)"))
-    except CorpusError as exc:
-        raise DataError(str(exc)) from exc
+    return ingest_qa_pairs(_require_file(path, "your QA exporter (JSONL of id/question/answers/format)"))
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -246,10 +254,7 @@ def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
 def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
     qa_pairs = _load_qa(cfg.qa) if cfg.qa else []
-    try:
-        stats = build_stats(passages)
-    except CorpusError as exc:
-        raise DataError(str(exc)) from exc
+    stats = build_stats(passages)
     summary = {
         "passages": len(passages),
         "qa_pairs": len(qa_pairs),
@@ -333,9 +338,9 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
             qa_pairs, models.retrievals, models.retrieved, passage_map, pipeline_cfg
         )
         pairs = preference_pairs_from_drafts(qa_pairs, drafts, pipeline_cfg.format)
-        reward = ToyRewardModel(seed=cfg.seed, learning_rate=cfg.reward_learning_rate)
+        reward = ToyRewardModel(seed=cfg.seed, learning_rate=cfg.train_reward_learning_rate)
         if pairs:
-            reward = train_reward(reward, pairs, cfg.reward_steps)
+            reward = train_reward(reward, pairs, cfg.train_reward_steps)
     except PipelineError as exc:  # retrieved ids missing from the corpus
         raise DataError(
             f"{cfg.index} does not match {cfg.corpus}: {exc}; rebuild it with: "
@@ -380,30 +385,22 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     out = Path(_need(cfg.out, "--out", "an output directory"))
     out.mkdir(parents=True, exist_ok=True)
     full, retrieved, postp, reward = _load_models(cfg, models_dir)
-    try:
-        stats = build_stats(passages)
-    except CorpusError as exc:
-        raise DataError(str(exc)) from exc
+    stats = build_stats(passages)
 
+    judge, scorer = StubJudge(), None
     if cfg.backend == "remote":
         if not cfg.remote_judge_url:
             raise ConfigError("backend 'remote' needs remote.judge_url in the config file")
-        endpoint = EndpointConfig(
-            cfg.remote_judge_url, cfg.remote_timeout_ms, cfg.remote_retries,
-            cfg.remote_max_in_flight,
-        )
-        judge = RemoteJudge(endpoint)
-        scorer = None
-        if cfg.remote_scorer_url:
-            scorer = RemoteScorer(
-                EndpointConfig(
-                    cfg.remote_scorer_url, cfg.remote_timeout_ms, cfg.remote_retries,
-                    cfg.remote_max_in_flight,
-                )
+        try:
+            endpoint = EndpointConfig(
+                cfg.remote_judge_url, cfg.remote_timeout_ms, cfg.remote_retries,
+                cfg.remote_max_in_flight,
             )
-    else:
-        judge = stub_judge()
-        scorer = None
+        except ValueError as exc:
+            raise ConfigError(f"remote: {exc}") from exc
+        judge = RemoteJudge(endpoint)
+        if cfg.remote_scorer_url:
+            scorer = RemoteScorer(replace(endpoint, base_url=cfg.remote_scorer_url))
 
     models = PipelineModels(
         full=full, retrieved=retrieved, postp=postp, reward=reward,
@@ -427,25 +424,16 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
 def _load_answers(path: str) -> dict[str, str]:
     """Read runs.jsonl (final_answer) or a simple {'id', 'answer'} JSONL."""
     answers: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}: line {lineno}: expected a JSON object")
-            if "final_answer" in record:
-                key, value = record.get("qid"), record.get("final_answer")
-            else:
-                key, value = record.get("id"), record.get("answer")
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise DataError(
-                    f"{path}: line {lineno}: need qid/final_answer or id/answer string fields"
-                )
-            answers[key] = value
+    for lineno, record in read_jsonl(path):
+        if "final_answer" in record:
+            key, value = record.get("qid"), record.get("final_answer")
+        else:
+            key, value = record.get("id"), record.get("answer")
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise DataError(
+                f"{path}: line {lineno}: need qid/final_answer or id/answer string fields"
+            )
+        answers[key] = value
     return answers
 
 
@@ -487,25 +475,18 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     passage_map = {p.id: p for p in passages}
     qa_map = {qa.id: qa for qa in qa_pairs}
     points = []
-    with open(runs_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{runs_path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            qa = qa_map.get(record.get("qid"))
-            if qa is None or record.get("error"):
-                continue
-            texts = [
-                passage_map[pid].text
-                for pid in record.get("retrieved_ids", [])
-                if pid in passage_map
-            ]
-            quality = max(retrieval_quality(gold, texts) for gold in qa.answers)
-            recall = text_recall(list(qa.answers), record.get("final_answer", ""))
-            points.append((quality, recall))
+    for _, record in read_jsonl(runs_path):
+        qa = qa_map.get(record.get("qid"))
+        if qa is None or record.get("error"):
+            continue
+        texts = [
+            passage_map[pid].text
+            for pid in record.get("retrieved_ids", [])
+            if pid in passage_map
+        ]
+        quality = max(retrieval_quality(gold, texts) for gold in qa.answers)
+        recall = text_recall(list(qa.answers), record.get("final_answer", ""))
+        points.append((quality, recall))
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")
     buckets = quality_recall_points(points)
@@ -607,7 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, CorpusError) as exc:  # CorpusError: a malformed or empty input file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ModelError as exc:

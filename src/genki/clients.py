@@ -123,10 +123,6 @@ def _placeholder_tokens(text: str) -> tuple[int, ...]:
     )
 
 
-def _format_string(format: FormatSpec) -> str:
-    return format.description if format.description else format.kind.value
-
-
 class RemoteScorer:
     """LmScorer backed by the /score and /generate endpoints."""
 
@@ -167,7 +163,7 @@ class RemoteJudge:
                 "question": question,
                 "answer_1": a1,
                 "answer_2": a2,
-                "format": _format_string(format),
+                "format": format.wording,
             },
         )
         choice = resp.get("choice")
@@ -177,11 +173,3 @@ class RemoteJudge:
         if rationale is not None:
             logger.debug("judge rationale: %s", rationale)
         return Choice.FIRST if choice == 1 else Choice.SECOND
-
-
-def remote_scorer(cfg: EndpointConfig) -> RemoteScorer:
-    return RemoteScorer(cfg)
-
-
-def remote_judge(cfg: EndpointConfig) -> RemoteJudge:
-    return RemoteJudge(cfg)

@@ -196,7 +196,12 @@ class Vocabulary:
         return " ".join(self._words[i] for i in token_ids)
 
 
-def _read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not valid JSON, or not a JSON object, raises CorpusError
+    naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -273,7 +278,7 @@ def ingest_passages(path: str | Path) -> list[Passage]:
     """
     passages: list[Passage] = []
     seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in read_jsonl(path):
         pid = _require_str(obj, "id", path, lineno)
         text = _require_str(obj, "text", path, lineno)
         source = obj.get("source")
@@ -297,7 +302,7 @@ def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
     """
     pairs: list[QaPair] = []
     seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
+    for lineno, obj in read_jsonl(path):
         qid = _require_str(obj, "id", path, lineno)
         question = _require_str(obj, "question", path, lineno)
         raw_answers = obj.get("answers")

@@ -137,10 +137,6 @@ class StubJudge:
         return Choice.SECOND if overlap2 > overlap1 else Choice.FIRST
 
 
-def stub_judge() -> StubJudge:
-    return StubJudge()
-
-
 def resolve_winner(
     q: str,
     cand1: AnswerCandidate,
@@ -199,9 +195,8 @@ def select(
         raise ValueError("candidates must contain at least one word token")
     cs1 = consistency(q, cand1.text, scorer, stats).value
     cs2 = consistency(q, cand2.text, scorer, stats).value
-    reward = rm.bind_question(q) if hasattr(rm, "bind_question") else rm
-    rm1 = reward.score(cand1.text, format)
-    rm2 = reward.score(cand2.text, format)
+    rm1 = rm.score(cand1.text, format, q)
+    rm2 = rm.score(cand2.text, format, q)
     s_c = judgment_score(cs1, cs2, rm1, rm2, len1, len2)
     _, guard = _guarded_reward_mean(rm1, rm2)
     route = Route.REWARD_PICK if s_c < 0 else Route.EXTERNAL_PICK
@@ -212,10 +207,9 @@ def select(
     return resolve_winner(q, cand1, cand2, bundle, judge, format), bundle
 
 
-def audit_record(qid: str, bundle: ScoreBundle, winner: AnswerCandidate) -> dict:
-    """One JSONL-ready audit row for a selection decision."""
+def bundle_record(bundle: ScoreBundle) -> dict:
+    """The one JSON-ready form of a ScoreBundle, in runs.jsonl and audit.jsonl."""
     return {
-        "qid": qid,
         "cs1": bundle.cs1,
         "cs2": bundle.cs2,
         "rm1": bundle.rm1,
@@ -224,6 +218,5 @@ def audit_record(qid: str, bundle: ScoreBundle, winner: AnswerCandidate) -> dict
         "len2": bundle.len2,
         "s_c": bundle.s_c,
         "route": bundle.route.value,
-        "winner_provenance": winner.provenance.value,
         "reward_guard": bundle.reward_guard,
     }

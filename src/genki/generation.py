@@ -30,7 +30,7 @@ from .ensemble import (
     ExternalJudge,
     Provenance,
     ScoreBundle,
-    audit_record,
+    bundle_record,
     select,
 )
 from .lm_core import LmScorer, LossWeights, ToyLm, TrainExample, train
@@ -87,10 +87,6 @@ def _render(templates: Mapping[str, str], name: str, **slots: str) -> str:
         return templates[name].format(**slots)
     except (KeyError, IndexError) as exc:
         raise ValueError(f"prompt template {name} references an unknown slot: {exc}") from exc
-
-
-def _format_slot(format: FormatSpec) -> str:
-    return format.description if format.description else format.kind.value
 
 
 def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[Passage]:
@@ -195,7 +191,7 @@ def postprocess(
     if cand.postprocessed:
         raise ValueError("candidate is already postprocessed")
     prompt = _render(
-        cfg.prompt_templates, "III", format=_format_slot(format), draft=cand.text
+        cfg.prompt_templates, "III", format=format.wording, draft=cand.text
     )
     try:
         out = postp_model.generate(postp_model.encode(prompt), format.max_tokens)
@@ -290,29 +286,19 @@ def run_pipeline(
             for run in runs:
                 if run.bundle is None:
                     continue
-                winner = AnswerCandidate(
-                    run.final_answer, Provenance(run.winner_provenance), postprocessed=True
-                )
-                fh.write(json.dumps(audit_record(run.qid, run.bundle, winner), sort_keys=True))
+                row = {
+                    "qid": run.qid,
+                    **bundle_record(run.bundle),
+                    "winner_provenance": run.winner_provenance,
+                }
+                fh.write(json.dumps(row, sort_keys=True))
                 fh.write("\n")
     return runs
 
 
 def run_record(run: PipelineRun) -> dict:
     """One JSONL-ready dict for a pipeline run."""
-    bundle = None
-    if run.bundle is not None:
-        bundle = {
-            "cs1": run.bundle.cs1,
-            "cs2": run.bundle.cs2,
-            "rm1": run.bundle.rm1,
-            "rm2": run.bundle.rm2,
-            "len1": run.bundle.len1,
-            "len2": run.bundle.len2,
-            "s_c": run.bundle.s_c,
-            "route": run.bundle.route.value,
-            "reward_guard": run.bundle.reward_guard,
-        }
+    bundle = None if run.bundle is None else bundle_record(run.bundle)
     return {
         "qid": run.qid,
         "question": run.question,
@@ -351,7 +337,7 @@ def build_vocabulary(
         texts.append(qa.question)
         texts.extend(qa.answers)
     texts.extend(cfg.prompt_templates.values())
-    texts.append(_format_slot(cfg.format))
+    texts.append(cfg.format.wording)
     return Vocabulary.from_texts(texts)
 
 
@@ -388,8 +374,10 @@ def train_pipeline_models(
     retrieved-knowledge role only the union of top-k retrievals, and the
     format role trains purely on instruction pairs mapping each
     retrieved-knowledge draft to its gold answer with an end token
-    appended, which is what teaches it to stop.  Retrieved ids missing from
-    *passages* raise PipelineError before any training.
+    appended, which is what teaches it to stop.  Passages of fewer than 2
+    tokens have no transition, so both domain losses leave them out.
+    Retrieved ids missing from *passages* raise PipelineError before any
+    training.
     """
     if not train_qa:
         raise ValueError("training needs at least one qa pair")
@@ -398,7 +386,10 @@ def train_pipeline_models(
         retrieve_texts(index, embedder, [qa.question for qa in train_qa], cfg.k)
     )
     retr_union = retrieved_passages(retrievals, passage_map)
-    passage_seqs = [vocab.encode(p.text) for p in passages]
+
+    def domain_seqs(subset: Sequence[Passage]) -> list[TokenSeq]:
+        seqs = (vocab.encode(p.text) for p in subset)
+        return [seq for seq in seqs if len(seq.tokens) >= 2]
 
     def examples(prompts: Sequence[str]) -> list[TrainExample]:
         return [
@@ -410,20 +401,19 @@ def train_pipeline_models(
         return ToyLm(vocab, seed=cfg.seed, learning_rate=learning_rate)
 
     prompts_full = [_render(cfg.prompt_templates, "I", question=qa.question) for qa in train_qa]
-    full = train(fresh(), passage_seqs, examples(prompts_full), cfg.weights, steps)
+    full = train(fresh(), domain_seqs(passages), examples(prompts_full), cfg.weights, steps)
 
     prompts_retr = [
         render_retrieved_prompt(qa.question, results, passage_map, cfg)
         for qa, results in zip(train_qa, retrievals)
     ]
-    retr_seqs = [vocab.encode(p.text) for p in retr_union]
-    retrieved = train(fresh(), retr_seqs, examples(prompts_retr), cfg.weights, steps)
+    retrieved = train(fresh(), domain_seqs(retr_union), examples(prompts_retr), cfg.weights, steps)
 
     format_batch = []
     for qa, prompt_retr in zip(train_qa, prompts_retr):
         draft = _draft(retrieved, prompt_retr, cfg)
         prompt = _render(
-            cfg.prompt_templates, "III", format=_format_slot(cfg.format), draft=draft
+            cfg.prompt_templates, "III", format=cfg.format.wording, draft=draft
         )
         target = _with_eos(vocab.encode(qa.answers[0]), vocab)
         format_batch.append(TrainExample(vocab.encode(prompt), target))

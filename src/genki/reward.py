@@ -4,7 +4,7 @@ The training loss for a preference pair is -log sigmoid(score(A+) -
 score(A-)): zero-margin pairs cost ln 2 and the loss falls monotonically as
 the positive answer pulls ahead.  The toy model is a linear scorer over
 three hand features; anything fancier (embedding-backed scorers) plugs in
-through the same score(answer, format) interface.
+through the same score(answer, format, question) interface.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 
 class RewardModel(Protocol):
-    """Scores how well an answer satisfies a format request."""
+    """Scores how well an answer to *question* satisfies a format request."""
 
-    def score(self, answer: str, format: "FormatSpec") -> float: ...
+    def score(self, answer: str, format: "FormatSpec", question: str = "") -> float: ...
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,11 @@ class FormatSpec:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+
+    @property
+    def wording(self) -> str:
+        """The format as prompts and judges name it: the description, else the kind."""
+        return self.description or self.kind.value
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,9 @@ class ToyRewardModel:
         weights: np.ndarray | Sequence[float] | None = None,
         seed: int = 0,
         learning_rate: float = 0.05,
-        question: str = "",
     ):
         self.seed = seed
         self.learning_rate = learning_rate
-        self.question = question
         if weights is None:
             rng = np.random.default_rng(seed)
             weights = rng.normal(0.0, 0.01, len(FEATURE_NAMES))
@@ -103,43 +106,21 @@ class ToyRewardModel:
             raise ValueError("weights must be finite")
         self.weights = weights
 
-    def bind_question(self, question: str) -> "ToyRewardModel":
-        """A view of this model that scores the question-fraction feature
-
-        against *question*.  Shares the trained weights.
-        """
-        bound = ToyRewardModel(self.weights, self.seed, self.learning_rate, question)
-        return bound
-
-    def score(self, answer: str, format: FormatSpec) -> float:
-        return float(self.weights @ extract_features(answer, format, self.question))
-
-
-def toy_reward_model(
-    weights: np.ndarray | Sequence[float] | None = None, seed: int = 0
-) -> ToyRewardModel:
-    """A fresh linear reward model; explicit weights override the seeded init."""
-    return ToyRewardModel(weights=weights, seed=seed)
-
-
-def _score_pair(model: RewardModel, pair: PreferencePair) -> tuple[float, float]:
-    scorer = model
-    if pair.question and isinstance(model, ToyRewardModel):
-        scorer = model.bind_question(pair.question)
-    return scorer.score(pair.positive, pair.format), scorer.score(pair.negative, pair.format)
+    def score(self, answer: str, format: FormatSpec, question: str = "") -> float:
+        return float(self.weights @ extract_features(answer, format, question))
 
 
 def pairwise_loss(model: RewardModel, pair: PreferencePair) -> float:
     """-log sigmoid(score(positive) - score(negative)); ln 2 at zero margin."""
-    pos, neg = _score_pair(model, pair)
+    pos = model.score(pair.positive, pair.format, pair.question)
+    neg = model.score(pair.negative, pair.format, pair.question)
     return float(np.logaddexp(0.0, -(pos - neg)))
 
 
 def pairwise_loss_grad(model: ToyRewardModel, pair: PreferencePair) -> np.ndarray:
     """Exact gradient of pairwise_loss with respect to the toy weights."""
-    question = pair.question or model.question
-    delta = extract_features(pair.positive, pair.format, question) - extract_features(
-        pair.negative, pair.format, question
+    delta = extract_features(pair.positive, pair.format, pair.question) - extract_features(
+        pair.negative, pair.format, pair.question
     )
     margin = float(model.weights @ delta)
     # d/dm of -log sigmoid(m) is -sigmoid(-m); exp(-softplus(m)) is a
@@ -159,9 +140,7 @@ def train_reward(
         raise ValueError("train_reward needs a non-empty pair list")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    trained = ToyRewardModel(
-        model.weights.copy(), model.seed, model.learning_rate, model.question
-    )
+    trained = ToyRewardModel(model.weights.copy(), model.seed, model.learning_rate)
     for step in range(steps):
         grad = np.zeros_like(trained.weights)
         for pair in pairs:

@@ -36,9 +36,9 @@ from genki.ensemble import (
     Provenance,
     Route,
     ScoreBundle,
+    StubJudge,
     judgment_score,
     resolve_winner,
-    stub_judge,
 )
 from genki.generation import (
     PipelineConfig,
@@ -605,7 +605,7 @@ def test_training_direction():
     reward = train_reward_or_fresh(pairs)
     models = PipelineModels(
         full=trained.full, retrieved=trained.retrieved, postp=trained.postp,
-        reward=reward, judge=stub_judge(),
+        reward=reward, judge=StubJudge(),
     )
     stats = build_stats(passages)
     runs = run_pipeline(qa_pairs, models, index, embedder, passage_map, stats, cfg)

@@ -167,6 +167,24 @@ class TestTrain:
             reference = (workdir["root"] / "models" / name).read_bytes()
             assert (tmp_path / "models" / name).read_bytes() == reference
 
+    def test_one_word_and_punctuation_passages_train_and_answer(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write(open(workdir["corpus"], encoding="utf-8").read())
+            fh.write(json.dumps({"id": "solo", "text": "zebra"}) + "\n")
+            fh.write(json.dumps({"id": "punct", "text": "!!!"}) + "\n")
+        index, models = str(tmp_path / "index.bin"), str(tmp_path / "models")
+        common = ["--config", workdir["config"], "--corpus", str(corpus), "--qa", workdir["qa"]]
+        assert main(["ingest", *common]) == EXIT_OK
+        assert main(["index", "--config", workdir["config"], "--corpus", str(corpus),
+                     "--out", index]) == EXIT_OK
+        assert main(["train", *common, "--index", index, "--out", models]) == EXIT_OK
+        assert main(["answer", *common, "--index", index, "--models", models,
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        runs = (tmp_path / "run" / "runs.jsonl").read_text().splitlines()
+        assert len(runs) == 8
+
 
 class TestAtomicOutputs:
     def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
@@ -322,6 +340,14 @@ class TestAnalyze:
                      "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "genki answer" in capsys.readouterr().err
 
+    def test_non_object_runs_line_is_data_error(self, workdir, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("[1, 2]\n")
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {runs}: line 1: expected a JSON object\n"
+
 
 class TestConfigHandling:
     def test_invalid_json_config(self, tmp_path, capsys):
@@ -394,6 +420,73 @@ class TestConfigHandling:
         else:
             assert code == EXIT_CONFIG
             assert "TOML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("retrieve", {"k": "3"}, "config field 'k' must be"),
+        ("train", {"k": "3"}, "config field 'k' must be"),
+        ("eval", {"jobs": "2"}, "config field 'jobs' must be"),
+        ("train", {"train": {"steps": "10"}}, "config field train.steps must be"),
+        ("index", {"embedder": {"dim": "big"}}, "config field embedder.dim must be"),
+        ("train", {"templates": {"I": 5}}, "config field 'templates' must be"),
+        ("ingest", {"corpus": 5}, "config field 'corpus' must be"),
+        ("train", {"lambda1": True}, "config field 'lambda1' must be"),
+        ("answer", {"remote": {"retries": 1.5}}, "config field remote.retries must be"),
+        ("retrieve", {"k": 0}, "k must be >= 1"),
+        ("index", {"embedder": {"dim": 0}}, "embedder_dim must be >= 1"),
+        ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "retries": -1}},
+         "remote: retries must be >= 0"),
+    ])
+    def test_bad_value_is_config_error(self, workdir, tmp_path, capsys, command, config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**json.loads(open(workdir["config"]).read()), **config}))
+        paths = {
+            "ingest": [],
+            "index": ["--corpus", workdir["corpus"], "--out", str(tmp_path / "i.bin")],
+            "retrieve": ["--index", workdir["index"], "--qa", workdir["qa"]],
+            "train": ["--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                      "--index", workdir["index"], "--out", str(tmp_path / "m")],
+            "answer": ["--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                       "--index", workdir["index"], "--models", workdir["models"],
+                       "--backend", "remote", "--out", str(tmp_path / "a")],
+            "eval": ["--qa", workdir["qa"], "--answers", workdir["answers"] + "/runs.jsonl"],
+        }
+        assert main([command, "--config", str(path), *paths[command]]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_int_accepted_as_number(self, tmp_path):
+        path = tmp_path / "int.json"
+        path.write_text('{"lambda1": 2, "train": {"reward_learning_rate": 1}}')
+        cfg = cli.load_cli_config(cli.build_parser().parse_args(["ingest", "--config", str(path)]))
+        assert cfg.lambda1 == 2.0 and isinstance(cfg.lambda1, float)
+        assert cfg.train_reward_learning_rate == 1.0
+
+    def test_documented_schema_accepted(self, tmp_path):
+        # the README "Configuration" example; every section key sets <section>_<key>
+        documented = {
+            "k": 5, "lambda1": 1.0, "lambda2": 0.5, "seed": 0, "jobs": 1, "backend": "toy",
+            "max_output_tokens": 50,
+            "format": {"kind": "entity", "max_tokens": 8, "description": ""},
+            "embedder": {"dim": 256, "seed": 0},
+            "train": {"steps": 50, "learning_rate": 0.5, "reward_steps": 100,
+                      "reward_learning_rate": 0.05},
+            "remote": {"scorer_url": "", "judge_url": "", "timeout_ms": 10000,
+                       "retries": 0, "max_in_flight": 4},
+        }
+        path = tmp_path / "documented.json"
+        path.write_text(json.dumps(documented))
+        cfg = cli.load_cli_config(cli.build_parser().parse_args(["ingest", "--config", str(path)]))
+        for key, value in documented.items():
+            if isinstance(value, dict):
+                for sub_key, sub_value in value.items():
+                    assert getattr(cfg, f"{key}_{sub_key}") == sub_value
+            else:
+                assert getattr(cfg, key) == value
+
+    def test_flat_section_spelling_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "flat.json"
+        bad.write_text('{"format_kind": "entity"}')
+        assert main(["ingest", "--config", str(bad), "--corpus", "x"]) == EXIT_CONFIG
+        assert "unknown config field 'format_kind'" in capsys.readouterr().err
 
     def test_config_file_sets_paths(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "paths.json"

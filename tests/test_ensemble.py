@@ -11,10 +11,10 @@ from genki.ensemble import (
     Provenance,
     Route,
     ScoreBundle,
-    audit_record,
+    StubJudge,
+    bundle_record,
     judgment_score,
     select,
-    stub_judge,
 )
 from genki.reward import FormatSpec
 
@@ -40,12 +40,12 @@ class TableScorer:
 
 
 class TableReward:
-    """Reward stub keyed by answer text; no question binding."""
+    """Reward stub keyed by answer text; ignores the question."""
 
     def __init__(self, table):
         self.table = table
 
-    def score(self, answer, format):
+    def score(self, answer, format, question=""):
         return self.table[answer]
 
 
@@ -124,17 +124,17 @@ class TestJudgmentScore:
 
 class TestStubJudge:
     def test_prefers_higher_question_overlap(self):
-        judge = stub_judge()
+        judge = StubJudge()
         q = "what color is the sky"
         assert judge.choose(q, "the sky color", "a dog", ENTITY) is Choice.FIRST
         assert judge.choose(q, "a dog", "the sky color", ENTITY) is Choice.SECOND
 
     def test_tie_goes_first(self):
-        judge = stub_judge()
+        judge = StubJudge()
         assert judge.choose("what color", "red", "blue", ENTITY) is Choice.FIRST
 
     def test_swapping_unequal_inputs_swaps_choice(self):
-        judge = stub_judge()
+        judge = StubJudge()
         q = "where do cats play"
         first = judge.choose(q, "cats play", "elsewhere", ENTITY)
         second = judge.choose(q, "elsewhere", "cats play", ENTITY)
@@ -165,7 +165,7 @@ class TestSelect:
             scorer,
             stats,
             TableReward(reward_table),
-            judge or stub_judge(),
+            judge or StubJudge(),
             ENTITY,
         )
         return winner, bundle, (c1, c2)
@@ -215,7 +215,7 @@ class TestSelect:
         with pytest.raises(ValueError):
             select(
                 "what color is it", raw, done, TableScorer(vocab), stats,
-                TableReward({"red": 1.0, "blue": 1.0}), stub_judge(), ENTITY,
+                TableReward({"red": 1.0, "blue": 1.0}), StubJudge(), ENTITY,
             )
 
     def test_negative_mean_guard_recorded(self):
@@ -242,7 +242,12 @@ class TestAuditRecord:
     def test_fields(self):
         bundle = ScoreBundle(-1.0, -2.0, 3.0, 1.0, 2, 2, s_c=-0.5, route=Route.REWARD_PICK)
         winner = AnswerCandidate("x", Provenance.FULL_KNOWLEDGE, postprocessed=True)
-        record = audit_record("q7", bundle, winner)
+        # an audit.jsonl row: the run's qid, its bundle record, the winner's provenance
+        record = {
+            "qid": "q7",
+            **bundle_record(bundle),
+            "winner_provenance": winner.provenance.value,
+        }
         assert record == {
             "qid": "q7",
             "cs1": -1.0,

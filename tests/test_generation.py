@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from genki.corpus import AnswerKind, Passage, QaPair, build_stats
-from genki.ensemble import Choice, Provenance, AnswerCandidate, stub_judge
+from genki.ensemble import Choice, Provenance, AnswerCandidate, StubJudge
 from genki import generation
 from genki.generation import (
     DEFAULT_TEMPLATES,
@@ -65,7 +65,7 @@ def world():
         retrieved=trained.retrieved,
         postp=trained.postp,
         reward=reward,
-        judge=stub_judge(),
+        judge=StubJudge(),
     )
     return {
         "passages": passages,
@@ -321,13 +321,13 @@ class TestRunPipeline:
         before = audit.read_bytes()
         calls = []
 
-        def failing_record(qid, bundle, winner):
-            calls.append(qid)
+        def failing_record(bundle):
+            calls.append(bundle)
             if len(calls) > 2:
                 raise OSError("disk full")
-            return {"qid": qid}
+            return {}
 
-        monkeypatch.setattr(generation, "audit_record", failing_record)
+        monkeypatch.setattr(generation, "bundle_record", failing_record)
         with pytest.raises(OSError, match="disk full"):
             run_pipeline(*args, audit_path=audit)
         assert audit.read_bytes() == before
@@ -384,6 +384,20 @@ class TestRunPipeline:
         assert first["qid"] == runs[0].qid
         assert first["route"] in ("RewardPick", "ExternalPick")
         assert first["winner_provenance"] == runs[0].winner_provenance
+
+    def test_audit_rows_project_runs(self, world, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        runs = run_pipeline(
+            world["qa"], world["models"], world["index"], world["embedder"],
+            world["passage_map"], world["stats"], world["cfg"], audit_path=audit,
+        )
+        rows = [json.loads(line) for line in audit.read_text().splitlines()]
+        expected = [
+            {"qid": run.qid, **run_record(run)["bundle"],
+             "winner_provenance": run.winner_provenance}
+            for run in runs if run.bundle is not None
+        ]
+        assert rows == expected and rows
 
     def test_run_record_round_trips_json(self, world):
         runs = run_pipeline(
@@ -447,6 +461,23 @@ class TestRetrieveOnce:
                 world["qa"][3:4], [retrieve(world, world["qa"][3])], world["trained"].retrieved,
                 {}, world["cfg"],
             )
+
+
+class TestShortPassages:
+    def test_left_out_of_domain_loss(self, world):
+        # fewer than 2 tokens: no transition, so training is as without them
+        short = [Passage("solo", "zebra"), Passage("punct", "!!!")]
+        passages = world["passages"] + short
+        vocab = build_vocabulary(passages, world["qa"], world["cfg"])
+        index = DenseIndex.build(passages, world["embedder"])
+        with_short = train_pipeline_models(
+            passages, world["qa"], index, world["embedder"], vocab, world["cfg"], steps=20
+        )
+        without = train_pipeline_models(
+            world["passages"], world["qa"], world["index"], world["embedder"], vocab,
+            world["cfg"], steps=20,
+        )
+        assert with_short.full.logits.tobytes() == without.full.logits.tobytes()
 
 
 class TestPreferencePairs:

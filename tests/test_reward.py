@@ -14,7 +14,6 @@ from genki.reward import (
     pairwise_loss,
     pairwise_loss_grad,
     save_reward_checkpoint,
-    toy_reward_model,
     train_reward,
 )
 
@@ -27,7 +26,7 @@ class FixedScorer:
     def __init__(self, table):
         self.table = table
 
-    def score(self, answer, format):
+    def score(self, answer, format, question=""):
         return self.table[answer]
 
 
@@ -111,19 +110,17 @@ class TestPairwiseGradient:
 
 class TestToyRewardModel:
     def test_zero_weights_score_zero(self):
-        model = toy_reward_model(weights=[0.0, 0.0, 0.0])
+        model = ToyRewardModel(weights=[0.0, 0.0, 0.0])
         assert model.score("anything at all", ENTITY) == 0.0
 
     def test_length_weight_prefers_longer(self):
-        model = toy_reward_model(weights=[1.0, 0.0, 0.0])
+        model = ToyRewardModel(weights=[1.0, 0.0, 0.0])
         assert model.score("one two three", ENTITY) > model.score("one", ENTITY)
 
-    def test_bind_question_shares_weights(self):
-        model = toy_reward_model(weights=[0.0, 0.0, 1.0])
-        bound = model.bind_question("is the sky blue")
-        assert bound.weights is model.weights
-        assert bound.score("sky blue", ENTITY) == pytest.approx(1.0)
-        assert model.score("sky blue", ENTITY) == 0.0  # unbound has no question
+    def test_question_scores_question_fraction(self):
+        model = ToyRewardModel(weights=[0.0, 0.0, 1.0])
+        assert model.score("sky blue", ENTITY, question="is the sky blue") == pytest.approx(1.0)
+        assert model.score("sky blue", ENTITY) == 0.0  # no question, no overlap
 
     def test_bad_weight_shape_rejected(self):
         with pytest.raises(ValueError):
