@@ -194,9 +194,10 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
             setattr(cfg, name, value)
     if cfg.backend not in ("toy", "remote"):
         raise ConfigError(f"backend must be 'toy' or 'remote', got {cfg.backend!r}")
-    for name in ("k", "jobs", "embedder_dim"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
+    for name, low in (("k", 1), ("jobs", 1), ("embedder_dim", 1), ("train_steps", 1),
+                      ("train_reward_steps", 0)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}")
     return cfg
 
 
@@ -463,6 +464,23 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_run_fields(record: dict, path: str, lineno: int) -> None:
+    """DataError unless the runs.jsonl fields analyze reads have their types.
+
+    A missing field is allowed; analyze skips or defaults it.
+    """
+    for key, kinds, name in (
+        ("qid", str, "a string"),
+        ("final_answer", str, "a string"),
+        ("error", (str, type(None)), "a string or null"),
+    ):
+        if key in record and not isinstance(record[key], kinds):
+            raise DataError(f"{path}: line {lineno}: field {key!r} must be {name}")
+    ids = record.get("retrieved_ids", [])
+    if not isinstance(ids, list) or not all(isinstance(pid, str) for pid in ids):
+        raise DataError(f"{path}: line {lineno}: field 'retrieved_ids' must be a list of strings")
+
+
 def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
     passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
@@ -475,7 +493,8 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     passage_map = {p.id: p for p in passages}
     qa_map = {qa.id: qa for qa in qa_pairs}
     points = []
-    for _, record in read_jsonl(runs_path):
+    for lineno, record in read_jsonl(runs_path):
+        _check_run_fields(record, runs_path, lineno)
         qa = qa_map.get(record.get("qid"))
         if qa is None or record.get("error"):
             continue
@@ -527,7 +546,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         "lambda1": (float, "domain loss weight"),
         "lambda2": (float, "instruction loss weight"),
         "seed": (int, "random seed"),
-        "jobs": (int, "parallel workers"),
+        "jobs": (int, "threads for answer selection and eval scoring"),
         "max-output-tokens": (int, "generation length cap"),
     }
     for name in names:

@@ -149,6 +149,9 @@ class RemoteScorer:
             raise ProtocolError(f"/generate returned non-string text: {text!r}")
         return TokenSeq(_placeholder_tokens(text), text)
 
+    def generate_batch(self, prompts: list[TokenSeq], max_tokens: int) -> list[TokenSeq]:
+        return [self.generate(prompt, max_tokens) for prompt in prompts]
+
 
 class RemoteJudge:
     """ExternalJudge backed by the /judge endpoint."""

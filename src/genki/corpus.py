@@ -199,13 +199,19 @@ class Vocabulary:
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file.
 
-    A line that is not valid JSON, or not a JSON object, raises CorpusError
-    naming the file and the line.
+    A line that is not valid UTF-8, not valid JSON, or not a JSON object,
+    raises CorpusError naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape turns each undecodable byte into a lone surrogate,
+    # which valid UTF-8 never decodes to, so it marks the bad line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"{path}: line {lineno}: invalid UTF-8") from None
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:

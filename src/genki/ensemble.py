@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import Mapping, Protocol
 
-from .consistency import consistency
+from .consistency import PreparedText, consistency
 from .corpus import CorpusStats, tokenize
 from .lm_core import LmScorer
 from .reward import FormatSpec, RewardModel
@@ -180,23 +180,27 @@ def select(
     rm: RewardModel,
     judge: ExternalJudge,
     format: FormatSpec,
+    prepared: Mapping[str, PreparedText] | None = None,
 ) -> tuple[AnswerCandidate, ScoreBundle]:
     """Pick the final answer between two postprocessed candidates.
 
     Scores both (consistency, reward, length), builds the ScoreBundle, and
     lets resolve_winner() apply it: s_c < 0 means the reward model picks,
-    otherwise the external judge does.
+    otherwise the external judge does.  The scorers are pure, so two
+    candidates with the same text are scored once.  *prepared* is passed
+    on to consistency().
     """
     if not cand1.postprocessed or not cand2.postprocessed:
         raise ValueError("both candidates must be postprocessed before selection")
+    same = cand1.text == cand2.text
     len1 = len(tokenize(cand1.text))
-    len2 = len(tokenize(cand2.text))
+    len2 = len1 if same else len(tokenize(cand2.text))
     if len1 < 1 or len2 < 1:
         raise ValueError("candidates must contain at least one word token")
-    cs1 = consistency(q, cand1.text, scorer, stats).value
-    cs2 = consistency(q, cand2.text, scorer, stats).value
+    cs1 = consistency(q, cand1.text, scorer, stats, prepared).value
+    cs2 = cs1 if same else consistency(q, cand2.text, scorer, stats, prepared).value
     rm1 = rm.score(cand1.text, format, q)
-    rm2 = rm.score(cand2.text, format, q)
+    rm2 = rm1 if same else rm.score(cand2.text, format, q)
     s_c = judgment_score(cs1, cs2, rm1, rm2, len1, len2)
     _, guard = _guarded_reward_mean(rm1, rm2)
     route = Route.REWARD_PICK if s_c < 0 else Route.EXTERNAL_PICK

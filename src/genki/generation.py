@@ -9,6 +9,18 @@ candidates.  run_pipeline and train_pipeline_models retrieve each question
 once, in blocks (retriever.retrieve_texts), and pass every stage its
 question's results.
 
+run_pipeline answers a block of ANSWER_BLOCK questions one stage at a time:
+retrieval, then both drafts (answer_paths_block), then the rewrites
+(postprocess_block), then selection.  Each distinct prompt is encoded once
+and each model decodes all of its prompts with one generate_batch, so a
+draft or rewrite shared by many questions is computed once; each distinct
+question and candidate is split, weighted and encoded once for consistency
+(consistency.prepare_texts).  answer_paths and postprocess are the
+one-question cases of the block stages.  Drafts and rewrites run in the
+calling thread; jobs > 1 fans out only selection, where a remote scorer or
+judge waits on the network.  A question that fails a stage records its
+error and the fields filled before it, exactly as if it ran alone.
+
 Training the roles is three invocations of lm_core.train over different
 material: all passages, the retrieved subsets, and format-transcription
 pairs built by pairing each retrieved-knowledge draft with its gold answer
@@ -20,10 +32,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
+from .consistency import prepare_texts
 from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, atomic_write
 from .ensemble import (
     AnswerCandidate,
@@ -45,6 +59,10 @@ from .retriever import (
 from .reward import FormatSpec, PreferencePair, RewardModel
 
 DEFAULT_MAX_OUTPUT_TOKENS = 50
+
+# Questions per run_pipeline block: each distinct prompt, draft and scored
+# text is encoded and decoded once per block.
+ANSWER_BLOCK = 1024
 
 DEFAULT_TEMPLATES = {
     "I": "answer from memory . question : {question}",
@@ -143,6 +161,128 @@ class PipelineModels:
         return self.consistency_scorer if self.consistency_scorer is not None else self.full
 
 
+def _greedy_texts(
+    model: LmScorer, prompts: Sequence[str], max_tokens: int
+) -> dict[str, str | Exception]:
+    """Greedy output text of each distinct prompt, each prompt encoded once.
+
+    The prompts decode as one generate_batch.  If the model rejects the
+    batch, each prompt is decoded alone, so a prompt it rejects maps to its
+    own exception and fails only the questions that use it.
+    """
+    distinct = list(dict.fromkeys(prompts))
+    encoded = [model.encode(prompt) for prompt in distinct]
+    try:
+        outputs = model.generate_batch(encoded, max_tokens)
+        return {prompt: out.text for prompt, out in zip(distinct, outputs, strict=True)}
+    except Exception:
+        texts: dict[str, str | Exception] = {}
+        for prompt, seq in zip(distinct, encoded):
+            try:
+                texts[prompt] = model.generate(seq, max_tokens).text
+            except Exception as exc:
+                texts[prompt] = exc
+        return texts
+
+
+def _draft_candidate(output: str | Exception, provenance: Provenance, path: str) -> AnswerCandidate:
+    try:
+        if isinstance(output, Exception):
+            raise output
+        return AnswerCandidate(output, provenance)
+    except Exception as exc:
+        raise PipelineError(f"{path} path failed: {exc}") from exc
+
+
+Paths = tuple[AnswerCandidate, AnswerCandidate, tuple[str, ...]]
+
+
+def answer_paths_block(
+    questions: Sequence[QaPair],
+    retrievals: Sequence[Sequence[RetrievalResult]],
+    full_model: LmScorer,
+    retr_model: LmScorer,
+    passages: Mapping[str, Passage],
+    cfg: PipelineConfig,
+) -> list[Paths | Exception]:
+    """answer_paths for a block of questions, one batched decode per model.
+
+    retrievals[i] is the top-k of questions[i].  Each entry is that
+    question's (full-knowledge candidate, retrieved-knowledge candidate,
+    retrieved ids), or the exception answer_paths would raise for it.
+    """
+    prompts: list[tuple[str, str] | Exception] = []
+    for qa, results in zip(questions, retrievals, strict=True):
+        try:
+            prompt_retr = render_retrieved_prompt(qa.question, results, passages, cfg)
+            prompts.append((_render(cfg.prompt_templates, "I", question=qa.question), prompt_retr))
+        except Exception as exc:
+            prompts.append(exc)
+    rendered = [p for p in prompts if not isinstance(p, Exception)]
+    full_texts = _greedy_texts(full_model, [p[0] for p in rendered], cfg.max_output_tokens)
+    retr_texts = _greedy_texts(retr_model, [p[1] for p in rendered], cfg.max_output_tokens)
+    paths: list[Paths | Exception] = []
+    for results, prompt in zip(retrievals, prompts):
+        if isinstance(prompt, Exception):
+            paths.append(prompt)
+            continue
+        try:
+            paths.append((
+                _draft_candidate(full_texts[prompt[0]], Provenance.FULL_KNOWLEDGE, "full-knowledge"),
+                _draft_candidate(
+                    retr_texts[prompt[1]], Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
+                ),
+                tuple(r.passage_id for r in results),
+            ))
+        except PipelineError as exc:
+            paths.append(exc)
+    return paths
+
+
+def postprocess_block(
+    cands: Sequence[AnswerCandidate],
+    postp_model: LmScorer,
+    format: FormatSpec,
+    cfg: PipelineConfig,
+) -> list[AnswerCandidate | Exception]:
+    """postprocess for a block of drafts: each distinct draft is rewritten once.
+
+    Each entry is the rewritten candidate, or the exception postprocess
+    would raise for it.
+    """
+    prompts: list[str | Exception] = []
+    for cand in cands:
+        try:
+            if cand.postprocessed:
+                raise ValueError("candidate is already postprocessed")
+            prompts.append(
+                _render(cfg.prompt_templates, "III", format=format.wording, draft=cand.text)
+            )
+        except Exception as exc:
+            prompts.append(exc)
+    texts = _greedy_texts(postp_model, [p for p in prompts if isinstance(p, str)], format.max_tokens)
+    rewrites: list[AnswerCandidate | Exception] = []
+    for cand, prompt in zip(cands, prompts):
+        if isinstance(prompt, Exception):
+            rewrites.append(prompt)
+            continue
+        out, name = texts[prompt], cand.provenance.value
+        if isinstance(out, Exception):
+            rewrites.append(PipelineError(f"postprocess failed for {name}: {out}"))
+        elif not out.strip():
+            rewrites.append(PipelineError(f"postprocess produced empty output for {name}"))
+        else:
+            rewrites.append(AnswerCandidate(out, cand.provenance, postprocessed=True))
+    return rewrites
+
+
+def _only(outputs: list) -> object:
+    [output] = outputs
+    if isinstance(output, Exception):
+        raise output
+    return output
+
+
 def answer_paths(
     q: QaPair,
     results: Sequence[RetrievalResult],
@@ -150,31 +290,15 @@ def answer_paths(
     retr_model: LmScorer,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
-) -> tuple[AnswerCandidate, AnswerCandidate, tuple[str, ...]]:
+) -> Paths:
     """Generate the two raw answer drafts for one question.
 
     *results* are the question's top-k retrievals.  Returns (full-knowledge
     candidate, retrieved-knowledge candidate, retrieved passage ids).  A
-    failure on either path raises PipelineError naming the path.
+    failure on either path raises PipelineError naming the path.  The
+    one-question case of answer_paths_block.
     """
-    retrieved_ids = tuple(r.passage_id for r in results)
-    prompt_retr = render_retrieved_prompt(q.question, results, passages, cfg)
-
-    prompt_full = _render(cfg.prompt_templates, "I", question=q.question)
-    try:
-        cand_full = AnswerCandidate(
-            _draft(full_model, prompt_full, cfg), Provenance.FULL_KNOWLEDGE
-        )
-    except Exception as exc:
-        raise PipelineError(f"full-knowledge path failed: {exc}") from exc
-
-    try:
-        cand_retr = AnswerCandidate(
-            _draft(retr_model, prompt_retr, cfg), Provenance.RETRIEVED_KNOWLEDGE
-        )
-    except Exception as exc:
-        raise PipelineError(f"retrieved-knowledge path failed: {exc}") from exc
-    return cand_full, cand_retr, retrieved_ids
+    return _only(answer_paths_block([q], [results], full_model, retr_model, passages, cfg))
 
 
 def postprocess(
@@ -186,68 +310,82 @@ def postprocess(
     """Rewrite a raw draft into the requested format.
 
     Output length is capped at format.max_tokens.  An empty rewrite is an
-    error rather than a silent empty answer.
+    error rather than a silent empty answer.  The one-draft case of
+    postprocess_block.
     """
-    if cand.postprocessed:
-        raise ValueError("candidate is already postprocessed")
-    prompt = _render(
-        cfg.prompt_templates, "III", format=format.wording, draft=cand.text
-    )
-    try:
-        out = postp_model.generate(postp_model.encode(prompt), format.max_tokens)
-    except Exception as exc:
-        raise PipelineError(f"postprocess failed for {cand.provenance.value}: {exc}") from exc
-    if not out.text.strip():
-        raise PipelineError(f"postprocess produced empty output for {cand.provenance.value}")
-    return AnswerCandidate(out.text, cand.provenance, postprocessed=True)
+    return _only(postprocess_block([cand], postp_model, format, cfg))
 
 
-def _run_one(
-    qa: QaPair,
-    results: Sequence[RetrievalResult],
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_block(
+    block: Sequence[QaPair],
     models: PipelineModels,
+    index: DenseIndex,
+    embedder: Embedder,
     passages: Mapping[str, Passage],
     stats: CorpusStats,
     cfg: PipelineConfig,
-) -> PipelineRun:
-    retrieved_ids: tuple[str, ...] = ()
-    raw_full = raw_retrieved = post_full_text = post_retr_text = ""
-    try:
-        cand_full, cand_retr, retrieved_ids = answer_paths(
-            qa, results, models.full, models.retrieved, passages, cfg
+    map_fn: Callable,
+) -> list[PipelineRun]:
+    """One block, stage by stage: retrieve, draft, rewrite, then select per question.
+
+    A question that fails skips the later stages and records what answer_paths,
+    postprocess and select would have returned before the failure: nothing
+    when a draft fails, the drafts and retrieved ids when the full-knowledge
+    rewrite fails, and the full-knowledge rewrite too when only the
+    retrieved-knowledge one fails.
+    """
+    retrievals = retrieve_texts(index, embedder, [qa.question for qa in block], cfg.k)
+    paths = answer_paths_block(block, retrievals, models.full, models.retrieved, passages, cfg)
+    drafted = [p for p in paths if not isinstance(p, Exception)]
+    rewrites = iter(postprocess_block(
+        [cand for full, retr, _ in drafted for cand in (full, retr)], models.postp, cfg.format, cfg
+    ))
+    runs: list = []  # a PipelineRun per question; None until selection fills it
+    pending: list[tuple[int, dict, AnswerCandidate, AnswerCandidate]] = []
+    for qa, path in zip(block, paths):
+        if isinstance(path, Exception):
+            runs.append(PipelineRun(qid=qa.id, question=qa.question, error=_error(path)))
+            continue
+        cand_full, cand_retr, retrieved_ids = path
+        fields = dict(
+            qid=qa.id, question=qa.question, retrieved_ids=retrieved_ids,
+            raw_full=cand_full.text, raw_retrieved=cand_retr.text,
         )
-        raw_full, raw_retrieved = cand_full.text, cand_retr.text
-        post_full = postprocess(cand_full, models.postp, cfg.format, cfg)
-        post_full_text = post_full.text
-        post_retr = postprocess(cand_retr, models.postp, cfg.format, cfg)
-        post_retr_text = post_retr.text
-        winner, bundle = select(
-            qa.question, post_full, post_retr, models.scorer, stats,
-            models.reward, models.judge, cfg.format,
-        )
+        post_full, post_retr = next(rewrites), next(rewrites)
+        if isinstance(post_full, Exception):
+            runs.append(PipelineRun(**fields, error=_error(post_full)))
+        elif isinstance(post_retr, Exception):
+            runs.append(PipelineRun(**fields, post_full=post_full.text, error=_error(post_retr)))
+        else:
+            fields.update(post_full=post_full.text, post_retrieved=post_retr.text)
+            pending.append((len(runs), fields, post_full, post_retr))
+            runs.append(None)
+
+    texts = (text for _, fields, full, retr in pending
+             for text in (fields["question"], full.text, retr.text))
+    prepared = prepare_texts(texts, models.scorer, stats)
+
+    def choose(item: tuple[int, dict, AnswerCandidate, AnswerCandidate]) -> PipelineRun:
+        _, fields, post_full, post_retr = item
+        try:
+            winner, bundle = select(
+                fields["question"], post_full, post_retr, models.scorer, stats,
+                models.reward, models.judge, cfg.format, prepared,
+            )
+        except Exception as exc:  # per-question isolation: record and move on
+            return PipelineRun(**fields, error=_error(exc))
         return PipelineRun(
-            qid=qa.id,
-            question=qa.question,
-            retrieved_ids=retrieved_ids,
-            raw_full=raw_full,
-            raw_retrieved=raw_retrieved,
-            post_full=post_full_text,
-            post_retrieved=post_retr_text,
-            bundle=bundle,
-            final_answer=winner.text,
+            **fields, bundle=bundle, final_answer=winner.text,
             winner_provenance=winner.provenance.value,
         )
-    except Exception as exc:  # per-question isolation: record and move on
-        return PipelineRun(
-            qid=qa.id,
-            question=qa.question,
-            retrieved_ids=retrieved_ids,
-            raw_full=raw_full,
-            raw_retrieved=raw_retrieved,
-            post_full=post_full_text,
-            post_retrieved=post_retr_text,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+
+    for (i, *_), run in zip(pending, map_fn(choose, pending)):
+        runs[i] = run
+    return runs
 
 
 def run_pipeline(
@@ -263,24 +401,22 @@ def run_pipeline(
 ) -> list[PipelineRun]:
     """Answer every question; failures are recorded per question, not raised.
 
-    Every question is retrieved first, one block at a time (retrieve_texts);
-    a retrieval failure, such as an embedder whose dimension differs from
-    the index's, raises.  Questions are then independent, so jobs > 1 fans
-    them out over threads; results and audit rows keep the input order
-    either way.  audit.jsonl is written atomically.
+    Questions go through in blocks of ANSWER_BLOCK, each stage over the
+    whole block: retrieval (retrieve_texts), both drafts, the rewrites,
+    then selection.  A retrieval failure, such as an embedder whose
+    dimension differs from the index's, raises.  Only selection can wait
+    on remote services, so jobs > 1 fans out that stage over threads;
+    results and audit rows keep the input order either way.  audit.jsonl
+    is written atomically.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    retrievals = retrieve_texts(index, embedder, [qa.question for qa in questions], cfg.k)
-
-    def run_one(qa: QaPair, results: Sequence[RetrievalResult]) -> PipelineRun:
-        return _run_one(qa, results, models, passages, stats, cfg)
-
-    if jobs == 1:
-        runs = list(map(run_one, questions, retrievals))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(run_one, questions, retrievals))
+    runs: list[PipelineRun] = []
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        map_fn = pool.map if pool is not None else map
+        for start in range(0, len(questions), ANSWER_BLOCK):
+            block = questions[start : start + ANSWER_BLOCK]
+            runs += _run_block(block, models, index, embedder, passages, stats, cfg, map_fn)
     if audit_path is not None:
         with atomic_write(audit_path, "w", encoding="utf-8") as fh:
             for run in runs:
@@ -407,22 +543,21 @@ def train_pipeline_models(
         render_retrieved_prompt(qa.question, results, passage_map, cfg)
         for qa, results in zip(train_qa, retrievals)
     ]
-    retrieved = train(fresh(), domain_seqs(retr_union), examples(prompts_retr), cfg.weights, steps)
+    retr_examples = examples(prompts_retr)
+    retrieved = train(fresh(), domain_seqs(retr_union), retr_examples, cfg.weights, steps)
 
-    format_batch = []
-    for qa, prompt_retr in zip(train_qa, prompts_retr):
-        draft = _draft(retrieved, prompt_retr, cfg)
-        prompt = _render(
-            cfg.prompt_templates, "III", format=cfg.format.wording, draft=draft
+    drafts = retrieved.generate_batch([ex.x for ex in retr_examples], cfg.max_output_tokens)
+    format_batch = [
+        TrainExample(
+            vocab.encode(
+                _render(cfg.prompt_templates, "III", format=cfg.format.wording, draft=draft.text)
+            ),
+            _with_eos(ex.answer, vocab),
         )
-        target = _with_eos(vocab.encode(qa.answers[0]), vocab)
-        format_batch.append(TrainExample(vocab.encode(prompt), target))
+        for draft, ex in zip(drafts, retr_examples)
+    ]
     postp = train(fresh(), [], format_batch, cfg.weights, steps)
     return TrainedModels(full=full, retrieved=retrieved, postp=postp, retrievals=retrievals)
-
-
-def _draft(model: LmScorer, prompt: str, cfg: PipelineConfig) -> str:
-    return model.generate(model.encode(prompt), cfg.max_output_tokens).text
 
 
 def drafts_for_questions(
@@ -432,15 +567,17 @@ def drafts_for_questions(
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
 ) -> dict[str, str]:
-    """Retrieved-knowledge drafts keyed by question id.
+    """Retrieved-knowledge drafts keyed by question id, decoded as one batch.
 
     retrievals[i] is the top-k of questions[i], for example
     TrainedModels.retrievals for the training questions.
     """
-    return {
-        qa.id: _draft(model, render_retrieved_prompt(qa.question, results, passages, cfg), cfg)
+    prompts = [
+        model.encode(render_retrieved_prompt(qa.question, results, passages, cfg))
         for qa, results in zip(questions, retrievals, strict=True)
-    }
+    ]
+    drafts = model.generate_batch(prompts, cfg.max_output_tokens)
+    return {qa.id: draft.text for qa, draft in zip(questions, drafts)}
 
 
 def preference_pairs_from_drafts(

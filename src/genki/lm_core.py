@@ -44,6 +44,8 @@ class LmScorer(Protocol):
 
     def generate(self, prompt: TokenSeq, max_tokens: int) -> TokenSeq: ...
 
+    def generate_batch(self, prompts: Sequence[TokenSeq], max_tokens: int) -> list[TokenSeq]: ...
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -115,7 +117,7 @@ class ToyLm:
         logits.setflags(write=False)
         self._logits = logits
         self._log_norm = _logsumexp_rows(logits)
-        self._greedy_next = logits.argmax(axis=1).tolist()
+        self._greedy_next = logits.argmax(axis=1)
 
     @property
     def logits(self) -> np.ndarray:
@@ -146,24 +148,40 @@ class ToyLm:
         return total
 
     def generate(self, prompt: TokenSeq, max_tokens: int) -> TokenSeq:
-        """Greedy continuation of *prompt*, stopping at ``</s>`` or the cap.
+        """Greedy continuation of *prompt*: the one-prompt case of generate_batch."""
+        return self.generate_batch([prompt], max_tokens)[0]
 
-        Argmax ties resolve to the lowest token id.  The end token is not
-        included in the output.
+    def generate_batch(self, prompts: Sequence[TokenSeq], max_tokens: int) -> list[TokenSeq]:
+        """Greedy continuation of each prompt, stopping at ``</s>`` or the cap.
+
+        A bigram continuation depends only on the prompt's last token, so
+        each distinct last token is decoded once: max_tokens gathers over
+        the argmax-successor table, with a mask of the rows that have not
+        yet reached ``</s>``.  Argmax ties resolve to the lowest token id.
+        The end token is not included in the output.
         """
-        if not prompt.tokens:
+        if any(not prompt.tokens for prompt in prompts):
             raise ValueError("generation needs a non-empty prompt")
         if max_tokens < 0:
             raise ValueError("max_tokens must be >= 0")
-        out: list[int] = []
-        prev = prompt.tokens[-1]
-        for _ in range(max_tokens):
-            nxt = self._greedy_next[prev]
-            if nxt == self.vocab.eos_id:
+        last = np.array([prompt.tokens[-1] for prompt in prompts], dtype=np.intp)
+        starts, row_of = np.unique(last, return_inverse=True)
+        steps = np.empty((max_tokens, len(starts)), dtype=np.intp)
+        lengths = np.zeros(len(starts), dtype=np.intp)
+        alive = np.ones(len(starts), dtype=bool)
+        prev = starts
+        for step in range(max_tokens):
+            prev = self._greedy_next[prev]
+            alive &= prev != self.vocab.eos_id
+            if not alive.any():
                 break
-            out.append(nxt)
-            prev = nxt
-        return TokenSeq(tuple(out), self.vocab.decode(out))
+            steps[step] = prev
+            lengths += alive
+        outputs = []
+        for column, length in zip(steps.T.tolist(), lengths.tolist()):
+            tokens = column[:length]
+            outputs.append(TokenSeq(tuple(tokens), self.vocab.decode(tokens)))
+        return [outputs[row] for row in row_of.tolist()]
 
 
 def loss_f(model: ToyLm, batch: Sequence[TrainExample]) -> float:

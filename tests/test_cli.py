@@ -75,6 +75,21 @@ class TestIngest:
         assert "--corpus" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["ingest", "qa", "eval", "analyze"])
+    def test_invalid_utf8_is_data_error(self, workdir, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'\n{"id": "p1", "text": "caf\xff ok"}\n')  # blank line 1
+        argv = {
+            "ingest": ["ingest", "--corpus", str(bad)],
+            "qa": ["ingest", "--corpus", workdir["corpus"], "--qa", str(bad)],
+            "eval": ["eval", "--qa", workdir["qa"], "--answers", str(bad)],
+            "analyze": ["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                        "--runs", str(bad), "--out", str(tmp_path / "o")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {bad}: line 2: invalid UTF-8\n"
+
+
 class TestRetrieve:
     def test_matches_embedder_oracle(self, workdir, tmp_path):
         out = tmp_path / "retrieved.jsonl"
@@ -348,6 +363,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == f"data error: {runs}: line 1: expected a JSON object\n"
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("qid", ["x"], "must be a string"),
+        ("final_answer", 5, "must be a string"),
+        ("error", {"a": 1}, "must be a string or null"),
+        ("retrieved_ids", "p000", "must be a list of strings"),
+        ("retrieved_ids", ["p000", 3], "must be a list of strings"),
+    ])
+    def test_wrong_field_type_is_data_error(self, workdir, tmp_path, capsys, field, value, kind):
+        record = {"qid": "q000", "final_answer": "a", "error": None, "retrieved_ids": []}
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {runs}: line 2: field {field!r} {kind}\n"
+
 
 class TestConfigHandling:
     def test_invalid_json_config(self, tmp_path, capsys):
@@ -435,6 +466,9 @@ class TestConfigHandling:
         ("index", {"embedder": {"dim": 0}}, "embedder_dim must be >= 1"),
         ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "retries": -1}},
          "remote: retries must be >= 0"),
+        ("train", {"train": {"steps": -1}}, "train_steps must be >= 1"),
+        ("train", {"train": {"steps": 0}}, "train_steps must be >= 1"),
+        ("train", {"train": {"reward_steps": -1}}, "train_reward_steps must be >= 0"),
     ])
     def test_bad_value_is_config_error(self, workdir, tmp_path, capsys, command, config, message):
         path = tmp_path / "bad.json"

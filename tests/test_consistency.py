@@ -1,9 +1,10 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from genki.consistency import ConsistencyScore, consistency
+from genki.consistency import ConsistencyScore, consistency, prepare_texts
 from genki.corpus import Passage, Vocabulary, build_stats
 from genki.lm_core import ToyLm
 from genki.textstats import TextStatsError
@@ -146,3 +147,41 @@ class TestConsistency:
     def test_score_is_dataclass_with_terms(self):
         score = ConsistencyScore(-3.0, -1.0, -2.0)
         assert score.value == score.forward_term + score.backward_term
+
+
+class TestPreparedTexts:
+    TEXTS = ["what color", "blue. ...", "water runs downhill. rivers carry water.", "?!"]
+
+    def test_prepared_scores_equal_one_pair_form(self, monkeypatch):
+        stats, vocab = world()
+        rng = np.random.default_rng(4)
+        model = ToyLm(vocab, logits=rng.normal(size=(vocab.size, vocab.size)))
+        prepared = prepare_texts(self.TEXTS + self.TEXTS, model, stats)
+        assert list(prepared) == self.TEXTS
+        assert prepared["?!"].sentences == ()
+        expected = {
+            (q, a): consistency(q, a, model, stats) for q in self.TEXTS[:3] for a in self.TEXTS[:3]
+        }
+
+        def unprepared(text, scorer, stats):
+            raise AssertionError(f"{text!r} prepared again")
+
+        # genki.consistency names both the module and, in genki, the function
+        monkeypatch.setattr(sys.modules["genki.consistency"], "prepare_text", unprepared)
+        for (q, a), score in expected.items():
+            # bit-identical, so == on floats
+            assert consistency(q, a, model, stats, prepared) == score
+        with pytest.raises(TextStatsError, match="no scoreable sentences"):
+            consistency("what color", "?!", model, stats, prepared)
+
+    def test_single_sentence_text_encoded_once(self):
+        stats, vocab = world()
+        encoded = []
+
+        class CountingScorer(TableScorer):
+            def encode(self, text):
+                encoded.append(text)
+                return super().encode(text)
+
+        prepare_texts(["what color", "blue. blue."], CountingScorer(vocab, {}), stats)
+        assert encoded == ["what color", "blue. blue.", "blue.", "blue."]

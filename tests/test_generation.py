@@ -5,14 +5,20 @@ draft generation, the format stage, selection routing, per-question fault
 isolation, and training effects (draft recall, format-stage exactness).
 """
 
+import functools
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from genki.corpus import AnswerKind, Passage, QaPair, build_stats
-from genki.ensemble import Choice, Provenance, AnswerCandidate, StubJudge
+from genki.corpus import (
+    AnswerKind, Passage, QaPair, TokenSeq, build_stats, split_sentences, tokenize,
+)
+from genki.ensemble import (
+    AnswerCandidate, Choice, Provenance, Route, ScoreBundle, StubJudge, _guarded_reward_mean,
+    bundle_record, judgment_score, resolve_winner,
+)
 from genki import generation
 from genki.generation import (
     DEFAULT_TEMPLATES,
@@ -34,6 +40,7 @@ from genki.metrics import exact_match, text_recall
 from genki.retriever import DenseIndex, HashEmbedder, retrieve_texts, top_k
 from genki.reward import FormatSpec, PreferencePair, ToyRewardModel, train_reward
 from genki.synth import synthetic_world
+from genki.textstats import TextStatsError, nisf
 
 
 FORMAT = FormatSpec(kind=AnswerKind.ENTITY, max_tokens=8)
@@ -84,6 +91,107 @@ def world():
 def retrieve(world, qa, k=2):
     """The top-k of one question, the reference the pipeline's blocks must equal."""
     return top_k(world["index"], world["embedder"].embed_question(qa.question), k)
+
+
+# -- the one-question flow run_pipeline replaced, kept as its oracle ---------
+#
+# Each question on its own: encode its prompts, decode them token by token
+# from the argmax of the logit table, rewrite both drafts, then score both
+# candidates (sentences split, weighted and encoded per call) and route.
+
+
+@functools.lru_cache(maxsize=8)
+def argmax_successors(model):
+    return model.logits.argmax(axis=1).tolist()
+
+
+def reference_generate(model, prompt, max_tokens):
+    if not prompt.tokens:
+        raise ValueError("generation needs a non-empty prompt")
+    successor = argmax_successors(model)
+    out, prev = [], prompt.tokens[-1]
+    for _ in range(max_tokens):
+        nxt = successor[prev]
+        if nxt == model.vocab.eos_id:
+            break
+        out.append(nxt)
+        prev = nxt
+    return TokenSeq(tuple(out), model.vocab.decode(out))
+
+
+def reference_weighted_term(text, conditioning, scorer, stats):
+    sentences = [s for s in split_sentences(text) if tokenize(s)]
+    if not sentences:
+        raise TextStatsError(f"no scoreable sentences in {text!r}")
+    context = scorer.encode(conditioning)
+    total = 0.0
+    for weight in nisf(sentences, stats):
+        total += weight.nisf * scorer.logprob_cond(context, scorer.encode(weight.sentence))
+    return total
+
+
+def reference_consistency(q, a, scorer, stats):
+    return reference_weighted_term(a, q, scorer, stats) + reference_weighted_term(q, a, scorer, stats)
+
+
+def reference_select(q, cand1, cand2, models, stats, format):
+    len1, len2 = len(tokenize(cand1.text)), len(tokenize(cand2.text))
+    if len1 < 1 or len2 < 1:
+        raise ValueError("candidates must contain at least one word token")
+    cs1 = reference_consistency(q, cand1.text, models.scorer, stats)
+    cs2 = reference_consistency(q, cand2.text, models.scorer, stats)
+    rm1 = models.reward.score(cand1.text, format, q)
+    rm2 = models.reward.score(cand2.text, format, q)
+    s_c = judgment_score(cs1, cs2, rm1, rm2, len1, len2)
+    route = Route.REWARD_PICK if s_c < 0 else Route.EXTERNAL_PICK
+    bundle = ScoreBundle(cs1, cs2, rm1, rm2, len1, len2, s_c, route, _guarded_reward_mean(rm1, rm2)[1])
+    return resolve_winner(q, cand1, cand2, bundle, models.judge, format), bundle
+
+
+def reference_run_one(qa, results, models, passages, stats, cfg):
+    """The per-question flow: answer_paths, postprocess twice, select."""
+    fields = dict(qid=qa.id, question=qa.question)
+    try:
+        prompt_retr = generation.render_retrieved_prompt(qa.question, results, passages, cfg)
+        prompt_full = cfg.prompt_templates["I"].format(question=qa.question)
+        drafts = []
+        for model, prompt, provenance, path in (
+            (models.full, prompt_full, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
+            (models.retrieved, prompt_retr, Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"),
+        ):
+            try:
+                text = reference_generate(model, model.encode(prompt), cfg.max_output_tokens).text
+                drafts.append(AnswerCandidate(text, provenance))
+            except Exception as exc:
+                raise PipelineError(f"{path} path failed: {exc}") from exc
+        fields.update(
+            retrieved_ids=tuple(r.passage_id for r in results),
+            raw_full=drafts[0].text, raw_retrieved=drafts[1].text,
+        )
+        rewrites = []
+        for cand, key in zip(drafts, ("post_full", "post_retrieved")):
+            prompt = cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=cand.text)
+            out = reference_generate(models.postp, models.postp.encode(prompt), cfg.format.max_tokens)
+            if not out.text.strip():
+                raise PipelineError(f"postprocess produced empty output for {cand.provenance.value}")
+            rewrites.append(AnswerCandidate(out.text, cand.provenance, postprocessed=True))
+            fields[key] = out.text
+        winner, bundle = reference_select(qa.question, *rewrites, models, stats, cfg.format)
+        return generation.PipelineRun(
+            **fields, bundle=bundle, final_answer=winner.text,
+            winner_provenance=winner.provenance.value,
+        )
+    except Exception as exc:
+        return generation.PipelineRun(**fields, error=f"{type(exc).__name__}: {exc}")
+
+
+def reference_audit(runs):
+    """audit.jsonl bytes as the one-question flow's run_pipeline wrote them."""
+    rows = [
+        {"qid": run.qid, **bundle_record(run.bundle), "winner_provenance": run.winner_provenance}
+        for run in runs if run.bundle is not None
+    ]
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
 
 
 class TestPipelineConfig:
@@ -298,7 +406,7 @@ class TestRunPipeline:
             question = " ".join(rng.choice(words) for _ in range(rng.randint(2, 7)))
             stream.append(QaPair(f"s{i:03d}", f"{question} {topic}", qa.answers, qa.format))
         reference = [
-            generation._run_one(
+            reference_run_one(
                 qa, retrieve(world, qa), world["models"], world["passage_map"],
                 world["stats"], world["cfg"],
             )
@@ -413,6 +521,124 @@ class TestRunPipeline:
             assert again["error"] is None
 
 
+@pytest.fixture(scope="module")
+def default_world():
+    """The 300/150 synth world under the CLI's built-in defaults.
+
+    73 of its 150 questions fail: the format model rewrites their
+    full-knowledge draft to nothing.
+    """
+    passages, qa_pairs = synthetic_world(300, 150)
+    cfg = PipelineConfig(k=2, format=FORMAT)
+    embedder = HashEmbedder(dim=256, seed=0)
+    index = DenseIndex.build(passages, embedder)
+    vocab = build_vocabulary(passages, qa_pairs, cfg)
+    trained = train_pipeline_models(
+        passages, qa_pairs, index, embedder, vocab, cfg, steps=50, learning_rate=0.5
+    )
+    passage_map = {p.id: p for p in passages}
+    drafts = drafts_for_questions(qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg)
+    pairs = preference_pairs_from_drafts(qa_pairs, drafts, FORMAT)
+    reward = train_reward(ToyRewardModel(seed=0, learning_rate=0.05), pairs, 100)
+    models = PipelineModels(trained.full, trained.retrieved, trained.postp, reward, StubJudge())
+    args = (qa_pairs, models, index, embedder, passage_map, build_stats(passages), cfg)
+    return {"args": args, "reference": reference_runs(*args)}
+
+
+def reference_runs(questions, models, index, embedder, passages, stats, cfg):
+    return [
+        reference_run_one(
+            qa, top_k(index, embedder.embed_question(qa.question), cfg.k), models, passages,
+            stats, cfg,
+        )
+        for qa in questions
+    ]
+
+
+def assert_equals_reference(args, reference, tmp_path, jobs):
+    audit = tmp_path / "audit.jsonl"
+    runs = run_pipeline(*args, audit_path=audit, jobs=jobs)
+    assert [run_record(run) for run in runs] == [run_record(run) for run in reference]
+    assert audit.read_bytes() == reference_audit(reference)
+
+
+class ParityReward:
+    """+1 for an answer of even length, -1 for odd.
+
+    Two candidates of different parity have a zero mean reward, so the
+    judgment score is negative and the reward model picks.
+    """
+
+    def score(self, answer, format, question=""):
+        return 1.0 if len(answer) % 2 == 0 else -1.0
+
+
+class TestBlockOracle:
+    """run_pipeline's block stages reproduce the one-question flow byte for byte."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_failed_rewrites_keep_partial_fields(
+        self, default_world, tmp_path, monkeypatch, jobs, offset
+    ):
+        questions = default_world["args"][0]
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", len(questions) + offset)
+        assert_equals_reference(default_world["args"], default_world["reference"], tmp_path, jobs)
+        failed = [run for run in default_world["reference"] if run.error]
+        assert len(failed) == 73
+        for run in failed:
+            assert run.error == "PipelineError: postprocess produced empty output for FullKnowledge"
+            assert run.raw_full and run.retrieved_ids
+            assert run.post_full == run.post_retrieved == "" and run.bundle is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("noisy, seed, shows", [
+        ("full", 0, "RewardPick"),
+        ("full", 1, "PipelineError: postprocess produced empty output for FullKnowledge"),
+        ("full", 2, "PipelineError: full-knowledge path failed: candidate text must be non-empty"),
+        ("retrieved", 1, "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
+        ("retrieved", 2,
+         "PipelineError: retrieved-knowledge path failed: candidate text must be non-empty"),
+    ])
+    def test_distinct_candidates(self, world, tmp_path, monkeypatch, jobs, noisy, seed, shows):
+        # an untrained model on one path drafts noise, so the two candidates
+        # differ and some drafts or rewrites come out empty
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
+        roles[noisy] = ToyLm(world["vocab"], seed=seed, init_scale=1.0)
+        models = PipelineModels(
+            **roles, postp=world["models"].postp, reward=ParityReward(), judge=StubJudge()
+        )
+        args = (
+            world["qa"], models, world["index"], world["embedder"], world["passage_map"],
+            world["stats"], world["cfg"],
+        )
+        reference = reference_runs(*args)
+        assert_equals_reference(args, reference, tmp_path, jobs)
+        assert any(run.post_full != run.post_retrieved for run in reference if run.bundle)
+        seen = {run.error for run in reference} | {
+            run.bundle.route.value for run in reference if run.bundle
+        }
+        assert shows in seen
+
+    def test_rejected_prompt_fails_only_its_question(self, world, tmp_path):
+        # "???" has no word tokens, so with template I = "{question}" its
+        # full-knowledge prompt is empty and the model rejects it
+        cfg = make_config(prompt_templates={**DEFAULT_TEMPLATES, "I": "{question}"})
+        qa = world["qa"]
+        stream = [*qa[:3], QaPair("blank", "???", qa[0].answers, qa[0].format), *qa[3:]]
+        args = (
+            stream, world["models"], world["index"], world["embedder"], world["passage_map"],
+            world["stats"], cfg,
+        )
+        reference = reference_runs(*args)
+        assert_equals_reference(args, reference, tmp_path, 1)
+        assert reference[3].error == (
+            "PipelineError: full-knowledge path failed: generation needs a non-empty prompt"
+        )
+        assert sum(run.bundle is not None for run in reference) >= len(qa) - 1
+
+
 class CountingEmbedder:
     """An embedder that counts how often each question is embedded."""
 
@@ -520,3 +746,35 @@ class TestIdenticalCandidates:
         assert bundle.s_c == pytest.approx(1.0)
         assert bundle.route.value == "ExternalPick"
         assert winner.text == cand.text
+
+    def test_identical_candidates_scored_once(self, world):
+        from genki.consistency import consistency
+        from genki.ensemble import select
+
+        calls = Counter()
+        inner = world["models"]
+
+        class CountingScorer:
+            def encode(self, text):
+                return inner.scorer.encode(text)
+
+            def logprob_cond(self, context, target):
+                calls["logprob_cond"] += 1
+                return inner.scorer.logprob_cond(context, target)
+
+        class CountingReward:
+            def score(self, answer, format, question=""):
+                calls["reward"] += 1
+                return inner.reward.score(answer, format, question)
+
+        q = world["qa"][0].question
+        cand = AnswerCandidate("alpha000 beta000", Provenance.FULL_KNOWLEDGE, postprocessed=True)
+        twin = AnswerCandidate("alpha000 beta000", Provenance.RETRIEVED_KNOWLEDGE, postprocessed=True)
+        _, bundle = select(
+            q, cand, twin, CountingScorer(), world["stats"], CountingReward(), inner.judge, FORMAT
+        )
+        assert calls["reward"] == 1
+        once = calls["logprob_cond"]
+        consistency(q, cand.text, CountingScorer(), world["stats"])
+        assert calls["logprob_cond"] == 2 * once
+        assert (bundle.cs1, bundle.rm1, bundle.len1) == (bundle.cs2, bundle.rm2, bundle.len2)

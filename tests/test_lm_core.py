@@ -422,6 +422,70 @@ class TestGenerate:
             uniform_model(V4).generate(TokenSeq((), ""), 3)
 
 
+def reference_greedy(model, prompt, max_tokens):
+    """The per-token loop generate_batch replaces: argmax of the row, until </s>."""
+    out, prev = [], prompt.tokens[-1]
+    for _ in range(max_tokens):
+        prev = int(np.argmax(model.logits[prev]))
+        if prev == model.vocab.eos_id:
+            break
+        out.append(prev)
+    return TokenSeq(tuple(out), model.vocab.decode(out))
+
+
+class TestGenerateBatch:
+    """The block decoder equals one-prompt generate and the per-token loop."""
+
+    VOCAB = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(10)])
+
+    def check(self, model, prompts, max_tokens):
+        batch = model.generate_batch(prompts, max_tokens)
+        assert batch == [model.generate(p, max_tokens) for p in prompts]
+        assert batch == [reference_greedy(model, p, max_tokens) for p in prompts]
+        assert all(type(t) is int for out in batch for t in out.tokens)
+        return batch
+
+    def test_argmax_ties(self):
+        rng = np.random.default_rng(8)
+        model = ToyLm(self.VOCAB, logits=rng.integers(0, 3, (12, 12)).astype(float))
+        prompts = [TokenSeq((start,), "") for start in range(12)] * 2
+        self.check(model, prompts, 9)
+        assert self.check(uniform_model(V4), [seq(V4, "a"), seq(V4, "b")], 3)[0].tokens == (0, 0, 0)
+
+    def test_eos_at_step_zero(self):
+        logits = np.zeros((V4.size, V4.size))
+        logits[V4.id("a"), V4.eos_id] = 5.0  # a -> </s> at once
+        logits[V4.id("b"), V4.id("a")] = 5.0  # b -> a -> </s>
+        model = ToyLm(V4, logits=logits)
+        out = self.check(model, [seq(V4, "a"), seq(V4, "b"), seq(V4, "b a")], 5)
+        assert [o.text for o in out] == ["", "a", ""]
+
+    def test_zero_max_tokens(self):
+        model = certain_model(V4, [("a", "b"), ("b", "a")])
+        out = self.check(model, [seq(V4, "a"), seq(V4, "b a b")], 0)
+        assert out == [TokenSeq((), ""), TokenSeq((), "")]
+
+    def test_prompts_of_different_lengths(self):
+        rng = np.random.default_rng(3)
+        model = ToyLm(self.VOCAB, logits=rng.normal(size=(12, 12)))
+        words = self.VOCAB.words()[2:]
+        prompts = [
+            self.VOCAB.encode(" ".join(rng.choice(words, size=n))) for n in (1, 7, 2, 30, 1, 4)
+        ]
+        for max_tokens in (1, 5, 40):
+            self.check(model, prompts, max_tokens)
+
+    def test_empty_batch(self):
+        assert uniform_model(V4).generate_batch([], 4) == []
+
+    def test_bad_input_rejected(self):
+        model = uniform_model(V4)
+        with pytest.raises(ValueError, match="non-empty prompt"):
+            model.generate_batch([seq(V4, "a"), TokenSeq((), "")], 3)
+        with pytest.raises(ValueError, match="max_tokens"):
+            model.generate_batch([seq(V4, "a")], -1)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(9)
