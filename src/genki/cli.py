@@ -43,7 +43,7 @@ from .generation import (
     run_record,
     train_pipeline_models,
 )
-from .lm_core import LossWeights, load_checkpoint, save_checkpoint
+from .lm_core import CheckpointSchemaError, LossWeights, load_checkpoint, save_checkpoint
 from .metrics import (
     evaluate_answers,
     quality_recall_points,
@@ -361,17 +361,17 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def _load_models(cfg: CliConfig, models_dir: str) -> tuple:
+    retrain = f"genki train --corpus <corpus> --qa <qa> --index <index> --out {models_dir}"
     names = ("l1.json", "l2.json", "l3.json", "reward.json")
     for name in names:
-        _require_file(
-            str(Path(models_dir) / name),
-            f"genki train --corpus <corpus> --qa <qa> --index <index> --out {models_dir}",
-        )
+        _require_file(str(Path(models_dir) / name), retrain)
     try:
         full = load_checkpoint(Path(models_dir) / "l1.json")
         retrieved = load_checkpoint(Path(models_dir) / "l2.json")
         postp = load_checkpoint(Path(models_dir) / "l3.json")
         reward = load_reward_checkpoint(Path(models_dir) / "reward.json")
+    except CheckpointSchemaError as exc:
+        raise DataError(f"{exc}; retrain with: {retrain}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     return full, retrieved, postp, reward

@@ -42,13 +42,16 @@ class PreparedText:
 
 
 def prepare_text(text: str, scorer: LmScorer, stats: CorpusStats) -> PreparedText:
-    """Split, weight and encode *text* once, for any number of scores."""
+    """Split, weight and encode *text* once, for any number of scores.
+
+    Each sentence is tokenized once: its words both filter it and weight it.
+    """
     # Punctuation-only fragments carry no words to weight or score; drop them.
-    sentences = [s for s in split_sentences(text) if tokenize(s)]
+    pieces = [(s, words) for s in split_sentences(text) for words in [tokenize(s)] if words]
     tokens = scorer.encode(text)
+    weights = nisf([s for s, _ in pieces], stats, [w for _, w in pieces]) if pieces else ()
     weighted = tuple(
-        (w.nisf, tokens if w.sentence == text else scorer.encode(w.sentence))
-        for w in (nisf(sentences, stats) if sentences else ())
+        (w.nisf, tokens if w.sentence == text else scorer.encode(w.sentence)) for w in weights
     )
     return PreparedText(text, tokens, weighted)
 

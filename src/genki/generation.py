@@ -17,9 +17,10 @@ draft or rewrite shared by many questions is computed once; each distinct
 question and candidate is split, weighted and encoded once for consistency
 (consistency.prepare_texts).  answer_paths and postprocess are the
 one-question cases of the block stages.  Drafts and rewrites run in the
-calling thread; jobs > 1 fans out only selection, where a remote scorer or
-judge waits on the network.  A question that fails a stage records its
-error and the fields filled before it, exactly as if it ran alone.
+calling thread; jobs > 1 fans out only selection, and only when a remote
+scorer or judge waits on the network there.  A question that fails a
+stage records its error and the fields filled before it, exactly as if it
+ran alone.
 
 Training the roles is three invocations of lm_core.train over different
 material: all passages, the retrieved subsets, and format-transcription
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .clients import RemoteJudge, RemoteScorer
 from .consistency import prepare_texts
 from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, atomic_write
 from .ensemble import (
@@ -405,14 +407,16 @@ def run_pipeline(
     whole block: retrieval (retrieve_texts), both drafts, the rewrites,
     then selection.  A retrieval failure, such as an embedder whose
     dimension differs from the index's, raises.  Only selection can wait
-    on remote services, so jobs > 1 fans out that stage over threads;
-    results and audit rows keep the input order either way.  audit.jsonl
-    is written atomically.
+    on remote services, so with a RemoteScorer or RemoteJudge, jobs > 1
+    fans out that stage over threads; the built-in models have nothing to
+    wait on and always run in the calling thread.  Results and audit rows
+    keep the input order either way.  audit.jsonl is written atomically.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    remote = isinstance(models.scorer, RemoteScorer) or isinstance(models.judge, RemoteJudge)
     runs: list[PipelineRun] = []
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and remote else nullcontext() as pool:
         map_fn = pool.map if pool is not None else map
         for start in range(0, len(questions), ANSWER_BLOCK):
             block = questions[start : start + ANSWER_BLOCK]

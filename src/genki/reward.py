@@ -117,15 +117,23 @@ def pairwise_loss(model: RewardModel, pair: PreferencePair) -> float:
     return float(np.logaddexp(0.0, -(pos - neg)))
 
 
-def pairwise_loss_grad(model: ToyRewardModel, pair: PreferencePair) -> np.ndarray:
-    """Exact gradient of pairwise_loss with respect to the toy weights."""
-    delta = extract_features(pair.positive, pair.format, pair.question) - extract_features(
+def _feature_delta(pair: PreferencePair) -> np.ndarray:
+    """Features of the positive answer minus those of the negative one."""
+    return extract_features(pair.positive, pair.format, pair.question) - extract_features(
         pair.negative, pair.format, pair.question
     )
-    margin = float(model.weights @ delta)
+
+
+def _delta_grad(weights: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    margin = float(weights @ delta)
     # d/dm of -log sigmoid(m) is -sigmoid(-m); exp(-softplus(m)) is a
     # stable sigmoid(-m)
     return -np.exp(-np.logaddexp(0.0, margin)) * delta
+
+
+def pairwise_loss_grad(model: ToyRewardModel, pair: PreferencePair) -> np.ndarray:
+    """Exact gradient of pairwise_loss with respect to the toy weights."""
+    return _delta_grad(model.weights, _feature_delta(pair))
 
 
 def train_reward(
@@ -134,17 +142,19 @@ def train_reward(
     """Full-batch gradient descent on the mean pairwise loss.
 
     Returns a new model; steps=0 returns an identical copy.  Deterministic
-    for a fixed starting model.
+    for a fixed starting model.  Each pair's feature difference is computed
+    once; every step adds the per-pair gradients in pair order.
     """
     if not pairs:
         raise ValueError("train_reward needs a non-empty pair list")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     trained = ToyRewardModel(model.weights.copy(), model.seed, model.learning_rate)
+    deltas = [_feature_delta(pair) for pair in pairs]
     for step in range(steps):
         grad = np.zeros_like(trained.weights)
-        for pair in pairs:
-            grad += pairwise_loss_grad(trained, pair)
+        for delta in deltas:
+            grad += _delta_grad(trained.weights, delta)
         grad /= len(pairs)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"reward training diverged (non-finite gradient) at step {step}")

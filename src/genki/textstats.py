@@ -80,26 +80,34 @@ def iwf(word: str, stats: CorpusStats) -> float:
     return math.log(1 + stats.sentence_count) / freq
 
 
-def isf(sentence: str, stats: CorpusStats) -> float:
+def isf(sentence: str, stats: CorpusStats, words: Sequence[str] | None = None) -> float:
     """Informativeness of a sentence: the maximum iwf over its distinct words.
 
+    *words* are the sentence's tokens when the caller already has them.
     Raises TextStatsError when the sentence has no word tokens at all.
     """
-    words = set(tokenize(sentence))
+    words = set(tokenize(sentence) if words is None else words)
     if not words:
         raise TextStatsError(f"sentence has no word tokens: {sentence!r}")
     return max(iwf(word, stats) for word in words)
 
 
-def nisf(sentences: Sequence[str], stats: CorpusStats) -> list[SentenceWeight]:
+def nisf(
+    sentences: Sequence[str],
+    stats: CorpusStats,
+    words: Sequence[Sequence[str]] | None = None,
+) -> list[SentenceWeight]:
     """Normalize sentence informativeness within a group of sentences.
 
     The returned weights sum to 1 (each is isf / sum of isf values), so they
-    can weight per-sentence scores of the enclosing text.
+    can weight per-sentence scores of the enclosing text.  *words*, when
+    given, holds the tokens of each sentence, so none is tokenized again.
     """
     if not sentences:
         raise TextStatsError("need at least one sentence to normalize")
-    scores = [isf(sentence, stats) for sentence in sentences]
+    if words is None:
+        words = [None] * len(sentences)
+    scores = [isf(sentence, stats, toks) for sentence, toks in zip(sentences, words, strict=True)]
     total = sum(scores)
     # isf is strictly positive (log(1 + total) > 0 and freq >= 1), so the
     # normalizer cannot be zero for a non-empty group.

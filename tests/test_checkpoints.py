@@ -2,7 +2,9 @@
 ValueError (IndexFormatError for index files), and writers replace the
 previous file atomically."""
 
+import base64
 import json
+import math
 import struct
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import genki.corpus
 from genki.corpus import Vocabulary
-from genki.lm_core import ToyLm, load_checkpoint, save_checkpoint
+from genki.lm_core import LossWeights, ToyLm, TrainExample, load_checkpoint, save_checkpoint, train
 from genki.retriever import MAGIC, DenseIndex, IndexFormatError, load_index, save_index
 from genki.reward import ToyRewardModel, load_reward_checkpoint, save_reward_checkpoint
 
@@ -39,7 +41,8 @@ FUZZ = settings(
 
 
 def lm_payload(tmp_path):
-    model = ToyLm(V5, seed=1, logits=np.random.default_rng(3).normal(size=(5, 5)))
+    batch = [TrainExample(V5.encode("a"), V5.encode("b c"))]
+    model = train(ToyLm(V5, seed=1), [V5.encode("a b c a")], batch, LossWeights(), 3)
     path = tmp_path / "lm.json"
     save_checkpoint(model, path)
     return json.loads(path.read_text())
@@ -76,7 +79,7 @@ def test_arbitrary_json_document(tmp_path, loader, value):
     loads_or_value_error(loader, path)
 
 
-LM_FIELDS = ["schema_version", "vocab", "logits", "seed", "step"]
+LM_FIELDS = ["schema_version", "vocab", "default", "lengths", "cols", "vals", "seed", "step"]
 REWARD_FIELDS = ["schema_version", "features", "weights", "seed"]
 
 
@@ -108,6 +111,79 @@ def test_damaged_lm_checkpoint_bytes(tmp_path, cut, flip):
     data[cut % len(data)] ^= flip
     path.write_bytes(bytes(data))
     loads_or_value_error(load_checkpoint, path)
+
+
+def pack(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+@st.composite
+def sparse_rows(draw):
+    """Well-formed rows of a V5 model, sometimes with one array damaged."""
+    size = V5.size
+    per_row = [sorted(draw(st.sets(st.integers(0, size - 1)))) for _ in range(size)]
+    finite = st.floats(-1e6, 1e6)
+    arrays = {
+        "default": draw(st.lists(finite, min_size=size, max_size=size)),
+        "lengths": [len(row) for row in per_row],
+        "cols": [col for row in per_row for col in row],
+    }
+    arrays["vals"] = draw(st.lists(finite, min_size=len(arrays["cols"]),
+                                   max_size=len(arrays["cols"])))
+    key = draw(st.sampled_from([None, "default", "lengths", "cols", "vals"]))
+    if key is not None:
+        values = arrays[key]
+        value = draw(st.floats() if key in ("default", "vals")
+                     else st.integers(-2, size + 1) | st.integers(-(2**31), 2**31 - 1))
+        how = draw(st.sampled_from(["set", "copy", "drop", "insert"]))
+        where = draw(st.integers(0, len(values)))
+        if how == "set" and where < len(values):
+            values[where] = value
+        elif how == "copy" and 0 < where < len(values):  # e.g. a repeated column
+            values[where] = values[where - 1]
+        elif how == "drop" and where < len(values):
+            del values[where]
+        else:
+            values.insert(where, value)
+    return arrays
+
+
+def well_formed(default, lengths, cols, vals, size):
+    if len(default) != size or len(lengths) != size or len(cols) != len(vals):
+        return False
+    if min(lengths) < 0 or sum(lengths) != len(cols):
+        return False
+    start = 0
+    for length in lengths:
+        row, start = cols[start : start + length], start + length
+        if any(not 0 <= col < size for col in row) or any(b <= a for a, b in zip(row, row[1:])):
+            return False
+    return all(math.isfinite(v) for v in default + vals)
+
+
+@FUZZ
+@given(arrays=sparse_rows())
+def test_schema_3_rows(tmp_path, arrays):
+    """The loader accepts exactly the well-formed rows, and those round-trip exactly."""
+    payload = {"schema_version": 3, "vocab": V5.words(), "seed": 0, "step": 0}
+    for key, dtype in (("default", "<f8"), ("lengths", "<i4"), ("cols", "<i4"), ("vals", "<f8")):
+        payload[key] = pack(arrays[key], dtype)
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps(payload))
+    ok = well_formed(**arrays, size=V5.size)
+    try:
+        model = load_checkpoint(path)
+    except ValueError:
+        assert not ok
+        return
+    assert ok
+    table = np.repeat(np.array(arrays["default"])[:, None], V5.size, axis=1)
+    rows = np.repeat(np.arange(V5.size), arrays["lengths"])
+    table[rows, arrays["cols"]] = arrays["vals"]
+    assert model.logits.tobytes() == table.tobytes()
+    again = tmp_path / "again.json"
+    save_checkpoint(model, again)
+    assert json.loads(again.read_text()) == payload
 
 
 class TestRewardLoaderErrors:

@@ -5,6 +5,7 @@ main() is called in-process with explicit argv so exit codes and stderr
 text are asserted directly.
 """
 
+import base64
 import json
 import struct
 import shutil
@@ -12,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from genki import cli
+from genki import cli, generation
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
@@ -270,6 +271,45 @@ class TestAnswer:
         err = capsys.readouterr().err
         assert "data error:" in err
         assert "l2.json" in err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_schema_asks_for_retraining(self, workdir, tmp_path, capsys, version):
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        words = json.loads((models / "l2.json").read_text())["vocab"]
+        size = len(words)
+        if version == 1:  # a dense table as nested lists, no schema_version
+            payload = {"vocab": words, "logits": [[0.0] * size] * size, "seed": 0, "step": 60}
+        else:  # a dense table as base64 float64
+            table = base64.b64encode(bytes(8 * size * size)).decode("ascii")
+            payload = {"schema_version": 2, "vocab": words, "logits": table, "seed": 0, "step": 60}
+        (models / "l2.json").write_text(json.dumps(payload))
+        assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"l2.json: unsupported checkpoint schema {version}; retrain with: genki train" in err
+        assert f"--out {models}" in err
+        assert "Traceback" not in err
+
+    def test_builtin_models_select_without_threads(self, workdir, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(generation.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(generation, "ThreadPoolExecutor", RecordingPool)
+        base = ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                "--qa", workdir["qa"], "--index", workdir["index"],
+                "--models", workdir["models"]]
+        for jobs in ("1", "2"):
+            assert main(base + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
+        assert pools == []
+        for name in ("runs.jsonl", "audit.jsonl"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
     def test_corrupt_reward_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         models = tmp_path / "models"

@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from genki.consistency import ConsistencyScore, consistency, prepare_texts
-from genki.corpus import Passage, Vocabulary, build_stats
+from genki.consistency import ConsistencyScore, consistency, prepare_text, prepare_texts
+from genki.corpus import Passage, Vocabulary, build_stats, tokenize
 from genki.lm_core import ToyLm
 from genki.textstats import TextStatsError
 
@@ -185,3 +185,31 @@ class TestPreparedTexts:
 
         prepare_texts(["what color", "blue. blue."], CountingScorer(vocab, {}), stats)
         assert encoded == ["what color", "blue. blue.", "blue.", "blue."]
+
+    def test_each_sentence_tokenized_once(self, monkeypatch):
+        stats, vocab = world()
+        model = ToyLm(vocab)
+        # each sentence once for its filter and weight, then the scorer's
+        # encode of the whole text and of each scored sentence of a longer text
+        expected = {
+            "what color": ["what color", "what color"],
+            "water runs downhill. rivers carry water.": [
+                "water runs downhill.", "rivers carry water.",
+                "water runs downhill. rivers carry water.",
+                "water runs downhill.", "rivers carry water.",
+            ],
+            "blue. ...": ["blue.", "...", "blue. ...", "blue."],  # "..." has no words
+        }
+        reference = {text: prepare_text(text, model, stats) for text in expected}
+        tokenized = []
+
+        def counting_tokenize(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        for module in ("genki.corpus", "genki.consistency", "genki.textstats"):
+            monkeypatch.setattr(sys.modules[module], "tokenize", counting_tokenize)
+        for text, calls in expected.items():
+            tokenized.clear()
+            assert prepare_text(text, model, stats) == reference[text]
+            assert tokenized == calls

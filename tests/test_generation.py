@@ -5,13 +5,16 @@ draft generation, the format stage, selection routing, per-question fault
 isolation, and training effects (draft recall, format-stage exactness).
 """
 
+import dataclasses
 import functools
 import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from genki.clients import EndpointConfig, RemoteJudge
 from genki.corpus import (
     AnswerKind, Passage, QaPair, TokenSeq, build_stats, split_sentences, tokenize,
 )
@@ -394,6 +397,31 @@ class TestRunPipeline:
         )
         assert run_pipeline(*args, jobs=1) == run_pipeline(*args, jobs=3)
 
+    @pytest.mark.parametrize("remote", [False, True])
+    def test_threads_only_for_a_remote_judge(self, world, monkeypatch, remote):
+        pools = []
+
+        class RecordingPool(generation.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        class InProcessRemoteJudge(RemoteJudge):
+            """A RemoteJudge that answers like StubJudge and never calls its server."""
+
+            def choose(self, question, a1, a2, format):
+                return StubJudge().choose(question, a1, a2, format)
+
+        monkeypatch.setattr(generation, "ThreadPoolExecutor", RecordingPool)
+        judge = InProcessRemoteJudge(EndpointConfig("http://localhost:9")) if remote else StubJudge()
+        models = dataclasses.replace(world["models"], judge=judge)
+        args = (
+            world["qa"], models, world["index"], world["embedder"],
+            world["passage_map"], world["stats"], world["cfg"],
+        )
+        assert run_pipeline(*args, jobs=2) == run_pipeline(*args, jobs=1)
+        assert pools == ([2] if remote else [])
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_blocked_retrieval_equals_per_question_top_k(self, world, jobs):
         # 65 phrased questions: one block of 64 queries at dim 1024, plus one.
@@ -525,8 +553,10 @@ class TestRunPipeline:
 def default_world():
     """The 300/150 synth world under the CLI's built-in defaults.
 
-    73 of its 150 questions fail: the format model rewrites their
-    full-knowledge draft to nothing.
+    All 150 of its questions fail: the format model rewrites their
+    full-knowledge draft to nothing.  Each draft ends on its beta token,
+    whose format-model row ties ``</s>`` with the alpha token; the tie goes
+    to the lower id, ``</s>``.
     """
     passages, qa_pairs = synthetic_world(300, 150)
     cfg = PipelineConfig(k=2, format=FORMAT)
@@ -585,7 +615,7 @@ class TestBlockOracle:
         monkeypatch.setattr(generation, "ANSWER_BLOCK", len(questions) + offset)
         assert_equals_reference(default_world["args"], default_world["reference"], tmp_path, jobs)
         failed = [run for run in default_world["reference"] if run.error]
-        assert len(failed) == 73
+        assert len(failed) == 150
         for run in failed:
             assert run.error == "PipelineError: postprocess produced empty output for FullKnowledge"
             assert run.raw_full and run.retrieved_ids
@@ -593,7 +623,7 @@ class TestBlockOracle:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("noisy, seed, shows", [
-        ("full", 0, "RewardPick"),
+        ("full", 3, "RewardPick"),
         ("full", 1, "PipelineError: postprocess produced empty output for FullKnowledge"),
         ("full", 2, "PipelineError: full-knowledge path failed: candidate text must be non-empty"),
         ("retrieved", 1, "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
@@ -605,7 +635,9 @@ class TestBlockOracle:
         # differ and some drafts or rewrites come out empty
         monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
         roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
-        roles[noisy] = ToyLm(world["vocab"], seed=seed, init_scale=1.0)
+        size = world["vocab"].size
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, (size, size))
+        roles[noisy] = ToyLm(world["vocab"], seed=seed, logits=noise)
         models = PipelineModels(
             **roles, postp=world["models"].postp, reward=ParityReward(), judge=StubJudge()
         )

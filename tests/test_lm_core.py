@@ -2,12 +2,16 @@ import base64
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from genki.corpus import TokenSeq, Vocabulary
+from genki import generation
+from genki.corpus import AnswerKind, TokenSeq, Vocabulary
+from genki.generation import PipelineConfig, build_vocabulary, train_pipeline_models
 from genki.lm_core import (
+    CheckpointSchemaError,
     LossWeights,
     ToyLm,
     TrainExample,
@@ -19,13 +23,16 @@ from genki.lm_core import (
     save_checkpoint,
     train,
 )
+from genki.retriever import DenseIndex, HashEmbedder
+from genki.reward import FormatSpec
+from genki.synth import synthetic_world
 
 V4 = Vocabulary(["<unk>", "</s>", "a", "b"])
 V6 = Vocabulary(["<unk>", "</s>", "a", "b", "c", "d"])
 
 
 def uniform_model(vocab):
-    return ToyLm(vocab, init_scale=0.0)
+    return ToyLm(vocab)
 
 
 def certain_model(vocab, transitions):
@@ -38,6 +45,10 @@ def certain_model(vocab, transitions):
 
 def seq(vocab, text):
     return vocab.encode(text)
+
+
+def pack(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
 class TestLossWeights:
@@ -314,8 +325,28 @@ def oracle_log_softmax(row):
     return row - (m + np.log(np.exp(row - m).sum()))
 
 
+# Sparse training sums each row's normaliser as (V - k) * e^d plus its k
+# entries, the dense loop over all V columns; only rounding differs.
+TRAIN_TOL = 1e-12
+
+
+def assert_sparse_matches_dense(trained, reference):
+    """Entries and defaults within TRAIN_TOL of the dense loop, greedy successors equal.
+
+    The dense loop keeps a row's unobserved columns equal bit for bit,
+    which is what lets one default logit stand for them.
+    """
+    free = np.ones(reference.shape, bool)
+    free[np.repeat(np.arange(len(reference)), trained.lengths), trained.cols] = False
+    for row, cols in zip(reference, free):
+        assert len(set(row[cols].tolist())) <= 1
+    assert np.abs(trained.logits - reference).max() <= TRAIN_TOL
+    assert trained._greedy_next.tolist() == reference.argmax(axis=1).tolist()
+
+
 class TestBitExactOracles:
-    """The fast paths reproduce the dense arithmetic bit for bit."""
+    """The sparse paths reproduce the dense arithmetic bit for bit on a dense
+    table (every row full), and within TRAIN_TOL from uniform init."""
 
     VOCAB = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(14)])
 
@@ -336,7 +367,9 @@ class TestBitExactOracles:
     def test_train_matches_dense_loop_with_idle_rows(self, seed, rate):
         passages, batch = self.world()
         w = LossWeights(1.0, 0.5)
-        model = ToyLm(self.VOCAB, seed=seed, learning_rate=rate, init_scale=0.3)
+        size = self.VOCAB.size
+        table = np.random.default_rng(seed).normal(0.0, 0.3, (size, size))
+        model = ToyLm(self.VOCAB, seed=seed, learning_rate=rate, logits=table)
         trained = train(model, passages, batch, w, steps=40)
         reference = dense_reference_train(model, passages, batch, w, 40)
         assert trained.logits.tobytes() == reference.tobytes()
@@ -346,14 +379,16 @@ class TestBitExactOracles:
     def test_train_matches_dense_loop_from_uniform_init(self):
         passages, batch = self.world()
         w = LossWeights(2.0, 0.25)
-        model = ToyLm(self.VOCAB, learning_rate=0.5, init_scale=0.0)
+        model = ToyLm(self.VOCAB, learning_rate=0.5)
         trained = train(model, passages, batch, w, steps=60)
-        assert trained.logits.tobytes() == dense_reference_train(model, passages, batch, w, 60).tobytes()
+        assert_sparse_matches_dense(trained, dense_reference_train(model, passages, batch, w, 60))
 
     def test_repeated_training_continues_the_dense_loop(self):
         passages, batch = self.world()
         w = LossWeights()
-        model = ToyLm(self.VOCAB, seed=2, learning_rate=0.3)
+        size = self.VOCAB.size
+        table = np.random.default_rng(2).normal(0.0, 0.01, (size, size))
+        model = ToyLm(self.VOCAB, seed=2, learning_rate=0.3, logits=table)
         twice = train(train(model, passages, batch, w, 7), passages, batch, w, 5)
         assert twice.step == 12
         assert twice.logits.tobytes() == dense_reference_train(model, passages, batch, w, 12).tobytes()
@@ -392,6 +427,132 @@ class TestBitExactOracles:
         assert model.token_logprob(2, 3) == pytest.approx(-math.log(4), abs=1e-12)
         with pytest.raises(ValueError):
             model.logits[2, 3] = 50.0
+
+
+class TestSparseRows:
+    """Sparse training from uniform init against the dense loop, the tie
+    rule, and a vocabulary far too large for a dense table."""
+
+    def test_train_benchmark_world_roles(self, monkeypatch):
+        # the 120/60 world and settings of the train benchmark
+        passages, qa_pairs = synthetic_world(120, 60)
+        cfg = PipelineConfig(k=2, format=FormatSpec(AnswerKind.ENTITY, 8), max_output_tokens=12)
+        vocab = build_vocabulary(passages, qa_pairs, cfg)
+        embedder = HashEmbedder(dim=1024, seed=0)
+        index = DenseIndex.build(passages, embedder)
+        calls = []
+
+        def recording_train(model, passages, batch, w, steps):
+            trained = train(model, passages, batch, w, steps)
+            calls.append((model, passages, batch, w, steps, trained))
+            return trained
+
+        monkeypatch.setattr(generation, "train", recording_train)
+        train_pipeline_models(passages, qa_pairs, index, embedder, vocab, cfg, 60, 0.5)
+        assert len(calls) == 3
+        for model, passages, batch, w, steps, trained in calls:
+            assert trained.lengths.sum() < vocab.size  # a few hundred of 507 x 507 cells
+            reference = dense_reference_train(model, passages, batch, w, steps)
+            assert_sparse_matches_dense(trained, reference)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_worlds(self, seed):
+        rng = random.Random(seed)
+        words = [f"w{i}" for i in range(rng.randint(3, 30))]
+        vocab = Vocabulary(["<unk>", "</s>"] + words)
+
+        def text(low, high):
+            return " ".join(rng.choice(words) for _ in range(rng.randint(low, high)))
+
+        passages = [seq(vocab, text(2, 9)) for _ in range(rng.randint(0, 12))]
+        batch = [TrainExample(seq(vocab, text(1, 4)), seq(vocab, text(1, 5)))
+                 for _ in range(rng.randint(1, 6))]
+        lam1 = rng.uniform(0.6, 2.0)
+        w = LossWeights(lam1, rng.uniform(0.1, lam1 * 0.9))
+        model = ToyLm(vocab, learning_rate=rng.choice([0.05, 0.2, 0.5]))
+        steps = rng.randint(1, 60)
+        trained = train(model, passages, batch, w, steps)
+        reference = dense_reference_train(model, passages, batch, w, steps)
+        assert_sparse_matches_dense(trained, reference)
+        # a second run trains on the union of the entries and new transitions
+        more = [TrainExample(seq(vocab, text(1, 3)), seq(vocab, text(1, 4)))]
+        again = train(trained, passages[:2], more, w, 5)
+        assert_sparse_matches_dense(again, dense_reference_train(trained, passages[:2], more, w, 5))
+
+    def test_full_rows_ignore_their_default(self):
+        # a dense table stores every cell; its rows' default logit (0) is
+        # far above every logit and must not enter the normaliser
+        logits = np.full((V4.size, V4.size), -1000.0)
+        logits[2, 3] = -999.0
+        model = ToyLm(V4, learning_rate=0.5, logits=logits)
+        assert model.token_logprob(0, 1) == pytest.approx(-math.log(4), abs=1e-12)
+        assert model._greedy_next.tolist() == [0, 0, 3, 0]
+        passages, batch = [seq(V4, "a b a")], [TrainExample(seq(V4, "b"), seq(V4, "a"))]
+        trained = train(model, passages, batch, LossWeights(), 10)
+        reference = dense_reference_train(model, passages, batch, LossWeights(), 10)
+        assert trained.logits.tobytes() == reference.tobytes()
+
+    def test_row_without_entries_goes_to_unk(self):
+        model = ToyLm(V6)
+        assert model._greedy_next.tolist() == [0] * V6.size
+        assert model.generate(seq(V6, "a"), 3).tokens == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "default,cols,vals,successor",
+        [
+            (1.0, [0, 1, 3], [0.5, 0.5, 0.5], 2),  # default beats every entry
+            (1.0, [2, 3], [0.5, 0.9], 0),
+            (0.5, [0, 1, 3], [0.1, 0.1, 0.5], 2),  # default ties the best entry
+            (0.5, [0, 1, 2], [0.5, 0.1, 0.1], 0),
+            (0.5, [1, 4], [0.9, 0.9], 1),  # the best entries tie each other
+            (-1.0, [0, 1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0, 0.0], 0),
+        ],
+    )
+    def test_tie_rule(self, default, cols, vals, successor):
+        size = V6.size
+        lengths = np.zeros(size, int)
+        lengths[2] = len(cols)
+        model = ToyLm.from_rows(V6, np.full(size, default), lengths, cols, vals)
+        assert model._greedy_next[2] == successor
+        assert model._greedy_next.tolist() == model.logits.argmax(axis=1).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_decode_and_score_like_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        size = V6.size
+        present = rng.random((size, size)) < 0.5
+        lengths = present.sum(axis=1)
+        cols = np.nonzero(present)[1]
+        values = rng.integers(-2, 3, len(cols)).astype(float)  # many ties
+        model = ToyLm.from_rows(V6, rng.integers(-2, 3, size).astype(float), lengths, cols, values)
+        table = model.logits
+        assert model._greedy_next.tolist() == table.argmax(axis=1).tolist()
+        for prev in range(size):
+            expected = oracle_log_softmax(table[prev])
+            for nxt in range(size):
+                assert model.token_logprob(prev, nxt) == pytest.approx(expected[nxt], abs=1e-12)
+
+    def test_fifty_thousand_word_vocabulary(self):
+        rng = random.Random(50)
+        vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i:05d}" for i in range(49_998)])
+        words = vocab.words()[2:]
+        passages = [seq(vocab, " ".join(rng.choices(words, k=12))) for _ in range(1_000)]
+        batch = [TrainExample(seq(vocab, " ".join(rng.choices(words, k=3))),
+                              seq(vocab, " ".join(rng.choices(words, k=2)))) for _ in range(200)]
+        tracemalloc.start()
+        try:
+            trained = train(ToyLm(vocab, learning_rate=0.5), passages, batch, LossWeights(), 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 12 MB measured; one dense 50,000 x 50,000 float64 table is 20 GB
+        assert peak < 32 * 2**20
+        transitions = {pair for p in passages for pair in zip(p.tokens, p.tokens[1:])}
+        for ex in batch:
+            chain = ex.x.tokens[-1:] + ex.answer.tokens
+            transitions.update(zip(chain, chain[1:]))
+        assert trained.lengths.sum() == len(transitions)
+        assert loss_r(trained, passages[:5]) < loss_r(ToyLm(vocab), passages[:5])
 
 
 class TestGenerate:
@@ -514,52 +675,70 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def payload(self):
-        rng = np.random.default_rng(13)
-        logits = rng.normal(size=(V6.size, V6.size))
-        return logits, {
-            "schema_version": 2,
+        rows = (
+            np.array([0.0, -0.5, 0.25, 1.0, -2.0, 0.0]),  # default logit per row
+            np.array([0, 0, 2, 1, 3, 0]),  # entries per row
+            np.array([1, 4, 0, 2, 3, 5]),  # their columns
+            np.random.default_rng(13).normal(size=6),  # their logits
+        )
+        return rows, {
+            "schema_version": 3,
             "vocab": V6.words(),
-            "logits": base64.b64encode(logits.astype("<f8").tobytes()).decode("ascii"),
             "seed": 2,
             "step": 40,
+            "default": pack(rows[0], "<f8"),
+            "lengths": pack(rows[1], "<i4"),
+            "cols": pack(rows[2], "<i4"),
+            "vals": pack(rows[3], "<f8"),
         }
 
-    def test_written_format_is_version_2(self, tmp_path):
-        logits, expected = self.payload()
-        model = ToyLm(V6, seed=2, logits=logits)
+    def test_written_format_is_version_3(self, tmp_path):
+        rows, expected = self.payload()
+        model = ToyLm.from_rows(V6, *rows, seed=2)
         model.step = 40
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         assert json.loads(path.read_text()) == expected
+        loaded = load_checkpoint(path)
+        assert loaded.logits.tobytes() == model.logits.tobytes()
+        assert loaded.lengths.tolist() == rows[1].tolist()
 
-    def test_version_1_nested_lists_still_load(self, tmp_path):
-        logits, _ = self.payload()
+    def test_older_schemas_rejected(self, tmp_path):
+        logits = np.random.default_rng(13).normal(size=(V6.size, V6.size))
         v1 = {"vocab": V6.words(), "logits": [[float(v) for v in row] for row in logits],
               "seed": 2, "step": 40}
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps(v1, sort_keys=True, separators=(",", ":")) + "\n")
-        from_v1 = load_checkpoint(old)
-        assert from_v1.logits.tobytes() == logits.tobytes()
-        assert (from_v1.seed, from_v1.step) == (2, 40)
-        rewritten = tmp_path / "v2.json"
-        save_checkpoint(from_v1, rewritten)
-        assert json.loads(rewritten.read_text())["schema_version"] == 2
-        assert load_checkpoint(rewritten).logits.tobytes() == from_v1.logits.tobytes()
+        v2 = {"schema_version": 2, "vocab": V6.words(), "logits": pack(logits, "<f8"),
+              "seed": 2, "step": 40}
+        for version, payload in ((1, v1), (2, v2)):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            with pytest.raises(CheckpointSchemaError, match=f"unsupported checkpoint schema {version}"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "field,value,match",
         [
             ("vocab", 5, "vocab"),
             ("vocab", ["<unk>", "</s>", 3], "vocab"),
-            ("logits", "not base64!", "base64"),
-            ("logits", base64.b64encode(b"\0" * 8 * 35).decode(), "bytes"),
-            ("logits", [[0.0] * 6] * 6, "base64 string"),
-            ("logits", base64.b64encode(np.full(36, np.inf).tobytes()).decode(), "finite"),
+            ("vals", "not base64!", "base64"),
+            ("default", base64.b64encode(b"\0" * 35).decode(), "bytes"),
+            ("cols", [1, 4, 0, 2, 3, 5], "base64 string"),
+            ("vals", pack(np.full(6, np.inf), "<f8"), "finite"),
+            ("default", pack([0, 0, 0, np.nan, 0, 0], "<f8"), "finite"),
+            ("default", pack(np.zeros(5), "<f8"), "6 values"),
+            ("lengths", pack([0, 0, 2, 1, 2, 0], "<i4"), "sum"),
+            ("lengths", pack([0, 0, 2, 1, 4, -1], "<i4"), ">= 0"),
+            ("vals", pack(np.zeros(5), "<f8"), "one length"),
+            ("cols", pack([1, 4, 0, 2, 3, 6], "<i4"), "lie in"),
+            ("cols", pack([1, 4, 0, 2, 5, 3], "<i4"), "increasing"),
+            ("cols", pack([4, 1, 0, 2, 3, 5], "<i4"), "increasing"),
+            ("cols", pack([1, 4, 0, 2, 3, 3], "<i4"), "increasing"),
             ("seed", "2", "seed"),
             ("seed", 2.5, "seed"),
             ("step", True, "step"),
             ("step", None, "step"),
-            ("schema_version", 3, "schema version"),
+            ("schema_version", 2, "schema 2"),
+            ("schema_version", "3", "schema '3'"),
         ],
     )
     def test_bad_field_rejected(self, tmp_path, field, value, match):
@@ -582,7 +761,7 @@ class TestCheckpoint:
         logits[3][1] = float("nan")
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"vocab": V6.words(), "logits": logits, "seed": 0, "step": 0}))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(CheckpointSchemaError, match="schema 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "1e999"])

@@ -176,6 +176,38 @@ class TestTrainReward:
         with pytest.raises(ValueError):
             train_reward(ToyRewardModel(), [], steps=1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_step_feature_loop(self, seed):
+        """Features computed once give the weights of recomputing them every step."""
+        rng = random.Random(seed)
+        words = ["alpha", "beta", "gamma", "a", "short", "entity", "name", "which"]
+        formats = [ENTITY, FormatSpec(AnswerKind.SENTENCE, max_tokens=20)]
+        pairs = []
+        while len(pairs) < 30:
+            pos, neg = (" ".join(rng.choices(words, k=rng.randint(0, 9))) for _ in range(2))
+            question = " ".join(rng.choices(words, k=rng.randint(0, 5)))
+            if pos != neg:
+                pairs.append(PreferencePair(pos, neg, rng.choice(formats), question))
+        start = ToyRewardModel(seed=seed, learning_rate=rng.choice([0.05, 0.3, 1.0]))
+        trained = train_reward(start, pairs, steps=60)
+        assert trained.weights.tobytes() == reference_train_reward(start, pairs, 60).tobytes()
+
+
+def reference_train_reward(model, pairs, steps):
+    """The loop train_reward replaces: every step re-extracts every pair's features."""
+    weights = model.weights.copy()
+    for _ in range(steps):
+        grad = np.zeros_like(weights)
+        for pair in pairs:
+            delta = extract_features(pair.positive, pair.format, pair.question) - extract_features(
+                pair.negative, pair.format, pair.question
+            )
+            margin = float(weights @ delta)
+            grad += -np.exp(-np.logaddexp(0.0, margin)) * delta
+        grad /= len(pairs)
+        weights = weights - model.learning_rate * grad
+    return weights
+
 
 class TestRewardCheckpoint:
     def test_round_trip(self, tmp_path):
