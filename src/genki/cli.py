@@ -546,7 +546,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         "lambda1": (float, "domain loss weight"),
         "lambda2": (float, "instruction loss weight"),
         "seed": (int, "random seed"),
-        "jobs": (int, "threads for answer selection and eval scoring"),
+        "jobs": (int, "threads for answer selection with a remote backend"),
         "max-output-tokens": (int, "generation length cap"),
     }
     for name in names:

@@ -18,8 +18,6 @@ import json
 import logging
 import os
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from .corpus import TokenSeq, tokenize
@@ -79,6 +77,9 @@ class _JsonHttpClient:
         self._limiter = threading.BoundedSemaphore(cfg.max_in_flight)
 
     def post(self, path: str, payload: dict) -> dict:
+        # Imported late: urllib.request loads http.client, email and ssl.
+        import urllib.error
+        import urllib.request
         url = self.cfg.base_url.rstrip("/") + path
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}

@@ -287,9 +287,10 @@ def evaluate_answers(
     """Score every (question, hypothesis) pair and average the columns.
 
     extra_metrics lets callers bolt on external scorers; each one adds a
-    per-question column and an aggregate mean under its name.  Rows are
-    independent, so jobs > 1 scores them in a thread pool; the row order
-    and the aggregates do not depend on jobs.
+    per-question column and an aggregate mean under its name.  With extra
+    metrics, jobs > 1 scores the rows in a thread pool; the built-in ones
+    wait on nothing and run in the calling thread.  The row order and the
+    aggregates do not depend on jobs.
     """
     if not items:
         raise ValueError("nothing to evaluate")
@@ -310,11 +311,11 @@ def evaluate_answers(
             extra={name: fn(qa, hyp) for name, fn in extra_metrics.items()},
         )
 
-    if jobs == 1:
-        rows = [score(item) for item in items]
-    else:
+    if jobs > 1 and extra_metrics:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(score, items))
+    else:
+        rows = [score(item) for item in items]
     count = len(rows)
     return MetricReport(
         em=sum(r.em for r in rows) / count,

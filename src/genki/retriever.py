@@ -25,7 +25,6 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -117,8 +116,9 @@ class DenseIndex:
     """Passage vectors (float32, row major) plus aligned passage ids.
 
     The index holds a read-only view of *matrix*; the caller must not
-    change the array or ``ids`` afterwards (max_row_norm and id_rank are
-    computed once).
+    change the array or ``ids`` afterwards.  Construction reads the vectors
+    once: it sums every row's squares in float64, which rejects non-finite
+    vectors and gives max_row_norm.
     """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
@@ -129,13 +129,16 @@ class DenseIndex:
             raise ValueError(f"{matrix.shape[0]} vectors but {len(ids)} ids")
         if matrix.shape[0] == 0 or matrix.shape[1] == 0:
             raise ValueError("index must hold at least one vector with dim >= 1")
-        if not np.all(np.isfinite(matrix)):
+        # A float64 sum of float32 squares is non-finite only for a NaN or inf row.
+        squares = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+        if not np.isfinite(squares).all():
             raise ValueError("index vectors must be finite")
         if len(set(ids)) != len(ids):
             raise ValueError("passage ids must be unique")
         self.matrix = matrix.view()
         self.matrix.flags.writeable = False
         self.ids = list(ids)
+        self.max_row_norm = float(np.sqrt(squares.max()))
 
     @classmethod
     def build(cls, passages: Sequence[Passage], embedder: Embedder) -> "DenseIndex":
@@ -152,19 +155,6 @@ class DenseIndex:
     @property
     def count(self) -> int:
         return int(self.matrix.shape[0])
-
-    @cached_property
-    def max_row_norm(self) -> float:
-        """Largest L2 norm of a row, summed in float64 so it cannot overflow."""
-        squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
-        return float(np.sqrt(squares.max()))
-
-    @cached_property
-    def id_rank(self) -> np.ndarray:
-        """Position of each row's id in ascending id order (the top-k tie-break)."""
-        rank = np.empty(self.count, dtype=np.intp)
-        rank[sorted(range(self.count), key=self.ids.__getitem__)] = np.arange(self.count)
-        return rank
 
 
 def similarity(question_vec: np.ndarray, passage_vec: np.ndarray) -> float:
@@ -283,12 +273,17 @@ def _top_k_block(
         product = queries[query_of[part]]
         np.multiply(index.matrix[rows[part]], product, out=product)
         scores[part] = product.sum(axis=1)
-    order = np.lexsort((index.id_rank[rows], -scores, query_of))
+    # Ties break by id: rank only the ids of the block's distinct candidates.
+    ids = index.ids
+    distinct, which = np.unique(rows, return_inverse=True)
+    names = [ids[row] for row in distinct.tolist()]
+    id_rank = np.empty(len(names), dtype=np.intp)
+    id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((id_rank[which], -scores, query_of))
     query_of, rows, scores = query_of[order], rows[order], scores[order]
     # Each query has at least min(k, count) candidates; keep its first ones.
     rank = np.arange(len(rows)) - np.searchsorted(query_of, query_of) + 1
     keep = rank <= k
-    ids = index.ids
     flat = [
         RetrievalResult(passage_id=ids[row], score=score, rank=r)
         for row, score, r in zip(
@@ -321,11 +316,9 @@ def save_index(index: DenseIndex, path: str | Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", index.dim))
         fh.write(struct.pack("<Q", index.count))
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
-        for pid in index.ids:
-            raw = pid.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
+        raws = [pid.encode("utf-8") for pid in index.ids]
+        fh.write(b"".join(struct.pack("<I", len(raw)) + raw for raw in raws))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

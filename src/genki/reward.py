@@ -10,6 +10,7 @@ through the same score(answer, format, question) interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -45,6 +46,11 @@ class FormatSpec:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
 
+    @cached_property
+    def description_words(self) -> frozenset[str]:
+        """The distinct tokens of the description, tokenized once."""
+        return frozenset(tokenize(self.description))
+
     @property
     def wording(self) -> str:
         """The format as prompts and judges name it: the description, else the kind."""
@@ -79,10 +85,9 @@ def extract_features(answer: str, format: FormatSpec, question: str = "") -> np.
     """
     toks = tokenize(answer)
     distinct = set(toks)
-    format_words = set(tokenize(format.description))
     question_words = set(tokenize(question))
     fraction = len(distinct & question_words) / len(distinct) if distinct and question else 0.0
-    return np.array([float(len(toks)), float(len(distinct & format_words)), fraction])
+    return np.array([float(len(toks)), float(len(distinct & format.description_words)), fraction])
 
 
 class ToyRewardModel:

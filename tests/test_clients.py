@@ -7,13 +7,18 @@ individual tests can script failures, garbage, and retries.
 
 import json
 import logging
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import genki
 from genki.clients import (
     AUTH_ENV_VAR,
     EndpointConfig,
@@ -304,3 +309,15 @@ class TestConcurrencyBound:
             t.join()
         assert len(server.requests) == 8
         assert server.max_inflight <= 2
+
+
+def test_cli_starts_without_the_http_stack():
+    # urllib.request (with http.client, email and ssl) loads at the first
+    # request, so commands without a remote backend never pay for it.
+    src = str(Path(genki.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys, genki.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

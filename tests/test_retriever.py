@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from genki import retriever
 from genki.corpus import Passage
 from genki.retriever import (
+    MAGIC,
     DenseIndex,
     HashEmbedder,
     IndexFormatError,
@@ -22,6 +24,22 @@ from genki.retriever import (
 
 def index_from_rows(rows, ids):
     return DenseIndex(np.asarray(rows, dtype=np.float32), list(ids))
+
+
+def index_file_bytes(matrix, ids):
+    """The index file layout, written without DenseIndex or save_index."""
+    raws = [pid.encode("utf-8") for pid in ids]
+    return (
+        MAGIC + struct.pack("<IQ", matrix.shape[1], matrix.shape[0])
+        + np.asarray(matrix, dtype="<f4").tobytes()
+        + b"".join(struct.pack("<I", len(raw)) + raw for raw in raws)
+    )
+
+
+def old_max_row_norm(matrix):
+    """max_row_norm as it was computed before the single validation pass."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+    return float(np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64).max()))
 
 
 class TestSimilarity:
@@ -374,6 +392,37 @@ class TestBlockedSelection:
             assert results == exact_scan(matrix, ids, query, 4)
 
 
+class TestCandidateIdTieBreak:
+    """Ties break by ranking only the ids of a block's distinct candidates,
+    which must give the order of every id in Python's string order."""
+
+    IDS = ["Zeta", "alpha", "Alpha", "a", "a\x00", "ab", "éclair", "Éclair", "b", "A0"]
+
+    def test_ids_sort_differently_from_rows(self):
+        rng = np.random.default_rng(31)
+        count, dim = 400, 96
+        matrix = rng.normal(size=(count, dim)).astype(np.float32)
+        names = self.IDS + [f"q{i:03d}" for i in range(count - len(self.IDS))]
+        ids = names[::-1]
+        # Three tied groups spread over the rows; within each group the row
+        # order and the id order disagree.  Rows 390-399 hold IDS reversed,
+        # so the first group ties "a" with "a\x00", which numpy's string
+        # order would treat as equal.
+        groups = [[396, 12, 395, 250, 391], [392, 60, 394, 3, 399], [393, 397, 398, 1, 390]]
+        for group in groups:
+            matrix[group] = matrix[group[0]]
+        queries = [matrix[group[0]].astype(np.float64) for group in groups]
+        queries.append(rng.normal(size=dim))
+        for k in (1, 3, 6):
+            for results, query in zip(top_k_batch(DenseIndex(matrix, ids), queries, k), queries):
+                assert bits(results) == exact_scan(matrix, ids, query, k)
+        first = top_k_batch(DenseIndex(matrix, ids), queries[:3], 6)
+        for results, group in zip(first, groups):
+            got = [r.passage_id for r in results[:len(group)]]
+            assert got == sorted(ids[row] for row in group)
+            assert got != [ids[row] for row in sorted(group)]
+
+
 class TestRetrieveTexts:
     def test_equals_per_question_top_k(self):
         embedder = HashEmbedder(dim=1024, seed=0)
@@ -415,6 +464,55 @@ class TestDenseIndexValidation:
         matrix = np.array([[np.inf, 0.0]], dtype=np.float32)
         with pytest.raises(ValueError):
             DenseIndex(matrix, ["a"])
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize(
+        "values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "+inf", "-inf", "+inf-inf"],
+    )
+    def test_nonfinite_rows_rejected_in_memory_and_on_load(self, tmp_path, row, values):
+        matrix = np.random.default_rng(row).normal(size=(7, 5)).astype(np.float32)
+        matrix[row, 1:1 + len(values)] = values
+        ids = [f"p{i}" for i in range(7)]
+        with pytest.raises(ValueError, match="index vectors must be finite"):
+            DenseIndex(matrix, ids)
+        path = tmp_path / "x.idx"
+        path.write_bytes(index_file_bytes(matrix, ids))
+        with pytest.raises(IndexFormatError, match="index vectors must be finite"):
+            load_index(path)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_largest_float32_rows_accepted(self, sign):
+        big = np.float32(3.4e38)
+        matrix = np.full((3, 2048), sign * big, dtype=np.float32)
+        matrix[1, ::2] = -matrix[1, ::2]
+        index = DenseIndex(matrix, ["a", "b", "c"])
+        assert index.max_row_norm == old_max_row_norm(matrix)
+        assert index.max_row_norm == pytest.approx(float(big) * math.sqrt(2048), rel=1e-12)
+        query = np.random.default_rng(5).normal(size=2048)
+        assert bits(top_k(index, query, 2)) == exact_scan(matrix, index.ids, query, 2)
+
+    def test_subnormal_rows_accepted(self):
+        tiny = np.float32(1e-45)  # the smallest float32 subnormal
+        assert 0 < tiny < np.finfo(np.float32).tiny
+        matrix = np.full((4, 64), tiny, dtype=np.float32)
+        matrix[2] = np.finfo(np.float32).tiny / 3
+        index = DenseIndex(matrix, ["a", "b", "c", "d"])
+        assert 0.0 < index.max_row_norm == old_max_row_norm(matrix)
+        query = np.ones(64)
+        assert bits(top_k(index, query, 3)) == exact_scan(matrix, index.ids, query, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_row_norm_matches_einsum_then_sqrt(self, seed):
+        rng = np.random.default_rng(seed)
+        count, dim = rng.integers(1, 300), rng.integers(1, 700)
+        matrix = rng.normal(size=(count, dim)) * 10.0 ** rng.integers(-30, 30, size=(count, 1))
+        # float64 input in column-major order is converted before the pass.
+        matrix = np.asfortranarray(matrix)
+        index = DenseIndex(matrix, [str(i) for i in range(count)])
+        assert struct.pack("<d", index.max_row_norm) == struct.pack(
+            "<d", old_max_row_norm(matrix)
+        )
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -473,6 +571,14 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(IndexFormatError):
             load_index(path)
+
+    def test_layout_written_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(12)
+        matrix = rng.normal(size=(40, 7)).astype(np.float32)
+        ids = [f"p{i}" + "é" * (i % 3) for i in range(40)]
+        path = tmp_path / "x.idx"
+        save_index(DenseIndex(matrix, ids), path)
+        assert path.read_bytes() == index_file_bytes(matrix, ids)
 
     def test_unicode_ids(self, tmp_path):
         index = DenseIndex(np.ones((1, 2), dtype=np.float32), ["文档一"])

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from genki.corpus import AnswerKind
+from genki import reward
+from genki.corpus import AnswerKind, tokenize
 from genki.reward import (
     FormatSpec,
     PreferencePair,
@@ -50,6 +52,31 @@ class TestExtractFeatures:
     def test_empty_answer(self):
         feats = extract_features("", ENTITY, question="anything")
         assert feats.tolist() == [0.0, 0.0, 0.0]
+
+    def test_description_tokenized_once_per_format(self, monkeypatch):
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(reward, "tokenize", counting)
+        fmt = FormatSpec(AnswerKind.SPAN, max_tokens=8, description="A short Entity name, please")
+        rows = [("the entity name", "which entity"), ("short names", ""), ("", "x"),
+                ("please please a", "a short question")] * 3
+        for answer, question in rows:
+            toks = tokenize(answer)
+            distinct = set(toks)
+            # The per-call feature expression the format cache replaced.
+            old = np.array([
+                float(len(toks)),
+                float(len(distinct & set(tokenize(fmt.description)))),
+                len(distinct & set(tokenize(question))) / len(distinct)
+                if distinct and question else 0.0,
+            ])
+            assert extract_features(answer, fmt, question).tobytes() == old.tobytes()
+        assert calls[fmt.description] == 1
+        assert calls["the entity name"] == 3
 
 
 class TestPairwiseLoss:
