@@ -450,7 +450,7 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
         shown = ", ".join(missing[:5])
         raise DataError(f"{answers_path}: no answer for {len(missing)} question(s): {shown}")
     items = [(qa, answers[qa.id]) for qa in qa_pairs]
-    report = evaluate_answers(items, jobs=cfg.jobs)
+    report = evaluate_answers(items)
     rendered = report_tsv(report)
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("eval", help="score answers against gold")
-    _add_common(p, "config", "qa", "jobs", "out")
+    _add_common(p, "config", "qa", "out")
     p.add_argument("--answers", type=str, default=None,
                    help="runs.jsonl or a JSONL of {id, answer}")
     p.set_defaults(func=cmd_eval)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -282,20 +281,15 @@ ExtraMetric = Callable[[QaPair, str], float]
 def evaluate_answers(
     items: Sequence[tuple[QaPair, str]],
     extra_metrics: Mapping[str, ExtraMetric] | None = None,
-    jobs: int = 1,
 ) -> MetricReport:
     """Score every (question, hypothesis) pair and average the columns.
 
     extra_metrics lets callers bolt on external scorers; each one adds a
-    per-question column and an aggregate mean under its name.  With extra
-    metrics, jobs > 1 scores the rows in a thread pool; the built-in ones
-    wait on nothing and run in the calling thread.  The row order and the
-    aggregates do not depend on jobs.
+    per-question column and an aggregate mean under its name.  Rows are
+    scored in order in the calling thread.
     """
     if not items:
         raise ValueError("nothing to evaluate")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     extra_metrics = dict(extra_metrics or {})
 
     def score(item: tuple[QaPair, str]) -> QuestionScore:
@@ -311,11 +305,7 @@ def evaluate_answers(
             extra={name: fn(qa, hyp) for name, fn in extra_metrics.items()},
         )
 
-    if jobs > 1 and extra_metrics:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(score, items))
-    else:
-        rows = [score(item) for item in items]
+    rows = [score(item) for item in items]
     count = len(rows)
     return MetricReport(
         em=sum(r.em for r in rows) / count,

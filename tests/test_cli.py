@@ -13,9 +13,9 @@ from collections import Counter
 
 import pytest
 
-from genki import cli, generation, metrics
+from genki import cli, generation
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from genki.retriever import MAGIC, HashEmbedder, load_index, top_k
+from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
 
 
@@ -140,16 +140,13 @@ class TestRetrieve:
         assert str(index) in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_vector_is_data_error(self, workdir, tmp_path, capsys, value):
+    def test_non_finite_vector_is_data_error(
+            self, workdir, tmp_path, capsys, index_file_bytes, value):
         good = load_index(workdir["index"])
         matrix = good.matrix.copy()
         matrix[good.count // 2, 7] = value
-        raws = [pid.encode("utf-8") for pid in good.ids]
         index = tmp_path / "index.bin"
-        index.write_bytes(
-            MAGIC + struct.pack("<IQ", good.dim, good.count) + matrix.astype("<f4").tobytes()
-            + b"".join(struct.pack("<I", len(raw)) + raw for raw in raws)
-        )
+        index.write_bytes(index_file_bytes(matrix, good.ids))
         assert main(["retrieve", "--index", str(index), "--qa", workdir["qa"]]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:")
@@ -378,22 +375,6 @@ class TestEval:
         assert "no answer for 2 question(s)" in err
         assert qa[-1]["id"] in err
 
-    def test_builtin_metrics_score_without_threads(self, workdir, tmp_path, monkeypatch):
-        pools = []
-
-        class RecordingPool(metrics.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
-        for jobs in ("1", "2"):
-            assert main(["eval", "--qa", workdir["qa"],
-                         "--answers", workdir["answers"] + "/runs.jsonl",
-                         "--jobs", jobs, "--out", str(tmp_path / f"{jobs}.tsv")]) == EXIT_OK
-        assert pools == []
-        assert (tmp_path / "2.tsv").read_bytes() == (tmp_path / "1.tsv").read_bytes()
-
     def test_malformed_answers_line_numbered(self, workdir, tmp_path, capsys):
         answers = tmp_path / "bad.jsonl"
         answers.write_text('{"id": "q000", "answer": "x"}\nnot json\n')
@@ -485,7 +466,8 @@ class TestConfigHandling:
         assert "mainframe" in capsys.readouterr().err
 
     def test_bad_jobs_rejected(self, workdir, capsys):
-        assert main(["eval", "--qa", workdir["qa"], "--answers", "x",
+        assert main(["answer", "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                     "--index", workdir["index"], "--models", workdir["models"],
                      "--jobs", "0"]) == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err
 

@@ -11,7 +11,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from genki import metrics
 from genki.corpus import AnswerKind, QaPair
 from genki.metrics import (
     bleu,
@@ -361,27 +360,6 @@ class TestEvaluateAnswers:
         assert len(report.rows) == 3
         assert [r.qid for r in report.rows] == ["q1", "q2", "q3"]
 
-    def test_jobs_do_not_change_results(self):
-        a = evaluate_answers(self.items(), jobs=1)
-        b = evaluate_answers(self.items(), jobs=4)
-        assert a == b
-
-    def test_pool_only_for_extra_metrics(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(metrics.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", RecordingPool)
-        assert evaluate_answers(self.items(), jobs=2) == evaluate_answers(self.items())
-        assert pools == []
-        extra = {"hyp_len": lambda qa_, hyp: float(len(hyp))}
-        pooled = evaluate_answers(self.items(), extra_metrics=extra, jobs=2)
-        assert pools == [{"max_workers": 2}]
-        assert pooled == evaluate_answers(self.items(), extra_metrics=extra)
-
     def test_extra_metric_column(self):
         report = evaluate_answers(
             self.items(), extra_metrics={"hyp_len": lambda qa_, hyp: float(len(hyp))}
@@ -391,10 +369,6 @@ class TestEvaluateAnswers:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_answers([])
-
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_answers(self.items(), jobs=0)
 
 
 class TestReportTsv:

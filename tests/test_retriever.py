@@ -9,7 +9,6 @@ import pytest
 from genki import retriever
 from genki.corpus import Passage
 from genki.retriever import (
-    MAGIC,
     DenseIndex,
     HashEmbedder,
     IndexFormatError,
@@ -24,16 +23,6 @@ from genki.retriever import (
 
 def index_from_rows(rows, ids):
     return DenseIndex(np.asarray(rows, dtype=np.float32), list(ids))
-
-
-def index_file_bytes(matrix, ids):
-    """The index file layout, written without DenseIndex or save_index."""
-    raws = [pid.encode("utf-8") for pid in ids]
-    return (
-        MAGIC + struct.pack("<IQ", matrix.shape[1], matrix.shape[0])
-        + np.asarray(matrix, dtype="<f4").tobytes()
-        + b"".join(struct.pack("<I", len(raw)) + raw for raw in raws)
-    )
 
 
 def old_max_row_norm(matrix):
@@ -470,7 +459,8 @@ class TestDenseIndexValidation:
         "values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
         ids=["nan", "+inf", "-inf", "+inf-inf"],
     )
-    def test_nonfinite_rows_rejected_in_memory_and_on_load(self, tmp_path, row, values):
+    def test_nonfinite_rows_rejected_in_memory_and_on_load(
+            self, tmp_path, index_file_bytes, row, values):
         matrix = np.random.default_rng(row).normal(size=(7, 5)).astype(np.float32)
         matrix[row, 1:1 + len(values)] = values
         ids = [f"p{i}" for i in range(7)]
@@ -572,7 +562,7 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load_index(path)
 
-    def test_layout_written_byte_for_byte(self, tmp_path):
+    def test_layout_written_byte_for_byte(self, tmp_path, index_file_bytes):
         rng = np.random.default_rng(12)
         matrix = rng.normal(size=(40, 7)).astype(np.float32)
         ids = [f"p{i}" + "é" * (i % 3) for i in range(40)]
