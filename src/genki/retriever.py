@@ -50,13 +50,16 @@ class IndexFormatError(ValueError):
 
 
 class Embedder(Protocol):
-    """Maps questions and passages into a shared vector space."""
+    """Maps blocks of questions and passages into a shared vector space.
+
+    Each method returns one float32 row per text, shape (len(texts), dim).
+    """
 
     dim: int
 
-    def embed_question(self, text: str) -> np.ndarray: ...
+    def embed_questions(self, texts: Sequence[str]) -> np.ndarray: ...
 
-    def embed_passage(self, text: str) -> np.ndarray: ...
+    def embed_passages(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class HashEmbedder:
@@ -75,27 +78,44 @@ class HashEmbedder:
         self._key = struct.pack("<q", seed)
         self.empty_count = 0  # texts that produced a zero vector
 
-    def _bucket(self, word: str) -> tuple[int, float]:
-        digest = hashlib.blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
-        value = int.from_bytes(digest, "little")
-        sign = 1.0 if value & 1 else -1.0
-        return (value >> 1) % self.dim, sign
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One float32 row per text, equal bit for bit to a per-word float32 sum.
+
+        Each distinct word is hashed once; its little-endian u64 digest v
+        gives bucket (v >> 1) % dim and sign +1 if v & 1 else -1.  Signs are
+        added into one matrix in word order, and each row is divided by the
+        square root of its float32 sum of squares: exact below 2**24 (and at
+        least 2**24 otherwise, as every partial sum is), np.linalg.norm above.
+        """
+        codes: dict[str, int] = {}
+        words = [[codes.setdefault(w, len(codes)) for w in tokenize(text)] for text in texts]
+        digests = b"".join([
+            hashlib.blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
+            for word in codes
+        ])
+        values = np.frombuffer(digests, dtype="<u8")[[code for row in words for code in row]]
+        rows = np.repeat(np.arange(len(texts)), [len(row) for row in words])
+        del codes, words  # only the matrix grows with the block from here on
+        matrix = np.zeros((len(texts), self.dim), dtype=np.float32)
+        signs = np.where(values & 1, np.float32(1), np.float32(-1))
+        np.add.at(matrix, (rows, (values >> 1) % self.dim), signs)
+        squares = np.einsum("ij,ij->i", matrix, matrix)
+        norms = np.sqrt(squares)
+        for row in np.flatnonzero(squares >= 2**24):
+            norms[row] = np.linalg.norm(matrix[row])
+        for row in np.flatnonzero(norms == 0):
+            self.empty_count += 1
+            logger.warning("text embeds to the zero vector: %r", texts[row])
+        matrix /= np.where(norms == 0, np.float32(1), norms)[:, None]
+        return matrix
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float32)
-        words = tokenize(text)
-        for word in words:
-            bucket, sign = self._bucket(word)
-            vec[bucket] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            self.empty_count += 1
-            logger.warning("text embeds to the zero vector: %r", text)
-            return vec
-        return vec / np.float32(norm)
+        return self.embed_many([text])[0]
 
     # Questions and passages share one text encoder here; the split exists
     # so dual-encoder embedders fit the same protocol.
+    embed_questions = embed_passages = embed_many
+
     def embed_question(self, text: str) -> np.ndarray:
         return self.embed(text)
 
@@ -142,11 +162,10 @@ class DenseIndex:
 
     @classmethod
     def build(cls, passages: Sequence[Passage], embedder: Embedder) -> "DenseIndex":
-        """Embed every passage and stack the vectors in passage order."""
+        """Embed every passage, one row each in passage order."""
         if not passages:
             raise ValueError("cannot build an index over zero passages")
-        matrix = np.stack([embedder.embed_passage(p.text) for p in passages])
-        return cls(matrix, [p.id for p in passages])
+        return cls(embedder.embed_passages([p.text for p in passages]), [p.id for p in passages])
 
     @property
     def dim(self) -> int:
@@ -305,8 +324,7 @@ def retrieve_texts(
     step = max(1, QUERY_BLOCK // index.dim)
     results: list[list[RetrievalResult]] = []
     for start in range(0, len(texts), step):
-        vectors = [embedder.embed_question(text) for text in texts[start:start + step]]
-        results.extend(top_k_batch(index, vectors, k))
+        results.extend(top_k_batch(index, embedder.embed_questions(texts[start:start + step]), k))
     return results
 
 

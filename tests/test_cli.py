@@ -182,9 +182,9 @@ class TestTrain:
         counts = Counter()
 
         class CountingEmbedder(cli.HashEmbedder):
-            def embed_question(self, text):
-                counts[text] += 1
-                return super().embed_question(text)
+            def embed_questions(self, texts):
+                counts.update(texts)
+                return super().embed_questions(texts)
 
         monkeypatch.setattr(cli, "HashEmbedder", CountingEmbedder)
         assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],

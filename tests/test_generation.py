@@ -679,12 +679,12 @@ class CountingEmbedder:
         self.dim = inner.dim
         self.questions = Counter()
 
-    def embed_question(self, text):
-        self.questions[text] += 1
-        return self.inner.embed_question(text)
+    def embed_questions(self, texts):
+        self.questions.update(texts)
+        return self.inner.embed_questions(texts)
 
-    def embed_passage(self, text):
-        return self.inner.embed_passage(text)
+    def embed_passages(self, texts):
+        return self.inner.embed_passages(texts)
 
 
 class TestRetrieveOnce:

@@ -1,13 +1,17 @@
+import hashlib
 import logging
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genki import retriever
-from genki.corpus import Passage
+from genki.corpus import Passage, tokenize
 from genki.retriever import (
     DenseIndex,
     HashEmbedder,
@@ -515,6 +519,20 @@ class TestDenseIndexValidation:
         assert index.count == 2
         assert index.dim == 32
 
+    def test_build_peaks_near_the_matrix_size(self):
+        # Filling one matrix, not stacking a list of row vectors (2x).
+        passages = [Passage(f"p{i:04d}", f"topic{i % 97} item{i} shares a few words")
+                    for i in range(2000)]
+        embedder = HashEmbedder(dim=1024, seed=0)
+        tracemalloc.start()
+        try:
+            index = DenseIndex.build(passages, embedder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.matrix.nbytes == 2000 * 1024 * 4
+        assert peak < 1.3 * index.matrix.nbytes
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -575,6 +593,117 @@ class TestPersistence:
         path = tmp_path / "x.idx"
         save_index(index, path)
         assert load_index(path).ids == ["文档一"]
+
+
+reference_logger = logging.getLogger("reference_embedder")
+
+
+class ReferenceEmbedder:
+    """HashEmbedder as it was before embed_many: one text, then one word, at a time.
+
+    _bucket and embed are kept verbatim as the oracle for embed_many.
+    """
+
+    def __init__(self, dim: int = 256, seed: int = 0):
+        self.dim = dim
+        self.seed = seed
+        self._key = struct.pack("<q", seed)
+        self.empty_count = 0
+
+    def _bucket(self, word: str) -> tuple[int, float]:
+        digest = hashlib.blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
+        value = int.from_bytes(digest, "little")
+        sign = 1.0 if value & 1 else -1.0
+        return (value >> 1) % self.dim, sign
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = np.zeros(self.dim, dtype=np.float32)
+        words = tokenize(text)
+        for word in words:
+            bucket, sign = self._bucket(word)
+            vec[bucket] += sign
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            self.empty_count += 1
+            reference_logger.warning("text embeds to the zero vector: %r", text)
+            return vec
+        return vec / np.float32(norm)
+
+
+class Messages(logging.Handler):
+    def __init__(self, logger):
+        super().__init__()
+        self.logger = logger
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+
+
+# Zero rows, CJK, mixed case, and one word 5,000 times: a squared norm of
+# 25,000,000, past 2**24, where float32 sums stop being exact.  With many
+# other words beside it, the sum depends on the summation order, so only
+# np.linalg.norm reproduces the reference.
+SPECIAL_TEXTS = ["", "?!... --", "知识 整合 知识", "Mixed CASE mixed case MiXeD",
+                 "again " * 5000, "a b " * 2100 + "c",
+                 "again " * 5000 + " ".join(f"w{i}" for i in range(2000))]
+texts_strategy = st.one_of(
+    st.sampled_from(SPECIAL_TEXTS),
+    st.text(alphabet="abcXYZ019 .,!?-知识整合テスト", max_size=40),
+    st.lists(st.sampled_from(["alpha", "Beta", "GAMMA", "7", "知", "識"]), max_size=30).map(" ".join),
+)
+
+
+def assert_matches_reference(texts, dim, seed):
+    embedder, reference = HashEmbedder(dim=dim, seed=seed), ReferenceEmbedder(dim=dim, seed=seed)
+    with Messages(retriever.logger) as got_log, Messages(reference_logger) as want_log:
+        got = embedder.embed_many(texts)
+        want = np.stack([reference.embed(text) for text in texts])
+    assert got.dtype == np.float32 and got.shape == (len(texts), dim)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert embedder.empty_count == reference.empty_count
+    assert got_log.messages == want_log.messages
+
+
+class TestEmbedManyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(text=texts_strategy, dim=st.sampled_from([1, 3, 64, 1024]),
+           seed=st.integers(-2**63, 2**63 - 1))
+    def test_block_of_one_matches_reference(self, text, dim, seed):
+        assert_matches_reference([text], dim, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(texts=st.lists(texts_strategy, min_size=65, max_size=90),
+           dim=st.sampled_from([2, 256, 1024]), seed=st.integers(-2**63, 2**63 - 1))
+    def test_block_of_many_matches_reference(self, texts, dim, seed):
+        assert_matches_reference(texts, dim, seed)
+
+    @pytest.mark.parametrize("dim", [1, 16, 1024])
+    def test_every_special_text_in_one_block(self, dim):
+        assert_matches_reference(SPECIAL_TEXTS * 12, dim, 0)
+
+    def test_repeated_word_passes_the_exact_range(self):
+        row = HashEmbedder(dim=8, seed=0).embed_many(["again " * 5000])[0]
+        assert np.count_nonzero(row) == 1 and abs(row).max() == 1.0
+        assert 5000**2 >= 2**24
+
+    def test_one_row_calls_and_empty_block(self):
+        embedder = HashEmbedder(dim=64, seed=3)
+        block = embedder.embed_many(["x y", "y z", ""])
+        for row, text in zip(block, ["x y", "y z", ""]):
+            for one in (embedder.embed(text), embedder.embed_question(text),
+                        embedder.embed_passage(text)):
+                assert np.array_equal(one.view(np.uint32), row.view(np.uint32))
+        assert np.array_equal(embedder.embed_questions(["x y"]), block[:1])
+        assert np.array_equal(embedder.embed_passages(["y z"]), block[1:2])
+        assert embedder.embed_many([]).shape == (0, 64)
 
 
 class TestHashEmbedder:
