@@ -1,5 +1,7 @@
 """Dense retrieval: embeddings, inner-product scoring, top-k, and index files.
 
+Texts are embedded a block at a time (HashEmbedder.embed_many) into one
+preallocated float32 matrix, so DenseIndex.build holds the index once.
 Retrieval is exact: top_k_batch() returns what a float64 scan of every row
 would, ordered by score descending, then passage id ascending, with float64
 scores.  It scores all rows with one float32 product, keeps the rows within

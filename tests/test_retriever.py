@@ -520,7 +520,7 @@ class TestDenseIndexValidation:
         assert index.dim == 32
 
     def test_build_peaks_near_the_matrix_size(self):
-        # Filling one matrix, not stacking a list of row vectors (2x).
+        # The matrix plus small per-word arrays; a second copy of the rows would be 2x.
         passages = [Passage(f"p{i:04d}", f"topic{i % 97} item{i} shares a few words")
                     for i in range(2000)]
         embedder = HashEmbedder(dim=1024, seed=0)
@@ -657,7 +657,8 @@ SPECIAL_TEXTS = ["", "?!... --", "知识 整合 知识", "Mixed CASE mixed case 
 texts_strategy = st.one_of(
     st.sampled_from(SPECIAL_TEXTS),
     st.text(alphabet="abcXYZ019 .,!?-知识整合テスト", max_size=40),
-    st.lists(st.sampled_from(["alpha", "Beta", "GAMMA", "7", "知", "識"]), max_size=30).map(" ".join),
+    st.lists(st.sampled_from(["alpha", "Beta", "GAMMA", "7", "知", "識"]), max_size=30)
+    .map(" ".join),
 )
 
 
@@ -688,11 +689,6 @@ class TestEmbedManyOracle:
     @pytest.mark.parametrize("dim", [1, 16, 1024])
     def test_every_special_text_in_one_block(self, dim):
         assert_matches_reference(SPECIAL_TEXTS * 12, dim, 0)
-
-    def test_repeated_word_passes_the_exact_range(self):
-        row = HashEmbedder(dim=8, seed=0).embed_many(["again " * 5000])[0]
-        assert np.count_nonzero(row) == 1 and abs(row).max() == 1.0
-        assert 5000**2 >= 2**24
 
     def test_one_row_calls_and_empty_block(self):
         embedder = HashEmbedder(dim=64, seed=3)
