@@ -4,11 +4,14 @@ Texts are embedded a block at a time (HashEmbedder.embed_many) into one
 preallocated float32 matrix, so DenseIndex.build holds the index once.
 Retrieval is exact: top_k_batch() returns what a float64 scan of every row
 would, ordered by score descending, then passage id ascending, with float64
-scores.  It scores all rows with one float32 product, keeps the rows within
-twice a proven rounding bound of each query's k-th float32 score, and
-rescores only those in float64 (see top_k_batch for the bound and its
-proof).  retrieve_texts embeds and retrieves many questions one block at a
-time, so memory stays bounded however many there are.
+scores.  It scores all rows with one float32 product over the columns
+where some query of the block is nonzero (hash-embedded questions use a
+few of them), keeps the rows within twice a proven rounding bound of each
+query's k-th float32 score, and rescores in float64 only those that share
+a nonzero column with their query; the rest score zero exactly and are
+rescored only if kept (see top_k_batch for the bound and its proof).
+retrieve_texts embeds and retrieves many questions one block at a time, so
+memory stays bounded however many there are.
 
 The index file layout is fixed little-endian binary:
 
@@ -16,8 +19,8 @@ The index file layout is fixed little-endian binary:
     major) | per id: u32 byte length + UTF-8 bytes
 
 load_index(save_index(x)) reproduces x bit for bit; save_index replaces the
-file atomically, and load_index raises IndexFormatError on any file that
-does not follow the layout.
+file atomically, and load_index reads the vectors straight into one array
+and raises IndexFormatError on any file that does not follow the layout.
 """
 
 from __future__ import annotations
@@ -205,10 +208,17 @@ def top_k_batch(
     Method.  Each query q is scaled by a power of two s, so that
     max|s·q| < 2**100 and every score is below sqrt(dim)·2**64; the scaled
     queries are rounded to float32 and scored against all rows in one
-    float32 product.  Per query, the rows whose float32 score a_i is at
-    least θ - 2·B, where θ is the k-th largest a_i, are the candidates.
-    Only they are rescored, in float64 with the unscaled query (c_i), and
-    sorted by (-c_i, id).  Queries go through in blocks of at most
+    float32 product over the block's used columns, those where some query
+    of the block is nonzero.  A block that uses every column multiplies the
+    matrix directly; otherwise the used columns are gathered in row chunks
+    of at most SCREEN_BLOCK floats, so the matrix is never copied.  Per
+    query, the rows whose float32 score a_i is at least θ - 2·B, where θ is
+    the k-th largest a_i, are the candidates.  A candidate that shares a
+    nonzero column with its query is rescored in float64 with the unscaled
+    query (c_i); the others take c_i = 0 for now.  The candidates are
+    sorted by (-c_i, id), and each query keeps its first k.  Kept
+    candidates that were not rescored are rescored then, with the same
+    per-row expression.  Queries go through in blocks of at most
     QUERY_BLOCK floats and SCREEN_BLOCK screen scores; each block is
     selected, rescored and sorted with array operations, and the rescore
     holds at most RESCORE_BLOCK float64 products at once.
@@ -222,8 +232,11 @@ def top_k_batch(
     Scaling by s is exact, barring float64 underflow far below B.  Rounding
     q' to x = float32(q') moves the score by at most u·M·‖q'‖ plus
     2**-150·sqrt(n)·M from gradual underflow; nothing overflows, by the
-    choice of s.  A float32 dot product of length n, in any summation order
-    and with or without fused multiply-add, is off by at most
+    choice of s.  The screen leaves out only columns where x is zero; their
+    products x_j·row_ij are exact zeros (rows are finite), and adding them
+    last would not change the value of a float32 sum, so a_i is one
+    summation order of the full length-n product.  A float32 dot product of length n, in any
+    summation order and with or without fused multiply-add, is off by at most
     γ_n·M·‖x‖ + n·2**-150, where γ_n = n·u/(1-n·u) (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., §3.1) and each product may
     underflow by 2**-150.  The float64 rescore is off by at most
@@ -231,7 +244,7 @@ def top_k_batch(
     u = 2**-53.  For n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the
     relative terms total at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves
     room inside (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M,
-    ‖q'‖ and B; the absolute terms total at most n·(M+1)·2**-149 and
+    ‖q'‖ (summed over the used columns, as the others add nothing) and B; the absolute terms total at most n·(M+1)·2**-149 and
     n·s·2**-1074.
 
     Exactness.  Let J be k rows with a_j ≥ θ.  For a row i that is not a
@@ -244,6 +257,13 @@ def top_k_batch(
     hold the float64 top k, including every row tied with the k-th float64
     score.  This assumes the float64 scores do not overflow
     (‖q‖·M < 2**1000).
+
+    Skipped rescores.  If row i shares no nonzero column with q, every
+    float64 product q_j·row_ij is a signed zero, so c_i is ±0 in any
+    summation order.  The sort compares -c_i with <, under which +0 and -0
+    are equal, so sorting such a candidate as 0.0 gives the same order as
+    its rescore would, and rescoring only the kept ones returns their
+    exact bits, sign of zero included.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -261,50 +281,54 @@ def _top_k_block(
     queries = np.asarray(questions, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs index dim {index.dim}")
-    if not np.isfinite(queries).all():
-        raise ValueError("query vectors must be finite")
     count, dim = index.count, index.dim
-    norm = index.max_row_norm
-    _, row_exp = np.frexp(norm)
-    _, query_exp = np.frexp(np.abs(queries).max(axis=1))
-    shift = 64 - max(int(row_exp), -36) - query_exp
-    scaled = np.ldexp(queries, shift[:, None])
-    bounds = (
-        (dim + 2) * 2.0**-23 * np.linalg.norm(scaled, axis=1) * norm
-        + dim * (norm + 1.0) * 2.0**-149
-        + np.ldexp(float(dim), shift - 1074)
-    )
-    screen = scaled.astype(np.float32) @ index.matrix.T
+    # The block's nonzero query columns (NaN and inf among them); every
+    # product over the other columns is an exact zero.
+    used = np.flatnonzero((queries != 0).any(axis=0))
+    active = queries[:, used]
+    if not np.isfinite(active).all():
+        raise ValueError("query vectors must be finite")
     if k < count:
+        norm = index.max_row_norm
+        _, row_exp = np.frexp(norm)
+        _, query_exp = np.frexp(np.abs(active).max(axis=1, initial=0.0))
+        shift = 64 - max(int(row_exp), -36) - query_exp
+        scaled = np.ldexp(active, shift[:, None])
+        bounds = (
+            (dim + 2) * 2.0**-23 * np.linalg.norm(scaled, axis=1) * norm
+            + dim * (norm + 1.0) * 2.0**-149
+            + np.ldexp(float(dim), shift - 1074)
+        )
+        screen = _screen(index.matrix, scaled.astype(np.float32), used)
         kth = np.partition(screen, count - k, axis=1)[:, count - k]
         cutoff = kth - 2.0 * bounds
         # (query, row) candidate pairs, query-major; float32 scores compare
         # against the float64 cutoffs exactly.
         query_of, rows = np.nonzero(screen >= cutoff[:, None])
+        del screen
     else:
         query_of = np.repeat(np.arange(len(queries)), count)
         rows = np.tile(np.arange(count), len(queries))
-    del screen
-    # Row-wise float64 products summed per row: a candidate's score does not
-    # depend on which other rows are candidates or on the chunking.
-    scores = np.empty(len(rows))
-    chunk = max(1, RESCORE_BLOCK // dim)
-    for lo in range(0, len(rows), chunk):
-        part = slice(lo, lo + chunk)
-        product = queries[query_of[part]]
-        np.multiply(index.matrix[rows[part]], product, out=product)
-        scores[part] = product.sum(axis=1)
-    # Ties break by id: rank only the ids of the block's distinct candidates.
     ids = index.ids
     distinct, which = np.unique(rows, return_inverse=True)
+    # A candidate that shares no nonzero column with its query scores a sum
+    # of signed zeros: it sorts as 0.0 (±0 compare equal) and is rescored
+    # only if it is kept, so the sign of a returned zero is the rescore's.
+    shared = _shares_column(index.matrix, distinct, active, used)[which, query_of]
+    scores = np.zeros(len(rows))
+    live = np.flatnonzero(shared)
+    scores[live] = _rescore(index.matrix, queries, query_of[live], rows[live])
+    # Ties break by id: rank only the ids of the block's distinct candidates.
     names = [ids[row] for row in distinct.tolist()]
     id_rank = np.empty(len(names), dtype=np.intp)
     id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((id_rank[which], -scores, query_of))
-    query_of, rows, scores = query_of[order], rows[order], scores[order]
+    query_of, rows, scores, shared = query_of[order], rows[order], scores[order], shared[order]
     # Each query has at least min(k, count) candidates; keep its first ones.
     rank = np.arange(len(rows)) - np.searchsorted(query_of, query_of) + 1
     keep = rank <= k
+    late = np.flatnonzero(keep & ~shared)
+    scores[late] = _rescore(index.matrix, queries, query_of[late], rows[late])
     flat = [
         RetrievalResult(passage_id=ids[row], score=score, rank=r)
         for row, score, r in zip(
@@ -313,6 +337,57 @@ def _top_k_block(
     ]
     width = min(k, count)
     return [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _screen(matrix: np.ndarray, x: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Float32 scores of the rows against x, whose columns are matrix's columns *used*.
+
+    A block that uses every column multiplies the matrix directly; otherwise
+    the used columns are gathered at most SCREEN_BLOCK floats at a time, so
+    the matrix is never copied.
+    """
+    if len(used) == matrix.shape[1]:
+        return x @ matrix.T
+    screen = np.empty((len(x), matrix.shape[0]), dtype=np.float32)
+    step = max(1, SCREEN_BLOCK // max(1, len(used)))
+    for lo in range(0, matrix.shape[0], step):
+        screen[:, lo:lo + step] = x @ matrix[lo:lo + step, used].T
+    return screen
+
+
+def _shares_column(
+    matrix: np.ndarray, rows: np.ndarray, active: np.ndarray, used: np.ndarray
+) -> np.ndarray:
+    """(len(rows), len(active)) booleans: does the row have a nonzero entry in
+    a column where the query does?  *active* holds the queries' columns
+    *used*; the counts of shared columns are small integers, exact in a
+    float32 product.
+    """
+    touched = (active != 0).astype(np.float32).T
+    shared = np.empty((len(rows), len(active)), dtype=bool)
+    step = max(1, SCREEN_BLOCK // max(1, len(used)))
+    for lo in range(0, len(rows), step):
+        nonzero = matrix[rows[lo:lo + step, None], used] != 0
+        shared[lo:lo + step] = nonzero.astype(np.float32) @ touched > 0
+    return shared
+
+
+def _rescore(
+    matrix: np.ndarray, queries: np.ndarray, query_of: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Float64 score of each (query, row) pair, at most RESCORE_BLOCK products at once.
+
+    Row-wise products summed per row: a pair's score does not depend on
+    which other pairs are rescored or on the chunking.
+    """
+    scores = np.empty(len(rows))
+    chunk = max(1, RESCORE_BLOCK // matrix.shape[1])
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        product = queries[query_of[part]]
+        np.multiply(matrix[rows[part]], product, out=product)
+        scores[part] = product.sum(axis=1)
+    return scores
 
 
 def retrieve_texts(
@@ -372,8 +447,10 @@ def load_index(path: str | Path) -> DenseIndex:
             raise IndexFormatError(
                 f"{path}: header claims {count}x{dim} vectors, more than its {size} bytes hold"
             )
-        raw = _read_exact(fh, count * dim * 4, "vectors")
-        matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
+        # Read straight into the matrix: no intermediate bytes object.
+        matrix = np.empty((count, dim), dtype="<f4")
+        if fh.readinto(matrix.data.cast("B")) != matrix.nbytes:
+            raise IndexFormatError("truncated index file while reading vectors")
         # The id block is read once and parsed from memory.
         block = fh.read()
     ids = []

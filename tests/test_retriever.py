@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,10 @@ class TestScreenExactness:
         for query in (np.zeros(8), rng.normal(size=8), -np.abs(rng.normal(size=8))):
             for k in (1, 5, 15, 30):
                 assert_exact(matrix, ids, query, k)
+                # Zero rows score a sum of signed zeros; the sign must be the
+                # per-row expression's, bit for bit.
+                got = bits(top_k(DenseIndex(matrix, ids), query, k))
+                assert got == exact_scan(matrix, ids, query, k)
         got = top_k(DenseIndex(matrix, ids), np.zeros(8), 30)
         assert [r.passage_id for r in got] == sorted(ids)
         assert all(r.score == 0.0 for r in got)
@@ -311,12 +316,14 @@ class NumpySpy:
 
     def __init__(self):
         self.multiplied = []
+        self.pairs = set()  # (row bytes, query bytes) of every multiplied pair
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def multiply(self, a, b, **kwargs):
         self.multiplied.append(len(a))
+        self.pairs.update(zip(map(bytes, a), map(bytes, b)))
         return np.multiply(a, b, **kwargs)
 
 
@@ -383,6 +390,122 @@ class TestBlockedSelection:
         assert got == want
         for results, query in zip(got, queries):
             assert results == exact_scan(matrix, ids, query, 4)
+
+
+def sparse_rows(rng, count, dim, pool, hit):
+    """*count* rows of 1-16 signed small-integer entries, scaled to unit norm.
+
+    A row is zero, on columns outside *pool*, on *pool* only or anywhere,
+    each with probability 1/4; *hit* rows copy an earlier row, to tie."""
+    other = np.setdiff1d(np.arange(dim), pool)
+    matrix = np.zeros((count, dim), dtype=np.float32)
+    for row in range(count):
+        kind = int(rng.integers(4))
+        columns = (None, other, pool, np.arange(dim))[kind]
+        if columns is None or len(columns) == 0:
+            continue
+        picked = rng.choice(columns, size=min(len(columns), int(rng.integers(1, 17))),
+                            replace=False)
+        values = rng.choice([-2.0, -1.0, 1.0, 2.0], size=len(picked))
+        matrix[row, picked] = values / np.linalg.norm(values)
+    for row in rng.choice(count, size=min(count, hit), replace=False):
+        matrix[row] = matrix[int(rng.integers(count))]
+    return matrix
+
+
+def sparse_queries(rng, count, dim, pool):
+    """Queries with 1-16 nonzero columns drawn from *pool*, mixed signs."""
+    queries = np.zeros((count, dim))
+    for query in queries:
+        support = rng.choice(pool, size=min(len(pool), int(rng.integers(1, 17))), replace=False)
+        query[support] = rng.choice([-1.0, 1.0], size=len(support)) * rng.uniform(
+            0.1, 2.0, size=len(support))
+    return queries
+
+
+class TestSparseQueries:
+    """The screen sums over the queries' nonzero columns only, and candidates
+    that share no nonzero column with their query are rescored only if kept;
+    results must still equal the exact scan bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(64, 1024),
+        count=st.integers(1, 40),
+        queries=st.integers(1, 7),
+        per_block=st.integers(1, 3),
+        extra_k=st.integers(0, 41),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_scan(self, dim, count, queries, per_block, extra_k, seed):
+        rng = np.random.default_rng(seed)
+        pool = rng.choice(dim, size=32, replace=False)
+        matrix = sparse_rows(rng, count, dim, pool, hit=count // 4)
+        block = sparse_queries(rng, queries, dim, pool)
+        ids = [f"p{i:02d}" for i in range(count)]
+        rng.shuffle(ids)
+        k = 1 + extra_k % (count + 2)
+        # per_block queries per block, so the queries straddle block boundaries.
+        with mock.patch.object(retriever, "QUERY_BLOCK", per_block * dim):
+            assert_blocked_exact(matrix, ids, block, k)
+
+    def test_rescores_only_overlapping_and_kept_pairs(self, monkeypatch):
+        # Shaped like the answer workload: sparse rows, queries with 4
+        # nonzero columns, k = 2, and most rows tied at 0 with each query.
+        rng = np.random.default_rng(70)
+        count, dim, k = 120, 1024, 2
+        pool = rng.choice(dim, size=40, replace=False)
+        matrix = sparse_rows(rng, count, dim, pool, hit=10)
+        queries = np.zeros((64, dim))
+        for query in queries:
+            support = rng.choice(pool, size=4, replace=False)
+            query[support] = rng.choice([-1.0, 1.0], size=4) / 2.0
+        # Every fourth query is on columns no row uses, so all rows tie at 0.
+        unused = np.flatnonzero(~(matrix != 0).any(axis=0))
+        for query in queries[::4]:
+            query[:] = 0.0
+            query[rng.choice(unused, size=4, replace=False)] = -0.5
+        queries[5] = 0.0
+        ids = [f"p{i:03d}" for i in range(count)]
+        rng.shuffle(ids)
+        index = DenseIndex(matrix, ids)
+        overlapping = ((queries != 0).astype(int) @ (matrix != 0).T.astype(int) > 0).sum(axis=1)
+        scans = [exact_scan(matrix, ids, query, count) for query in queries]
+        at_zero = [sum(score == struct.pack("<d", 0.0) for _, score, _ in scan) for scan in scans]
+        kth_is_zero = [scan[k - 1][1] == struct.pack("<d", 0.0) for scan in scans]
+        # Many queries tie dozens of rows at 0 with their k-th score; a full
+        # rescore of the candidates would multiply all of those pairs.
+        assert sum(kth_is_zero) >= 16 and min(at_zero) >= 60
+        spy = NumpySpy()
+        monkeypatch.setattr(retriever, "np", spy)
+        got = top_k_batch(index, queries, k)
+        monkeypatch.undo()
+        assert sum(spy.multiplied) <= overlapping.sum() + k * len(queries)
+        for results, query in zip(got, queries):
+            assert bits(results) == exact_scan(matrix, ids, query, k)
+            # Every returned score came from the per-row float64 expression.
+            for r in results:
+                row = matrix[ids.index(r.passage_id)]
+                assert (bytes(row), bytes(query)) in spy.pairs
+
+    def test_block_missing_one_column_does_not_copy_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        count, dim = 8192, 256
+        matrix = rng.normal(size=(count, dim)).astype(np.float32)
+        index = DenseIndex(matrix, [f"p{i:04d}" for i in range(count)])
+        query = rng.normal(size=dim)
+        query[17] = 0.0
+        want = exact_scan(matrix, index.ids, query, 3)
+        monkeypatch.setattr(retriever, "SCREEN_BLOCK", 1 << 16)
+        tracemalloc.start()
+        try:
+            got = top_k_batch(index, [query], 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bits(got[0]) == want
+        # A gathered copy of 255 columns would take 8.4 MB; chunks take 256 KB.
+        assert peak < matrix.nbytes / 4
 
 
 class TestCandidateIdTieBreak:
@@ -570,6 +693,32 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 3])
         with pytest.raises(IndexFormatError):
+            load_index(path)
+
+    def test_short_vector_read_is_truncation(self, tmp_path, monkeypatch):
+        # A file that shrinks after its size is checked reads short.
+        index = DenseIndex(np.ones((3, 4), dtype=np.float32), ["a", "b", "c"])
+        path = tmp_path / "x.idx"
+        save_index(index, path)
+
+        class ShortReads:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, buffer):
+                return self.fh.readinto(memoryview(buffer)[:-1])
+
+        monkeypatch.setattr(retriever, "open", lambda *a: ShortReads(open(*a)), raising=False)
+        with pytest.raises(IndexFormatError, match="truncated"):
             load_index(path)
 
     def test_trailing_bytes(self, tmp_path):
