@@ -235,17 +235,17 @@ def top_k_batch(
     choice of s.  The screen leaves out only columns where x is zero; their
     products x_j·row_ij are exact zeros (rows are finite), and adding them
     last would not change the value of a float32 sum, so a_i is one
-    summation order of the full length-n product.  A float32 dot product of length n, in any
-    summation order and with or without fused multiply-add, is off by at most
-    γ_n·M·‖x‖ + n·2**-150, where γ_n = n·u/(1-n·u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., §3.1) and each product may
-    underflow by 2**-150.  The float64 rescore is off by at most
+    summation order of the full length-n product.  A float32 dot product
+    of length n, in any summation order and with or without fused
+    multiply-add, is off by at most γ_n·M·‖x‖ + n·2**-150, where
+    γ_n = n·u/(1-n·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §3.1) and each product may underflow by 2**-150.  The float64 rescore is off by at most
     γ64_n·M·‖q'‖ + n·s·2**-1074 once scaled, with γ64_n the same for
     u = 2**-53.  For n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the
     relative terms total at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves
     room inside (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M,
-    ‖q'‖ (summed over the used columns, as the others add nothing) and B; the absolute terms total at most n·(M+1)·2**-149 and
-    n·s·2**-1074.
+    ‖q'‖ (summed over the used columns, as the others add nothing) and B;
+    the absolute terms total at most n·(M+1)·2**-149 and n·s·2**-1074.
 
     Exactness.  Let J be k rows with a_j ≥ θ.  For a row i that is not a
     candidate and any j in J:
@@ -340,7 +340,7 @@ def _top_k_block(
 
 
 def _screen(matrix: np.ndarray, x: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """Float32 scores of the rows against x, whose columns are matrix's columns *used*.
+    """Float32 scores of every row against x, which holds the columns *used*.
 
     A block that uses every column multiplies the matrix directly; otherwise
     the used columns are gathered at most SCREEN_BLOCK floats at a time, so
