@@ -209,19 +209,18 @@ def top_k_batch(
     max|s·q| < 2**100 and every score is below sqrt(dim)·2**64; the scaled
     queries are rounded to float32 and scored against all rows in one
     float32 product over the block's used columns, those where some query
-    of the block is nonzero.  A block that uses every column multiplies the
-    matrix directly; otherwise the used columns are gathered in row chunks
-    of at most SCREEN_BLOCK floats, so the matrix is never copied.  Per
-    query, the rows whose float32 score a_i is at least θ - 2·B, where θ is
-    the k-th largest a_i, are the candidates.  A candidate that shares a
-    nonzero column with its query is rescored in float64 with the unscaled
-    query (c_i); the others take c_i = 0 for now.  The candidates are
-    sorted by (-c_i, id), and each query keeps its first k.  Kept
-    candidates that were not rescored are rescored then, with the same
-    per-row expression.  Queries go through in blocks of at most
-    QUERY_BLOCK floats and SCREEN_BLOCK screen scores; each block is
-    selected, rescored and sorted with array operations, and the rescore
-    holds at most RESCORE_BLOCK float64 products at once.
+    of the block is nonzero, gathered in row chunks of at most SCREEN_BLOCK
+    floats, so the matrix is never copied.  Per query, the rows whose
+    float32 score a_i is at least θ - 2·B, where θ is the k-th largest a_i,
+    are the candidates.  A candidate that shares a nonzero column with its
+    query is rescored in float64 with the unscaled query (c_i); the others
+    take c_i = 0 for now.  The candidates are sorted by (-c_i, id), and
+    each query keeps its first k.  Kept candidates that were not rescored
+    are rescored then, with the same per-row expression.  Queries go
+    through in blocks of at most QUERY_BLOCK floats and SCREEN_BLOCK screen
+    scores; each block is selected, rescored and sorted with array
+    operations, and the rescore holds at most RESCORE_BLOCK float64
+    products at once.
 
     Bound.  With q' = s·q, n = dim, u = 2**-24, M = max_row_norm and
     t_i = row_i·q' the exact score, in units of q':
@@ -239,13 +238,14 @@ def top_k_batch(
     of length n, in any summation order and with or without fused
     multiply-add, is off by at most γ_n·M·‖x‖ + n·2**-150, where
     γ_n = n·u/(1-n·u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., §3.1) and each product may underflow by 2**-150.  The float64 rescore is off by at most
-    γ64_n·M·‖q'‖ + n·s·2**-1074 once scaled, with γ64_n the same for
-    u = 2**-53.  For n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the
-    relative terms total at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves
-    room inside (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M,
-    ‖q'‖ (summed over the used columns, as the others add nothing) and B;
-    the absolute terms total at most n·(M+1)·2**-149 and n·s·2**-1074.
+    Algorithms, 2nd ed., §3.1) and each product may underflow by
+    2**-150.  The float64 rescore is off by at most γ64_n·M·‖q'‖ +
+    n·s·2**-1074 once scaled, with γ64_n the same for u = 2**-53.  For
+    n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the relative terms total
+    at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves room inside
+    (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M, ‖q'‖ (summed
+    over the used columns, as the others add nothing) and B; the absolute
+    terms total at most n·(M+1)·2**-149 and n·s·2**-1074.
 
     Exactness.  Let J be k rows with a_j ≥ θ.  For a row i that is not a
     candidate and any j in J:
@@ -286,6 +286,8 @@ def _top_k_block(
     # product over the other columns is an exact zero.
     used = np.flatnonzero((queries != 0).any(axis=0))
     active = queries[:, used]
+    # Rows per gather of the used columns: at most SCREEN_BLOCK floats.
+    step = max(1, SCREEN_BLOCK // max(1, len(used)))
     if not np.isfinite(active).all():
         raise ValueError("query vectors must be finite")
     if k < count:
@@ -299,7 +301,7 @@ def _top_k_block(
             + dim * (norm + 1.0) * 2.0**-149
             + np.ldexp(float(dim), shift - 1074)
         )
-        screen = _screen(index.matrix, scaled.astype(np.float32), used)
+        screen = _screen(index.matrix, scaled.astype(np.float32), used, step)
         kth = np.partition(screen, count - k, axis=1)[:, count - k]
         cutoff = kth - 2.0 * bounds
         # (query, row) candidate pairs, query-major; float32 scores compare
@@ -314,7 +316,7 @@ def _top_k_block(
     # A candidate that shares no nonzero column with its query scores a sum
     # of signed zeros: it sorts as 0.0 (±0 compare equal) and is rescored
     # only if it is kept, so the sign of a returned zero is the rescore's.
-    shared = _shares_column(index.matrix, distinct, active, used)[which, query_of]
+    shared = _shares_column(index.matrix, distinct, active, used, step)[which, query_of]
     scores = np.zeros(len(rows))
     live = np.flatnonzero(shared)
     scores[live] = _rescore(index.matrix, queries, query_of[live], rows[live])
@@ -339,33 +341,28 @@ def _top_k_block(
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-def _screen(matrix: np.ndarray, x: np.ndarray, used: np.ndarray) -> np.ndarray:
+def _screen(matrix: np.ndarray, x: np.ndarray, used: np.ndarray, step: int) -> np.ndarray:
     """Float32 scores of every row against x, which holds the columns *used*.
 
-    A block that uses every column multiplies the matrix directly; otherwise
-    the used columns are gathered at most SCREEN_BLOCK floats at a time, so
-    the matrix is never copied.
+    The used columns are gathered *step* rows at a time, so the matrix is
+    never copied.
     """
-    if len(used) == matrix.shape[1]:
-        return x @ matrix.T
     screen = np.empty((len(x), matrix.shape[0]), dtype=np.float32)
-    step = max(1, SCREEN_BLOCK // max(1, len(used)))
     for lo in range(0, matrix.shape[0], step):
         screen[:, lo:lo + step] = x @ matrix[lo:lo + step, used].T
     return screen
 
 
 def _shares_column(
-    matrix: np.ndarray, rows: np.ndarray, active: np.ndarray, used: np.ndarray
+    matrix: np.ndarray, rows: np.ndarray, active: np.ndarray, used: np.ndarray, step: int
 ) -> np.ndarray:
     """(len(rows), len(active)) booleans: does the row have a nonzero entry in
     a column where the query does?  *active* holds the queries' columns
-    *used*; the counts of shared columns are small integers, exact in a
-    float32 product.
+    *used*, gathered *step* rows at a time; the counts of shared columns are
+    small integers, exact in a float32 product.
     """
     touched = (active != 0).astype(np.float32).T
     shared = np.empty((len(rows), len(active)), dtype=bool)
-    step = max(1, SCREEN_BLOCK // max(1, len(used)))
     for lo in range(0, len(rows), step):
         nonzero = matrix[rows[lo:lo + step, None], used] != 0
         shared[lo:lo + step] = nonzero.astype(np.float32) @ touched > 0
