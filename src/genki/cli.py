@@ -397,11 +397,11 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
                 cfg.remote_judge_url, cfg.remote_timeout_ms, cfg.remote_retries,
                 cfg.remote_max_in_flight,
             )
+            if cfg.remote_scorer_url:
+                scorer = RemoteScorer(replace(endpoint, base_url=cfg.remote_scorer_url))
         except ValueError as exc:
             raise ConfigError(f"remote: {exc}") from exc
         judge = RemoteJudge(endpoint)
-        if cfg.remote_scorer_url:
-            scorer = RemoteScorer(replace(endpoint, base_url=cfg.remote_scorer_url))
 
     models = PipelineModels(
         full=full, retrieved=retrieved, postp=postp, reward=reward,

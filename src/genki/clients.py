@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import threading
+import urllib.parse
 from dataclasses import dataclass
 
 from .corpus import TokenSeq, tokenize
@@ -61,6 +62,8 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if not self.base_url:
             raise ValueError("base_url must be non-empty")
+        if urllib.parse.urlsplit(self.base_url).scheme.lower() not in ("http", "https"):
+            raise ValueError(f"base_url must be an http or https URL, got {self.base_url!r}")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be >= 1")
         if self.retries < 0:
@@ -78,6 +81,7 @@ class _JsonHttpClient:
 
     def post(self, path: str, payload: dict) -> dict:
         # Imported late: urllib.request loads http.client, email and ssl.
+        import http.client
         import urllib.error
         import urllib.request
         url = self.cfg.base_url.rstrip("/") + path
@@ -102,7 +106,8 @@ class _JsonHttpClient:
                     last_error = exc
                     continue
                 raise HttpStatusError(f"{url}: HTTP {exc.code}", status=exc.code) from exc
-            except OSError as exc:  # URLError, timeouts, connection resets
+            except (OSError, http.client.HTTPException) as exc:
+                # URLError, timeouts, resets, bad status lines, truncated bodies
                 last_error = exc
                 continue
             try:

@@ -3,8 +3,9 @@
 Both answer paths produce a candidate; the judgment score decides who picks
 the winner.  A large reward gap relative to the consistency gap drives the
 score negative and the reward model decides; otherwise an external judge
-does.  Every selection emits a ScoreBundle so routing decisions can be
-audited after the fact.
+does, except that two candidates with the same text leave it nothing to
+choose and it is not asked.  Every selection emits a ScoreBundle so routing
+decisions can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -137,6 +138,16 @@ class StubJudge:
         return Choice.SECOND if overlap2 > overlap1 else Choice.FIRST
 
 
+def _tie_winner(cand1: AnswerCandidate, cand2: AnswerCandidate) -> AnswerCandidate:
+    """The full-knowledge candidate, then the first."""
+    if (
+        cand2.provenance is Provenance.FULL_KNOWLEDGE
+        and cand1.provenance is not Provenance.FULL_KNOWLEDGE
+    ):
+        return cand2
+    return cand1
+
+
 def resolve_winner(
     q: str,
     cand1: AnswerCandidate,
@@ -147,21 +158,20 @@ def resolve_winner(
 ) -> AnswerCandidate:
     """Apply the routing decision a ScoreBundle encodes.
 
-    RewardPick: higher reward wins; an exact tie prefers the full-knowledge
-    candidate, then the first.  ExternalPick: the judge chooses.  Judge
-    failures raise JudgeError carrying the bundle.
+    RewardPick: higher reward wins.  ExternalPick: the judge chooses, unless
+    both candidates have the same text, when its choice could not change the
+    answer and it is not asked.  An exact reward tie and an unasked judge
+    both fall to _tie_winner().  Judge failures raise JudgeError carrying the
+    bundle.
     """
     if bundle.route is Route.REWARD_PICK:
         if bundle.rm1 > bundle.rm2:
             return cand1
         if bundle.rm2 > bundle.rm1:
             return cand2
-        if (
-            cand2.provenance is Provenance.FULL_KNOWLEDGE
-            and cand1.provenance is not Provenance.FULL_KNOWLEDGE
-        ):
-            return cand2
-        return cand1
+        return _tie_winner(cand1, cand2)
+    if cand1.text == cand2.text:
+        return _tie_winner(cand1, cand2)
     try:
         choice = judge.choose(q, cand1.text, cand2.text, format)
     except Exception as exc:
@@ -187,8 +197,9 @@ def select(
     Scores both (consistency, reward, length), builds the ScoreBundle, and
     lets resolve_winner() apply it: s_c < 0 means the reward model picks,
     otherwise the external judge does.  The scorers are pure, so two
-    candidates with the same text are scored once.  *prepared* is passed
-    on to consistency().
+    candidates with the same text are scored once, and the judge is not
+    asked to choose between them (the full-knowledge one wins).  *prepared*
+    is passed on to consistency().
     """
     if not cand1.postprocessed or not cand2.postprocessed:
         raise ValueError("both candidates must be postprocessed before selection")

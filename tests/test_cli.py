@@ -521,6 +521,10 @@ class TestConfigHandling:
         ("index", {"embedder": {"dim": 0}}, "embedder_dim must be >= 1"),
         ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "retries": -1}},
          "remote: retries must be >= 0"),
+        ("answer", {"remote": {"judge_url": "file:///etc/hostname"}},
+         "remote: base_url must be an http or https URL"),
+        ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "scorer_url": "file:///x"}},
+         "remote: base_url must be an http or https URL"),
         ("train", {"train": {"steps": -1}}, "train_steps must be >= 1"),
         ("train", {"train": {"steps": 0}}, "train_steps must be >= 1"),
         ("train", {"train": {"reward_steps": -1}}, "train_reward_steps must be >= 0"),

@@ -5,6 +5,7 @@ The mock runs http.server in a daemon thread, records every request
 individual tests can script failures, garbage, and retries.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -28,9 +29,18 @@ from genki.clients import (
     RemoteScorer,
     TransportError,
 )
-from genki.corpus import AnswerKind
-from genki.ensemble import Choice
-from genki.reward import FormatSpec
+from genki.corpus import AnswerKind, build_stats
+from genki.ensemble import Choice, StubJudge
+from genki.generation import (
+    PipelineConfig,
+    PipelineModels,
+    build_vocabulary,
+    run_pipeline,
+    train_pipeline_models,
+)
+from genki.retriever import DenseIndex, HashEmbedder
+from genki.reward import FormatSpec, ToyRewardModel
+from genki.synth import synthetic_world
 
 FORMAT = FormatSpec(kind=AnswerKind.ENTITY, max_tokens=8, description="a short entity")
 
@@ -118,6 +128,15 @@ class TestEndpointConfig:
             EndpointConfig(base_url="http://x", retries=-1)
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", max_in_flight=0)
+
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "ftp://host/", "localhost:8080"])
+    def test_non_http_scheme_rejected(self, url):
+        with pytest.raises(ValueError, match="http or https"):
+            EndpointConfig(base_url=url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9", "HTTPS://example.org/api"])
+    def test_http_schemes_accepted(self, url):
+        assert EndpointConfig(base_url=url).base_url == url
 
 
 class TestRemoteScorer:
@@ -271,6 +290,60 @@ class TestRetriesAndErrors:
             s.logprob_cond(s.encode("a"), s.encode("b"))
 
 
+@pytest.fixture
+def raw_server():
+    """A socket server that reads each request, then answers with scripted bytes.
+
+    Yields (base_url, replies, connections): set replies[0] to the bytes each
+    connection gets; connections counts the requests served.
+    """
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(0.05)
+    replies, connections, stop = [b""], [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                continue
+            with conn:
+                conn.settimeout(2.0)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(4096)
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = next((int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                               if line.lower().startswith(b"content-length:")), 0)
+                while len(body) < length:
+                    body += conn.recv(4096)
+                connections.append(head.split(b"\r\n")[0])
+                conn.sendall(replies[0])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}", replies, connections
+    stop.set()
+    thread.join()
+    listener.close()
+
+
+class TestMalformedResponses:
+    @pytest.mark.parametrize("reply", [
+        b"garbage\r\n",  # http.client.BadStatusLine
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choice\"",  # IncompleteRead
+    ], ids=["bad_status_line", "truncated_body"])
+    def test_retried_then_transport_error(self, raw_server, reply):
+        url, replies, connections = raw_server
+        replies[0] = reply
+        j = RemoteJudge(EndpointConfig(base_url=url, retries=2))
+        with pytest.raises(TransportError, match="no response after 3 attempt"):
+            j.choose("q", "a", "b", FORMAT)
+        assert connections == [b"POST /judge HTTP/1.1"] * 3
+
+
 class TestAuth:
     def test_bearer_token_sent_when_set(self, server, monkeypatch):
         monkeypatch.setenv(AUTH_ENV_VAR, "sekrit-token")
@@ -321,3 +394,27 @@ def test_cli_starts_without_the_http_stack():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_pipeline_never_asks_a_remote_judge_about_identical_drafts(server):
+    # on this world both postprocessed drafts are the same text for every
+    # question, so the judge has nothing to choose
+    passages, qa_pairs = synthetic_world(12, 8)
+    cfg = PipelineConfig(k=2, format=FORMAT, max_output_tokens=12)
+    embedder = HashEmbedder(dim=256, seed=0)
+    index = DenseIndex.build(passages, embedder)
+    trained = train_pipeline_models(
+        passages, qa_pairs, index, embedder, build_vocabulary(passages, qa_pairs, cfg), cfg,
+        steps=60, learning_rate=0.5,
+    )
+    models = PipelineModels(
+        full=trained.full, retrieved=trained.retrieved, postp=trained.postp,
+        reward=ToyRewardModel(seed=0), judge=StubJudge(),
+    )
+    args = (qa_pairs, models, index, embedder, {p.id: p for p in passages},
+            build_stats(passages), cfg)
+    expected = run_pipeline(*args)
+    assert all(r.error is None and r.post_full == r.post_retrieved for r in expected)
+    args = (qa_pairs, dataclasses.replace(models, judge=judge(server)), *args[2:])
+    assert run_pipeline(*args, jobs=2) == expected
+    assert not [r for r in server.requests if r["path"] == "/judge"]

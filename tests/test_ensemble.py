@@ -203,6 +203,39 @@ class TestSelect:
         assert bundle.route is Route.EXTERNAL_PICK
         assert winner is c2
 
+    def test_identical_candidates_skip_the_judge(self):
+        # cand2 is the full-knowledge one, so the judge's tie rule (FIRST)
+        # would not pick it; only the unasked-judge rule does
+        stats, vocab = world()
+        c1 = AnswerCandidate("red", Provenance.RETRIEVED_KNOWLEDGE, postprocessed=True)
+        c2 = AnswerCandidate("red", Provenance.FULL_KNOWLEDGE, postprocessed=True)
+        winner, bundle = select(
+            "what color is it", c1, c2, TableScorer(vocab), stats,
+            TableReward({"red": 1.0}), FailingJudge(), ENTITY,
+        )
+        assert winner is c2
+        assert bundle.route is Route.EXTERNAL_PICK
+        assert bundle.s_c == 1.0
+
+    def test_identical_candidates_full_knowledge_first(self):
+        winner, bundle, (c1, c2) = self.run(
+            {"red": 1.0}, judge=FailingJudge(), texts=("red", "red")
+        )
+        assert winner is c1
+        assert bundle.route is Route.EXTERNAL_PICK
+
+    def test_different_candidates_ask_the_judge_once(self):
+        calls = []
+
+        class CountingJudge:
+            def choose(self, question, a1, a2, format):
+                calls.append((question, a1, a2))
+                return Choice.SECOND
+
+        winner, bundle, (c1, c2) = self.run({"red": 1.0, "blue": 1.0}, judge=CountingJudge())
+        assert calls == [("what color is it", "red", "blue")]
+        assert winner is c2
+
     def test_judge_failure_carries_bundle(self):
         with pytest.raises(JudgeError) as info:
             self.run({"red": 1.0, "blue": 1.0}, judge=FailingJudge())
