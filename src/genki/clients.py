@@ -13,12 +13,13 @@ environment variable at request time; config files never carry secrets.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import threading
 import urllib.parse
+# hashlib.blake2b, without loading OpenSSL's libcrypto (see genki.retriever).
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 from .corpus import TokenSeq, tokenize
@@ -62,8 +63,11 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if not self.base_url:
             raise ValueError("base_url must be non-empty")
-        if urllib.parse.urlsplit(self.base_url).scheme.lower() not in ("http", "https"):
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme.lower() not in ("http", "https"):
             raise ValueError(f"base_url must be an http or https URL, got {self.base_url!r}")
+        if not parts.hostname:
+            raise ValueError(f"base_url must name a host, got {self.base_url!r}")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be >= 1")
         if self.retries < 0:
@@ -94,7 +98,7 @@ class _JsonHttpClient:
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                logger.info("retrying %s (attempt %d of %d) after: %s",
+                logger.info("retrying %s (attempt %d of %d) after: %r",
                             path, attempt + 1, attempts, last_error)
             request = urllib.request.Request(url, data=body, headers=headers, method="POST")
             try:
@@ -117,14 +121,14 @@ class _JsonHttpClient:
             if not isinstance(parsed, dict):
                 raise ProtocolError(f"{url}: response must be a JSON object")
             return parsed
-        raise TransportError(f"{url}: no response after {attempts} attempt(s): {last_error}")
+        raise TransportError(f"{url}: no response after {attempts} attempt(s): {last_error!r}")
 
 
 def _placeholder_tokens(text: str) -> tuple[int, ...]:
     # Local stand-in ids so TokenSeq plumbing works; the server only ever
     # sees the text.
     return tuple(
-        int.from_bytes(hashlib.blake2b(w.encode("utf-8"), digest_size=4).digest(), "little")
+        int.from_bytes(blake2b(w.encode("utf-8"), digest_size=4).digest(), "little")
         for w in tokenize(text)
     )
 

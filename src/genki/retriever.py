@@ -25,10 +25,12 @@ and raises IndexFormatError on any file that does not follow the layout.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import struct
+# hashlib.blake2b is this same object (OpenSSL's BLAKE2 takes no key), but
+# importing hashlib also maps OpenSSL's libcrypto into every command.
+from _blake2 import blake2b
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -95,7 +97,7 @@ class HashEmbedder:
         codes: dict[str, int] = {}
         words = [[codes.setdefault(w, len(codes)) for w in tokenize(text)] for text in texts]
         digests = b"".join([
-            hashlib.blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
+            blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
             for word in codes
         ])
         values = np.frombuffer(digests, dtype="<u8")[[code for row in words for code in row]]

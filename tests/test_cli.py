@@ -525,6 +525,7 @@ class TestConfigHandling:
          "remote: base_url must be an http or https URL"),
         ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "scorer_url": "file:///x"}},
          "remote: base_url must be an http or https URL"),
+        ("answer", {"remote": {"judge_url": "http://"}}, "remote: base_url must name a host"),
         ("train", {"train": {"steps": -1}}, "train_steps must be >= 1"),
         ("train", {"train": {"steps": 0}}, "train_steps must be >= 1"),
         ("train", {"train": {"reward_steps": -1}}, "train_reward_steps must be >= 0"),

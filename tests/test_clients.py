@@ -134,6 +134,11 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match="http or https"):
             EndpointConfig(base_url=url)
 
+    @pytest.mark.parametrize("url", ["http://", "https://:8080", "http://user@:80/api"])
+    def test_url_without_host_rejected(self, url):
+        with pytest.raises(ValueError, match="must name a host"):
+            EndpointConfig(base_url=url)
+
     @pytest.mark.parametrize("url", ["http://127.0.0.1:9", "HTTPS://example.org/api"])
     def test_http_schemes_accepted(self, url):
         assert EndpointConfig(base_url=url).base_url == url
@@ -339,9 +344,11 @@ class TestMalformedResponses:
         url, replies, connections = raw_server
         replies[0] = reply
         j = RemoteJudge(EndpointConfig(base_url=url, retries=2))
-        with pytest.raises(TransportError, match="no response after 3 attempt"):
+        with pytest.raises(TransportError, match="no response after 3 attempt") as raised:
             j.choose("q", "a", "b", FORMAT)
         assert connections == [b"POST /judge HTTP/1.1"] * 3
+        # one line, so the CLI's "model error:" message stays one line
+        assert not {"\r", "\n"} & set(str(raised.value))
 
 
 class TestAuth:
@@ -386,11 +393,12 @@ class TestConcurrencyBound:
 
 def test_cli_starts_without_the_http_stack():
     # urllib.request (with http.client, email and ssl) loads at the first
-    # request, so commands without a remote backend never pay for it.
+    # request, so commands without a remote backend never pay for it; nor
+    # do they load hashlib, whose _hashlib maps OpenSSL's libcrypto.
     src = str(Path(genki.__file__).resolve().parents[1])
     path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = ("import sys, genki.cli; "
-            "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    code = ("import sys, genki.cli; print(sorted({'urllib.request', 'http.client', 'ssl', "
+            "'hashlib', '_hashlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

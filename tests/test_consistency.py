@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import genki.consistency as consistency_module
 from genki.consistency import ConsistencyScore, consistency, prepare_text, prepare_texts
 from genki.corpus import Passage, Vocabulary, build_stats, tokenize
 from genki.lm_core import ToyLm
@@ -166,8 +167,7 @@ class TestPreparedTexts:
         def unprepared(text, scorer, stats):
             raise AssertionError(f"{text!r} prepared again")
 
-        # genki.consistency names both the module and, in genki, the function
-        monkeypatch.setattr(sys.modules["genki.consistency"], "prepare_text", unprepared)
+        monkeypatch.setattr(consistency_module, "prepare_text", unprepared)
         for (q, a), score in expected.items():
             # bit-identical, so == on floats
             assert consistency(q, a, model, stats, prepared) == score

@@ -1,3 +1,4 @@
+import _blake2
 import hashlib
 import logging
 import math
@@ -823,6 +824,11 @@ def assert_matches_reference(texts, dim, seed):
 
 
 class TestEmbedManyOracle:
+    def test_blake2_is_hashlibs(self):
+        # embed_many hashes with _blake2 so that OpenSSL stays unloaded; a
+        # Python whose hashlib served another BLAKE2 could change index bytes
+        assert _blake2.blake2b is hashlib.blake2b
+
     @settings(max_examples=60, deadline=None)
     @given(text=texts_strategy, dim=st.sampled_from([1, 3, 64, 1024]),
            seed=st.integers(-2**63, 2**63 - 1))
