@@ -5,8 +5,8 @@ runs), so each command can be rerun or audited on its own.  Every command
 is deterministic given identical inputs and seed: reruns produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration errors, 3 data errors (missing or
-malformed files), 4 model errors (training or backend failures).
+Exit codes: 0 success, 2 configuration errors, 3 data errors (missing,
+malformed or unwritable files), 4 model errors (training or backend failures).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -22,8 +22,6 @@ from .clients import ClientError, EndpointConfig, RemoteJudge, RemoteScorer
 from .corpus import (
     AnswerKind,
     CorpusError,
-    Passage,
-    QaPair,
     atomic_write,
     build_stats,
     ingest_passages,
@@ -37,7 +35,6 @@ from .generation import (
     PipelineError,
     PipelineModels,
     build_vocabulary,
-    drafts_for_questions,
     preference_pairs_from_drafts,
     run_pipeline,
     run_record,
@@ -55,7 +52,6 @@ from .metrics import (
 from .retriever import (
     DenseIndex,
     HashEmbedder,
-    IndexFormatError,
     load_index,
     retrieve_texts,
     save_index,
@@ -113,6 +109,26 @@ class CliConfig:
     remote_retries: int = 0
     remote_max_in_flight: int = 4
 
+
+# Command-line flags, as add_argument keywords.  A flag overrides the
+# CliConfig field of its own name; --config, --answers and --runs have none.
+_FLAGS = {
+    "config": dict(help="config file (JSON or TOML)"),
+    "corpus": dict(help="passage JSONL file"),
+    "qa": dict(help="QA JSONL file"),
+    "index": dict(help="index file path"),
+    "models": dict(help="trained model directory"),
+    "out": dict(help="output file or directory"),
+    "k": dict(type=int, help="retrieval depth"),
+    "lambda1": dict(type=float, help="domain loss weight"),
+    "lambda2": dict(type=float, help="instruction loss weight"),
+    "seed": dict(type=int, help="reward model seed"),
+    "jobs": dict(type=int, help="threads for answer selection with a remote backend"),
+    "max-output-tokens": dict(type=int, help="generation length cap"),
+    "backend": dict(choices=["toy", "remote"], help="judge/scorer backend"),
+    "answers": dict(help="runs.jsonl or a JSONL of {id, answer}"),
+    "runs": dict(help="runs.jsonl from genki answer"),
+}
 
 # Config-file tables: the key <section>.<key> sets the CliConfig field
 # <section>_<key>; every other field is a top-level key of the same name.
@@ -187,10 +203,8 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
                 raise ConfigError(f"unknown config field {label}")
             value = _checked(label, getattr(cfg, name), value)
             setattr(cfg, name, {**cfg.templates, **value} if name == "templates" else value)
-    for name in ("k", "lambda1", "lambda2", "seed", "jobs", "backend",
-                 "max_output_tokens", "corpus", "qa", "index", "models", "out"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
+    for name, value in vars(args).items():
+        if value is not None and name in names:
             setattr(cfg, name, value)
     if cfg.backend not in ("toy", "remote"):
         raise ConfigError(f"backend must be 'toy' or 'remote', got {cfg.backend!r}")
@@ -213,30 +227,79 @@ def _pipeline_config(cfg: CliConfig) -> PipelineConfig:
             format=fmt,
             prompt_templates=cfg.templates,
             max_output_tokens=cfg.max_output_tokens,
-            seed=cfg.seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _need(value: str, flag: str, purpose: str) -> str:
-    if not value:
-        raise ConfigError(f"{purpose} required: pass {flag} or set it in the config file")
-    return value
+_MODEL_FILES = ("l1.json", "l2.json", "l3.json", "reward.json")
 
 
-def _require_file(path: str, producer: str) -> str:
-    if not Path(path).is_file():
-        raise DataError(f"missing {path}; produce it with: {producer}")
+def _load_models(path: str) -> tuple:
+    """The three language-model roles and the reward model under *path*."""
+    roles = [load_checkpoint(Path(path) / name) for name in _MODEL_FILES[:3]]
+    return (*roles, load_reward_checkpoint(Path(path) / _MODEL_FILES[3]))
+
+
+def _load_answers(path: str) -> dict[str, str]:
+    """Read runs.jsonl (final_answer) or a simple {'id', 'answer'} JSONL."""
+    answers: dict[str, str] = {}
+    for lineno, record in read_jsonl(path):
+        if "final_answer" in record:
+            key, value = record.get("qid"), record.get("final_answer")
+        else:
+            key, value = record.get("id"), record.get("answer")
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise DataError(
+                f"{path}: line {lineno}: need qid/final_answer or id/answer string fields"
+            )
+        answers[key] = value
+    return answers
+
+
+_ANSWER = "genki answer --corpus <corpus> --qa <qa> --index <index> --models <dir> --out <dir>"
+
+# Input flags: what each one names, the command that produces it ({} is the
+# path), and how to read it.
+_INPUTS = {
+    "corpus": ("a passage file", "your corpus exporter (JSONL of id/text)", ingest_passages),
+    "qa": ("a QA file", "your QA exporter (JSONL of id/question/answers/format)", ingest_qa_pairs),
+    "index": ("an index file", "genki index --corpus <corpus.jsonl> --out {}", load_index),
+    "models": ("a trained model directory",
+               "genki train --corpus <corpus> --qa <qa> --index <index> --out {}", _load_models),
+    "answers": ("an answers file", _ANSWER, _load_answers),
+    "runs": ("a runs file", _ANSWER, str),
+}
+
+
+def _need(cfg: CliConfig, args: argparse.Namespace, flag: str, what: str = "") -> str:
+    """The path *flag* names; ConfigError if it is unset."""
+    path = getattr(cfg, flag, None) or getattr(args, flag)
+    if not path:
+        where = " or set it in the config file" if hasattr(cfg, flag) else ""
+        raise ConfigError(f"{what or _INPUTS[flag][0]} required: pass --{flag}{where}")
     return path
 
 
-def _load_passages(path: str) -> list[Passage]:
-    return ingest_passages(_require_file(path, "your corpus exporter (JSONL of id/text)"))
+def _load(cfg: CliConfig, args: argparse.Namespace, flag: str):
+    """The contents of input *flag*, read by its _INPUTS reader.
 
-
-def _load_qa(path: str) -> list[QaPair]:
-    return ingest_qa_pairs(_require_file(path, "your QA exporter (JSONL of id/question/answers/format)"))
+    A missing file is a DataError that names the command producing it, and
+    so is a file the reader rejects as malformed.
+    """
+    _, producer, read = _INPUTS[flag]
+    path = _need(cfg, args, flag)
+    producer = producer.format(path)
+    files = [str(Path(path) / name) for name in _MODEL_FILES] if flag == "models" else [path]
+    for file in files:
+        if not Path(file).is_file():
+            raise DataError(f"missing {file}; produce it with: {producer}")
+    try:
+        return read(path)
+    except CheckpointSchemaError as exc:
+        raise DataError(f"{exc}; retrain with: {producer}") from exc
+    except ValueError as exc:  # CorpusError, IndexFormatError, a malformed checkpoint
+        raise DataError(str(exc)) from exc
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -253,8 +316,8 @@ def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
 
 
 def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
-    passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
-    qa_pairs = _load_qa(cfg.qa) if cfg.qa else []
+    passages = _load(cfg, args, "corpus")
+    qa_pairs = _load(cfg, args, "qa") if cfg.qa else []
     stats = build_stats(passages)
     summary = {
         "passages": len(passages),
@@ -275,8 +338,8 @@ def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
-    passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
-    out = _need(cfg.out, "--out", "an index output path")
+    passages = _load(cfg, args, "corpus")
+    out = _need(cfg, args, "out", "an index output path")
     embedder = HashEmbedder(cfg.embedder_dim, cfg.embedder_seed)
     try:
         index = DenseIndex.build(passages, embedder)
@@ -288,17 +351,9 @@ def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_index_checked(path: str) -> DenseIndex:
-    _require_file(path, "genki index --corpus <corpus.jsonl> --out " + path)
-    try:
-        return load_index(path)
-    except IndexFormatError as exc:
-        raise DataError(str(exc)) from exc
-
-
 def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
-    index = _load_index_checked(_need(cfg.index, "--index", "an index file"))
-    qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
+    index = _load(cfg, args, "index")
+    qa_pairs = _load(cfg, args, "qa")
     embedder = HashEmbedder(index.dim, cfg.embedder_seed)
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
     records = [
@@ -322,23 +377,19 @@ def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     pipeline_cfg = _pipeline_config(cfg)
-    passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
-    qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
-    index = _load_index_checked(_need(cfg.index, "--index", "an index file"))
-    out = Path(_need(cfg.out, "--out", "a model output directory"))
+    passages = _load(cfg, args, "corpus")
+    qa_pairs = _load(cfg, args, "qa")
+    index = _load(cfg, args, "index")
+    out = Path(_need(cfg, args, "out", "a model output directory"))
     out.mkdir(parents=True, exist_ok=True)
     embedder = HashEmbedder(index.dim, cfg.embedder_seed)
     vocab = build_vocabulary(passages, qa_pairs, pipeline_cfg)
-    passage_map = {p.id: p for p in passages}
     try:
         models = train_pipeline_models(
             passages, qa_pairs, index, embedder, vocab, pipeline_cfg,
             steps=cfg.train_steps, learning_rate=cfg.train_learning_rate,
         )
-        drafts = drafts_for_questions(
-            qa_pairs, models.retrievals, models.retrieved, passage_map, pipeline_cfg
-        )
-        pairs = preference_pairs_from_drafts(qa_pairs, drafts, pipeline_cfg.format)
+        pairs = preference_pairs_from_drafts(qa_pairs, models.drafts, pipeline_cfg.format)
         reward = ToyRewardModel(seed=cfg.seed, learning_rate=cfg.train_reward_learning_rate)
         if pairs:
             reward = train_reward(reward, pairs, cfg.train_reward_steps)
@@ -360,32 +411,14 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_models(cfg: CliConfig, models_dir: str) -> tuple:
-    retrain = f"genki train --corpus <corpus> --qa <qa> --index <index> --out {models_dir}"
-    names = ("l1.json", "l2.json", "l3.json", "reward.json")
-    for name in names:
-        _require_file(str(Path(models_dir) / name), retrain)
-    try:
-        full = load_checkpoint(Path(models_dir) / "l1.json")
-        retrieved = load_checkpoint(Path(models_dir) / "l2.json")
-        postp = load_checkpoint(Path(models_dir) / "l3.json")
-        reward = load_reward_checkpoint(Path(models_dir) / "reward.json")
-    except CheckpointSchemaError as exc:
-        raise DataError(f"{exc}; retrain with: {retrain}") from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    return full, retrieved, postp, reward
-
-
 def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     pipeline_cfg = _pipeline_config(cfg)
-    passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
-    qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
-    index = _load_index_checked(_need(cfg.index, "--index", "an index file"))
-    models_dir = _need(cfg.models, "--models", "a trained model directory")
-    out = Path(_need(cfg.out, "--out", "an output directory"))
+    passages = _load(cfg, args, "corpus")
+    qa_pairs = _load(cfg, args, "qa")
+    index = _load(cfg, args, "index")
+    full, retrieved, postp, reward = _load(cfg, args, "models")
+    out = Path(_need(cfg, args, "out", "an output directory"))
     out.mkdir(parents=True, exist_ok=True)
-    full, retrieved, postp, reward = _load_models(cfg, models_dir)
     stats = build_stats(passages)
 
     judge, scorer = StubJudge(), None
@@ -422,40 +455,18 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_answers(path: str) -> dict[str, str]:
-    """Read runs.jsonl (final_answer) or a simple {'id', 'answer'} JSONL."""
-    answers: dict[str, str] = {}
-    for lineno, record in read_jsonl(path):
-        if "final_answer" in record:
-            key, value = record.get("qid"), record.get("final_answer")
-        else:
-            key, value = record.get("id"), record.get("answer")
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise DataError(
-                f"{path}: line {lineno}: need qid/final_answer or id/answer string fields"
-            )
-        answers[key] = value
-    return answers
-
-
 def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
-    qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
-    answers_path = _require_file(
-        _need(args.answers, "--answers", "an answers file"),
-        "genki answer --corpus <corpus> --qa <qa> --index <index> --models <dir> --out <dir>",
-    )
-    answers = _load_answers(answers_path)
+    qa_pairs = _load(cfg, args, "qa")
+    answers = _load(cfg, args, "answers")
     missing = [qa.id for qa in qa_pairs if qa.id not in answers]
     if missing:
         shown = ", ".join(missing[:5])
-        raise DataError(f"{answers_path}: no answer for {len(missing)} question(s): {shown}")
-    items = [(qa, answers[qa.id]) for qa in qa_pairs]
-    report = evaluate_answers(items)
-    rendered = report_tsv(report)
+        raise DataError(f"{args.answers}: no answer for {len(missing)} question(s): {shown}")
+    report = evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+            fh.write(report_tsv(report))
     print(
         f"em {report.em:.4f}  recall {report.recall:.4f}  f1 {report.f1:.4f}  "
         f"bleu1 {report.bleu[1]:.4f}  rouge_l {report.rouge_l:.4f}"
@@ -482,13 +493,10 @@ def _check_run_fields(record: dict, path: str, lineno: int) -> None:
 
 
 def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
-    qa_pairs = _load_qa(_need(cfg.qa, "--qa", "a QA file"))
-    passages = _load_passages(_need(cfg.corpus, "--corpus", "a passage file"))
-    runs_path = _require_file(
-        _need(args.runs, "--runs", "a runs file"),
-        "genki answer --corpus <corpus> --qa <qa> --index <index> --models <dir> --out <dir>",
-    )
-    out = Path(_need(cfg.out, "--out", "an output directory"))
+    qa_pairs = _load(cfg, args, "qa")
+    passages = _load(cfg, args, "corpus")
+    runs_path = _load(cfg, args, "runs")
+    out = Path(_need(cfg, args, "out", "an output directory"))
     out.mkdir(parents=True, exist_ok=True)
     passage_map = {p.id: p for p in passages}
     qa_map = {qa.id: qa for qa in qa_pairs}
@@ -513,45 +521,29 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:
             fh.write(f"{mid:.6f},{mean_recall:.6f},{count}\n")
+    payload = {"fit": None, "reason": f"need >= 6 points, have {len(points)}"}
     if len(points) >= 6:
         try:
-            fit = two_segment_fit(points)
-            payload = {
-                "segment1": {"slope": fit.segment1.slope, "intercept": fit.segment1.intercept,
-                             "r2": fit.segment1.r2},
-                "segment2": {"slope": fit.segment2.slope, "intercept": fit.segment2.intercept,
-                             "r2": fit.segment2.r2},
-                "breakpoint": fit.breakpoint,
-                "single": {"slope": fit.single.slope, "intercept": fit.single.intercept,
-                           "r2": fit.single.r2},
-            }
+            payload = asdict(two_segment_fit(points))
         except ValueError as exc:
             payload = {"fit": None, "reason": str(exc)}
-    else:
-        payload = {"fit": None, "reason": f"need >= 6 points, have {len(points)}"}
     _write_json(out / "fit.json", payload)
     print(f"analyzed {len(points)} runs into {len(buckets)} buckets -> {out}")
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "config": (str, "config file (JSON or TOML)"),
-        "corpus": (str, "passage JSONL file"),
-        "qa": (str, "QA JSONL file"),
-        "index": (str, "index file path"),
-        "models": (str, "trained model directory"),
-        "out": (str, "output file or directory"),
-        "k": (int, "retrieval depth"),
-        "lambda1": (float, "domain loss weight"),
-        "lambda2": (float, "instruction loss weight"),
-        "seed": (int, "random seed"),
-        "jobs": (int, "threads for answer selection with a remote backend"),
-        "max-output-tokens": (int, "generation length cap"),
-    }
-    for name in names:
-        kind, help_text = flags[name]
-        parser.add_argument(f"--{name}", type=kind, default=None, help=help_text)
+# Commands: function, help text, and flags after --config.
+_COMMANDS = {
+    "ingest": (cmd_ingest, "validate a corpus and report statistics", "corpus qa out"),
+    "index": (cmd_index, "embed passages and write the index file", "corpus out"),
+    "retrieve": (cmd_retrieve, "top-k passages per question", "index qa k out"),
+    "train": (cmd_train, "train the three model roles and the reward model",
+              "corpus qa index k lambda1 lambda2 seed max-output-tokens out"),
+    "answer": (cmd_answer, "run the full pipeline over a QA file",
+               "corpus qa index models k jobs max-output-tokens out backend"),
+    "eval": (cmd_eval, "score answers against gold", "qa out answers"),
+    "analyze": (cmd_analyze, "retrieval quality vs recall trend", "corpus qa out runs"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,62 +552,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="retrieval-augmented QA: retrieve, integrate knowledge, format, select",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate a corpus and report statistics")
-    _add_common(p, "config", "corpus", "qa", "out")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("index", help="embed passages and write the index file")
-    _add_common(p, "config", "corpus", "out", "seed")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("retrieve", help="top-k passages per question")
-    _add_common(p, "config", "index", "qa", "k", "out")
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("train", help="train the three model roles and the reward model")
-    _add_common(p, "config", "corpus", "qa", "index", "k", "lambda1", "lambda2",
-                "seed", "max-output-tokens", "out")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("answer", help="run the full pipeline over a QA file")
-    _add_common(p, "config", "corpus", "qa", "index", "models", "k", "seed",
-                "jobs", "max-output-tokens", "out")
-    p.add_argument("--backend", choices=["toy", "remote"], default=None,
-                   help="judge/scorer backend")
-    p.set_defaults(func=cmd_answer)
-
-    p = sub.add_parser("eval", help="score answers against gold")
-    _add_common(p, "config", "qa", "out")
-    p.add_argument("--answers", type=str, default=None,
-                   help="runs.jsonl or a JSONL of {id, answer}")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("analyze", help="retrieval quality vs recall trend")
-    _add_common(p, "config", "corpus", "qa", "out")
-    p.add_argument("--runs", type=str, default=None, help="runs.jsonl from genki answer")
-    p.set_defaults(func=cmd_analyze)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in ["config", *flags.split()]:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_cli_config(args)
-        return args.func(cfg, args)
+        return args.func(load_cli_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, CorpusError) as exc:  # CorpusError: a malformed or empty input file
+    # CorpusError: a malformed or empty input file; OSError: a path that cannot
+    # be read or written, such as an output path that names a directory.
+    except (DataError, CorpusError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

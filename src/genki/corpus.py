@@ -92,7 +92,7 @@ class Passage:
 
 @dataclass(frozen=True)
 class QaPair:
-    """A question with one or more acceptable gold answers."""
+    """A question with one or more acceptable gold answers, each with a word token."""
 
     id: str
     question: str
@@ -107,8 +107,9 @@ class QaPair:
             raise CorpusError(f"qa pair {self.id!r}: question must be non-empty")
         if not self.answers:
             raise CorpusError(f"qa pair {self.id!r}: needs at least one gold answer")
-        if any(not a.strip() for a in self.answers):
-            raise CorpusError(f"qa pair {self.id!r}: gold answers must be non-empty")
+        for answer in self.answers:  # every metric compares word tokens
+            if not tokenize(answer):
+                raise CorpusError(f"qa pair {self.id!r}: gold answer {answer!r} has no word token")
 
 
 @dataclass(frozen=True)

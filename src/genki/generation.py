@@ -87,7 +87,6 @@ class PipelineConfig:
     format: FormatSpec = None  # type: ignore[assignment]
     prompt_templates: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -456,16 +455,19 @@ def run_record(run: PipelineRun) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModels:
-    """The three trained model roles and the training questions' retrievals.
+    """The three trained model roles, the training questions' retrievals and drafts.
 
-    retrievals[i] is the top-k of the i-th training question, so the drafts
-    for the reward model reuse it instead of retrieving again.
+    retrievals[i] is the top-k of the i-th training question.  drafts maps
+    each training question's id to its retrieved-knowledge draft, the text
+    the format role learned to rewrite; the reward model's preference pairs
+    reuse it instead of decoding again.
     """
 
     full: ToyLm
     retrieved: ToyLm
     postp: ToyLm
     retrievals: tuple[list[RetrievalResult], ...]
+    drafts: Mapping[str, str]
 
 
 def build_vocabulary(
@@ -509,12 +511,12 @@ def train_pipeline_models(
 ) -> TrainedModels:
     """Train the three model roles from scratch.
 
-    Each training question is retrieved once; the results are returned
-    with the models.  The full-knowledge role sees every passage, the
-    retrieved-knowledge role only the union of top-k retrievals, and the
-    format role trains purely on instruction pairs mapping each
-    retrieved-knowledge draft to its gold answer with an end token
-    appended, which is what teaches it to stop.  Passages of fewer than 2
+    Each training question is retrieved once and drafted once; the
+    retrievals and drafts are returned with the models.  The full-knowledge
+    role sees every passage, the retrieved-knowledge role only the union of
+    top-k retrievals, and the format role trains purely on instruction pairs
+    mapping each retrieved-knowledge draft to its gold answer with an end
+    token appended, which is what teaches it to stop.  Passages of fewer than 2
     tokens have no transition, so both domain losses leave them out.
     Retrieved ids missing from *passages* raise PipelineError before any
     training.
@@ -538,7 +540,7 @@ def train_pipeline_models(
         ]
 
     def fresh() -> ToyLm:
-        return ToyLm(vocab, seed=cfg.seed, learning_rate=learning_rate)
+        return ToyLm(vocab, learning_rate=learning_rate)
 
     prompts_full = [_render(cfg.prompt_templates, "I", question=qa.question) for qa in train_qa]
     full = train(fresh(), domain_seqs(passages), examples(prompts_full), cfg.weights, steps)
@@ -550,18 +552,18 @@ def train_pipeline_models(
     retr_examples = examples(prompts_retr)
     retrieved = train(fresh(), domain_seqs(retr_union), retr_examples, cfg.weights, steps)
 
-    drafts = retrieved.generate_batch([ex.x for ex in retr_examples], cfg.max_output_tokens)
+    drafts = drafts_for_questions(train_qa, retrievals, retrieved, passage_map, cfg)
     format_batch = [
         TrainExample(
-            vocab.encode(
-                _render(cfg.prompt_templates, "III", format=cfg.format.wording, draft=draft.text)
-            ),
+            vocab.encode(_render(
+                cfg.prompt_templates, "III", format=cfg.format.wording, draft=drafts[qa.id]
+            )),
             _with_eos(ex.answer, vocab),
         )
-        for draft, ex in zip(drafts, retr_examples)
+        for qa, ex in zip(train_qa, retr_examples)
     ]
     postp = train(fresh(), [], format_batch, cfg.weights, steps)
-    return TrainedModels(full=full, retrieved=retrieved, postp=postp, retrievals=retrievals)
+    return TrainedModels(full, retrieved, postp, retrievals, drafts)
 
 
 def drafts_for_questions(

@@ -146,12 +146,10 @@ class ToyLm:
     def __init__(
         self,
         vocab: Vocabulary,
-        seed: int = 0,
         learning_rate: float = 0.1,
         logits: np.ndarray | None = None,
     ):
         self.vocab = vocab
-        self.seed = seed
         self.learning_rate = learning_rate
         self.step = 0
         size = vocab.size
@@ -172,11 +170,10 @@ class ToyLm:
         lengths: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        seed: int = 0,
         learning_rate: float = 0.1,
     ) -> ToyLm:
         """A model from its sparse rows; ValueError unless they are well formed."""
-        model = cls(vocab, seed, learning_rate)
+        model = cls(vocab, learning_rate)
         model._set_rows(default, lengths, cols, vals)
         return model
 
@@ -450,7 +447,7 @@ def train(
     default = model.default.copy()
     default[rows] = d
     trained = ToyLm.from_rows(
-        model.vocab, default, lengths, entries % size, theta, model.seed, model.learning_rate
+        model.vocab, default, lengths, entries % size, theta, model.learning_rate
     )
     trained.step = model.step + steps
     return trained
@@ -463,7 +460,7 @@ def _pack(array: np.ndarray, dtype: str) -> str:
 def save_checkpoint(model: ToyLm, path: str | Path) -> None:
     """Write the model as schema-3 JSON, atomically.
 
-    Fields: ``schema_version``, ``vocab``, ``seed``, ``step``, and the rows
+    Fields: ``schema_version``, ``vocab``, ``step``, and the rows
     as base64 of little-endian arrays: ``default`` (float64, one per row),
     ``lengths`` (int32, entries per row), ``cols`` (int32) and ``vals``
     (float64), so the round trip is exact.
@@ -471,7 +468,6 @@ def save_checkpoint(model: ToyLm, path: str | Path) -> None:
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "vocab": model.vocab.words(),
-        "seed": model.seed,
         "step": model.step,
         "default": _pack(model.default, "<f8"),
         "lengths": _pack(model.lengths, "<i4"),
@@ -507,13 +503,12 @@ def load_checkpoint(path: str | Path) -> ToyLm:
     version = payload.get("schema_version", 1)
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointSchemaError(f"{path}: unsupported checkpoint schema {version!r}")
-    missing = {"vocab", "seed", "step", "default", "lengths", "cols", "vals"} - set(payload)
+    missing = {"vocab", "step", "default", "lengths", "cols", "vals"} - set(payload)
     if missing:
         raise ValueError(f"{path}: checkpoint missing fields: {sorted(missing)}")
     words = payload["vocab"]
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ValueError(f"{path}: checkpoint vocab must be a list of strings")
-    seed = checkpoint_int(payload, "seed", path)
     step = checkpoint_int(payload, "step", path)
     try:
         model = ToyLm.from_rows(
@@ -522,7 +517,6 @@ def load_checkpoint(path: str | Path) -> ToyLm:
             _unpack(payload, "lengths", "<i4"),
             _unpack(payload, "cols", "<i4"),
             _unpack(payload, "vals", "<f8"),
-            seed=seed,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -260,7 +260,6 @@ class QuestionScore:
     f1: float
     bleu: Mapping[int, float]
     rouge_l: float
-    extra: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -275,22 +274,10 @@ class MetricReport:
     rows: tuple[QuestionScore, ...]
 
 
-ExtraMetric = Callable[[QaPair, str], float]
-
-
-def evaluate_answers(
-    items: Sequence[tuple[QaPair, str]],
-    extra_metrics: Mapping[str, ExtraMetric] | None = None,
-) -> MetricReport:
-    """Score every (question, hypothesis) pair and average the columns.
-
-    extra_metrics lets callers bolt on external scorers; each one adds a
-    per-question column and an aggregate mean under its name.  Rows are
-    scored in order in the calling thread.
-    """
+def evaluate_answers(items: Sequence[tuple[QaPair, str]]) -> MetricReport:
+    """Score every (question, hypothesis) pair and average the columns."""
     if not items:
         raise ValueError("nothing to evaluate")
-    extra_metrics = dict(extra_metrics or {})
 
     def score(item: tuple[QaPair, str]) -> QuestionScore:
         qa, hyp = item
@@ -302,7 +289,6 @@ def evaluate_answers(
             f1=text_f1(gold, hyp),
             bleu={n: bleu(gold, hyp, n) for n in range(1, 5)},
             rouge_l=rouge_l(gold, hyp),
-            extra={name: fn(qa, hyp) for name, fn in extra_metrics.items()},
         )
 
     rows = [score(item) for item in items]
@@ -319,9 +305,7 @@ def evaluate_answers(
 
 def report_tsv(report: MetricReport) -> str:
     """Render a report as TSV: per-question rows then a mean footer row."""
-    extra_names = sorted(report.rows[0].extra) if report.rows else []
     header = ["qid", "em", "recall", "f1", "bleu1", "bleu2", "bleu3", "bleu4", "rouge_l"]
-    header += extra_names
     lines = ["\t".join(header)]
 
     def fmt(value: float) -> str:
@@ -331,13 +315,10 @@ def report_tsv(report: MetricReport) -> str:
         cells = [row.qid, fmt(row.em), fmt(row.recall), fmt(row.f1)]
         cells += [fmt(row.bleu[n]) for n in range(1, 5)]
         cells.append(fmt(row.rouge_l))
-        cells += [fmt(row.extra[name]) for name in extra_names]
         lines.append("\t".join(cells))
     footer = ["mean", fmt(report.em), fmt(report.recall), fmt(report.f1)]
     footer += [fmt(report.bleu[n]) for n in range(1, 5)]
     footer.append(fmt(report.rouge_l))
-    for name in extra_names:
-        footer.append(fmt(sum(r.extra[name] for r in report.rows) / len(report.rows)))
     lines.append("\t".join(footer))
     return "\n".join(lines) + "\n"
 

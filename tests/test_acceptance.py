@@ -592,7 +592,7 @@ def test_training_direction():
         qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg
     )
     untrained_drafts = drafts_for_questions(
-        qa_pairs, trained.retrievals, ToyLm(vocab, seed=0), passage_map, cfg
+        qa_pairs, trained.retrievals, ToyLm(vocab), passage_map, cfg
     )
     recall_trained = mean_recall(trained_drafts)
     recall_untrained = mean_recall(untrained_drafts)

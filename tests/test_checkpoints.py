@@ -42,7 +42,7 @@ FUZZ = settings(
 
 def lm_payload(tmp_path):
     batch = [TrainExample(V5.encode("a"), V5.encode("b c"))]
-    model = train(ToyLm(V5, seed=1), [V5.encode("a b c a")], batch, LossWeights(), 3)
+    model = train(ToyLm(V5), [V5.encode("a b c a")], batch, LossWeights(), 3)
     path = tmp_path / "lm.json"
     save_checkpoint(model, path)
     return json.loads(path.read_text())
@@ -79,7 +79,7 @@ def test_arbitrary_json_document(tmp_path, loader, value):
     loads_or_value_error(loader, path)
 
 
-LM_FIELDS = ["schema_version", "vocab", "default", "lengths", "cols", "vals", "seed", "step"]
+LM_FIELDS = ["schema_version", "vocab", "default", "lengths", "cols", "vals", "step"]
 REWARD_FIELDS = ["schema_version", "features", "weights", "seed"]
 
 
@@ -106,7 +106,7 @@ def test_one_field_replaced_or_dropped(tmp_path, make, loader, key, value):
 @given(cut=st.integers(min_value=0, max_value=400), flip=st.integers(min_value=0, max_value=255))
 def test_damaged_lm_checkpoint_bytes(tmp_path, cut, flip):
     path = tmp_path / "lm.json"
-    save_checkpoint(ToyLm(V5, seed=2), path)
+    save_checkpoint(ToyLm(V5), path)
     data = bytearray(path.read_bytes())
     data[cut % len(data)] ^= flip
     path.write_bytes(bytes(data))
@@ -165,7 +165,7 @@ def well_formed(default, lengths, cols, vals, size):
 @given(arrays=sparse_rows())
 def test_schema_3_rows(tmp_path, arrays):
     """The loader accepts exactly the well-formed rows, and those round-trip exactly."""
-    payload = {"schema_version": 3, "vocab": V5.words(), "seed": 0, "step": 0}
+    payload = {"schema_version": 3, "vocab": V5.words(), "step": 0}
     for key, dtype in (("default", "<f8"), ("lengths", "<i4"), ("cols", "<i4"), ("vals", "<f8")):
         payload[key] = pack(arrays[key], dtype)
     path = tmp_path / "lm.json"
@@ -219,7 +219,7 @@ def failing_dump(payload, fh, **kwargs):
 @pytest.mark.parametrize(
     "save,load,old,new",
     [
-        (save_checkpoint, load_checkpoint, ToyLm(V5, seed=1), ToyLm(V5, seed=2)),
+        (save_checkpoint, load_checkpoint, ToyLm(V5), ToyLm(V5, logits=np.ones((5, 5)))),
         (save_reward_checkpoint, load_reward_checkpoint,
          ToyRewardModel(seed=1), ToyRewardModel(seed=2)),
     ],
@@ -234,14 +234,15 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save, load, old
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
-    assert load(path).seed == 1
+    save(load(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == before
 
 
 def test_write_replaces_existing_file(tmp_path):
     path = tmp_path / "model.json"
-    save_checkpoint(ToyLm(V5, seed=1), path)
-    save_checkpoint(ToyLm(V5, seed=2), path)
-    assert load_checkpoint(path).seed == 2
+    save_checkpoint(ToyLm(V5), path)
+    save_checkpoint(ToyLm(V5, logits=np.ones((5, 5))), path)
+    assert load_checkpoint(path).cols.size == 25
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from genki import cli, generation
+from genki import cli, generation, lm_core
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
@@ -89,6 +89,58 @@ class TestIngest:
         }[command]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {bad}: line 2: invalid UTF-8\n"
+
+
+ANSWER_HINT = "genki answer --corpus <corpus> --qa <qa> --index <index> --models <dir> --out <dir>"
+# Each command's required flags, and what the error message calls each one.
+REQUIRED = {
+    "ingest": {"corpus": "a passage file"},
+    "index": {"corpus": "a passage file", "out": "an index output path"},
+    "retrieve": {"index": "an index file", "qa": "a QA file"},
+    "train": {"corpus": "a passage file", "qa": "a QA file", "index": "an index file",
+              "out": "a model output directory"},
+    "answer": {"corpus": "a passage file", "qa": "a QA file", "index": "an index file",
+               "models": "a trained model directory", "out": "an output directory"},
+    "eval": {"qa": "a QA file", "answers": "an answers file"},
+    "analyze": {"corpus": "a passage file", "qa": "a QA file", "runs": "a runs file",
+                "out": "an output directory"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in REQUIRED.items() for flag in flags
+])
+def test_required_input_unset_or_missing(workdir, tmp_path, capsys, command, flag):
+    valid = {
+        "corpus": workdir["corpus"], "qa": workdir["qa"], "index": workdir["index"],
+        "models": workdir["models"], "answers": workdir["answers"] + "/runs.jsonl",
+        "runs": workdir["answers"] + "/runs.jsonl", "out": str(tmp_path / "out"),
+    }
+
+    def argv(value):
+        paths = {**valid, flag: value}
+        return [command, *(arg for name in REQUIRED[command] if paths[name]
+                           for arg in (f"--{name}", paths[name]))]
+
+    assert main(argv(None)) == EXIT_CONFIG
+    where = "" if flag in ("answers", "runs") else " or set it in the config file"
+    assert capsys.readouterr().err == (
+        f"config error: {REQUIRED[command][flag]} required: pass --{flag}{where}\n"
+    )
+    if flag == "out":
+        return
+    missing = str(tmp_path / "missing")
+    hint, path = {
+        "corpus": ("your corpus exporter (JSONL of id/text)", missing),
+        "qa": ("your QA exporter (JSONL of id/question/answers/format)", missing),
+        "index": (f"genki index --corpus <corpus.jsonl> --out {missing}", missing),
+        "models": (f"genki train --corpus <corpus> --qa <qa> --index <index> --out {missing}",
+                   f"{missing}/l1.json"),
+        "answers": (ANSWER_HINT, missing),
+        "runs": (ANSWER_HINT, missing),
+    }[flag]
+    assert main(argv(missing)) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: missing {path}; produce it with: {hint}\n"
 
 
 class TestRetrieve:
@@ -197,6 +249,23 @@ class TestTrain:
             reference = (workdir["root"] / "models" / name).read_bytes()
             assert (tmp_path / "models" / name).read_bytes() == reference
 
+    def test_training_drafts_decoded_once(self, workdir, tmp_path, monkeypatch):
+        batches = []
+        generate_batch = lm_core.ToyLm.generate_batch
+
+        def recording(model, prompts, max_tokens):
+            batches.append([seq.text for seq in prompts])
+            return generate_batch(model, prompts, max_tokens)
+
+        monkeypatch.setattr(lm_core.ToyLm, "generate_batch", recording)
+        assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--out", str(tmp_path / "models")]) == EXIT_OK
+        assert len(batches) == 1 and len(batches[0]) == 8
+        for name in ("l1.json", "l2.json", "l3.json", "reward.json"):
+            reference = (workdir["root"] / "models" / name).read_bytes()
+            assert (tmp_path / "models" / name).read_bytes() == reference
+
     def test_one_word_and_punctuation_passages_train_and_answer(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as fh:
@@ -234,6 +303,49 @@ class TestAtomicOutputs:
             cli._write_json(path, {"fit": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["fit.json"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "analyze", "eval"])
+def test_gold_answer_without_word_token_is_data_error(workdir, tmp_path, capsys, command):
+    qa = tmp_path / "qa.jsonl"
+    lines = open(workdir["qa"], encoding="utf-8").read().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "answers": ["!!!"]})
+    qa.write_text("\n".join(lines) + "\n")
+    inputs = ["--corpus", workdir["corpus"], "--qa", str(qa)]
+    runs = workdir["answers"] + "/runs.jsonl"
+    argv = {
+        "ingest": ["ingest", *inputs],
+        "train": ["train", "--config", workdir["config"], *inputs, "--index", workdir["index"],
+                  "--out", str(tmp_path / "models")],
+        "analyze": ["analyze", *inputs, "--runs", runs, "--out", str(tmp_path / "analysis")],
+        "eval": ["eval", "--qa", str(qa), "--answers", runs],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {qa}: line 3: qa pair 'q002': gold answer '!!!' has no word token\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["retrieve", "eval", "answer"])
+def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
+    directory, file = tmp_path / "dir", tmp_path / "file"
+    directory.mkdir()
+    file.write_text("")
+    out = {"retrieve": directory, "eval": directory, "answer": file / "sub"}[command]
+    argv = {
+        "retrieve": ["retrieve", "--config", workdir["config"], "--index", workdir["index"],
+                     "--qa", workdir["qa"]],
+        "eval": ["eval", "--qa", workdir["qa"], "--answers", workdir["answers"] + "/runs.jsonl"],
+        "answer": ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                   "--qa", workdir["qa"], "--index", workdir["index"],
+                   "--models", workdir["models"]],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list(directory.iterdir()) == []
 
 
 class TestAnswer:
@@ -402,6 +514,24 @@ class TestAnalyze:
         assert fit["fit"] is None
         assert "coincide" in fit["reason"]
         assert "8 runs" in capsys.readouterr().out
+
+    def test_fit_written_for_two_quality_levels(self, workdir, tmp_path):
+        # half the runs retrieved nothing (quality 0), half their own passage (0.4)
+        runs = tmp_path / "runs.jsonl"
+        with open(runs, "w", encoding="utf-8") as fh:
+            for i, line in enumerate(open(workdir["answers"] + "/runs.jsonl", encoding="utf-8")):
+                record = json.loads(line)
+                if i < 4:
+                    record.update(retrieved_ids=[], final_answer="wrong" if i % 2 else "")
+                fh.write(json.dumps(record) + "\n")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(out)]) == EXIT_OK
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["breakpoint"] == 0.2
+        assert fit["segment2"] == {"slope": 0.0, "intercept": 1.0, "r2": 1.0}
+        assert set(fit) == {"segment1", "segment2", "breakpoint", "single"}
+        assert set(fit["segment1"]) == set(fit["single"]) == {"slope", "intercept", "r2"}
 
     def test_missing_runs_names_producer(self, workdir, tmp_path, capsys):
         assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],

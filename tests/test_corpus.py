@@ -222,3 +222,8 @@ class TestDataclassValidation:
     def test_qa_pair_requires_answers(self):
         with pytest.raises(ValueError):
             QaPair("q1", "who?", (), AnswerKind.ENTITY)
+
+    @pytest.mark.parametrize("answer", ["", "   ", "!!!", "?!. ,"])
+    def test_qa_pair_gold_answer_needs_a_word_token(self, answer):
+        with pytest.raises(ValueError, match="has no word token"):
+            QaPair("q1", "who?", ("paris", answer), AnswerKind.ENTITY)

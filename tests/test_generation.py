@@ -65,10 +65,7 @@ def world():
     trained = train_pipeline_models(
         passages, qa_pairs, index, embedder, vocab, cfg, steps=60, learning_rate=0.5
     )
-    drafts = drafts_for_questions(
-        qa_pairs, trained.retrievals, trained.retrieved, {p.id: p for p in passages}, cfg
-    )
-    pairs = preference_pairs_from_drafts(qa_pairs, drafts, FORMAT)
+    pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
     reward = train_reward(ToyRewardModel(seed=0), pairs, 100) if pairs else ToyRewardModel(seed=0)
     models = PipelineModels(
         full=trained.full,
@@ -329,11 +326,12 @@ class TestPostprocess:
 
 class TestTrainingEffects:
     def test_trained_drafts_beat_untrained(self, world):
-        untrained = ToyLm(world["vocab"], seed=0)
+        untrained = ToyLm(world["vocab"])
         trained_drafts = drafts_for_questions(
             world["qa"], world["trained"].retrievals, world["trained"].retrieved,
             world["passage_map"], world["cfg"],
         )
+        assert trained_drafts == world["trained"].drafts  # what training decoded
         untrained_drafts = drafts_for_questions(
             world["qa"], world["trained"].retrievals, untrained,
             world["passage_map"], world["cfg"],
@@ -637,7 +635,7 @@ class TestBlockOracle:
         roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
         size = world["vocab"].size
         noise = np.random.default_rng(seed).normal(0.0, 1.0, (size, size))
-        roles[noisy] = ToyLm(world["vocab"], seed=seed, logits=noise)
+        roles[noisy] = ToyLm(world["vocab"], logits=noise)
         models = PipelineModels(
             **roles, postp=world["models"].postp, reward=ParityReward(), judge=StubJudge()
         )

@@ -259,7 +259,7 @@ class TestTrain:
 
     def test_domain_loss_drops(self):
         vocab, passages, batch = self.fixture()
-        model = ToyLm(vocab, seed=0, learning_rate=0.1)
+        model = ToyLm(vocab, learning_rate=0.1)
         trained = train(model, passages, batch, LossWeights(), steps=50)
         assert loss_r(trained, passages) < loss_r(model, passages)
         assert trained.step == 50
@@ -268,7 +268,7 @@ class TestTrain:
     def test_loss_non_increasing_at_small_rate(self):
         vocab, passages, batch = self.fixture()
         w = LossWeights()
-        model = ToyLm(vocab, seed=1, learning_rate=0.02)
+        model = ToyLm(vocab, learning_rate=0.02)
         losses = [loss_combined(model, passages, batch, w)]
         current = model
         for _ in range(30):
@@ -286,15 +286,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ToyLm(vocab), passages, [], LossWeights(), steps=1)
 
-    def test_seeded_determinism_bit_exact(self):
+    def test_training_deterministic_bit_exact(self):
         vocab, passages, batch = self.fixture()
-        a = train(ToyLm(vocab, seed=7, learning_rate=0.1), passages, batch, LossWeights(), 25)
-        b = train(ToyLm(vocab, seed=7, learning_rate=0.1), passages, batch, LossWeights(), 25)
+        a = train(ToyLm(vocab, learning_rate=0.1), passages, batch, LossWeights(), 25)
+        b = train(ToyLm(vocab, learning_rate=0.1), passages, batch, LossWeights(), 25)
         assert a.logits.tobytes() == b.logits.tobytes()
 
     def test_divergence_raises(self):
         vocab, passages, batch = self.fixture()
-        model = ToyLm(vocab, seed=0, learning_rate=1e308)
+        model = ToyLm(vocab, learning_rate=1e308)
         with pytest.raises(ValueError, match="diverged"):
             train(model, passages, batch, LossWeights(), steps=5)
 
@@ -369,7 +369,7 @@ class TestBitExactOracles:
         w = LossWeights(1.0, 0.5)
         size = self.VOCAB.size
         table = np.random.default_rng(seed).normal(0.0, 0.3, (size, size))
-        model = ToyLm(self.VOCAB, seed=seed, learning_rate=rate, logits=table)
+        model = ToyLm(self.VOCAB, learning_rate=rate, logits=table)
         trained = train(model, passages, batch, w, steps=40)
         reference = dense_reference_train(model, passages, batch, w, 40)
         assert trained.logits.tobytes() == reference.tobytes()
@@ -388,7 +388,7 @@ class TestBitExactOracles:
         w = LossWeights()
         size = self.VOCAB.size
         table = np.random.default_rng(2).normal(0.0, 0.01, (size, size))
-        model = ToyLm(self.VOCAB, seed=2, learning_rate=0.3, logits=table)
+        model = ToyLm(self.VOCAB, learning_rate=0.3, logits=table)
         twice = train(train(model, passages, batch, w, 7), passages, batch, w, 5)
         assert twice.step == 12
         assert twice.logits.tobytes() == dense_reference_train(model, passages, batch, w, 12).tobytes()
@@ -650,14 +650,13 @@ class TestGenerateBatch:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(9)
-        model = ToyLm(V6, seed=3, logits=rng.normal(size=(6, 6)))
+        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
         model.step = 17
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.logits.tobytes() == model.logits.tobytes()
         assert loaded.vocab.words() == V6.words()
-        assert loaded.seed == 3
         assert loaded.step == 17
         context, target = seq(V6, "a b"), seq(V6, "c d")
         assert loaded.logprob_cond(context, target) == model.logprob_cond(context, target)
@@ -684,7 +683,6 @@ class TestCheckpoint:
         return rows, {
             "schema_version": 3,
             "vocab": V6.words(),
-            "seed": 2,
             "step": 40,
             "default": pack(rows[0], "<f8"),
             "lengths": pack(rows[1], "<i4"),
@@ -694,7 +692,7 @@ class TestCheckpoint:
 
     def test_written_format_is_version_3(self, tmp_path):
         rows, expected = self.payload()
-        model = ToyLm.from_rows(V6, *rows, seed=2)
+        model = ToyLm.from_rows(V6, *rows)
         model.step = 40
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
@@ -702,6 +700,16 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.logits.tobytes() == model.logits.tobytes()
         assert loaded.lengths.tolist() == rows[1].tolist()
+
+    def test_seed_of_earlier_schema_3_files_ignored(self, tmp_path):
+        # schema-3 files written before the seed field was dropped still load
+        rows, payload = self.payload()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**payload, "seed": 2}))
+        model = load_checkpoint(path)
+        assert model.lengths.tolist() == rows[1].tolist()
+        save_checkpoint(model, path)
+        assert json.loads(path.read_text()) == payload
 
     def test_older_schemas_rejected(self, tmp_path):
         logits = np.random.default_rng(13).normal(size=(V6.size, V6.size))
@@ -733,8 +741,6 @@ class TestCheckpoint:
             ("cols", pack([1, 4, 0, 2, 5, 3], "<i4"), "increasing"),
             ("cols", pack([4, 1, 0, 2, 3, 5], "<i4"), "increasing"),
             ("cols", pack([1, 4, 0, 2, 3, 3], "<i4"), "increasing"),
-            ("seed", "2", "seed"),
-            ("seed", 2.5, "seed"),
             ("step", True, "step"),
             ("step", None, "step"),
             ("schema_version", 2, "schema 2"),

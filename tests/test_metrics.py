@@ -360,12 +360,6 @@ class TestEvaluateAnswers:
         assert len(report.rows) == 3
         assert [r.qid for r in report.rows] == ["q1", "q2", "q3"]
 
-    def test_extra_metric_column(self):
-        report = evaluate_answers(
-            self.items(), extra_metrics={"hyp_len": lambda qa_, hyp: float(len(hyp))}
-        )
-        assert report.rows[0].extra["hyp_len"] == 3.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_answers([])
@@ -380,14 +374,6 @@ class TestReportTsv:
         assert lines[1].startswith("q1\t1.000000\t1.000000")
         assert lines[-1].startswith("mean\t1.000000")
         assert text.endswith("\n")
-
-    def test_extra_columns_sorted(self):
-        report = evaluate_answers(
-            [(qa("q1", "who", ["cat"]), "cat")],
-            extra_metrics={"zeta": lambda *_: 0.5, "alpha": lambda *_: 0.25},
-        )
-        header = report_tsv(report).splitlines()[0].split("\t")
-        assert header[-2:] == ["alpha", "zeta"]
 
 
 class TestQualityRecallPoints:
