@@ -2,8 +2,8 @@
 
 Stages communicate through files (index binary, model checkpoints, JSONL
 runs), so each command can be rerun or audited on its own.  Every command
-is deterministic given identical inputs and seed: reruns produce
-byte-identical outputs.
+is deterministic given identical inputs: reruns produce byte-identical
+outputs.
 
 Exit codes: 0 success, 2 configuration errors, 3 data errors (missing,
 malformed or unwritable files), 4 model errors (training or backend failures).
@@ -84,7 +84,6 @@ class CliConfig:
     k: int = 2
     lambda1: float = 1.0
     lambda2: float = 0.5
-    seed: int = 0
     jobs: int = 1
     backend: str = "toy"
     max_output_tokens: int = 50
@@ -122,7 +121,6 @@ _FLAGS = {
     "k": dict(type=int, help="retrieval depth"),
     "lambda1": dict(type=float, help="domain loss weight"),
     "lambda2": dict(type=float, help="instruction loss weight"),
-    "seed": dict(type=int, help="reward model seed"),
     "jobs": dict(type=int, help="threads for answer selection with a remote backend"),
     "max-output-tokens": dict(type=int, help="generation length cap"),
     "backend": dict(choices=["toy", "remote"], help="judge/scorer backend"),
@@ -302,6 +300,14 @@ def _load(cfg: CliConfig, args: argparse.Namespace, flag: str):
         raise DataError(str(exc)) from exc
 
 
+def _index_mismatch(cfg: CliConfig, exc: Exception) -> DataError:
+    """The error for an index whose retrieved ids are missing from the corpus."""
+    return DataError(
+        f"{cfg.index} does not match {cfg.corpus}: {exc}; rebuild it with: "
+        f"genki index --corpus {cfg.corpus} --out {cfg.index}"
+    )
+
+
 def _write_json(path: Path, payload: object) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -390,14 +396,11 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
             steps=cfg.train_steps, learning_rate=cfg.train_learning_rate,
         )
         pairs = preference_pairs_from_drafts(qa_pairs, models.drafts, pipeline_cfg.format)
-        reward = ToyRewardModel(seed=cfg.seed, learning_rate=cfg.train_reward_learning_rate)
+        reward = ToyRewardModel(learning_rate=cfg.train_reward_learning_rate)
         if pairs:
             reward = train_reward(reward, pairs, cfg.train_reward_steps)
     except PipelineError as exc:  # retrieved ids missing from the corpus
-        raise DataError(
-            f"{cfg.index} does not match {cfg.corpus}: {exc}; rebuild it with: "
-            f"genki index --corpus {cfg.corpus} --out {cfg.index}"
-        ) from exc
+        raise _index_mismatch(cfg, exc) from exc
     except (ValueError, RuntimeError) as exc:
         raise ModelError(f"training failed: {exc}") from exc
     save_checkpoint(models.full, out / "l1.json")
@@ -443,10 +446,13 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     embedder = HashEmbedder(index.dim, cfg.embedder_seed)
     passage_map = {p.id: p for p in passages}
     try:
+        # Only a remote scorer or judge waits on the network, so only it gets threads.
         runs = run_pipeline(
             qa_pairs, models, index, embedder, passage_map, stats, pipeline_cfg,
-            audit_path=out / "audit.jsonl", jobs=cfg.jobs,
+            audit_path=out / "audit.jsonl", jobs=cfg.jobs if cfg.backend == "remote" else 1,
         )
+    except PipelineError as exc:  # retrieved ids missing from the corpus
+        raise _index_mismatch(cfg, exc) from exc
     except ClientError as exc:
         raise ModelError(f"remote backend failed: {exc}") from exc
     _write_jsonl(out / "runs.jsonl", [run_record(r) for r in runs])
@@ -538,7 +544,7 @@ _COMMANDS = {
     "index": (cmd_index, "embed passages and write the index file", "corpus out"),
     "retrieve": (cmd_retrieve, "top-k passages per question", "index qa k out"),
     "train": (cmd_train, "train the three model roles and the reward model",
-              "corpus qa index k lambda1 lambda2 seed max-output-tokens out"),
+              "corpus qa index k lambda1 lambda2 max-output-tokens out"),
     "answer": (cmd_answer, "run the full pipeline over a QA file",
                "corpus qa index models k jobs max-output-tokens out backend"),
     "eval": (cmd_eval, "score answers against gold", "qa out answers"),

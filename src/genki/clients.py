@@ -3,7 +3,6 @@
 Wire protocol, JSON over POST:
 
     /score    {context, target}                        -> {logprob}
-    /generate {prompt, max_tokens}                     -> {text}
     /judge    {question, answer_1, answer_2, format}   -> {choice: 1|2, rationale?}
 
 Nothing in the core touches the network unless one of these clients is
@@ -134,7 +133,7 @@ def _placeholder_tokens(text: str) -> tuple[int, ...]:
 
 
 class RemoteScorer:
-    """LmScorer backed by the /score and /generate endpoints."""
+    """LmScorer backed by the /score endpoint."""
 
     def __init__(self, cfg: EndpointConfig):
         self._client = _JsonHttpClient(cfg)
@@ -151,16 +150,6 @@ class RemoteScorer:
         if value > 0.0:
             raise ProtocolError(f"/score returned positive logprob {value}")
         return value
-
-    def generate(self, prompt: TokenSeq, max_tokens: int) -> TokenSeq:
-        resp = self._client.post("/generate", {"prompt": prompt.text, "max_tokens": max_tokens})
-        text = resp.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError(f"/generate returned non-string text: {text!r}")
-        return TokenSeq(_placeholder_tokens(text), text)
-
-    def generate_batch(self, prompts: list[TokenSeq], max_tokens: int) -> list[TokenSeq]:
-        return [self.generate(prompt, max_tokens) for prompt in prompts]
 
 
 class RemoteJudge:

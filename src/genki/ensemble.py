@@ -223,15 +223,5 @@ def select(
 
 
 def bundle_record(bundle: ScoreBundle) -> dict:
-    """The one JSON-ready form of a ScoreBundle, in runs.jsonl and audit.jsonl."""
-    return {
-        "cs1": bundle.cs1,
-        "cs2": bundle.cs2,
-        "rm1": bundle.rm1,
-        "rm2": bundle.rm2,
-        "len1": bundle.len1,
-        "len2": bundle.len2,
-        "s_c": bundle.s_c,
-        "route": bundle.route.value,
-        "reward_guard": bundle.reward_guard,
-    }
+    """The one JSON-ready form of a ScoreBundle, in runs.jsonl and audit.jsonl: its fields."""
+    return {**vars(bundle), "route": bundle.route.value}

@@ -17,10 +17,12 @@ draft or rewrite shared by many questions is computed once; each distinct
 question and candidate is split, weighted and encoded once for consistency
 (consistency.prepare_texts).  answer_paths and postprocess are the
 one-question cases of the block stages.  Drafts and rewrites run in the
-calling thread; jobs > 1 fans out only selection, and only when a remote
-scorer or judge waits on the network there.  A question that fails a
+calling thread; jobs > 1 fans out only selection.  A question that fails a
 stage records its error and the fields filled before it, exactly as if it
-ran alone.
+ran alone.  The drafts and rewrites fail a question only for its own
+outputs (a prompt with no token, an empty draft, an empty rewrite);
+templates are checked when the PipelineConfig is built, and a retrieved id
+missing from the corpus fails the whole run.
 
 Training the roles is three invocations of lm_core.train over different
 material: all passages, the retrieved subsets, and format-transcription
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .clients import RemoteJudge, RemoteScorer
 from .consistency import prepare_texts
 from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, atomic_write
 from .ensemble import (
@@ -73,9 +74,17 @@ DEFAULT_TEMPLATES = {
     "IV": "question : {question} answer one : {answer_1} answer two : {answer_2} pick the better {format} answer",
 }
 
+# The slots each template is rendered with.
+TEMPLATE_SLOTS = {
+    "I": ("question",),
+    "II": ("passages", "question"),
+    "III": ("format", "draft"),
+    "IV": ("question", "answer_1", "answer_2", "format"),
+}
+
 
 class PipelineError(RuntimeError):
-    """A stage of the answer pipeline failed for one question."""
+    """A stage of the answer pipeline failed for one question, or retrieval named unknown passages."""
 
 
 @dataclass(frozen=True)
@@ -95,17 +104,21 @@ class PipelineConfig:
             raise ValueError("max_output_tokens must be >= 1")
         if self.format is None:
             raise ValueError("a FormatSpec is required")
-        missing = {"I", "II", "III", "IV"} - set(self.prompt_templates)
+        missing = set(TEMPLATE_SLOTS) - set(self.prompt_templates)
         if missing:
             raise ValueError(f"prompt templates missing: {sorted(missing)}")
         object.__setattr__(self, "prompt_templates", dict(self.prompt_templates))
-
-
-def _render(templates: Mapping[str, str], name: str, **slots: str) -> str:
-    try:
-        return templates[name].format(**slots)
-    except (KeyError, IndexError) as exc:
-        raise ValueError(f"prompt template {name} references an unknown slot: {exc}") from exc
+        # Every slot value is a non-empty string, so a template that renders
+        # one-character values renders every value.
+        for name, slots in TEMPLATE_SLOTS.items():
+            template = self.prompt_templates[name]
+            try:
+                template.format(**dict.fromkeys(slots, "x"))
+            except (KeyError, IndexError, AttributeError, ValueError) as exc:
+                raise ValueError(
+                    f"prompt template {name} {template!r} cannot be rendered: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
 
 
 def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[Passage]:
@@ -126,7 +139,7 @@ def render_retrieved_prompt(
     """Template II: the question with the text of its retrieved passages."""
     ids = [r.passage_id for r in results]
     joined = " ".join(p.text for p in _passages_for(ids, passages))
-    return _render(cfg.prompt_templates, "II", passages=joined, question=question)
+    return cfg.prompt_templates["II"].format(passages=joined, question=question)
 
 
 @dataclass(frozen=True)
@@ -150,9 +163,9 @@ class PipelineRun:
 class PipelineModels:
     """The frozen models a pipeline run scores and generates with."""
 
-    full: LmScorer
-    retrieved: LmScorer
-    postp: LmScorer
+    full: ToyLm
+    retrieved: ToyLm
+    postp: ToyLm
     reward: RewardModel
     judge: ExternalJudge
     consistency_scorer: LmScorer | None = None  # defaults to the full-knowledge model
@@ -163,27 +176,21 @@ class PipelineModels:
 
 
 def _greedy_texts(
-    model: LmScorer, prompts: Sequence[str], max_tokens: int
+    model: ToyLm, prompts: Sequence[str], max_tokens: int
 ) -> dict[str, str | Exception]:
-    """Greedy output text of each distinct prompt, each prompt encoded once.
+    """Greedy output text of each distinct prompt, encoded once, decoded in one generate_batch.
 
-    The prompts decode as one generate_batch.  If the model rejects the
-    batch, each prompt is decoded alone, so a prompt it rejects maps to its
-    own exception and fails only the questions that use it.
+    A prompt with no token maps to the error it raises, so it fails only the
+    questions that use it.
     """
-    distinct = list(dict.fromkeys(prompts))
-    encoded = [model.encode(prompt) for prompt in distinct]
-    try:
-        outputs = model.generate_batch(encoded, max_tokens)
-        return {prompt: out.text for prompt, out in zip(distinct, outputs, strict=True)}
-    except Exception:
-        texts: dict[str, str | Exception] = {}
-        for prompt, seq in zip(distinct, encoded):
-            try:
-                texts[prompt] = model.generate(seq, max_tokens).text
-            except Exception as exc:
-                texts[prompt] = exc
-        return texts
+    encoded = {prompt: model.encode(prompt) for prompt in dict.fromkeys(prompts)}
+    decodable = {prompt: seq for prompt, seq in encoded.items() if seq.tokens}
+    outputs = model.generate_batch(list(decodable.values()), max_tokens)
+    texts: dict[str, str | Exception] = dict.fromkeys(
+        encoded, ValueError("generation needs a non-empty prompt")
+    )
+    texts.update(zip(decodable, (out.text for out in outputs)))
+    return texts
 
 
 def _draft_candidate(output: str | Exception, provenance: Provenance, path: str) -> AnswerCandidate:
@@ -191,7 +198,7 @@ def _draft_candidate(output: str | Exception, provenance: Provenance, path: str)
         if isinstance(output, Exception):
             raise output
         return AnswerCandidate(output, provenance)
-    except Exception as exc:
+    except ValueError as exc:
         raise PipelineError(f"{path} path failed: {exc}") from exc
 
 
@@ -201,37 +208,32 @@ Paths = tuple[AnswerCandidate, AnswerCandidate, tuple[str, ...]]
 def answer_paths_block(
     questions: Sequence[QaPair],
     retrievals: Sequence[Sequence[RetrievalResult]],
-    full_model: LmScorer,
-    retr_model: LmScorer,
+    full_model: ToyLm,
+    retr_model: ToyLm,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
-) -> list[Paths | Exception]:
+) -> list[Paths | PipelineError]:
     """answer_paths for a block of questions, one batched decode per model.
 
     retrievals[i] is the top-k of questions[i].  Each entry is that
     question's (full-knowledge candidate, retrieved-knowledge candidate,
-    retrieved ids), or the exception answer_paths would raise for it.
+    retrieved ids), or the PipelineError answer_paths would raise for it.
+    A retrieved id missing from *passages* raises for the whole block.
     """
-    prompts: list[tuple[str, str] | Exception] = []
-    for qa, results in zip(questions, retrievals, strict=True):
-        try:
-            prompt_retr = render_retrieved_prompt(qa.question, results, passages, cfg)
-            prompts.append((_render(cfg.prompt_templates, "I", question=qa.question), prompt_retr))
-        except Exception as exc:
-            prompts.append(exc)
-    rendered = [p for p in prompts if not isinstance(p, Exception)]
-    full_texts = _greedy_texts(full_model, [p[0] for p in rendered], cfg.max_output_tokens)
-    retr_texts = _greedy_texts(retr_model, [p[1] for p in rendered], cfg.max_output_tokens)
-    paths: list[Paths | Exception] = []
-    for results, prompt in zip(retrievals, prompts):
-        if isinstance(prompt, Exception):
-            paths.append(prompt)
-            continue
+    prompts_full = [cfg.prompt_templates["I"].format(question=qa.question) for qa in questions]
+    prompts_retr = [
+        render_retrieved_prompt(qa.question, results, passages, cfg)
+        for qa, results in zip(questions, retrievals, strict=True)
+    ]
+    full_texts = _greedy_texts(full_model, prompts_full, cfg.max_output_tokens)
+    retr_texts = _greedy_texts(retr_model, prompts_retr, cfg.max_output_tokens)
+    paths: list[Paths | PipelineError] = []
+    for results, full, retr in zip(retrievals, prompts_full, prompts_retr):
         try:
             paths.append((
-                _draft_candidate(full_texts[prompt[0]], Provenance.FULL_KNOWLEDGE, "full-knowledge"),
+                _draft_candidate(full_texts[full], Provenance.FULL_KNOWLEDGE, "full-knowledge"),
                 _draft_candidate(
-                    retr_texts[prompt[1]], Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
+                    retr_texts[retr], Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
                 ),
                 tuple(r.passage_id for r in results),
             ))
@@ -242,31 +244,24 @@ def answer_paths_block(
 
 def postprocess_block(
     cands: Sequence[AnswerCandidate],
-    postp_model: LmScorer,
+    postp_model: ToyLm,
     format: FormatSpec,
     cfg: PipelineConfig,
-) -> list[AnswerCandidate | Exception]:
+) -> list[AnswerCandidate | PipelineError]:
     """postprocess for a block of drafts: each distinct draft is rewritten once.
 
-    Each entry is the rewritten candidate, or the exception postprocess
-    would raise for it.
+    Each entry is the rewritten candidate, or the PipelineError postprocess
+    would raise for it.  An already postprocessed candidate raises for the
+    whole block.
     """
-    prompts: list[str | Exception] = []
-    for cand in cands:
-        try:
-            if cand.postprocessed:
-                raise ValueError("candidate is already postprocessed")
-            prompts.append(
-                _render(cfg.prompt_templates, "III", format=format.wording, draft=cand.text)
-            )
-        except Exception as exc:
-            prompts.append(exc)
-    texts = _greedy_texts(postp_model, [p for p in prompts if isinstance(p, str)], format.max_tokens)
-    rewrites: list[AnswerCandidate | Exception] = []
+    if any(cand.postprocessed for cand in cands):
+        raise ValueError("candidate is already postprocessed")
+    prompts = [
+        cfg.prompt_templates["III"].format(format=format.wording, draft=cand.text) for cand in cands
+    ]
+    texts = _greedy_texts(postp_model, prompts, format.max_tokens)
+    rewrites: list[AnswerCandidate | PipelineError] = []
     for cand, prompt in zip(cands, prompts):
-        if isinstance(prompt, Exception):
-            rewrites.append(prompt)
-            continue
         out, name = texts[prompt], cand.provenance.value
         if isinstance(out, Exception):
             rewrites.append(PipelineError(f"postprocess failed for {name}: {out}"))
@@ -287,8 +282,8 @@ def _only(outputs: list) -> object:
 def answer_paths(
     q: QaPair,
     results: Sequence[RetrievalResult],
-    full_model: LmScorer,
-    retr_model: LmScorer,
+    full_model: ToyLm,
+    retr_model: ToyLm,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
 ) -> Paths:
@@ -304,7 +299,7 @@ def answer_paths(
 
 def postprocess(
     cand: AnswerCandidate,
-    postp_model: LmScorer,
+    postp_model: ToyLm,
     format: FormatSpec,
     cfg: PipelineConfig,
 ) -> AnswerCandidate:
@@ -405,17 +400,17 @@ def run_pipeline(
     Questions go through in blocks of ANSWER_BLOCK, each stage over the
     whole block: retrieval (retrieve_texts), both drafts, the rewrites,
     then selection.  A retrieval failure, such as an embedder whose
-    dimension differs from the index's, raises.  Only selection can wait
-    on remote services, so with a RemoteScorer or RemoteJudge, jobs > 1
-    fans out that stage over threads; the built-in models have nothing to
-    wait on and always run in the calling thread.  Results and audit rows
-    keep the input order either way.  audit.jsonl is written atomically.
+    dimension differs from the index's, raises, and so does a retrieved id
+    missing from *passages* (PipelineError).  Only selection can wait on
+    remote services, so jobs > 1 fans out that stage over threads; the
+    built-in models have nothing to wait on, so callers pass jobs=1 for
+    them.  Results and audit rows keep the input order either way.
+    audit.jsonl is written atomically.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    remote = isinstance(models.scorer, RemoteScorer) or isinstance(models.judge, RemoteJudge)
     runs: list[PipelineRun] = []
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and remote else nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         map_fn = pool.map if pool is not None else map
         for start in range(0, len(questions), ANSWER_BLOCK):
             block = questions[start : start + ANSWER_BLOCK]
@@ -436,21 +431,9 @@ def run_pipeline(
 
 
 def run_record(run: PipelineRun) -> dict:
-    """One JSONL-ready dict for a pipeline run."""
+    """One JSONL-ready dict for a pipeline run: its fields, the bundle through bundle_record."""
     bundle = None if run.bundle is None else bundle_record(run.bundle)
-    return {
-        "qid": run.qid,
-        "question": run.question,
-        "retrieved_ids": list(run.retrieved_ids),
-        "raw_full": run.raw_full,
-        "raw_retrieved": run.raw_retrieved,
-        "post_full": run.post_full,
-        "post_retrieved": run.post_retrieved,
-        "bundle": bundle,
-        "final_answer": run.final_answer,
-        "winner_provenance": run.winner_provenance,
-        "error": run.error,
-    }
+    return {**vars(run), "retrieved_ids": list(run.retrieved_ids), "bundle": bundle}
 
 
 @dataclass(frozen=True)
@@ -542,7 +525,7 @@ def train_pipeline_models(
     def fresh() -> ToyLm:
         return ToyLm(vocab, learning_rate=learning_rate)
 
-    prompts_full = [_render(cfg.prompt_templates, "I", question=qa.question) for qa in train_qa]
+    prompts_full = [cfg.prompt_templates["I"].format(question=qa.question) for qa in train_qa]
     full = train(fresh(), domain_seqs(passages), examples(prompts_full), cfg.weights, steps)
 
     prompts_retr = [
@@ -555,9 +538,9 @@ def train_pipeline_models(
     drafts = drafts_for_questions(train_qa, retrievals, retrieved, passage_map, cfg)
     format_batch = [
         TrainExample(
-            vocab.encode(_render(
-                cfg.prompt_templates, "III", format=cfg.format.wording, draft=drafts[qa.id]
-            )),
+            vocab.encode(
+                cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=drafts[qa.id])
+            ),
             _with_eos(ex.answer, vocab),
         )
         for qa, ex in zip(train_qa, retr_examples)
@@ -569,7 +552,7 @@ def train_pipeline_models(
 def drafts_for_questions(
     questions: Sequence[QaPair],
     retrievals: Sequence[Sequence[RetrievalResult]],
-    model: LmScorer,
+    model: ToyLm,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
 ) -> dict[str, str]:

@@ -51,15 +51,11 @@ class CheckpointSchemaError(ValueError):
 
 
 class LmScorer(Protocol):
-    """Behavioral interface for anything that can score and extend token text."""
+    """Behavioral interface for anything that can score token text."""
 
     def encode(self, text: str) -> TokenSeq: ...
 
     def logprob_cond(self, context: TokenSeq, target: TokenSeq) -> float: ...
-
-    def generate(self, prompt: TokenSeq, max_tokens: int) -> TokenSeq: ...
-
-    def generate_batch(self, prompts: Sequence[TokenSeq], max_tokens: int) -> list[TokenSeq]: ...
 
 
 @dataclass(frozen=True)

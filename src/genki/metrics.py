@@ -198,14 +198,6 @@ class FitResult:
     breakpoint: float
     single: LineFit
 
-    @property
-    def r2_1(self) -> float:
-        return self.segment1.r2
-
-    @property
-    def r2_2(self) -> float:
-        return self.segment2.r2
-
 
 def _ols(xs: np.ndarray, ys: np.ndarray) -> LineFit:
     if float(np.ptp(xs)) == 0.0:

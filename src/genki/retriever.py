@@ -183,15 +183,6 @@ class DenseIndex:
         return int(self.matrix.shape[0])
 
 
-def similarity(question_vec: np.ndarray, passage_vec: np.ndarray) -> float:
-    """Inner-product relevance score between two vectors of equal dimension."""
-    q = np.asarray(question_vec, dtype=np.float64)
-    p = np.asarray(passage_vec, dtype=np.float64)
-    if q.shape != p.shape or q.ndim != 1:
-        raise ValueError(f"dimension mismatch: {q.shape} vs {p.shape}")
-    return float(q @ p)
-
-
 def top_k(index: DenseIndex, question_vec: np.ndarray, k: int) -> list[RetrievalResult]:
     """The k highest-scoring passages for one query; see top_k_batch."""
     return top_k_batch(index, [question_vec], k)[0]

@@ -16,13 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import (
-    AnswerKind,
-    checkpoint_int,
-    read_checkpoint_json,
-    tokenize,
-    write_checkpoint_json,
-)
+from .corpus import AnswerKind, read_checkpoint_json, tokenize, write_checkpoint_json
 
 FEATURE_NAMES = ("answer_length", "format_overlap", "question_fraction")
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -91,19 +85,19 @@ def extract_features(answer: str, format: FormatSpec, question: str = "") -> np.
 
 
 class ToyRewardModel:
-    """Linear reward over extract_features(); weights train on preference pairs."""
+    """Linear reward over extract_features(); weights train on preference pairs.
+
+    A new model starts at zero weights.
+    """
 
     def __init__(
         self,
         weights: np.ndarray | Sequence[float] | None = None,
-        seed: int = 0,
         learning_rate: float = 0.05,
     ):
-        self.seed = seed
         self.learning_rate = learning_rate
         if weights is None:
-            rng = np.random.default_rng(seed)
-            weights = rng.normal(0.0, 0.01, len(FEATURE_NAMES))
+            weights = np.zeros(len(FEATURE_NAMES))
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(FEATURE_NAMES),):
             raise ValueError(f"weights must have shape ({len(FEATURE_NAMES)},)")
@@ -154,7 +148,7 @@ def train_reward(
         raise ValueError("train_reward needs a non-empty pair list")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    trained = ToyRewardModel(model.weights.copy(), model.seed, model.learning_rate)
+    trained = ToyRewardModel(model.weights.copy(), model.learning_rate)
     deltas = [_feature_delta(pair) for pair in pairs]
     for step in range(steps):
         grad = np.zeros_like(trained.weights)
@@ -173,13 +167,16 @@ def save_reward_checkpoint(model: ToyRewardModel, path: str | Path) -> None:
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "features": list(FEATURE_NAMES),
         "weights": [float(v) for v in model.weights],
-        "seed": model.seed,
     }
     write_checkpoint_json(path, payload)
 
 
 def load_reward_checkpoint(path: str | Path) -> ToyRewardModel:
-    """Rebuild a ToyRewardModel; any malformed content raises ValueError."""
+    """Rebuild a ToyRewardModel; any malformed content raises ValueError.
+
+    Keys it does not read, such as the ``seed`` of files written when the
+    weights started random, are ignored.
+    """
     payload = read_checkpoint_json(path)
     if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {payload.get('schema_version')!r}")
@@ -187,9 +184,7 @@ def load_reward_checkpoint(path: str | Path) -> ToyRewardModel:
         raise ValueError(f"{path}: feature schema mismatch: {payload.get('features')!r}")
     if "weights" not in payload:
         raise ValueError(f"{path}: checkpoint missing fields: ['weights']")
-    seed = checkpoint_int(payload, "seed", path) if "seed" in payload else 0
     try:
-        weights = np.array(payload["weights"], dtype=np.float64)
-        return ToyRewardModel(weights=weights, seed=seed)
+        return ToyRewardModel(weights=np.array(payload["weights"], dtype=np.float64))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad reward weights ({exc})") from exc

@@ -86,7 +86,8 @@ def isf(sentence: str, stats: CorpusStats, words: Sequence[str] | None = None) -
     *words* are the sentence's tokens when the caller already has them.
     Raises TextStatsError when the sentence has no word tokens at all.
     """
-    words = set(tokenize(sentence) if words is None else words)
+    # first-seen order, so the OOV warnings come out in the same order every run
+    words = dict.fromkeys(tokenize(sentence) if words is None else words)
     if not words:
         raise TextStatsError(f"sentence has no word tokens: {sentence!r}")
     return max(iwf(word, stats) for word in words)

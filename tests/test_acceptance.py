@@ -627,7 +627,7 @@ def test_training_direction():
 def train_reward_or_fresh(pairs):
     from genki.reward import train_reward
 
-    model = ToyRewardModel(seed=0)
+    model = ToyRewardModel()
     return train_reward(model, pairs, 100) if pairs else model
 
 

@@ -50,7 +50,7 @@ def lm_payload(tmp_path):
 
 def reward_payload(tmp_path):
     path = tmp_path / "reward.json"
-    save_reward_checkpoint(ToyRewardModel(weights=[0.5, -1.0, 2.0], seed=4), path)
+    save_reward_checkpoint(ToyRewardModel(weights=[0.5, -1.0, 2.0]), path)
     return json.loads(path.read_text())
 
 
@@ -80,7 +80,7 @@ def test_arbitrary_json_document(tmp_path, loader, value):
 
 
 LM_FIELDS = ["schema_version", "vocab", "default", "lengths", "cols", "vals", "step"]
-REWARD_FIELDS = ["schema_version", "features", "weights", "seed"]
+REWARD_FIELDS = ["schema_version", "features", "weights"]
 
 
 @settings(FUZZ, max_examples=40)
@@ -197,9 +197,6 @@ class TestRewardLoaderErrors:
             ({"schema_version": 1, "features": ["answer_length", "format_overlap",
                                                 "question_fraction"],
               "weights": [0, None, 0]}, "weights"),
-            ({"schema_version": 1, "features": ["answer_length", "format_overlap",
-                                                "question_fraction"],
-              "weights": [0, 0, 0], "seed": 1.5}, "seed"),
         ],
     )
     def test_rejected(self, tmp_path, payload, match):
@@ -221,7 +218,7 @@ def failing_dump(payload, fh, **kwargs):
     [
         (save_checkpoint, load_checkpoint, ToyLm(V5), ToyLm(V5, logits=np.ones((5, 5)))),
         (save_reward_checkpoint, load_reward_checkpoint,
-         ToyRewardModel(seed=1), ToyRewardModel(seed=2)),
+         ToyRewardModel(), ToyRewardModel(weights=[1.0, -2.0, 0.5])),
     ],
 )
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save, load, old, new):

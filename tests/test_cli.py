@@ -7,12 +7,17 @@ text are asserted directly.
 
 import base64
 import json
+import os
 import struct
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import genki
 from genki import cli, generation, lm_core
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from genki.retriever import HashEmbedder, load_index, top_k
@@ -348,6 +353,91 @@ def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
     assert list(directory.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "answer"])
+@pytest.mark.parametrize("template", [
+    "draft : {nonexistent}", "draft : {}", "draft : {draft.x}", "draft : {draft!z}",
+    "draft : {draft:d}",
+])
+def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, template):
+    config = tmp_path / "config.json"
+    settings = json.loads(open(workdir["config"], encoding="utf-8").read())
+    config.write_text(json.dumps({**settings, "templates": {"III": template}}))
+    inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+              "--index", workdir["index"]]
+    argv = {
+        "train": ["train", *inputs, "--out", str(tmp_path / "models")],
+        "answer": ["answer", *inputs, "--models", workdir["models"], "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: prompt template III {template!r} cannot be rendered: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_corpus_without_a_retrieved_passage_is_data_error(workdir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = open(workdir["corpus"], encoding="utf-8").read().splitlines()
+    corpus.write_text("".join(line + "\n" for line in lines if json.loads(line)["id"] != "p000"))
+    out = tmp_path / "run"
+    assert main(["answer", "--config", workdir["config"], "--corpus", str(corpus),
+                 "--qa", workdir["qa"], "--index", workdir["index"],
+                 "--models", workdir["models"], "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {workdir['index']} does not match {corpus}: index returned unknown "
+        f"passage ids: ['p000']; rebuild it with: genki index --corpus {corpus} "
+        f"--out {workdir['index']}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def subprocess_env(**extra):
+    """os.environ with this checkout's src first on PYTHONPATH."""
+    src = str(Path(genki.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **extra}
+
+
+def test_train_loads_neither_numpy_random_nor_openssl(workdir, tmp_path):
+    # the reward model starts at zero weights, so nothing draws a random number
+    code = ("import sys, genki.cli; code = genki.cli.main(sys.argv[1:]); "
+            "print(code, sorted({'numpy.random', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "train", "--config", workdir["config"],
+         "--corpus", workdir["corpus"], "--qa", workdir["qa"], "--index", workdir["index"],
+         "--out", str(tmp_path / "models")],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_oov_warnings_do_not_depend_on_the_hash_seed(tmp_path):
+    # the quick-start world; its answers score words missing from the corpus
+    write_world(tmp_path, 50, 20)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "k": 2, "max_output_tokens": 12, "embedder": {"dim": 1024, "seed": 0},
+        "train": {"steps": 60, "learning_rate": 0.5, "reward_steps": 100},
+    }))
+    inputs = ["--config", str(config), "--corpus", str(tmp_path / "corpus.jsonl"),
+              "--qa", str(tmp_path / "qa.jsonl"), "--index", str(tmp_path / "index.bin")]
+    assert main(["index", *inputs[:4], "--out", str(tmp_path / "index.bin")]) == EXIT_OK
+    assert main(["train", *inputs, "--out", str(tmp_path / "models")]) == EXIT_OK
+
+    def answer_stderr(hash_seed):
+        done = subprocess.run(
+            [sys.executable, "-m", "genki.cli", "answer", *inputs,
+             "--models", str(tmp_path / "models"), "--out", str(tmp_path / f"run{hash_seed}")],
+            env=subprocess_env(PYTHONHASHSEED=str(hash_seed)), capture_output=True, text=True,
+            check=True,
+        )
+        return done.stderr
+
+    first = answer_stderr(1)
+    assert first.count("not in corpus statistics") > 1
+    assert answer_stderr(2) == first
+
+
 class TestAnswer:
     def test_runs_complete_and_exact(self, workdir):
         runs = [json.loads(line) for line in
@@ -430,12 +520,28 @@ class TestAnswer:
         monkeypatch.setattr(generation, "ThreadPoolExecutor", RecordingPool)
         base = ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
                 "--qa", workdir["qa"], "--index", workdir["index"],
-                "--models", workdir["models"]]
+                "--models", workdir["models"], "--backend", "toy"]
         for jobs in ("1", "2"):
             assert main(base + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == EXIT_OK
         assert pools == []
         for name in ("runs.jsonl", "audit.jsonl"):
             assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+    @pytest.mark.parametrize("backend, jobs", [("toy", 1), ("remote", 2)])
+    def test_jobs_reach_the_pipeline_only_with_a_remote_backend(
+        self, workdir, tmp_path, monkeypatch, backend, jobs
+    ):
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_pipeline", lambda *args, **kwargs: seen.append(kwargs["jobs"]) or []
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"remote": {"judge_url": "http://127.0.0.1:9"}}))
+        assert main(["answer", "--config", str(config), "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", workdir["models"], "--backend", backend, "--jobs", "2",
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert seen == [jobs]
 
     def test_corrupt_reward_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         models = tmp_path / "models"
@@ -686,16 +792,10 @@ class TestConfigHandling:
 
     def test_documented_schema_accepted(self, tmp_path):
         # the README "Configuration" example; every section key sets <section>_<key>
-        documented = {
-            "k": 5, "lambda1": 1.0, "lambda2": 0.5, "seed": 0, "jobs": 1, "backend": "toy",
-            "max_output_tokens": 50,
-            "format": {"kind": "entity", "max_tokens": 8, "description": ""},
-            "embedder": {"dim": 256, "seed": 0},
-            "train": {"steps": 50, "learning_rate": 0.5, "reward_steps": 100,
-                      "reward_learning_rate": 0.05},
-            "remote": {"scorer_url": "", "judge_url": "", "timeout_ms": 10000,
-                       "retries": 0, "max_in_flight": 4},
-        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1]
+        documented = json.loads(example.split("```", 1)[0])
+        assert documented["format"] and documented["remote"]
         path = tmp_path / "documented.json"
         path.write_text(json.dumps(documented))
         cfg = cli.load_cli_config(cli.build_parser().parse_args(["ingest", "--config", str(path)]))

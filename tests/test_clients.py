@@ -90,7 +90,6 @@ def server():
     srv.delay = 0.0
     srv.defaults = {
         "/score": {"logprob": -1.5},
-        "/generate": {"text": "echo answer"},
         "/judge": {"choice": 1},
     }
     # small poll interval so fixture teardown does not stall each test
@@ -175,19 +174,6 @@ class TestRemoteScorer:
         for _ in range(4):
             with pytest.raises(ProtocolError, match="logprob"):
                 s.logprob_cond(s.encode("a"), s.encode("b"))
-
-    def test_generate(self, server):
-        s = scorer(server)
-        out = s.generate(s.encode("prompt here"), 12)
-        assert out.text == "echo answer"
-        assert len(out.tokens) == 2
-        assert server.requests[0]["payload"] == {"prompt": "prompt here", "max_tokens": 12}
-
-    def test_generate_non_string_rejected(self, server):
-        enqueue(server, "/generate", 200, {"text": 7})
-        s = scorer(server)
-        with pytest.raises(ProtocolError, match="non-string"):
-            s.generate(s.encode("p"), 4)
 
     def test_non_json_response_rejected(self, server):
         enqueue(server, "/score", 200, b"<html>oops</html>")
@@ -417,7 +403,7 @@ def test_pipeline_never_asks_a_remote_judge_about_identical_drafts(server):
     )
     models = PipelineModels(
         full=trained.full, retrieved=trained.retrieved, postp=trained.postp,
-        reward=ToyRewardModel(seed=0), judge=StubJudge(),
+        reward=ToyRewardModel(), judge=StubJudge(),
     )
     args = (qa_pairs, models, index, embedder, {p.id: p for p in passages},
             build_stats(passages), cfg)

@@ -5,7 +5,6 @@ draft generation, the format stage, selection routing, per-question fault
 isolation, and training effects (draft recall, format-stage exactness).
 """
 
-import dataclasses
 import functools
 import json
 import random
@@ -14,7 +13,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from genki.clients import EndpointConfig, RemoteJudge
 from genki.corpus import (
     AnswerKind, Passage, QaPair, TokenSeq, build_stats, split_sentences, tokenize,
 )
@@ -66,7 +64,7 @@ def world():
         passages, qa_pairs, index, embedder, vocab, cfg, steps=60, learning_rate=0.5
     )
     pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
-    reward = train_reward(ToyRewardModel(seed=0), pairs, 100) if pairs else ToyRewardModel(seed=0)
+    reward = train_reward(ToyRewardModel(), pairs, 100) if pairs else ToyRewardModel()
     models = PipelineModels(
         full=trained.full,
         retrieved=trained.retrieved,
@@ -307,21 +305,26 @@ class TestPostprocess:
             def encode(self, text):
                 return world["vocab"].encode(text)
 
-            def generate(self, prompt, max_tokens):
-                from genki.corpus import TokenSeq
-                return TokenSeq((), "")
+            def generate_batch(self, prompts, max_tokens):
+                return [TokenSeq((), "") for _ in prompts]
 
         cand = AnswerCandidate("some draft", Provenance.FULL_KNOWLEDGE)
         with pytest.raises(PipelineError, match="empty"):
             postprocess(cand, SilentModel(), FORMAT, world["cfg"])
 
-    def test_bad_template_slot_raises(self, world):
-        templates = dict(DEFAULT_TEMPLATES)
-        templates["III"] = "draft : {nonexistent}"
-        cfg = make_config(prompt_templates=templates)
-        cand = AnswerCandidate("some draft", Provenance.FULL_KNOWLEDGE)
-        with pytest.raises(ValueError, match="unknown slot"):
-            postprocess(cand, world["trained"].postp, FORMAT, cfg)
+    @pytest.mark.parametrize("name, template", [
+        ("I", "question : {nonexistent}"), ("II", "context : {}"), ("III", "{draft.x}"),
+        ("IV", "{question!z}"), ("III", "{draft:d}"), ("I", "{question[1]}"), ("II", "unclosed {"),
+    ])
+    def test_bad_template_slot_raises(self, name, template):
+        # every template fails when the config is built, not per question
+        with pytest.raises(ValueError, match=f"prompt template {name} .* cannot be rendered"):
+            make_config(prompt_templates={**DEFAULT_TEMPLATES, name: template})
+
+    def test_template_of_real_slots_accepted(self):
+        templates = {"I": "{question!r:>2}", "II": "{passages[0]} {question}", "III": "{draft}",
+                     "IV": "{answer_1} {answer_2}"}
+        assert make_config(prompt_templates=templates).prompt_templates == templates
 
 
 class TestTrainingEffects:
@@ -395,8 +398,7 @@ class TestRunPipeline:
         )
         assert run_pipeline(*args, jobs=1) == run_pipeline(*args, jobs=3)
 
-    @pytest.mark.parametrize("remote", [False, True])
-    def test_threads_only_for_a_remote_judge(self, world, monkeypatch, remote):
+    def test_threads_for_jobs_above_one(self, world, monkeypatch):
         pools = []
 
         class RecordingPool(generation.ThreadPoolExecutor):
@@ -404,21 +406,22 @@ class TestRunPipeline:
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        class InProcessRemoteJudge(RemoteJudge):
-            """A RemoteJudge that answers like StubJudge and never calls its server."""
-
-            def choose(self, question, a1, a2, format):
-                return StubJudge().choose(question, a1, a2, format)
-
         monkeypatch.setattr(generation, "ThreadPoolExecutor", RecordingPool)
-        judge = InProcessRemoteJudge(EndpointConfig("http://localhost:9")) if remote else StubJudge()
-        models = dataclasses.replace(world["models"], judge=judge)
         args = (
-            world["qa"], models, world["index"], world["embedder"],
+            world["qa"], world["models"], world["index"], world["embedder"],
             world["passage_map"], world["stats"], world["cfg"],
         )
         assert run_pipeline(*args, jobs=2) == run_pipeline(*args, jobs=1)
-        assert pools == ([2] if remote else [])
+        assert pools == [2]
+
+    def test_unknown_passage_id_fails_the_run(self, world):
+        partial = dict(world["passage_map"])
+        del partial["p000"]
+        with pytest.raises(PipelineError, match="unknown passage ids: \\['p000'\\]"):
+            run_pipeline(
+                world["qa"], world["models"], world["index"], world["embedder"], partial,
+                world["stats"], world["cfg"],
+            )
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_blocked_retrieval_equals_per_question_top_k(self, world, jobs):
@@ -567,7 +570,7 @@ def default_world():
     passage_map = {p.id: p for p in passages}
     drafts = drafts_for_questions(qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg)
     pairs = preference_pairs_from_drafts(qa_pairs, drafts, FORMAT)
-    reward = train_reward(ToyRewardModel(seed=0, learning_rate=0.05), pairs, 100)
+    reward = train_reward(ToyRewardModel(learning_rate=0.05), pairs, 100)
     models = PipelineModels(trained.full, trained.retrieved, trained.postp, reward, StubJudge())
     args = (qa_pairs, models, index, embedder, passage_map, build_stats(passages), cfg)
     return {"args": args, "reference": reference_runs(*args)}
@@ -651,9 +654,18 @@ class TestBlockOracle:
         }
         assert shows in seen
 
-    def test_rejected_prompt_fails_only_its_question(self, world, tmp_path):
+    def test_rejected_prompt_fails_only_its_question(self, world, tmp_path, monkeypatch):
         # "???" has no word tokens, so with template I = "{question}" its
         # full-knowledge prompt is empty and the model rejects it
+        calls = Counter()
+        decode = ToyLm.generate_batch
+
+        def counting_decode(model, prompts, max_tokens):
+            calls[id(model)] += 1
+            return decode(model, prompts, max_tokens)
+
+        monkeypatch.setattr(ToyLm, "generate_batch", counting_decode)
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 4)  # 9 questions: 3 blocks
         cfg = make_config(prompt_templates={**DEFAULT_TEMPLATES, "I": "{question}"})
         qa = world["qa"]
         stream = [*qa[:3], QaPair("blank", "???", qa[0].answers, qa[0].format), *qa[3:]]
@@ -667,6 +679,9 @@ class TestBlockOracle:
             "PipelineError: full-knowledge path failed: generation needs a non-empty prompt"
         )
         assert sum(run.bundle is not None for run in reference) >= len(qa) - 1
+        # each role decodes each block once, the rejected prompt's block too
+        roles = (world["models"].full, world["models"].retrieved, world["models"].postp)
+        assert calls == Counter({id(model): 3 for model in roles})
 
 
 class CountingEmbedder:

@@ -286,8 +286,8 @@ class TestTwoSegmentFit:
         fit = two_segment_fit(points)
         assert fit.segment1.slope == pytest.approx(2.0, abs=1e-9)
         assert fit.segment2.slope == pytest.approx(2.0, abs=1e-9)
-        assert fit.r2_1 == pytest.approx(1.0, abs=1e-12)
-        assert fit.r2_2 == pytest.approx(1.0, abs=1e-12)
+        assert fit.segment1.r2 == pytest.approx(1.0, abs=1e-12)
+        assert fit.segment2.r2 == pytest.approx(1.0, abs=1e-12)
         assert fit.single.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_two_regime_recovery_noiseless(self):
@@ -302,7 +302,7 @@ class TestTwoSegmentFit:
         # grid step ~0.0526; the knee sits at 0.5
         assert abs(fit.breakpoint - 0.5) < 0.06
         # the kinked data beats one straight line
-        assert fit.single.r2 < fit.r2_1 + fit.r2_2 - fit.single.r2
+        assert fit.single.r2 < fit.segment1.r2 + fit.segment2.r2 - fit.single.r2
 
     def test_two_regime_recovery_with_noise(self):
         # the x span must be wide enough that the slope-0.1 segment's signal
@@ -313,8 +313,8 @@ class TestTwoSegmentFit:
         fit = two_segment_fit(list(zip(map(float, xs), map(float, ys))))
         assert abs(fit.segment1.slope - 1.0) / 1.0 < 0.10
         assert abs(fit.segment2.slope - 0.1) / 0.1 < 0.10
-        assert fit.r2_1 > 0.985
-        assert fit.r2_2 > 0.985
+        assert fit.segment1.r2 > 0.985
+        assert fit.segment2.r2 > 0.985
         grid_step = 10.0 / 39.0
         assert abs(fit.breakpoint - 5.0) <= grid_step
 
@@ -322,8 +322,8 @@ class TestTwoSegmentFit:
         points = [(float(x), 3.0) for x in range(8)]
         fit = two_segment_fit(points)
         assert fit.segment1.slope == pytest.approx(0.0, abs=1e-12)
-        assert fit.r2_1 == 1.0
-        assert fit.r2_2 == 1.0
+        assert fit.segment1.r2 == 1.0
+        assert fit.segment2.r2 == 1.0
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 6"):

@@ -21,7 +21,6 @@ from genki.retriever import (
     load_index,
     retrieve_texts,
     save_index,
-    similarity,
     top_k,
     top_k_batch,
 )
@@ -35,29 +34,6 @@ def old_max_row_norm(matrix):
     """max_row_norm as it was computed before the single validation pass."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float32)
     return float(np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64).max()))
-
-
-class TestSimilarity:
-    def test_orthogonal(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_arithmetic(self):
-        assert similarity(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=64)
-            b = rng.normal(size=64)
-            oracle = 0.0
-            for x, y in zip(a, b):
-                oracle += float(x) * float(y)
-            got = similarity(a, b)
-            assert abs(got - oracle) <= 1e-6 * max(1.0, abs(oracle))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            similarity(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestTopK:
@@ -885,7 +861,7 @@ class TestHashEmbedder:
         query = embedder.embed_question("solar panel efficiency")
         close = embedder.embed_passage("solar panel output")
         far = embedder.embed_passage("medieval castle moat")
-        assert similarity(query, close) > similarity(query, far)
+        assert query @ close > query @ far
 
     def test_seed_changes_embedding(self):
         a = HashEmbedder(dim=64, seed=0).embed_passage("word")

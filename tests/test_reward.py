@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from genki import reward
 from genki.corpus import AnswerKind, tokenize
 from genki.reward import (
+    FEATURE_NAMES,
     FormatSpec,
     PreferencePair,
     ToyRewardModel,
@@ -170,7 +172,7 @@ class TestTrainReward:
         rng = random.Random(5)
         train_pairs = self.build_pairs(rng, 20)
         held_out = self.build_pairs(rng, 20)
-        model = train_reward(ToyRewardModel(seed=0), train_pairs, steps=200)
+        model = train_reward(ToyRewardModel(), train_pairs, steps=200)
         wins = sum(
             1
             for p in held_out
@@ -181,22 +183,22 @@ class TestTrainReward:
     def test_training_reduces_mean_loss(self):
         rng = random.Random(6)
         pairs = self.build_pairs(rng, 20)
-        before = ToyRewardModel(seed=1)
+        before = ToyRewardModel()
         after = train_reward(before, pairs, steps=100)
         mean_before = sum(pairwise_loss(before, p) for p in pairs) / len(pairs)
         mean_after = sum(pairwise_loss(after, p) for p in pairs) / len(pairs)
         assert mean_after < mean_before
 
     def test_zero_steps_copies_unchanged(self):
-        model = ToyRewardModel(seed=2)
+        model = ToyRewardModel(weights=[0.5, -0.25, 1.0])
         copy = train_reward(model, [pair()], steps=0)
         assert copy is not model
         assert np.array_equal(copy.weights, model.weights)
 
     def test_deterministic(self):
         pairs = [pair(), PreferencePair("a b", "c d e f", ENTITY)]
-        a = train_reward(ToyRewardModel(seed=3), pairs, steps=50)
-        b = train_reward(ToyRewardModel(seed=3), pairs, steps=50)
+        a = train_reward(ToyRewardModel(), pairs, steps=50)
+        b = train_reward(ToyRewardModel(), pairs, steps=50)
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_empty_pairs_rejected(self):
@@ -215,7 +217,10 @@ class TestTrainReward:
             question = " ".join(rng.choices(words, k=rng.randint(0, 5)))
             if pos != neg:
                 pairs.append(PreferencePair(pos, neg, rng.choice(formats), question))
-        start = ToyRewardModel(seed=seed, learning_rate=rng.choice([0.05, 0.3, 1.0]))
+        start = ToyRewardModel(
+            weights=np.random.default_rng(seed).normal(0.0, 0.01, 3),
+            learning_rate=rng.choice([0.05, 0.3, 1.0]),
+        )
         trained = train_reward(start, pairs, steps=60)
         assert trained.weights.tobytes() == reference_train_reward(start, pairs, 60).tobytes()
 
@@ -238,12 +243,24 @@ def reference_train_reward(model, pairs, steps):
 
 class TestRewardCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = ToyRewardModel(weights=[0.25, -1.5, 3.0], seed=9)
+        model = ToyRewardModel(weights=[0.25, -1.5, 3.0])
         path = tmp_path / "reward.json"
         save_reward_checkpoint(model, path)
         loaded = load_reward_checkpoint(path)
         assert loaded.weights.tobytes() == model.weights.tobytes()
-        assert loaded.seed == 9
+        assert json.loads(path.read_text()) == {
+            "schema_version": 1, "features": list(FEATURE_NAMES), "weights": [0.25, -1.5, 3.0],
+        }
+
+    def test_seed_of_earlier_files_ignored(self, tmp_path):
+        # files written while the weights started random carry the seed that drew them
+        path = tmp_path / "reward.json"
+        path.write_text(json.dumps({"schema_version": 1, "features": list(FEATURE_NAMES),
+                                    "weights": [0.25, -1.5, 3.0], "seed": 7}))
+        assert load_reward_checkpoint(path).weights.tolist() == [0.25, -1.5, 3.0]
+
+    def test_new_model_starts_at_zero(self):
+        assert ToyRewardModel().weights.tolist() == [0.0, 0.0, 0.0]
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "reward.json"
