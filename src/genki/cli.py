@@ -308,6 +308,14 @@ def _index_mismatch(cfg: CliConfig, exc: Exception) -> DataError:
     )
 
 
+def _embedder(cfg: CliConfig, dim: int) -> HashEmbedder:
+    """The configured embedder at *dim*; a value HashEmbedder rejects is a ConfigError."""
+    try:
+        return HashEmbedder(dim, cfg.embedder_seed)
+    except ValueError as exc:  # "seed must be ...": the message names the setting
+        raise ConfigError(f"embedder.{exc}") from exc
+
+
 def _write_json(path: Path, payload: object) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -346,7 +354,7 @@ def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
 def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     out = _need(cfg, args, "out", "an index output path")
-    embedder = HashEmbedder(cfg.embedder_dim, cfg.embedder_seed)
+    embedder = _embedder(cfg, cfg.embedder_dim)
     try:
         index = DenseIndex.build(passages, embedder)
     except ValueError as exc:
@@ -360,7 +368,7 @@ def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
 def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load(cfg, args, "index")
     qa_pairs = _load(cfg, args, "qa")
-    embedder = HashEmbedder(index.dim, cfg.embedder_seed)
+    embedder = _embedder(cfg, index.dim)
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
     records = [
         {
@@ -387,8 +395,7 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     qa_pairs = _load(cfg, args, "qa")
     index = _load(cfg, args, "index")
     out = Path(_need(cfg, args, "out", "a model output directory"))
-    out.mkdir(parents=True, exist_ok=True)
-    embedder = HashEmbedder(index.dim, cfg.embedder_seed)
+    embedder = _embedder(cfg, index.dim)
     vocab = build_vocabulary(passages, qa_pairs, pipeline_cfg)
     try:
         models = train_pipeline_models(
@@ -403,6 +410,7 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
         raise _index_mismatch(cfg, exc) from exc
     except (ValueError, RuntimeError) as exc:
         raise ModelError(f"training failed: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(models.full, out / "l1.json")
     save_checkpoint(models.retrieved, out / "l2.json")
     save_checkpoint(models.postp, out / "l3.json")
@@ -421,7 +429,6 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load(cfg, args, "index")
     full, retrieved, postp, reward = _load(cfg, args, "models")
     out = Path(_need(cfg, args, "out", "an output directory"))
-    out.mkdir(parents=True, exist_ok=True)
     stats = build_stats(passages)
 
     judge, scorer = StubJudge(), None
@@ -443,19 +450,26 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
         full=full, retrieved=retrieved, postp=postp, reward=reward,
         judge=judge, consistency_scorer=scorer,
     )
-    embedder = HashEmbedder(index.dim, cfg.embedder_seed)
+    embedder = _embedder(cfg, index.dim)
     passage_map = {p.id: p for p in passages}
     try:
         # Only a remote scorer or judge waits on the network, so only it gets threads.
         runs = run_pipeline(
             qa_pairs, models, index, embedder, passage_map, stats, pipeline_cfg,
-            audit_path=out / "audit.jsonl", jobs=cfg.jobs if cfg.backend == "remote" else 1,
+            jobs=cfg.jobs if cfg.backend == "remote" else 1,
         )
     except PipelineError as exc:  # retrieved ids missing from the corpus
         raise _index_mismatch(cfg, exc) from exc
     except ClientError as exc:
         raise ModelError(f"remote backend failed: {exc}") from exc
-    _write_jsonl(out / "runs.jsonl", [run_record(r) for r in runs])
+    records = [run_record(r) for r in runs]
+    out.mkdir(parents=True, exist_ok=True)
+    # audit.jsonl: the scoring inputs of each question that reached selection.
+    _write_jsonl(out / "audit.jsonl", [
+        {"qid": rec["qid"], **rec["bundle"], "winner_provenance": rec["winner_provenance"]}
+        for rec in records if rec["bundle"] is not None
+    ])
+    _write_jsonl(out / "runs.jsonl", records)
     failures = sum(1 for r in runs if r.error)
     print(f"answered {len(runs)} questions ({failures} failures) -> {out}")
     return EXIT_OK
@@ -503,7 +517,6 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     runs_path = _load(cfg, args, "runs")
     out = Path(_need(cfg, args, "out", "an output directory"))
-    out.mkdir(parents=True, exist_ok=True)
     passage_map = {p.id: p for p in passages}
     qa_map = {qa.id: qa for qa in qa_pairs}
     points = []
@@ -523,6 +536,7 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")
     buckets = quality_recall_points(points)
+    out.mkdir(parents=True, exist_ok=True)
     with atomic_write(out / "analysis.csv", "w", encoding="utf-8") as fh:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:

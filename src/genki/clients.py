@@ -105,6 +105,7 @@ class _JsonHttpClient:
                     with urllib.request.urlopen(request, timeout=self.cfg.timeout_ms / 1000.0) as resp:
                         raw = resp.read()
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error is also the response; release its socket
                 if 500 <= exc.code < 600 and attempt + 1 < attempts:
                     last_error = exc
                     continue

@@ -6,8 +6,9 @@ retrieved-knowledge model answers from a prompt carrying the top-k
 passages, and the postprocessor rewrites each draft into the requested
 format.  The ensemble module then picks one of the two postprocessed
 candidates.  run_pipeline and train_pipeline_models retrieve each question
-once, in blocks (retriever.retrieve_texts), and pass every stage its
-question's results.
+once, in blocks (retriever.retrieve_texts), and render every prompt with the
+same two block renderers: draft_prompts (templates I and II) and
+rewrite_prompts (template III).
 
 run_pipeline answers a block of ANSWER_BLOCK questions one stage at a time:
 retrieval, then both drafts (answer_paths_block), then the rewrites
@@ -24,24 +25,22 @@ outputs (a prompt with no token, an empty draft, an empty rewrite);
 templates are checked when the PipelineConfig is built, and a retrieved id
 missing from the corpus fails the whole run.
 
-Training the roles is three invocations of lm_core.train over different
-material: all passages, the retrieved subsets, and format-transcription
-pairs built by pairing each retrieved-knowledge draft with its gold answer
-(the draft rambles, the gold target teaches the format stage both the
-wording and where to stop).
+Training encodes each prompt and gold answer once and trains the three
+roles over different material: all passages, the retrieved subsets, and
+format-transcription pairs built by pairing each retrieved-knowledge draft
+with its gold answer (the draft rambles, the gold target teaches the format
+stage both the wording and where to stop).
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .consistency import prepare_texts
-from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, atomic_write
+from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary
 from .ensemble import (
     AnswerCandidate,
     ExternalJudge,
@@ -107,6 +106,11 @@ class PipelineConfig:
         missing = set(TEMPLATE_SLOTS) - set(self.prompt_templates)
         if missing:
             raise ValueError(f"prompt templates missing: {sorted(missing)}")
+        unknown = set(self.prompt_templates) - set(TEMPLATE_SLOTS)
+        if unknown:
+            raise ValueError(
+                f"unknown prompt templates: {sorted(unknown)} (known: {sorted(TEMPLATE_SLOTS)})"
+            )
         object.__setattr__(self, "prompt_templates", dict(self.prompt_templates))
         # Every slot value is a non-empty string, so a template that renders
         # one-character values renders every value.
@@ -130,16 +134,31 @@ def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[P
     return [passages[pid] for pid in ids]
 
 
-def render_retrieved_prompt(
-    question: str,
-    results: Sequence[RetrievalResult],
+def draft_prompts(
+    questions: Sequence[QaPair],
+    retrievals: Sequence[Sequence[RetrievalResult]],
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
-) -> str:
-    """Template II: the question with the text of its retrieved passages."""
-    ids = [r.passage_id for r in results]
-    joined = " ".join(p.text for p in _passages_for(ids, passages))
-    return cfg.prompt_templates["II"].format(passages=joined, question=question)
+) -> tuple[list[str], list[str]]:
+    """Each question's full-knowledge (template I) and retrieved-knowledge (template II) prompt.
+
+    retrievals[i] is the top-k of questions[i]; template II carries the text
+    of those passages.  The first question with a retrieved id missing from
+    *passages* raises PipelineError naming its missing ids.
+    """
+    full, retrieved = [], []
+    for qa, results in zip(questions, retrievals, strict=True):
+        context = _passages_for([r.passage_id for r in results], passages)
+        full.append(cfg.prompt_templates["I"].format(question=qa.question))
+        retrieved.append(cfg.prompt_templates["II"].format(
+            passages=" ".join(p.text for p in context), question=qa.question
+        ))
+    return full, retrieved
+
+
+def rewrite_prompts(drafts: Sequence[str], cfg: PipelineConfig) -> list[str]:
+    """The format stage's prompt (template III) for each draft text."""
+    return [cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=d) for d in drafts]
 
 
 @dataclass(frozen=True)
@@ -193,11 +212,16 @@ def _greedy_texts(
     return texts
 
 
+def _ok(output: object) -> object:
+    """*output*, or raise it if it is a stage's per-question error."""
+    if isinstance(output, Exception):
+        raise output
+    return output
+
+
 def _draft_candidate(output: str | Exception, provenance: Provenance, path: str) -> AnswerCandidate:
     try:
-        if isinstance(output, Exception):
-            raise output
-        return AnswerCandidate(output, provenance)
+        return AnswerCandidate(_ok(output), provenance)
     except ValueError as exc:
         raise PipelineError(f"{path} path failed: {exc}") from exc
 
@@ -220,11 +244,7 @@ def answer_paths_block(
     retrieved ids), or the PipelineError answer_paths would raise for it.
     A retrieved id missing from *passages* raises for the whole block.
     """
-    prompts_full = [cfg.prompt_templates["I"].format(question=qa.question) for qa in questions]
-    prompts_retr = [
-        render_retrieved_prompt(qa.question, results, passages, cfg)
-        for qa, results in zip(questions, retrievals, strict=True)
-    ]
+    prompts_full, prompts_retr = draft_prompts(questions, retrievals, passages, cfg)
     full_texts = _greedy_texts(full_model, prompts_full, cfg.max_output_tokens)
     retr_texts = _greedy_texts(retr_model, prompts_retr, cfg.max_output_tokens)
     paths: list[Paths | PipelineError] = []
@@ -243,10 +263,7 @@ def answer_paths_block(
 
 
 def postprocess_block(
-    cands: Sequence[AnswerCandidate],
-    postp_model: ToyLm,
-    format: FormatSpec,
-    cfg: PipelineConfig,
+    cands: Sequence[AnswerCandidate], postp_model: ToyLm, cfg: PipelineConfig
 ) -> list[AnswerCandidate | PipelineError]:
     """postprocess for a block of drafts: each distinct draft is rewritten once.
 
@@ -256,10 +273,8 @@ def postprocess_block(
     """
     if any(cand.postprocessed for cand in cands):
         raise ValueError("candidate is already postprocessed")
-    prompts = [
-        cfg.prompt_templates["III"].format(format=format.wording, draft=cand.text) for cand in cands
-    ]
-    texts = _greedy_texts(postp_model, prompts, format.max_tokens)
+    prompts = rewrite_prompts([cand.text for cand in cands], cfg)
+    texts = _greedy_texts(postp_model, prompts, cfg.format.max_tokens)
     rewrites: list[AnswerCandidate | PipelineError] = []
     for cand, prompt in zip(cands, prompts):
         out, name = texts[prompt], cand.provenance.value
@@ -270,13 +285,6 @@ def postprocess_block(
         else:
             rewrites.append(AnswerCandidate(out, cand.provenance, postprocessed=True))
     return rewrites
-
-
-def _only(outputs: list) -> object:
-    [output] = outputs
-    if isinstance(output, Exception):
-        raise output
-    return output
 
 
 def answer_paths(
@@ -294,22 +302,17 @@ def answer_paths(
     failure on either path raises PipelineError naming the path.  The
     one-question case of answer_paths_block.
     """
-    return _only(answer_paths_block([q], [results], full_model, retr_model, passages, cfg))
+    return _ok(answer_paths_block([q], [results], full_model, retr_model, passages, cfg)[0])
 
 
-def postprocess(
-    cand: AnswerCandidate,
-    postp_model: ToyLm,
-    format: FormatSpec,
-    cfg: PipelineConfig,
-) -> AnswerCandidate:
+def postprocess(cand: AnswerCandidate, postp_model: ToyLm, cfg: PipelineConfig) -> AnswerCandidate:
     """Rewrite a raw draft into the requested format.
 
-    Output length is capped at format.max_tokens.  An empty rewrite is an
+    Output length is capped at cfg.format.max_tokens.  An empty rewrite is an
     error rather than a silent empty answer.  The one-draft case of
     postprocess_block.
     """
-    return _only(postprocess_block([cand], postp_model, format, cfg))
+    return _ok(postprocess_block([cand], postp_model, cfg)[0])
 
 
 def _error(exc: Exception) -> str:
@@ -328,60 +331,54 @@ def _run_block(
 ) -> list[PipelineRun]:
     """One block, stage by stage: retrieve, draft, rewrite, then select per question.
 
-    A question that fails skips the later stages and records what answer_paths,
-    postprocess and select would have returned before the failure: nothing
-    when a draft fails, the drafts and retrieved ids when the full-knowledge
-    rewrite fails, and the full-knowledge rewrite too when only the
-    retrieved-knowledge one fails.
+    Each question records its fields up to its first failure, as answer_paths,
+    postprocess and select would return them one at a time: only its id and
+    question when a draft fails, the drafts and retrieved ids too when the
+    full-knowledge rewrite fails, and the full-knowledge rewrite as well
+    when only the retrieved-knowledge one fails.  One map over the block
+    then selects for each question that has both rewrites.
     """
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in block], cfg.k)
     paths = answer_paths_block(block, retrievals, models.full, models.retrieved, passages, cfg)
-    drafted = [p for p in paths if not isinstance(p, Exception)]
-    rewrites = iter(postprocess_block(
-        [cand for full, retr, _ in drafted for cand in (full, retr)], models.postp, cfg.format, cfg
+    # Equal drafts get equal rewrites, so each question looks its two up.
+    drafts = list(dict.fromkeys(
+        cand for path in paths if not isinstance(path, Exception) for cand in path[:2]
     ))
-    runs: list = []  # a PipelineRun per question; None until selection fills it
-    pending: list[tuple[int, dict, AnswerCandidate, AnswerCandidate]] = []
+    rewritten = dict(zip(drafts, postprocess_block(drafts, models.postp, cfg)))
+    items: list[tuple[dict, tuple[AnswerCandidate, ...]]] = []  # fields, rewrites to select from
     for qa, path in zip(block, paths):
-        if isinstance(path, Exception):
-            runs.append(PipelineRun(qid=qa.id, question=qa.question, error=_error(path)))
-            continue
-        cand_full, cand_retr, retrieved_ids = path
-        fields = dict(
-            qid=qa.id, question=qa.question, retrieved_ids=retrieved_ids,
-            raw_full=cand_full.text, raw_retrieved=cand_retr.text,
-        )
-        post_full, post_retr = next(rewrites), next(rewrites)
-        if isinstance(post_full, Exception):
-            runs.append(PipelineRun(**fields, error=_error(post_full)))
-        elif isinstance(post_retr, Exception):
-            runs.append(PipelineRun(**fields, post_full=post_full.text, error=_error(post_retr)))
-        else:
-            fields.update(post_full=post_full.text, post_retrieved=post_retr.text)
-            pending.append((len(runs), fields, post_full, post_retr))
-            runs.append(None)
+        fields, rewrites = {"qid": qa.id, "question": qa.question}, ()
+        try:
+            full, retr, fields["retrieved_ids"] = _ok(path)
+            fields.update(raw_full=full.text, raw_retrieved=retr.text)
+            post_full, post_retr = rewritten[full], rewritten[retr]
+            fields["post_full"] = _ok(post_full).text
+            fields["post_retrieved"] = _ok(post_retr).text
+            rewrites = (post_full, post_retr)
+        except PipelineError as exc:
+            fields["error"] = _error(exc)
+        items.append((fields, rewrites))
 
-    texts = (text for _, fields, full, retr in pending
-             for text in (fields["question"], full.text, retr.text))
+    texts = (text for fields, rewrites in items if rewrites
+             for text in (fields["question"], *(cand.text for cand in rewrites)))
     prepared = prepare_texts(texts, models.scorer, stats)
 
-    def choose(item: tuple[int, dict, AnswerCandidate, AnswerCandidate]) -> PipelineRun:
-        _, fields, post_full, post_retr = item
-        try:
-            winner, bundle = select(
-                fields["question"], post_full, post_retr, models.scorer, stats,
-                models.reward, models.judge, cfg.format, prepared,
-            )
-        except Exception as exc:  # per-question isolation: record and move on
-            return PipelineRun(**fields, error=_error(exc))
-        return PipelineRun(
-            **fields, bundle=bundle, final_answer=winner.text,
-            winner_provenance=winner.provenance.value,
-        )
+    def choose(item: tuple[dict, tuple[AnswerCandidate, ...]]) -> PipelineRun:
+        fields, rewrites = item
+        if rewrites:
+            try:
+                winner, bundle = select(
+                    fields["question"], *rewrites, models.scorer, stats,
+                    models.reward, models.judge, cfg.format, prepared,
+                )
+            except Exception as exc:  # per-question isolation: record and move on
+                fields["error"] = _error(exc)
+            else:
+                fields.update(bundle=bundle, final_answer=winner.text,
+                              winner_provenance=winner.provenance.value)
+        return PipelineRun(**fields)
 
-    for (i, *_), run in zip(pending, map_fn(choose, pending)):
-        runs[i] = run
-    return runs
+    return list(map_fn(choose, items))
 
 
 def run_pipeline(
@@ -392,7 +389,6 @@ def run_pipeline(
     passages: Mapping[str, Passage],
     stats: CorpusStats,
     cfg: PipelineConfig,
-    audit_path: str | Path | None = None,
     jobs: int = 1,
 ) -> list[PipelineRun]:
     """Answer every question; failures are recorded per question, not raised.
@@ -404,8 +400,7 @@ def run_pipeline(
     missing from *passages* (PipelineError).  Only selection can wait on
     remote services, so jobs > 1 fans out that stage over threads; the
     built-in models have nothing to wait on, so callers pass jobs=1 for
-    them.  Results and audit rows keep the input order either way.
-    audit.jsonl is written atomically.
+    them.  Results keep the input order either way.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -415,18 +410,6 @@ def run_pipeline(
         for start in range(0, len(questions), ANSWER_BLOCK):
             block = questions[start : start + ANSWER_BLOCK]
             runs += _run_block(block, models, index, embedder, passages, stats, cfg, map_fn)
-    if audit_path is not None:
-        with atomic_write(audit_path, "w", encoding="utf-8") as fh:
-            for run in runs:
-                if run.bundle is None:
-                    continue
-                row = {
-                    "qid": run.qid,
-                    **bundle_record(run.bundle),
-                    "winner_provenance": run.winner_provenance,
-                }
-                fh.write(json.dumps(row, sort_keys=True))
-                fh.write("\n")
     return runs
 
 
@@ -438,18 +421,16 @@ def run_record(run: PipelineRun) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModels:
-    """The three trained model roles, the training questions' retrievals and drafts.
+    """The three trained model roles and the training questions' drafts.
 
-    retrievals[i] is the top-k of the i-th training question.  drafts maps
-    each training question's id to its retrieved-knowledge draft, the text
-    the format role learned to rewrite; the reward model's preference pairs
-    reuse it instead of decoding again.
+    drafts maps each training question's id to its retrieved-knowledge
+    draft, the text the format role learned to rewrite; the reward model's
+    preference pairs reuse it instead of decoding again.
     """
 
     full: ToyLm
     retrieved: ToyLm
     postp: ToyLm
-    retrievals: tuple[list[RetrievalResult], ...]
     drafts: Mapping[str, str]
 
 
@@ -464,10 +445,6 @@ def build_vocabulary(
     texts.extend(cfg.prompt_templates.values())
     texts.append(cfg.format.wording)
     return Vocabulary.from_texts(texts)
-
-
-def _with_eos(seq: TokenSeq, vocab: Vocabulary) -> TokenSeq:
-    return TokenSeq(seq.tokens + (vocab.eos_id,), seq.text)
 
 
 def retrieved_passages(
@@ -494,12 +471,14 @@ def train_pipeline_models(
 ) -> TrainedModels:
     """Train the three model roles from scratch.
 
-    Each training question is retrieved once and drafted once; the
-    retrievals and drafts are returned with the models.  The full-knowledge
-    role sees every passage, the retrieved-knowledge role only the union of
-    top-k retrievals, and the format role trains purely on instruction pairs
-    mapping each retrieved-knowledge draft to its gold answer with an end
-    token appended, which is what teaches it to stop.  Passages of fewer than 2
+    Each training question is retrieved once, and each prompt and gold
+    answer is rendered and encoded once; the retrieved-knowledge drafts are
+    decoded from the encoded template-II prompts and returned with the
+    models.  The full-knowledge role sees every passage, the
+    retrieved-knowledge role only the union of top-k retrievals, and the
+    format role trains purely on instruction pairs mapping each
+    retrieved-knowledge draft to its gold answer with an end token
+    appended, which is what teaches it to stop.  Passages of fewer than 2
     tokens have no transition, so both domain losses leave them out.
     Retrieved ids missing from *passages* raise PipelineError before any
     training.
@@ -507,66 +486,41 @@ def train_pipeline_models(
     if not train_qa:
         raise ValueError("training needs at least one qa pair")
     passage_map = {p.id: p for p in passages}
-    retrievals = tuple(
-        retrieve_texts(index, embedder, [qa.question for qa in train_qa], cfg.k)
-    )
+    retrievals = retrieve_texts(index, embedder, [qa.question for qa in train_qa], cfg.k)
     retr_union = retrieved_passages(retrievals, passage_map)
+    prompts_full, prompts_retr = (
+        [vocab.encode(prompt) for prompt in prompts]
+        for prompts in draft_prompts(train_qa, retrievals, passage_map, cfg)
+    )
+    answers = [vocab.encode(qa.answers[0]) for qa in train_qa]
 
-    def domain_seqs(subset: Sequence[Passage]) -> list[TokenSeq]:
-        seqs = (vocab.encode(p.text) for p in subset)
-        return [seq for seq in seqs if len(seq.tokens) >= 2]
+    def fit(domain: Sequence[Passage], prompts: Sequence[TokenSeq],
+            targets: Sequence[TokenSeq]) -> ToyLm:
+        seqs = [seq for seq in (vocab.encode(p.text) for p in domain) if len(seq.tokens) >= 2]
+        batch = [TrainExample(prompt, target) for prompt, target in zip(prompts, targets)]
+        return train(ToyLm(vocab, learning_rate=learning_rate), seqs, batch, cfg.weights, steps)
 
-    def examples(prompts: Sequence[str]) -> list[TrainExample]:
-        return [
-            TrainExample(vocab.encode(prompt), vocab.encode(qa.answers[0]))
-            for prompt, qa in zip(prompts, train_qa)
-        ]
-
-    def fresh() -> ToyLm:
-        return ToyLm(vocab, learning_rate=learning_rate)
-
-    prompts_full = [cfg.prompt_templates["I"].format(question=qa.question) for qa in train_qa]
-    full = train(fresh(), domain_seqs(passages), examples(prompts_full), cfg.weights, steps)
-
-    prompts_retr = [
-        render_retrieved_prompt(qa.question, results, passage_map, cfg)
-        for qa, results in zip(train_qa, retrievals)
-    ]
-    retr_examples = examples(prompts_retr)
-    retrieved = train(fresh(), domain_seqs(retr_union), retr_examples, cfg.weights, steps)
-
-    drafts = drafts_for_questions(train_qa, retrievals, retrieved, passage_map, cfg)
-    format_batch = [
-        TrainExample(
-            vocab.encode(
-                cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=drafts[qa.id])
-            ),
-            _with_eos(ex.answer, vocab),
-        )
-        for qa, ex in zip(train_qa, retr_examples)
-    ]
-    postp = train(fresh(), [], format_batch, cfg.weights, steps)
-    return TrainedModels(full, retrieved, postp, retrievals, drafts)
+    full = fit(passages, prompts_full, answers)
+    retrieved = fit(retr_union, prompts_retr, answers)
+    drafts = drafts_for_questions(train_qa, prompts_retr, retrieved, cfg)
+    prompts_post = rewrite_prompts([drafts[qa.id] for qa in train_qa], cfg)
+    postp = fit(
+        [], [vocab.encode(prompt) for prompt in prompts_post],
+        [TokenSeq(answer.tokens + (vocab.eos_id,), answer.text) for answer in answers],
+    )
+    return TrainedModels(full, retrieved, postp, drafts)
 
 
 def drafts_for_questions(
-    questions: Sequence[QaPair],
-    retrievals: Sequence[Sequence[RetrievalResult]],
-    model: ToyLm,
-    passages: Mapping[str, Passage],
-    cfg: PipelineConfig,
+    questions: Sequence[QaPair], prompts: Sequence[TokenSeq], model: ToyLm, cfg: PipelineConfig
 ) -> dict[str, str]:
     """Retrieved-knowledge drafts keyed by question id, decoded as one batch.
 
-    retrievals[i] is the top-k of questions[i], for example
-    TrainedModels.retrievals for the training questions.
+    prompts[i] is the encoded template-II prompt of questions[i] (see
+    draft_prompts).
     """
-    prompts = [
-        model.encode(render_retrieved_prompt(qa.question, results, passages, cfg))
-        for qa, results in zip(questions, retrievals, strict=True)
-    ]
     drafts = model.generate_batch(prompts, cfg.max_output_tokens)
-    return {qa.id: draft.text for qa, draft in zip(questions, drafts)}
+    return {qa.id: draft.text for qa, draft in zip(questions, drafts, strict=True)}
 
 
 def preference_pairs_from_drafts(

@@ -4,14 +4,10 @@ Texts are embedded a block at a time (HashEmbedder.embed_many) into one
 preallocated float32 matrix, so DenseIndex.build holds the index once.
 Retrieval is exact: top_k_batch() returns what a float64 scan of every row
 would, ordered by score descending, then passage id ascending, with float64
-scores.  It scores all rows with one float32 product over the columns
-where some query of the block is nonzero (hash-embedded questions use a
-few of them), keeps the rows within twice a proven rounding bound of each
-query's k-th float32 score, and rescores in float64 only those that share
-a nonzero column with their query; the rest score zero exactly and are
-rescored only if kept (see top_k_batch for the bound and its proof).
-retrieve_texts embeds and retrieves many questions one block at a time, so
-memory stays bounded however many there are.
+scores.  Its docstring states the method (a float32 screen, then float64
+rescores), the rounding bound and the proof.  retrieve_texts embeds and
+retrieves many questions one block at a time, so memory stays bounded
+however many there are.
 
 The index file layout is fixed little-endian binary:
 
@@ -80,6 +76,8 @@ class HashEmbedder:
     def __init__(self, dim: int = 256, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        if not -2**63 <= seed < 2**63:
+            raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
         self.dim = dim
         self.seed = seed
         self._key = struct.pack("<q", seed)
@@ -306,9 +304,8 @@ def _top_k_block(
         rows = np.tile(np.arange(count), len(queries))
     ids = index.ids
     distinct, which = np.unique(rows, return_inverse=True)
-    # A candidate that shares no nonzero column with its query scores a sum
-    # of signed zeros: it sorts as 0.0 (±0 compare equal) and is rescored
-    # only if it is kept, so the sign of a returned zero is the rescore's.
+    # Candidates sharing no nonzero column with their query sort as 0.0 and
+    # are rescored only if kept (top_k_batch, "Skipped rescores").
     shared = _shares_column(index.matrix, distinct, active, used, step)[which, query_of]
     scores = np.zeros(len(rows))
     live = np.flatnonzero(shared)

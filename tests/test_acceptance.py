@@ -44,6 +44,7 @@ from genki.generation import (
     PipelineConfig,
     PipelineModels,
     build_vocabulary,
+    draft_prompts,
     drafts_for_questions,
     preference_pairs_from_drafts,
     run_pipeline,
@@ -574,7 +575,7 @@ def test_training_direction():
     fmt = FormatSpec(AnswerKind.ENTITY, max_tokens=8)
     cfg = PipelineConfig(k=2, format=fmt, max_output_tokens=12)
     vocab = build_vocabulary(passages, qa_pairs, cfg)
-    from genki.retriever import HashEmbedder
+    from genki.retriever import HashEmbedder, retrieve_texts
 
     embedder = HashEmbedder(dim=1024, seed=0)
     index = DenseIndex.build(passages, embedder)
@@ -588,19 +589,15 @@ def test_training_direction():
             text_recall(list(qa.answers), drafts[qa.id]) for qa in qa_pairs
         ) / len(qa_pairs)
 
-    trained_drafts = drafts_for_questions(
-        qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg
-    )
-    untrained_drafts = drafts_for_questions(
-        qa_pairs, trained.retrievals, ToyLm(vocab), passage_map, cfg
-    )
+    retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
+    prompts = [vocab.encode(p) for p in draft_prompts(qa_pairs, retrievals, passage_map, cfg)[1]]
+    trained_drafts = drafts_for_questions(qa_pairs, prompts, trained.retrieved, cfg)
+    untrained_drafts = drafts_for_questions(qa_pairs, prompts, ToyLm(vocab), cfg)
     recall_trained = mean_recall(trained_drafts)
     recall_untrained = mean_recall(untrained_drafts)
     assert recall_trained - recall_untrained >= 0.20, (recall_trained, recall_untrained)
 
-    drafts = drafts_for_questions(
-        qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg
-    )
+    drafts = drafts_for_questions(qa_pairs, prompts, trained.retrieved, cfg)
     pairs = preference_pairs_from_drafts(qa_pairs, drafts, fmt)
     reward = train_reward_or_fresh(pairs)
     models = PipelineModels(

@@ -24,6 +24,10 @@ from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
 
 
+def read_lines(path):
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A fully-populated working directory: corpus, config, index, models, runs."""
@@ -155,8 +159,7 @@ class TestRetrieve:
                      "--qa", workdir["qa"], "--out", str(out)]) == EXIT_OK
         index = load_index(workdir["index"])
         embedder = HashEmbedder(index.dim, 0)
-        questions = [json.loads(line) for line in
-                     open(workdir["qa"], encoding="utf-8")]
+        questions = [json.loads(line) for line in read_lines(workdir["qa"])]
         for line, qa in zip(out.read_text().splitlines(), questions):
             record = json.loads(line)
             assert record["qid"] == qa["id"]
@@ -233,7 +236,7 @@ class TestTrain:
         assert "'xp000'" in err
         assert "rebuild it with: genki index" in err
         assert "Traceback" not in err
-        assert list(models.iterdir()) == []
+        assert not models.exists()
 
     def test_each_question_embedded_once(self, workdir, tmp_path, monkeypatch):
         counts = Counter()
@@ -248,7 +251,7 @@ class TestTrain:
                      "--qa", workdir["qa"], "--index", workdir["index"],
                      "--out", str(tmp_path / "models")]) == EXIT_OK
         questions = [json.loads(line)["question"]
-                     for line in open(workdir["qa"], encoding="utf-8")]
+                     for line in read_lines(workdir["qa"])]
         assert counts == Counter(questions)
         for name in ("l1.json", "l2.json", "l3.json", "reward.json"):
             reference = (workdir["root"] / "models" / name).read_bytes()
@@ -274,7 +277,7 @@ class TestTrain:
     def test_one_word_and_punctuation_passages_train_and_answer(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as fh:
-            fh.write(open(workdir["corpus"], encoding="utf-8").read())
+            fh.write(Path(workdir["corpus"]).read_text(encoding="utf-8"))
             fh.write(json.dumps({"id": "solo", "text": "zebra"}) + "\n")
             fh.write(json.dumps({"id": "punct", "text": "!!!"}) + "\n")
         index, models = str(tmp_path / "index.bin"), str(tmp_path / "models")
@@ -313,7 +316,7 @@ class TestAtomicOutputs:
 @pytest.mark.parametrize("command", ["ingest", "train", "analyze", "eval"])
 def test_gold_answer_without_word_token_is_data_error(workdir, tmp_path, capsys, command):
     qa = tmp_path / "qa.jsonl"
-    lines = open(workdir["qa"], encoding="utf-8").read().splitlines()
+    lines = read_lines(workdir["qa"])
     lines[2] = json.dumps({**json.loads(lines[2]), "answers": ["!!!"]})
     qa.write_text("\n".join(lines) + "\n")
     inputs = ["--corpus", workdir["corpus"], "--qa", str(qa)]
@@ -360,7 +363,7 @@ def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
 ])
 def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, template):
     config = tmp_path / "config.json"
-    settings = json.loads(open(workdir["config"], encoding="utf-8").read())
+    settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
     config.write_text(json.dumps({**settings, "templates": {"III": template}}))
     inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
               "--index", workdir["index"]]
@@ -377,7 +380,7 @@ def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, templa
 
 def test_corpus_without_a_retrieved_passage_is_data_error(workdir, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
-    lines = open(workdir["corpus"], encoding="utf-8").read().splitlines()
+    lines = read_lines(workdir["corpus"])
     corpus.write_text("".join(line + "\n" for line in lines if json.loads(line)["id"] != "p000"))
     out = tmp_path / "run"
     assert main(["answer", "--config", workdir["config"], "--corpus", str(corpus),
@@ -388,7 +391,48 @@ def test_corpus_without_a_retrieved_passage_is_data_error(workdir, tmp_path, cap
         f"passage ids: ['p000']; rebuild it with: genki index --corpus {corpus} "
         f"--out {workdir['index']}\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "answer"])
+def test_unknown_template_name_is_config_error(workdir, tmp_path, capsys, command):
+    # names are case-sensitive: "iii" is not template III
+    config = tmp_path / "config.json"
+    settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**settings, "templates": {"iii": "zebra crossing {draft}"}}))
+    inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+              "--index", workdir["index"]]
+    argv = {
+        "train": ["train", *inputs, "--out", str(tmp_path / "models")],
+        "answer": ["answer", *inputs, "--models", workdir["models"], "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: unknown prompt templates: ['iii'] (known: ['I', 'II', 'III', 'IV'])\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+@pytest.mark.parametrize("command", ["index", "retrieve", "train", "answer"])
+def test_embedder_seed_outside_64_bits_is_config_error(workdir, tmp_path, capsys, command, seed):
+    config = tmp_path / "config.json"
+    settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**settings, "embedder": {"dim": 1024, "seed": seed}}))
+    common = ["--config", str(config), "--out", str(tmp_path / "out")]
+    argv = {
+        "index": ["index", *common, "--corpus", workdir["corpus"]],
+        "retrieve": ["retrieve", *common, "--index", workdir["index"], "--qa", workdir["qa"]],
+        "train": ["train", *common, "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                  "--index", workdir["index"]],
+        "answer": ["answer", *common, "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                   "--index", workdir["index"], "--models", workdir["models"]],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: embedder.seed must be a signed 64-bit integer, got {seed}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def subprocess_env(**extra):
@@ -440,9 +484,8 @@ def test_oov_warnings_do_not_depend_on_the_hash_seed(tmp_path):
 
 class TestAnswer:
     def test_runs_complete_and_exact(self, workdir):
-        runs = [json.loads(line) for line in
-                open(workdir["answers"] + "/runs.jsonl", encoding="utf-8")]
-        qa = [json.loads(line) for line in open(workdir["qa"], encoding="utf-8")]
+        runs = [json.loads(line) for line in read_lines(workdir["answers"] + "/runs.jsonl")]
+        qa = [json.loads(line) for line in read_lines(workdir["qa"])]
         assert len(runs) == 8
         for run, pair in zip(runs, qa):
             assert run["qid"] == pair["id"]
@@ -462,6 +505,39 @@ class TestAnswer:
             reference = (first / name).read_bytes()
             assert (out2 / name).read_bytes() == reference
             assert (out3 / name).read_bytes() == reference
+
+    def test_audit_rows_project_runs(self, workdir):
+        # one audit row per question that reached selection, in input order
+        runs = [json.loads(line) for line in read_lines(workdir["answers"] + "/runs.jsonl")]
+        rows = [json.loads(line) for line in read_lines(workdir["answers"] + "/audit.jsonl")]
+        expected = [
+            {"qid": run["qid"], **run["bundle"], "winner_provenance": run["winner_provenance"]}
+            for run in runs if run["bundle"] is not None
+        ]
+        assert rows == expected and rows
+        assert rows[0]["route"] in ("RewardPick", "ExternalPick")
+
+    def test_failed_audit_write_keeps_previous_files(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        shutil.copytree(workdir["answers"], out)
+        (out / "audit.jsonl").write_text("previous audit\n")
+        (out / "runs.jsonl").write_text("previous runs\n")
+        record = cli.run_record
+
+        def unwritable_third_bundle(run):
+            fields = record(run)
+            if run.qid == "q002":
+                fields["bundle"] = {**fields["bundle"], "cs1": object()}
+            return fields
+
+        monkeypatch.setattr(cli, "run_record", unwritable_third_bundle)
+        with pytest.raises(TypeError):
+            main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                  "--qa", workdir["qa"], "--index", workdir["index"],
+                  "--models", workdir["models"], "--out", str(out)])
+        assert (out / "audit.jsonl").read_text() == "previous audit\n"
+        assert (out / "runs.jsonl").read_text() == "previous runs\n"
+        assert sorted(p.name for p in out.iterdir()) == ["audit.jsonl", "runs.jsonl"]
 
     def test_missing_models_names_producer(self, workdir, tmp_path, capsys):
         empty = tmp_path / "no-models"
@@ -572,7 +648,7 @@ class TestEval:
         assert lines[-1].startswith("mean\t1.000000")
 
     def test_simple_answer_format(self, workdir, tmp_path, capsys):
-        qa = [json.loads(line) for line in open(workdir["qa"], encoding="utf-8")]
+        qa = [json.loads(line) for line in read_lines(workdir["qa"])]
         answers = tmp_path / "golds.jsonl"
         with open(answers, "w", encoding="utf-8") as fh:
             for pair in qa:
@@ -582,7 +658,7 @@ class TestEval:
         assert "em 1.0000" in capsys.readouterr().out
 
     def test_missing_answer_lists_ids(self, workdir, tmp_path, capsys):
-        qa = [json.loads(line) for line in open(workdir["qa"], encoding="utf-8")]
+        qa = [json.loads(line) for line in read_lines(workdir["qa"])]
         answers = tmp_path / "partial.jsonl"
         with open(answers, "w", encoding="utf-8") as fh:
             for pair in qa[:-2]:
@@ -625,7 +701,7 @@ class TestAnalyze:
         # half the runs retrieved nothing (quality 0), half their own passage (0.4)
         runs = tmp_path / "runs.jsonl"
         with open(runs, "w", encoding="utf-8") as fh:
-            for i, line in enumerate(open(workdir["answers"] + "/runs.jsonl", encoding="utf-8")):
+            for i, line in enumerate(read_lines(workdir["answers"] + "/runs.jsonl")):
                 record = json.loads(line)
                 if i < 4:
                     record.update(retrieved_ids=[], final_answer="wrong" if i % 2 else "")
@@ -638,6 +714,17 @@ class TestAnalyze:
         assert fit["segment2"] == {"slope": 0.0, "intercept": 1.0, "r2": 1.0}
         assert set(fit) == {"segment1", "segment2", "breakpoint", "single"}
         assert set(fit["segment1"]) == set(fit["single"]) == {"slope", "intercept", "r2"}
+
+    def test_no_usable_runs_leaves_no_output(self, workdir, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text(json.dumps({"qid": "q000", "final_answer": "", "error": "E: x"}) + "\n")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {runs}: no usable runs (all missing, errored, or unmatched)\n"
+        )
+        assert not out.exists()
 
     def test_missing_runs_names_producer(self, workdir, tmp_path, capsys):
         assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
@@ -768,7 +855,7 @@ class TestConfigHandling:
     ])
     def test_bad_value_is_config_error(self, workdir, tmp_path, capsys, command, config, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({**json.loads(open(workdir["config"]).read()), **config}))
+        path.write_text(json.dumps({**json.loads(Path(workdir["config"]).read_text(encoding="utf-8")), **config}))
         paths = {
             "ingest": [],
             "index": ["--corpus", workdir["corpus"], "--out", str(tmp_path / "i.bin")],

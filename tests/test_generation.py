@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from genki.corpus import (
-    AnswerKind, Passage, QaPair, TokenSeq, build_stats, split_sentences, tokenize,
+    AnswerKind, Passage, QaPair, TokenSeq, Vocabulary, build_stats, split_sentences, tokenize,
 )
 from genki.ensemble import (
     AnswerCandidate, Choice, Provenance, Route, ScoreBundle, StubJudge, _guarded_reward_mean,
-    bundle_record, judgment_score, resolve_winner,
+    judgment_score, resolve_winner,
 )
 from genki import generation
 from genki.generation import (
@@ -28,6 +28,7 @@ from genki.generation import (
     PipelineModels,
     answer_paths,
     build_vocabulary,
+    draft_prompts,
     drafts_for_questions,
     postprocess,
     preference_pairs_from_drafts,
@@ -91,6 +92,14 @@ def retrieve(world, qa, k=2):
     return top_k(world["index"], world["embedder"].embed_question(qa.question), k)
 
 
+def retrieved_drafts(world, model):
+    """*model*'s retrieved-knowledge drafts of the world's questions, keyed by id."""
+    retrievals = [retrieve(world, qa) for qa in world["qa"]]
+    _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"], world["cfg"])
+    encoded = [world["vocab"].encode(prompt) for prompt in prompts]
+    return drafts_for_questions(world["qa"], encoded, model, world["cfg"])
+
+
 # -- the one-question flow run_pipeline replaced, kept as its oracle ---------
 #
 # Each question on its own: encode its prompts, decode them token by token
@@ -150,7 +159,9 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
     """The per-question flow: answer_paths, postprocess twice, select."""
     fields = dict(qid=qa.id, question=qa.question)
     try:
-        prompt_retr = generation.render_retrieved_prompt(qa.question, results, passages, cfg)
+        prompt_retr = cfg.prompt_templates["II"].format(
+            passages=" ".join(passages[r.passage_id].text for r in results), question=qa.question
+        )
         prompt_full = cfg.prompt_templates["I"].format(question=qa.question)
         drafts = []
         for model, prompt, provenance, path in (
@@ -183,15 +194,6 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
         return generation.PipelineRun(**fields, error=f"{type(exc).__name__}: {exc}")
 
 
-def reference_audit(runs):
-    """audit.jsonl bytes as the one-question flow's run_pipeline wrote them."""
-    rows = [
-        {"qid": run.qid, **bundle_record(run.bundle), "winner_provenance": run.winner_provenance}
-        for run in runs if run.bundle is not None
-    ]
-    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
-
-
 class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -205,6 +207,11 @@ class TestPipelineConfig:
         templates = {k: v for k, v in DEFAULT_TEMPLATES.items() if k != "III"}
         with pytest.raises(ValueError, match="III"):
             make_config(prompt_templates=templates)
+
+    @pytest.mark.parametrize("name", ["iii", "V", ""])
+    def test_unknown_template_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown prompt templates: \\['{name}'\\]"):
+            make_config(prompt_templates={**DEFAULT_TEMPLATES, name: "zebra crossing {draft}"})
 
     def test_templates_copied(self):
         templates = dict(DEFAULT_TEMPLATES)
@@ -290,7 +297,7 @@ class TestPostprocess:
             qa, retrieve(world, qa), world["trained"].full, world["trained"].retrieved,
             world["passage_map"], world["cfg"],
         )
-        out = postprocess(cand_retr, world["trained"].postp, FORMAT, world["cfg"])
+        out = postprocess(cand_retr, world["trained"].postp, world["cfg"])
         assert out.postprocessed
         assert out.provenance is cand_retr.provenance
         assert len(out.text.split()) <= FORMAT.max_tokens
@@ -298,7 +305,7 @@ class TestPostprocess:
     def test_already_postprocessed_rejected(self, world):
         done = AnswerCandidate("alpha000 beta000", Provenance.FULL_KNOWLEDGE, postprocessed=True)
         with pytest.raises(ValueError, match="already"):
-            postprocess(done, world["trained"].postp, FORMAT, world["cfg"])
+            postprocess(done, world["trained"].postp, world["cfg"])
 
     def test_empty_output_is_error(self, world):
         class SilentModel:
@@ -310,7 +317,7 @@ class TestPostprocess:
 
         cand = AnswerCandidate("some draft", Provenance.FULL_KNOWLEDGE)
         with pytest.raises(PipelineError, match="empty"):
-            postprocess(cand, SilentModel(), FORMAT, world["cfg"])
+            postprocess(cand, SilentModel(), world["cfg"])
 
     @pytest.mark.parametrize("name, template", [
         ("I", "question : {nonexistent}"), ("II", "context : {}"), ("III", "{draft.x}"),
@@ -330,15 +337,9 @@ class TestPostprocess:
 class TestTrainingEffects:
     def test_trained_drafts_beat_untrained(self, world):
         untrained = ToyLm(world["vocab"])
-        trained_drafts = drafts_for_questions(
-            world["qa"], world["trained"].retrievals, world["trained"].retrieved,
-            world["passage_map"], world["cfg"],
-        )
+        trained_drafts = retrieved_drafts(world, world["trained"].retrieved)
         assert trained_drafts == world["trained"].drafts  # what training decoded
-        untrained_drafts = drafts_for_questions(
-            world["qa"], world["trained"].retrievals, untrained,
-            world["passage_map"], world["cfg"],
-        )
+        untrained_drafts = retrieved_drafts(world, untrained)
 
         def mean_recall(drafts):
             return sum(
@@ -448,28 +449,6 @@ class TestRunPipeline:
         assert runs == reference
         assert all(run.error is None for run in runs)
 
-    def test_failed_audit_write_keeps_previous_file(self, world, tmp_path, monkeypatch):
-        audit = tmp_path / "audit.jsonl"
-        args = (
-            world["qa"], world["models"], world["index"], world["embedder"],
-            world["passage_map"], world["stats"], world["cfg"],
-        )
-        run_pipeline(*args, audit_path=audit)
-        before = audit.read_bytes()
-        calls = []
-
-        def failing_record(bundle):
-            calls.append(bundle)
-            if len(calls) > 2:
-                raise OSError("disk full")
-            return {}
-
-        monkeypatch.setattr(generation, "bundle_record", failing_record)
-        with pytest.raises(OSError, match="disk full"):
-            run_pipeline(*args, audit_path=audit)
-        assert audit.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.jsonl"]
-
     def test_bad_jobs_rejected(self, world):
         with pytest.raises(ValueError):
             run_pipeline(
@@ -508,34 +487,6 @@ class TestRunPipeline:
         for run in ok:
             assert run.final_answer.strip()
 
-    def test_audit_file_one_line_per_scored_run(self, world, tmp_path):
-        audit = tmp_path / "audit.jsonl"
-        runs = run_pipeline(
-            world["qa"], world["models"], world["index"], world["embedder"],
-            world["passage_map"], world["stats"], world["cfg"], audit_path=audit,
-        )
-        lines = audit.read_text().splitlines()
-        scored = [run for run in runs if run.bundle is not None]
-        assert len(lines) == len(scored)
-        first = json.loads(lines[0])
-        assert first["qid"] == runs[0].qid
-        assert first["route"] in ("RewardPick", "ExternalPick")
-        assert first["winner_provenance"] == runs[0].winner_provenance
-
-    def test_audit_rows_project_runs(self, world, tmp_path):
-        audit = tmp_path / "audit.jsonl"
-        runs = run_pipeline(
-            world["qa"], world["models"], world["index"], world["embedder"],
-            world["passage_map"], world["stats"], world["cfg"], audit_path=audit,
-        )
-        rows = [json.loads(line) for line in audit.read_text().splitlines()]
-        expected = [
-            {"qid": run.qid, **run_record(run)["bundle"],
-             "winner_provenance": run.winner_provenance}
-            for run in runs if run.bundle is not None
-        ]
-        assert rows == expected and rows
-
     def test_run_record_round_trips_json(self, world):
         runs = run_pipeline(
             world["qa"][:2], world["models"], world["index"], world["embedder"],
@@ -568,8 +519,7 @@ def default_world():
         passages, qa_pairs, index, embedder, vocab, cfg, steps=50, learning_rate=0.5
     )
     passage_map = {p.id: p for p in passages}
-    drafts = drafts_for_questions(qa_pairs, trained.retrievals, trained.retrieved, passage_map, cfg)
-    pairs = preference_pairs_from_drafts(qa_pairs, drafts, FORMAT)
+    pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
     reward = train_reward(ToyRewardModel(learning_rate=0.05), pairs, 100)
     models = PipelineModels(trained.full, trained.retrieved, trained.postp, reward, StubJudge())
     args = (qa_pairs, models, index, embedder, passage_map, build_stats(passages), cfg)
@@ -586,11 +536,9 @@ def reference_runs(questions, models, index, embedder, passages, stats, cfg):
     ]
 
 
-def assert_equals_reference(args, reference, tmp_path, jobs):
-    audit = tmp_path / "audit.jsonl"
-    runs = run_pipeline(*args, audit_path=audit, jobs=jobs)
+def assert_equals_reference(args, reference, jobs):
+    runs = run_pipeline(*args, jobs=jobs)
     assert [run_record(run) for run in runs] == [run_record(run) for run in reference]
-    assert audit.read_bytes() == reference_audit(reference)
 
 
 class ParityReward:
@@ -610,11 +558,11 @@ class TestBlockOracle:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_failed_rewrites_keep_partial_fields(
-        self, default_world, tmp_path, monkeypatch, jobs, offset
+        self, default_world, monkeypatch, jobs, offset
     ):
         questions = default_world["args"][0]
         monkeypatch.setattr(generation, "ANSWER_BLOCK", len(questions) + offset)
-        assert_equals_reference(default_world["args"], default_world["reference"], tmp_path, jobs)
+        assert_equals_reference(default_world["args"], default_world["reference"], jobs)
         failed = [run for run in default_world["reference"] if run.error]
         assert len(failed) == 150
         for run in failed:
@@ -631,7 +579,7 @@ class TestBlockOracle:
         ("retrieved", 2,
          "PipelineError: retrieved-knowledge path failed: candidate text must be non-empty"),
     ])
-    def test_distinct_candidates(self, world, tmp_path, monkeypatch, jobs, noisy, seed, shows):
+    def test_distinct_candidates(self, world, monkeypatch, jobs, noisy, seed, shows):
         # an untrained model on one path drafts noise, so the two candidates
         # differ and some drafts or rewrites come out empty
         monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
@@ -647,14 +595,14 @@ class TestBlockOracle:
             world["stats"], world["cfg"],
         )
         reference = reference_runs(*args)
-        assert_equals_reference(args, reference, tmp_path, jobs)
+        assert_equals_reference(args, reference, jobs)
         assert any(run.post_full != run.post_retrieved for run in reference if run.bundle)
         seen = {run.error for run in reference} | {
             run.bundle.route.value for run in reference if run.bundle
         }
         assert shows in seen
 
-    def test_rejected_prompt_fails_only_its_question(self, world, tmp_path, monkeypatch):
+    def test_rejected_prompt_fails_only_its_question(self, world, monkeypatch):
         # "???" has no word tokens, so with template I = "{question}" its
         # full-knowledge prompt is empty and the model rejects it
         calls = Counter()
@@ -674,7 +622,7 @@ class TestBlockOracle:
             world["stats"], cfg,
         )
         reference = reference_runs(*args)
-        assert_equals_reference(args, reference, tmp_path, 1)
+        assert_equals_reference(args, reference, 1)
         assert reference[3].error == (
             "PipelineError: full-knowledge path failed: generation needs a non-empty prompt"
         )
@@ -707,13 +655,36 @@ class TestRetrieveOnce:
             world["passages"], world["qa"], world["index"], embedder,
             world["vocab"], world["cfg"], steps=5,
         )
-        drafts = drafts_for_questions(
-            world["qa"], trained.retrievals, trained.retrieved, world["passage_map"],
-            world["cfg"],
-        )
         assert embedder.questions == Counter(qa.question for qa in world["qa"])
-        assert set(drafts) == {qa.id for qa in world["qa"]}
-        assert list(trained.retrievals) == [retrieve(world, qa) for qa in world["qa"]]
+        # the drafts come from each question's own top-k
+        assert trained.drafts == retrieved_drafts(world, trained.retrieved)
+
+    def test_each_retrieved_prompt_rendered_and_encoded_once(self, world, monkeypatch):
+        renders, encodes = Counter(), Counter()
+
+        class CountingTemplate(str):
+            def format(self, *args, **kwargs):
+                text = super().format(*args, **kwargs)
+                renders[text] += 1
+                return text
+
+        encode = Vocabulary.encode
+
+        def counting_encode(vocab, text):
+            encodes[text] += 1
+            return encode(vocab, text)
+
+        cfg = make_config(prompt_templates={
+            **DEFAULT_TEMPLATES, "II": CountingTemplate(DEFAULT_TEMPLATES["II"])
+        })
+        renders.clear()  # building the config renders each template once to check it
+        monkeypatch.setattr(Vocabulary, "encode", counting_encode)
+        train_pipeline_models(
+            world["passages"], world["qa"], world["index"], world["embedder"],
+            world["vocab"], cfg, steps=1,
+        )
+        assert sum(renders.values()) == len(world["qa"])
+        assert all(encodes[prompt] == count for prompt, count in renders.items())
 
     def test_unknown_ids_raise_before_training(self, world, monkeypatch):
         partial = [p for p in world["passages"] if p.id != "p003"]
@@ -728,10 +699,7 @@ class TestRetrieveOnce:
         with pytest.raises(PipelineError, match="unknown passage ids"):
             retrieved_passages([retrieve(world, world["qa"][3])], {})
         with pytest.raises(PipelineError, match="unknown passage ids"):
-            drafts_for_questions(
-                world["qa"][3:4], [retrieve(world, world["qa"][3])], world["trained"].retrieved,
-                {}, world["cfg"],
-            )
+            draft_prompts(world["qa"][3:4], [retrieve(world, world["qa"][3])], {}, world["cfg"])
 
 
 class TestShortPassages:

@@ -863,6 +863,13 @@ class TestHashEmbedder:
         far = embedder.embed_passage("medieval castle moat")
         assert query @ close > query @ far
 
+    def test_seed_is_a_signed_64_bit_integer(self):
+        for seed in (-2**63, 2**63 - 1):
+            assert HashEmbedder(dim=8, seed=seed).embed_question("x").any()
+        for seed in (-2**63 - 1, 2**63):
+            with pytest.raises(ValueError, match=f"seed must be a signed 64-bit integer, got {seed}"):
+                HashEmbedder(dim=8, seed=seed)
+
     def test_seed_changes_embedding(self):
         a = HashEmbedder(dim=64, seed=0).embed_passage("word")
         b = HashEmbedder(dim=64, seed=1).embed_passage("word")
