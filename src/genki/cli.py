@@ -6,7 +6,8 @@ is deterministic given identical inputs: reruns produce byte-identical
 outputs.
 
 Exit codes: 0 success, 2 configuration errors, 3 data errors (missing,
-malformed or unwritable files), 4 model errors (training or backend failures).
+malformed or unwritable files), 4 model errors (training failures).  A remote
+backend failure fails only its own question, recorded in runs.jsonl.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .clients import ClientError, EndpointConfig, RemoteJudge, RemoteScorer
+from .clients import EndpointConfig, RemoteJudge, RemoteScorer
 from .corpus import (
     AnswerKind,
     CorpusError,
@@ -27,6 +28,7 @@ from .corpus import (
     ingest_passages,
     ingest_qa_pairs,
     read_jsonl,
+    write_jsonl,
 )
 from .ensemble import StubJudge
 from .generation import (
@@ -74,7 +76,7 @@ class DataError(Exception):
 
 
 class ModelError(Exception):
-    """Training or model-backend failure."""
+    """Training failure."""
 
 
 @dataclass
@@ -322,13 +324,6 @@ def _write_json(path: Path, payload: object) -> None:
         fh.write("\n")
 
 
-def _write_jsonl(path: Path, records: Sequence[dict]) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-
-
 def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     qa_pairs = _load(cfg, args, "qa") if cfg.qa else []
@@ -341,9 +336,7 @@ def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
         "words": sum(stats.word_freq.values()),
     }
     if cfg.out:
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "stats.json", summary)
+        _write_json(Path(cfg.out) / "stats.json", summary)
     print(
         f"ingested {summary['passages']} passages, {summary['qa_pairs']} qa pairs, "
         f"{summary['sentences']} sentences, vocab {summary['vocab']}"
@@ -359,7 +352,6 @@ def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
         index = DenseIndex.build(passages, embedder)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out)
     print(f"indexed {index.count} passages (dim {index.dim}) -> {out}")
     return EXIT_OK
@@ -381,7 +373,7 @@ def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
         for qa, results in zip(qa_pairs, retrievals)
     ]
     if cfg.out:
-        _write_jsonl(Path(cfg.out), records)
+        write_jsonl(cfg.out, records)
         print(f"retrieved top-{cfg.k} for {len(records)} questions -> {cfg.out}")
     else:
         for record in records:
@@ -403,14 +395,15 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
             steps=cfg.train_steps, learning_rate=cfg.train_learning_rate,
         )
         pairs = preference_pairs_from_drafts(qa_pairs, models.drafts, pipeline_cfg.format)
-        reward = ToyRewardModel(learning_rate=cfg.train_reward_learning_rate)
+        reward = ToyRewardModel()
         if pairs:
-            reward = train_reward(reward, pairs, cfg.train_reward_steps)
+            reward = train_reward(
+                reward, pairs, cfg.train_reward_steps, cfg.train_reward_learning_rate
+            )
     except PipelineError as exc:  # retrieved ids missing from the corpus
         raise _index_mismatch(cfg, exc) from exc
     except (ValueError, RuntimeError) as exc:
         raise ModelError(f"training failed: {exc}") from exc
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(models.full, out / "l1.json")
     save_checkpoint(models.retrieved, out / "l2.json")
     save_checkpoint(models.postp, out / "l3.json")
@@ -460,16 +453,13 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
         )
     except PipelineError as exc:  # retrieved ids missing from the corpus
         raise _index_mismatch(cfg, exc) from exc
-    except ClientError as exc:
-        raise ModelError(f"remote backend failed: {exc}") from exc
     records = [run_record(r) for r in runs]
-    out.mkdir(parents=True, exist_ok=True)
     # audit.jsonl: the scoring inputs of each question that reached selection.
-    _write_jsonl(out / "audit.jsonl", [
+    write_jsonl(out / "audit.jsonl", [
         {"qid": rec["qid"], **rec["bundle"], "winner_provenance": rec["winner_provenance"]}
         for rec in records if rec["bundle"] is not None
     ])
-    _write_jsonl(out / "runs.jsonl", records)
+    write_jsonl(out / "runs.jsonl", records)
     failures = sum(1 for r in runs if r.error)
     print(f"answered {len(runs)} questions ({failures} failures) -> {out}")
     return EXIT_OK
@@ -484,7 +474,6 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
         raise DataError(f"{args.answers}: no answer for {len(missing)} question(s): {shown}")
     report = evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
     if cfg.out:
-        Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(report_tsv(report))
     print(
@@ -536,7 +525,6 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")
     buckets = quality_recall_points(points)
-    out.mkdir(parents=True, exist_ok=True)
     with atomic_write(out / "analysis.csv", "w", encoding="utf-8") as fh:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:

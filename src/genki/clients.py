@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import urllib.parse
@@ -147,7 +148,12 @@ class RemoteScorer:
         value = resp.get("logprob")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError(f"/score returned non-numeric logprob: {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        if not math.isfinite(value):
+            raise ProtocolError(f"/score returned non-finite logprob {value}")
         if value > 0.0:
             raise ProtocolError(f"/score returned positive logprob {value}")
         return value

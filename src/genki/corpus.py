@@ -250,9 +250,11 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
 
     The temporary file lives in the same directory, so os.replace() is
     atomic: a failed or interrupted write leaves the previous file as it
-    was and removes the temporary file.
+    was and removes the temporary file.  Missing parent directories are
+    created first.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
@@ -261,6 +263,14 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line, atomically (see atomic_write)."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True))
+            fh.write("\n")
 
 
 def write_checkpoint_json(path: str | Path, payload: dict) -> None:

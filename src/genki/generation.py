@@ -466,8 +466,8 @@ def train_pipeline_models(
     embedder: Embedder,
     vocab: Vocabulary,
     cfg: PipelineConfig,
-    steps: int = 50,
-    learning_rate: float = 0.5,
+    steps: int,
+    learning_rate: float,
 ) -> TrainedModels:
     """Train the three model roles from scratch.
 
@@ -498,7 +498,7 @@ def train_pipeline_models(
             targets: Sequence[TokenSeq]) -> ToyLm:
         seqs = [seq for seq in (vocab.encode(p.text) for p in domain) if len(seq.tokens) >= 2]
         batch = [TrainExample(prompt, target) for prompt, target in zip(prompts, targets)]
-        return train(ToyLm(vocab, learning_rate=learning_rate), seqs, batch, cfg.weights, steps)
+        return train(ToyLm(vocab), seqs, batch, cfg.weights, steps, learning_rate)
 
     full = fit(passages, prompts_full, answers)
     retrieved = fit(retr_union, prompts_retr, answers)

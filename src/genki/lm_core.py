@@ -17,11 +17,9 @@ row has logit d_i.  That is exact, not an approximation: a new model is
 uniform (every d_i = 0, no entries), and under the combined loss every
 unobserved column of a row gets the same gradient softmax_ij * n_i, so
 those columns stay equal to each other for ever.  Training, scoring and
-decoding therefore cost O(V + observed transitions), never V x V; only the
-``logits`` inspection property and the dense loss_combined_grad build a
-V x V table.  Checkpoints are JSON (schema version 3) with the rows packed
-as base64 little-endian arrays; older schemas are rejected with
-CheckpointSchemaError.
+decoding therefore cost O(V + observed transitions), never V x V.
+Checkpoints are JSON (schema version 3) with the rows packed as base64
+little-endian arrays; older schemas are rejected with CheckpointSchemaError.
 """
 
 from __future__ import annotations
@@ -132,31 +130,17 @@ class ToyLm:
     Row i keeps a default logit ``default[i]`` and ``lengths[i]`` observed
     entries, the slice of ``cols`` (strictly increasing column ids) and
     ``vals`` (their logits) that starts at the sum of the lengths before it.
-    ``ToyLm(vocab)`` is the uniform model; ``ToyLm(vocab, logits=table)``
-    stores every cell of a dense table (k = V), for tests.  The arrays are
-    read-only copies, so the per-row log-normalisers and greedy successors
-    cached at construction always match them.  Greedy decoding, no hidden
-    state; small enough that every loss and gradient can be checked by hand.
+    ``ToyLm(vocab)`` is the uniform model; ``ToyLm.from_rows`` builds every
+    other.  The arrays are read-only copies, so the per-row log-normalisers
+    and greedy successors cached at construction always match them.  Greedy
+    decoding, no hidden state; small enough that every loss and gradient
+    can be checked by hand.
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        learning_rate: float = 0.1,
-        logits: np.ndarray | None = None,
-    ):
+    def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        self.learning_rate = learning_rate
         self.step = 0
-        size = vocab.size
-        if logits is None:
-            self._set_rows(np.zeros(size), np.zeros(size, np.intp), (), ())
-            return
-        table = np.asarray(logits, dtype=np.float64)
-        if table.shape != (size, size):
-            raise ValueError(f"logits must be {size}x{size}, got {table.shape}")
-        columns = np.tile(np.arange(size), size)
-        self._set_rows(np.zeros(size), np.full(size, size), columns, table.ravel())
+        self._set_rows(np.zeros(vocab.size), np.zeros(vocab.size, np.intp), (), ())
 
     @classmethod
     def from_rows(
@@ -166,10 +150,9 @@ class ToyLm:
         lengths: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        learning_rate: float = 0.1,
     ) -> ToyLm:
         """A model from its sparse rows; ValueError unless they are well formed."""
-        model = cls(vocab, learning_rate)
+        model = cls(vocab)
         model._set_rows(default, lengths, cols, vals)
         return model
 
@@ -227,24 +210,12 @@ class ToyLm:
         self._greedy_next = greedy
 
     @cached_property
-    def logits(self) -> np.ndarray:
-        """The dense V x V table, read-only; for tests and inspection only."""
-        size = self.vocab.size
-        table = np.repeat(self.default[:, None], size, axis=1)
-        table[self._row_of, self.cols] = self.vals
-        return _read_only(table)
-
-    @cached_property
     def _logprob_lookup(self) -> tuple[dict[int, float], list[float]]:
         # log-probability of each entry keyed by prev * V + next, and of each
         # row's default columns
         keys = (self._row_of * self.vocab.size + self.cols).tolist()
         entries = dict(zip(keys, (self.vals - self._log_norm[self._row_of]).tolist()))
         return entries, (self.default - self._log_norm).tolist()
-
-    @property
-    def vocab_size(self) -> int:
-        return self.vocab.size
 
     def encode(self, text: str) -> TokenSeq:
         return self.vocab.encode(text)
@@ -355,7 +326,7 @@ def _weighted_counts(
     depends on the parameters only through these counts:
     loss = sum_i n_i * logsumexp(theta_i) - sum_ij counts_ij * theta_ij.
     """
-    size = model.vocab_size
+    size = model.vocab.size
     codes: list[int] = []
     for seq in passages:
         toks = seq.tokens
@@ -375,42 +346,28 @@ def _weighted_counts(
     return distinct, np.bincount(which, weights=weights, minlength=len(distinct))
 
 
-def loss_combined_grad(
-    model: ToyLm,
-    passages: Sequence[TokenSeq],
-    batch: Sequence[TrainExample],
-    w: LossWeights,
-) -> np.ndarray:
-    """Exact gradient of loss_combined over the dense logit table (for checks)."""
-    codes, counts = _weighted_counts(model, passages, batch, w)
-    rows, cols = np.divmod(codes, model.vocab_size)
-    row_totals = np.bincount(rows, weights=counts, minlength=model.vocab_size)
-    grad = np.exp(model.logits - model._log_norm[:, None]) * row_totals[:, None]
-    grad[rows, cols] -= counts
-    return grad
-
-
 def train(
     model: ToyLm,
     passages: Sequence[TokenSeq],
     batch: Sequence[TrainExample],
     w: LossWeights,
     steps: int,
+    learning_rate: float,
 ) -> ToyLm:
     """Full-batch gradient descent on the combined loss.
 
-    Returns a new model; the input model is left untouched.  Uses the
-    model's learning_rate.  Raises if the loss goes non-finite.  A row
-    descends over the union of its entries and its transitions (a new
-    entry starts at the row's default logit) plus its default logit, which
-    stands for the V - k unobserved columns.  A row without transitions
-    has a zero gradient and keeps its logits bit for bit.
+    Returns a new model; the input model is left untouched.  Raises if the
+    loss goes non-finite.  A row descends over the union of its entries and
+    its transitions (a new entry starts at the row's default logit) plus
+    its default logit, which stands for the V - k unobserved columns.  A
+    row without transitions has a zero gradient and keeps its logits bit
+    for bit.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not batch:
         raise ValueError("training needs a non-empty instruction batch")
-    size = model.vocab_size
+    size = model.vocab.size
     codes, counts = _weighted_counts(model, passages, batch, w)
     own = model._row_of * size + model.cols
     entries = np.union1d(own, codes)
@@ -426,7 +383,6 @@ def train(
     n = seg.sums(c)
     free = (size - seg.lengths).astype(np.float64)
     d = model.default[rows]
-    rate = model.learning_rate
     # overflow shows up as a non-finite loss, which we check for explicitly
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
@@ -437,14 +393,12 @@ def train(
                 raise ValueError(
                     f"training diverged (non-finite loss) at step {step}; lower the learning rate"
                 )
-            theta = theta - rate * (e / z[seg.of] * n[seg.of] - c)
-            d = d - rate * (e_default / z * n)
+            theta = theta - learning_rate * (e / z[seg.of] * n[seg.of] - c)
+            d = d - learning_rate * (e_default / z * n)
 
     default = model.default.copy()
     default[rows] = d
-    trained = ToyLm.from_rows(
-        model.vocab, default, lengths, entries % size, theta, model.learning_rate
-    )
+    trained = ToyLm.from_rows(model.vocab, default, lengths, entries % size, theta)
     trained.step = model.step + steps
     return trained
 

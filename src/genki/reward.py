@@ -90,12 +90,7 @@ class ToyRewardModel:
     A new model starts at zero weights.
     """
 
-    def __init__(
-        self,
-        weights: np.ndarray | Sequence[float] | None = None,
-        learning_rate: float = 0.05,
-    ):
-        self.learning_rate = learning_rate
+    def __init__(self, weights: np.ndarray | Sequence[float] | None = None):
         if weights is None:
             weights = np.zeros(len(FEATURE_NAMES))
         weights = np.asarray(weights, dtype=np.float64)
@@ -136,7 +131,7 @@ def pairwise_loss_grad(model: ToyRewardModel, pair: PreferencePair) -> np.ndarra
 
 
 def train_reward(
-    model: ToyRewardModel, pairs: Sequence[PreferencePair], steps: int
+    model: ToyRewardModel, pairs: Sequence[PreferencePair], steps: int, learning_rate: float
 ) -> ToyRewardModel:
     """Full-batch gradient descent on the mean pairwise loss.
 
@@ -148,7 +143,7 @@ def train_reward(
         raise ValueError("train_reward needs a non-empty pair list")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    trained = ToyRewardModel(model.weights.copy(), model.learning_rate)
+    trained = ToyRewardModel(model.weights.copy())
     deltas = [_feature_delta(pair) for pair in pairs]
     for step in range(steps):
         grad = np.zeros_like(trained.weights)
@@ -157,7 +152,7 @@ def train_reward(
         grad /= len(pairs)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"reward training diverged (non-finite gradient) at step {step}")
-        trained.weights = trained.weights - trained.learning_rate * grad
+        trained.weights = trained.weights - learning_rate * grad
     return trained
 
 

@@ -13,10 +13,9 @@ fillers by id so exact score ties resolve to the right passage.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
-from .corpus import AnswerKind, Passage, QaPair
+from .corpus import AnswerKind, Passage, QaPair, write_jsonl
 
 
 def synthetic_world(
@@ -65,22 +64,15 @@ def synthetic_world(
 def write_world(out_dir: str | Path, n_passages: int = 200, n_questions: int = 100) -> None:
     """Materialize the world as corpus.jsonl and qa.jsonl under *out_dir*."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     passages, qa_pairs = synthetic_world(n_passages, n_questions)
-    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for p in passages:
-            fh.write(json.dumps({"id": p.id, "text": p.text, "source": p.source}, sort_keys=True))
-            fh.write("\n")
-    with open(out / "qa.jsonl", "w", encoding="utf-8") as fh:
-        for qa in qa_pairs:
-            record = {
-                "id": qa.id,
-                "question": qa.question,
-                "answers": list(qa.answers),
-                "format": qa.format.value,
-            }
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(out / "corpus.jsonl", (
+        {"id": p.id, "text": p.text, "source": p.source} for p in passages
+    ))
+    write_jsonl(out / "qa.jsonl", (
+        {"id": qa.id, "question": qa.question, "answers": list(qa.answers),
+         "format": qa.format.value}
+        for qa in qa_pairs
+    ))
 
 
 def main() -> None:

@@ -55,7 +55,6 @@ from genki.lm_core import (
     ToyLm,
     TrainExample,
     loss_combined,
-    loss_combined_grad,
     loss_f,
     loss_r,
 )
@@ -157,7 +156,7 @@ def oracle_nisf(sentences, stats):
     return [s / total for s in scores]
 
 
-def oracle_consistency(question, answer, model, stats):
+def oracle_consistency(question, answer, model, logits, stats):
     def term(text, conditioning):
         sentences = [s for s in split_sentences(text) if tokenize(s)]
         weights = oracle_nisf(sentences, stats)
@@ -165,7 +164,7 @@ def oracle_consistency(question, answer, model, stats):
         out = 0.0
         for sentence, weight in zip(sentences, weights):
             target = model.encode(sentence)
-            out += weight * oracle_chain_logprob(model.logits, context.tokens, target.tokens)
+            out += weight * oracle_chain_logprob(logits, context.tokens, target.tokens)
         return out
 
     return term(answer, question) + term(question, answer)
@@ -199,17 +198,17 @@ def oracle_pairwise_loss(weights, pair):
     return math.log(1.0 + math.exp(-(pos - neg)))
 
 
-def oracle_loss_f(model, batch):
+def oracle_loss_f(logits, batch):
     return sum(
-        -oracle_chain_logprob(model.logits, ex.x.tokens, ex.answer.tokens) for ex in batch
+        -oracle_chain_logprob(logits, ex.x.tokens, ex.answer.tokens) for ex in batch
     )
 
 
-def oracle_loss_r(model, passages):
+def oracle_loss_r(logits, passages):
     total = 0.0
     for seq in passages:
         for prev, nxt in zip(seq.tokens, seq.tokens[1:]):
-            total -= oracle_row_logprob(model.logits[prev], nxt)
+            total -= oracle_row_logprob(logits[prev], nxt)
     return total
 
 
@@ -295,7 +294,7 @@ def test_worked_example_fidelity():
 
 
 @criterion("2/9 formula oracles (informativeness, consistency, judgment, losses)", limit_s=10.0)
-def test_formula_oracles():
+def test_formula_oracles(dense_model):
     rng = random.Random(17)
     passages, stats = small_corpus()
 
@@ -325,7 +324,8 @@ def test_formula_oracles():
     # consistency between random multi-sentence question/answer pairs
     vocab = Vocabulary.from_texts([p.text for p in passages])
     np_rng = np.random.default_rng(3)
-    model = ToyLm(vocab, logits=np_rng.normal(0.0, 0.5, (vocab.size, vocab.size)))
+    table = np_rng.normal(0.0, 0.5, (vocab.size, vocab.size))
+    model = dense_model(vocab, table)
 
     def random_text():
         n_sentences = rng.randint(1, 3)
@@ -336,7 +336,7 @@ def test_formula_oracles():
     for _ in range(20):
         q, a = random_text(), random_text()
         got = consistency(q, a, model, stats).value
-        want = oracle_consistency(q, a, model, stats)
+        want = oracle_consistency(q, a, model, table, stats)
         assert abs(got - want) < 1e-9, (q, a)
 
     # judgment score, including the zero-mean and negative-mean guards
@@ -367,25 +367,26 @@ def test_formula_oracles():
         return vocab.encode(" ".join(rng.choices(words, k=rng.randint(min_len, 6))))
 
     for _ in range(20):
-        lm = ToyLm(vocab, logits=np_rng.normal(0.0, 0.4, (vocab.size, vocab.size)))
+        table = np_rng.normal(0.0, 0.4, (vocab.size, vocab.size))
+        lm = dense_model(vocab, table)
         batch = [TrainExample(random_seq(), random_seq(1)) for _ in range(rng.randint(1, 3))]
         seqs = [random_seq() for _ in range(rng.randint(1, 3))]
         lam1 = rng.uniform(0.6, 2.0)
         lam2 = rng.uniform(0.1, lam1 * 0.9)
         w = LossWeights(lam1, lam2)
-        f_got, f_want = loss_f(lm, batch), oracle_loss_f(lm, batch)
-        r_got, r_want = loss_r(lm, seqs), oracle_loss_r(lm, seqs)
+        f_got, f_want = loss_f(lm, batch), oracle_loss_f(table, batch)
+        r_got, r_want = loss_r(lm, seqs), oracle_loss_r(table, seqs)
         assert abs(f_got - f_want) < 1e-9
         assert abs(r_got - r_want) < 1e-9
         assert abs(loss_combined(lm, seqs, batch, w) - (lam1 * r_want + lam2 * f_want)) < 1e-9
 
 
 @criterion("3/9 gradient checks vs central finite differences", limit_s=30.0)
-def test_gradient_checks():
+def test_gradient_checks(dense_model, dense_logits, loss_combined_grad):
     h = 1e-5
     vocab = Vocabulary(["<unk>", "</s>", "a", "b", "c", "d"])
     rng = np.random.default_rng(11)
-    model = ToyLm(vocab, logits=rng.normal(0.0, 0.3, (6, 6)))
+    model = dense_model(vocab, rng.normal(0.0, 0.3, (6, 6)))
     passages = [vocab.encode("a b c a d"), vocab.encode("b d c"), vocab.encode("c a a b")]
     batch = [
         TrainExample(vocab.encode("a b"), vocab.encode("c d")),
@@ -397,12 +398,12 @@ def test_gradient_checks():
     fd = np.zeros_like(analytic)
     for i in range(6):
         for j in range(6):
-            plus = model.logits.copy()
+            plus = dense_logits(model)
             plus[i, j] += h
-            minus = model.logits.copy()
+            minus = dense_logits(model)
             minus[i, j] -= h
-            up = loss_combined(ToyLm(vocab, logits=plus), passages, batch, w)
-            down = loss_combined(ToyLm(vocab, logits=minus), passages, batch, w)
+            up = loss_combined(dense_model(vocab, plus), passages, batch, w)
+            down = loss_combined(dense_model(vocab, minus), passages, batch, w)
             fd[i, j] = (up - down) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     max_rel = float((np.abs(analytic - fd) / denom).max())
@@ -625,7 +626,7 @@ def train_reward_or_fresh(pairs):
     from genki.reward import train_reward
 
     model = ToyRewardModel()
-    return train_reward(model, pairs, 100) if pairs else model
+    return train_reward(model, pairs, 100, 0.05) if pairs else model
 
 
 @criterion("7/9 two-regime trend fit recovery", limit_s=10.0)

@@ -19,6 +19,8 @@ from genki.retriever import MAGIC, DenseIndex, IndexFormatError, load_index, sav
 from genki.reward import ToyRewardModel, load_reward_checkpoint, save_reward_checkpoint
 
 V5 = Vocabulary(["<unk>", "</s>", "a", "b", "c"])
+# every row stores all five columns, each at logit 1
+FULL_ROWS = ToyLm.from_rows(V5, np.zeros(5), np.full(5, 5), np.tile(np.arange(5), 5), np.ones(25))
 LOADERS = [load_checkpoint, load_reward_checkpoint]
 DROP = object()
 
@@ -42,7 +44,7 @@ FUZZ = settings(
 
 def lm_payload(tmp_path):
     batch = [TrainExample(V5.encode("a"), V5.encode("b c"))]
-    model = train(ToyLm(V5), [V5.encode("a b c a")], batch, LossWeights(), 3)
+    model = train(ToyLm(V5), [V5.encode("a b c a")], batch, LossWeights(), 3, 0.1)
     path = tmp_path / "lm.json"
     save_checkpoint(model, path)
     return json.loads(path.read_text())
@@ -163,7 +165,7 @@ def well_formed(default, lengths, cols, vals, size):
 
 @FUZZ
 @given(arrays=sparse_rows())
-def test_schema_3_rows(tmp_path, arrays):
+def test_schema_3_rows(tmp_path, dense_logits, arrays):
     """The loader accepts exactly the well-formed rows, and those round-trip exactly."""
     payload = {"schema_version": 3, "vocab": V5.words(), "step": 0}
     for key, dtype in (("default", "<f8"), ("lengths", "<i4"), ("cols", "<i4"), ("vals", "<f8")):
@@ -180,7 +182,7 @@ def test_schema_3_rows(tmp_path, arrays):
     table = np.repeat(np.array(arrays["default"])[:, None], V5.size, axis=1)
     rows = np.repeat(np.arange(V5.size), arrays["lengths"])
     table[rows, arrays["cols"]] = arrays["vals"]
-    assert model.logits.tobytes() == table.tobytes()
+    assert dense_logits(model).tobytes() == table.tobytes()
     again = tmp_path / "again.json"
     save_checkpoint(model, again)
     assert json.loads(again.read_text()) == payload
@@ -216,7 +218,7 @@ def failing_dump(payload, fh, **kwargs):
 @pytest.mark.parametrize(
     "save,load,old,new",
     [
-        (save_checkpoint, load_checkpoint, ToyLm(V5), ToyLm(V5, logits=np.ones((5, 5)))),
+        (save_checkpoint, load_checkpoint, ToyLm(V5), FULL_ROWS),
         (save_reward_checkpoint, load_reward_checkpoint,
          ToyRewardModel(), ToyRewardModel(weights=[1.0, -2.0, 0.5])),
     ],
@@ -238,7 +240,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save, load, old
 def test_write_replaces_existing_file(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(ToyLm(V5), path)
-    save_checkpoint(ToyLm(V5, logits=np.ones((5, 5))), path)
+    save_checkpoint(FULL_ROWS, path)
     assert load_checkpoint(path).cols.size == 25
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 

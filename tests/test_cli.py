@@ -10,6 +10,7 @@ import json
 import os
 import struct
 import shutil
+import socket
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ import pytest
 import genki
 from genki import cli, generation, lm_core
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from genki.corpus import write_jsonl
 from genki.retriever import HashEmbedder, load_index, top_k
 from genki.synth import write_world
 
@@ -169,6 +171,14 @@ class TestRetrieve:
             ]
             assert [r["rank"] for r in record["retrieved"]] == [1, 2]
 
+    def test_out_into_a_missing_directory(self, workdir, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "r.jsonl"
+        assert main(["retrieve", "--config", workdir["config"], "--index", workdir["index"],
+                     "--qa", workdir["qa"], "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len(read_lines(out)) == 8
+        assert sorted(p.name for p in out.parent.iterdir()) == ["r.jsonl"]
+
     def test_stdout_when_no_out(self, workdir, capsys):
         assert main(["retrieve", "--config", workdir["config"], "--index", workdir["index"],
                      "--qa", workdir["qa"]]) == EXIT_OK
@@ -296,10 +306,10 @@ class TestTrain:
 class TestAtomicOutputs:
     def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        cli._write_jsonl(path, [{"qid": "q0"}])
+        write_jsonl(path, [{"qid": "q0"}])
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            cli._write_jsonl(path, [{"qid": "q1"}, {"qid": object()}])
+            write_jsonl(path, [{"qid": "q1"}, {"qid": object()}])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
 
@@ -618,6 +628,26 @@ class TestAnswer:
                      "--models", workdir["models"], "--backend", backend, "--jobs", "2",
                      "--out", str(tmp_path / "run")]) == EXIT_OK
         assert seen == [jobs]
+
+    def test_unreachable_remote_fails_each_question_not_the_command(
+        self, workdir, tmp_path, capsys
+    ):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        probe.close()  # nothing listens there now, so each connection is refused
+        config = json.loads(Path(workdir["config"]).read_text())
+        config["remote"] = {"judge_url": url, "scorer_url": url}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["answer", "--config", str(tmp_path / "config.json"),
+                     "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                     "--index", workdir["index"], "--models", workdir["models"],
+                     "--backend", "remote", "--out", str(out)]) == EXIT_OK
+        assert "(8 failures)" in capsys.readouterr().out
+        runs = [json.loads(line) for line in read_lines(out / "runs.jsonl")]
+        assert len(runs) == 8
+        assert all(run["error"].startswith("TransportError: ") for run in runs)
 
     def test_corrupt_reward_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         models = tmp_path / "models"

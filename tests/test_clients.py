@@ -167,6 +167,17 @@ class TestRemoteScorer:
         s = scorer(server)
         assert s.logprob_cond(s.encode("a"), s.encode("b")) == 0.0
 
+    @pytest.mark.parametrize(
+        "raw", [b"NaN", b"-Infinity", b"Infinity", b"-1e999", b"-1" + b"0" * 400],
+        ids=["nan", "-inf", "inf", "-1e999", "long-int"],
+    )
+    def test_non_finite_logprob_rejected(self, server, raw):
+        # Python's json reads NaN and Infinity, and a long integer overflows a float
+        enqueue(server, "/score", 200, b'{"logprob": ' + raw + b"}")
+        s = scorer(server)
+        with pytest.raises(ProtocolError, match="non-finite logprob"):
+            s.logprob_cond(s.encode("a"), s.encode("b"))
+
     def test_non_numeric_logprob_rejected(self, server):
         for bad in ({"logprob": "x"}, {"logprob": True}, {"logprob": None}, {}):
             enqueue(server, "/score", 200, bad)

@@ -85,13 +85,13 @@ class TestConsistency:
         assert flipped.forward_term == pytest.approx(base.backward_term, abs=1e-12)
         assert flipped.backward_term == pytest.approx(base.forward_term, abs=1e-12)
 
-    def test_nonpositive_under_toy_lm(self):
+    def test_nonpositive_under_toy_lm(self, dense_model):
         stats, vocab = world()
         rng = np.random.default_rng(0)
         pyrng = random.Random(0)
         words = ["sky", "blue", "grass", "green", "water", "rivers"]
         for _ in range(15):
-            model = ToyLm(vocab, logits=rng.normal(size=(vocab.size, vocab.size)))
+            model = dense_model(vocab, rng.normal(size=(vocab.size, vocab.size)))
             q = " ".join(pyrng.choice(words) for _ in range(pyrng.randint(1, 4)))
             a = " ".join(pyrng.choice(words) for _ in range(pyrng.randint(1, 4)))
             score = consistency(q, a, model, stats)
@@ -153,10 +153,10 @@ class TestConsistency:
 class TestPreparedTexts:
     TEXTS = ["what color", "blue. ...", "water runs downhill. rivers carry water.", "?!"]
 
-    def test_prepared_scores_equal_one_pair_form(self, monkeypatch):
+    def test_prepared_scores_equal_one_pair_form(self, monkeypatch, dense_model):
         stats, vocab = world()
         rng = np.random.default_rng(4)
-        model = ToyLm(vocab, logits=rng.normal(size=(vocab.size, vocab.size)))
+        model = dense_model(vocab, rng.normal(size=(vocab.size, vocab.size)))
         prepared = prepare_texts(self.TEXTS + self.TEXTS, model, stats)
         assert list(prepared) == self.TEXTS
         assert prepared["?!"].sentences == ()

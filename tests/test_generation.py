@@ -65,7 +65,7 @@ def world():
         passages, qa_pairs, index, embedder, vocab, cfg, steps=60, learning_rate=0.5
     )
     pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
-    reward = train_reward(ToyRewardModel(), pairs, 100) if pairs else ToyRewardModel()
+    reward = train_reward(ToyRewardModel(), pairs, 100, 0.05) if pairs else ToyRewardModel()
     models = PipelineModels(
         full=trained.full,
         retrieved=trained.retrieved,
@@ -109,7 +109,15 @@ def retrieved_drafts(world, model):
 
 @functools.lru_cache(maxsize=8)
 def argmax_successors(model):
-    return model.logits.argmax(axis=1).tolist()
+    """Each row's argmax, the lowest id on ties, over the row written out in full."""
+    successors, start = [], 0
+    for row, length in enumerate(model.lengths.tolist()):
+        logits = [float(model.default[row])] * model.vocab.size
+        for col, value in zip(model.cols[start:start + length], model.vals[start:start + length]):
+            logits[col] = float(value)
+        successors.append(logits.index(max(logits)))
+        start += length
+    return successors
 
 
 def reference_generate(model, prompt, max_tokens):
@@ -369,7 +377,7 @@ class TestTrainingEffects:
         with pytest.raises(ValueError, match="at least one"):
             train_pipeline_models(
                 world["passages"], [], world["index"], world["embedder"],
-                world["vocab"], world["cfg"],
+                world["vocab"], world["cfg"], steps=50, learning_rate=0.5,
             )
 
 
@@ -520,7 +528,7 @@ def default_world():
     )
     passage_map = {p.id: p for p in passages}
     pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
-    reward = train_reward(ToyRewardModel(learning_rate=0.05), pairs, 100)
+    reward = train_reward(ToyRewardModel(), pairs, 100, 0.05)
     models = PipelineModels(trained.full, trained.retrieved, trained.postp, reward, StubJudge())
     args = (qa_pairs, models, index, embedder, passage_map, build_stats(passages), cfg)
     return {"args": args, "reference": reference_runs(*args)}
@@ -579,14 +587,14 @@ class TestBlockOracle:
         ("retrieved", 2,
          "PipelineError: retrieved-knowledge path failed: candidate text must be non-empty"),
     ])
-    def test_distinct_candidates(self, world, monkeypatch, jobs, noisy, seed, shows):
+    def test_distinct_candidates(self, world, monkeypatch, jobs, noisy, seed, shows, dense_model):
         # an untrained model on one path drafts noise, so the two candidates
         # differ and some drafts or rewrites come out empty
         monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
         roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
         size = world["vocab"].size
         noise = np.random.default_rng(seed).normal(0.0, 1.0, (size, size))
-        roles[noisy] = ToyLm(world["vocab"], logits=noise)
+        roles[noisy] = dense_model(world["vocab"], noise)
         models = PipelineModels(
             **roles, postp=world["models"].postp, reward=ParityReward(), judge=StubJudge()
         )
@@ -653,7 +661,7 @@ class TestRetrieveOnce:
         embedder = CountingEmbedder(world["embedder"])
         trained = train_pipeline_models(
             world["passages"], world["qa"], world["index"], embedder,
-            world["vocab"], world["cfg"], steps=5,
+            world["vocab"], world["cfg"], steps=5, learning_rate=0.5,
         )
         assert embedder.questions == Counter(qa.question for qa in world["qa"])
         # the drafts come from each question's own top-k
@@ -681,7 +689,7 @@ class TestRetrieveOnce:
         monkeypatch.setattr(Vocabulary, "encode", counting_encode)
         train_pipeline_models(
             world["passages"], world["qa"], world["index"], world["embedder"],
-            world["vocab"], cfg, steps=1,
+            world["vocab"], cfg, steps=1, learning_rate=0.5,
         )
         assert sum(renders.values()) == len(world["qa"])
         assert all(encodes[prompt] == count for prompt, count in renders.items())
@@ -693,7 +701,7 @@ class TestRetrieveOnce:
         with pytest.raises(PipelineError, match="unknown passage ids: \\['p003'\\]"):
             train_pipeline_models(
                 partial, world["qa"], world["index"], world["embedder"],
-                world["vocab"], world["cfg"],
+                world["vocab"], world["cfg"], steps=50, learning_rate=0.5,
             )
         assert trained == []
         with pytest.raises(PipelineError, match="unknown passage ids"):
@@ -703,20 +711,21 @@ class TestRetrieveOnce:
 
 
 class TestShortPassages:
-    def test_left_out_of_domain_loss(self, world):
+    def test_left_out_of_domain_loss(self, world, dense_logits):
         # fewer than 2 tokens: no transition, so training is as without them
         short = [Passage("solo", "zebra"), Passage("punct", "!!!")]
         passages = world["passages"] + short
         vocab = build_vocabulary(passages, world["qa"], world["cfg"])
         index = DenseIndex.build(passages, world["embedder"])
         with_short = train_pipeline_models(
-            passages, world["qa"], index, world["embedder"], vocab, world["cfg"], steps=20
+            passages, world["qa"], index, world["embedder"], vocab, world["cfg"],
+            steps=20, learning_rate=0.5,
         )
         without = train_pipeline_models(
             world["passages"], world["qa"], world["index"], world["embedder"], vocab,
-            world["cfg"], steps=20,
+            world["cfg"], steps=20, learning_rate=0.5,
         )
-        assert with_short.full.logits.tobytes() == without.full.logits.tobytes()
+        assert dense_logits(with_short.full).tobytes() == dense_logits(without.full).tobytes()
 
 
 class TestPreferencePairs:

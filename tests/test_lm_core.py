@@ -17,7 +17,6 @@ from genki.lm_core import (
     TrainExample,
     load_checkpoint,
     loss_combined,
-    loss_combined_grad,
     loss_f,
     loss_r,
     save_checkpoint,
@@ -37,10 +36,11 @@ def uniform_model(vocab):
 
 def certain_model(vocab, transitions):
     """Logits so large on the given (prev, nxt) pairs that P rounds to one."""
-    logits = np.zeros((vocab.size, vocab.size))
-    for prev, nxt in transitions:
-        logits[vocab.id(prev), vocab.id(nxt)] = 1e9
-    return ToyLm(vocab, logits=logits)
+    pairs = sorted((vocab.id(prev), vocab.id(nxt)) for prev, nxt in transitions)
+    lengths = np.bincount([prev for prev, _ in pairs], minlength=vocab.size)
+    return ToyLm.from_rows(
+        vocab, np.zeros(vocab.size), lengths, [nxt for _, nxt in pairs], [1e9] * len(pairs)
+    )
 
 
 def seq(vocab, text):
@@ -73,9 +73,9 @@ class TestLossF:
         batch = [TrainExample(seq(V4, "a"), seq(V4, "b a b"))]
         assert loss_f(model, batch) == pytest.approx(0.0, abs=1e-9)
 
-    def test_additivity(self):
+    def test_additivity(self, dense_model):
         rng = np.random.default_rng(0)
-        model = ToyLm(V4, logits=rng.normal(size=(4, 4)))
+        model = dense_model(V4, rng.normal(size=(4, 4)))
         ex = TrainExample(seq(V4, "b"), seq(V4, "a a"))
         assert loss_f(model, [ex, ex]) == pytest.approx(2 * loss_f(model, [ex]), abs=1e-12)
 
@@ -99,9 +99,9 @@ class TestLossR:
         model = certain_model(V4, [("a", "b"), ("b", "a")])
         assert loss_r(model, [seq(V4, "a b a b")]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_permutation_invariant(self):
+    def test_permutation_invariant(self, dense_model):
         rng = np.random.default_rng(1)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         passages = [seq(V6, "a b c"), seq(V6, "c d"), seq(V6, "b b a")]
         shuffled = passages[::-1]
         assert loss_r(model, passages) == pytest.approx(loss_r(model, shuffled), abs=1e-12)
@@ -115,18 +115,18 @@ class TestLossR:
 
 
 class TestLossCombined:
-    def test_is_weighted_sum(self):
+    def test_is_weighted_sum(self, dense_model):
         rng = np.random.default_rng(2)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         passages = [seq(V6, "a b c d")]
         batch = [TrainExample(seq(V6, "c"), seq(V6, "d a"))]
         w = LossWeights(1.0, 0.5)
         expected = 1.0 * loss_r(model, passages) + 0.5 * loss_f(model, batch)
         assert loss_combined(model, passages, batch, w) == pytest.approx(expected, abs=1e-12)
 
-    def test_scaling_both_weights_scales_loss(self):
+    def test_scaling_both_weights_scales_loss(self, dense_model):
         rng = np.random.default_rng(3)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         passages = [seq(V6, "a c b")]
         batch = [TrainExample(seq(V6, "b"), seq(V6, "c"))]
         base = loss_combined(model, passages, batch, LossWeights(1.0, 0.5))
@@ -151,13 +151,13 @@ class TestChainOracle:
             total -= math.log(self.row_probs(logits, prev)[nxt])
         return total
 
-    def test_losses_match_oracle(self):
+    def test_losses_match_oracle(self, dense_model, dense_logits):
         rng = np.random.default_rng(4)
         pyrng = random.Random(4)
         words = ["a", "b", "c", "d", "e", "f"]
         vocab = Vocabulary(["<unk>", "</s>"] + words)
         for _ in range(25):
-            model = ToyLm(vocab, logits=rng.normal(size=(vocab.size, vocab.size)))
+            model = dense_model(vocab, rng.normal(size=(vocab.size, vocab.size)))
             passages = []
             for _ in range(pyrng.randint(0, 3)):
                 length = pyrng.randint(2, 8)
@@ -168,9 +168,9 @@ class TestChainOracle:
                 a = seq(vocab, " ".join(pyrng.choice(words) for _ in range(pyrng.randint(1, 6))))
                 batch.append(TrainExample(x, a))
 
-            oracle_r = sum(self.chain_nll(model.logits, p.tokens) for p in passages)
+            oracle_r = sum(self.chain_nll(dense_logits(model), p.tokens) for p in passages)
             oracle_f = sum(
-                self.chain_nll(model.logits, (ex.x.tokens[-1],) + ex.answer.tokens)
+                self.chain_nll(dense_logits(model), (ex.x.tokens[-1],) + ex.answer.tokens)
                 for ex in batch
             )
             w = LossWeights(1.0, 0.5)
@@ -193,9 +193,9 @@ class TestMaskedCondLogprob:
         model = certain_model(V4, [("a", "b")])
         assert model.logprob_cond(seq(V4, "a"), seq(V4, "b")) == pytest.approx(0.0)
 
-    def test_longer_target_never_higher(self):
+    def test_longer_target_never_higher(self, dense_model):
         rng = np.random.default_rng(5)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         context = seq(V6, "a")
         full = seq(V6, "b c d a c")
         prev = 0.0
@@ -211,9 +211,10 @@ class TestMaskedCondLogprob:
 
 
 class TestGradient:
-    def test_matches_central_finite_differences(self):
+    def test_matches_central_finite_differences(self, dense_model, loss_combined_grad):
         rng = np.random.default_rng(6)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        table = rng.normal(size=(6, 6))
+        model = dense_model(V6, table)
         passages = [seq(V6, "a b c d a"), seq(V6, "d c")]
         batch = [
             TrainExample(seq(V6, "a b"), seq(V6, "c d")),
@@ -225,17 +226,17 @@ class TestGradient:
         worst = 0.0
         for i in range(6):
             for j in range(6):
-                bumped = model.logits.copy()
+                bumped = table.copy()
                 bumped[i, j] += h
-                up = loss_combined(ToyLm(V6, logits=bumped), passages, batch, w)
+                up = loss_combined(dense_model(V6, bumped), passages, batch, w)
                 bumped[i, j] -= 2 * h
-                down = loss_combined(ToyLm(V6, logits=bumped), passages, batch, w)
+                down = loss_combined(dense_model(V6, bumped), passages, batch, w)
                 fd = (up - down) / (2 * h)
                 denom = max(abs(analytic[i, j]), 1e-8)
                 worst = max(worst, abs(fd - analytic[i, j]) / denom)
         assert worst < 1e-4
 
-    def test_zero_rows_have_zero_gradient(self):
+    def test_zero_rows_have_zero_gradient(self, loss_combined_grad):
         model = uniform_model(V6)
         passages = [seq(V6, "a b")]
         batch = [TrainExample(seq(V6, "a"), seq(V6, "b"))]
@@ -259,8 +260,8 @@ class TestTrain:
 
     def test_domain_loss_drops(self):
         vocab, passages, batch = self.fixture()
-        model = ToyLm(vocab, learning_rate=0.1)
-        trained = train(model, passages, batch, LossWeights(), steps=50)
+        model = ToyLm(vocab)
+        trained = train(model, passages, batch, LossWeights(), steps=50, learning_rate=0.1)
         assert loss_r(trained, passages) < loss_r(model, passages)
         assert trained.step == 50
         assert model.step == 0  # input model untouched
@@ -268,40 +269,40 @@ class TestTrain:
     def test_loss_non_increasing_at_small_rate(self):
         vocab, passages, batch = self.fixture()
         w = LossWeights()
-        model = ToyLm(vocab, learning_rate=0.02)
+        model = ToyLm(vocab)
         losses = [loss_combined(model, passages, batch, w)]
         current = model
         for _ in range(30):
-            current = train(current, passages, batch, w, steps=1)
+            current = train(current, passages, batch, w, steps=1, learning_rate=0.02)
             losses.append(loss_combined(current, passages, batch, w))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_steps_zero_rejected(self):
         vocab, passages, batch = self.fixture()
         with pytest.raises(ValueError):
-            train(ToyLm(vocab), passages, batch, LossWeights(), steps=0)
+            train(ToyLm(vocab), passages, batch, LossWeights(), steps=0, learning_rate=0.1)
 
     def test_empty_batch_rejected(self):
         vocab, passages, _ = self.fixture()
         with pytest.raises(ValueError):
-            train(ToyLm(vocab), passages, [], LossWeights(), steps=1)
+            train(ToyLm(vocab), passages, [], LossWeights(), steps=1, learning_rate=0.1)
 
-    def test_training_deterministic_bit_exact(self):
+    def test_training_deterministic_bit_exact(self, dense_logits):
         vocab, passages, batch = self.fixture()
-        a = train(ToyLm(vocab, learning_rate=0.1), passages, batch, LossWeights(), 25)
-        b = train(ToyLm(vocab, learning_rate=0.1), passages, batch, LossWeights(), 25)
-        assert a.logits.tobytes() == b.logits.tobytes()
+        a = train(ToyLm(vocab), passages, batch, LossWeights(), 25, 0.1)
+        b = train(ToyLm(vocab), passages, batch, LossWeights(), 25, 0.1)
+        assert dense_logits(a).tobytes() == dense_logits(b).tobytes()
 
     def test_divergence_raises(self):
         vocab, passages, batch = self.fixture()
-        model = ToyLm(vocab, learning_rate=1e308)
+        model = ToyLm(vocab)
         with pytest.raises(ValueError, match="diverged"):
-            train(model, passages, batch, LossWeights(), steps=5)
+            train(model, passages, batch, LossWeights(), steps=5, learning_rate=1e308)
 
 
-def dense_reference_train(model, passages, batch, w, steps):
+def dense_reference_train(table, passages, batch, w, steps, rate):
     """Every row, every step: the dense V x V descent loop the fast path must match."""
-    counts = np.zeros((model.vocab_size, model.vocab_size))
+    counts = np.zeros(table.shape)
     for p in passages:
         for prev, nxt in zip(p.tokens, p.tokens[1:]):
             counts[prev, nxt] += w.lambda1
@@ -311,12 +312,12 @@ def dense_reference_train(model, passages, batch, w, steps):
             counts[prev, tok] += w.lambda2
             prev = tok
     row_totals = counts.sum(axis=1)
-    logits = model.logits.copy()
+    logits = table.copy()
     for _ in range(steps):
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         softmax = expd / expd.sum(axis=1, keepdims=True)
-        logits = logits - model.learning_rate * (softmax * row_totals[:, None] - counts)
+        logits = logits - rate * (softmax * row_totals[:, None] - counts)
     return logits
 
 
@@ -330,7 +331,7 @@ def oracle_log_softmax(row):
 TRAIN_TOL = 1e-12
 
 
-def assert_sparse_matches_dense(trained, reference):
+def assert_sparse_matches_dense(trained, table, reference):
     """Entries and defaults within TRAIN_TOL of the dense loop, greedy successors equal.
 
     The dense loop keeps a row's unobserved columns equal bit for bit,
@@ -340,7 +341,7 @@ def assert_sparse_matches_dense(trained, reference):
     free[np.repeat(np.arange(len(reference)), trained.lengths), trained.cols] = False
     for row, cols in zip(reference, free):
         assert len(set(row[cols].tolist())) <= 1
-    assert np.abs(trained.logits - reference).max() <= TRAIN_TOL
+    assert np.abs(table - reference).max() <= TRAIN_TOL
     assert trained._greedy_next.tolist() == reference.argmax(axis=1).tolist()
 
 
@@ -364,41 +365,42 @@ class TestBitExactOracles:
         return passages, batch
 
     @pytest.mark.parametrize("seed,rate", [(0, 0.1), (5, 0.5), (9, 2.0)])
-    def test_train_matches_dense_loop_with_idle_rows(self, seed, rate):
+    def test_train_matches_dense_loop_with_idle_rows(self, seed, rate, dense_model, dense_logits):
         passages, batch = self.world()
         w = LossWeights(1.0, 0.5)
         size = self.VOCAB.size
         table = np.random.default_rng(seed).normal(0.0, 0.3, (size, size))
-        model = ToyLm(self.VOCAB, learning_rate=rate, logits=table)
-        trained = train(model, passages, batch, w, steps=40)
-        reference = dense_reference_train(model, passages, batch, w, 40)
-        assert trained.logits.tobytes() == reference.tobytes()
+        trained = train(dense_model(self.VOCAB, table), passages, batch, w, 40, rate)
+        reference = dense_reference_train(table, passages, batch, w, 40, rate)
+        assert dense_logits(trained).tobytes() == reference.tobytes()
         idle = self.VOCAB.id("w12")
-        assert trained.logits[idle].tobytes() == model.logits[idle].tobytes()
+        assert dense_logits(trained)[idle].tobytes() == table[idle].tobytes()
 
-    def test_train_matches_dense_loop_from_uniform_init(self):
+    def test_train_matches_dense_loop_from_uniform_init(self, dense_logits):
         passages, batch = self.world()
         w = LossWeights(2.0, 0.25)
-        model = ToyLm(self.VOCAB, learning_rate=0.5)
-        trained = train(model, passages, batch, w, steps=60)
-        assert_sparse_matches_dense(trained, dense_reference_train(model, passages, batch, w, 60))
+        model = ToyLm(self.VOCAB)
+        trained = train(model, passages, batch, w, 60, 0.5)
+        reference = dense_reference_train(dense_logits(model), passages, batch, w, 60, 0.5)
+        assert_sparse_matches_dense(trained, dense_logits(trained), reference)
 
-    def test_repeated_training_continues_the_dense_loop(self):
+    def test_repeated_training_continues_the_dense_loop(self, dense_model, dense_logits):
         passages, batch = self.world()
         w = LossWeights()
         size = self.VOCAB.size
         table = np.random.default_rng(2).normal(0.0, 0.01, (size, size))
-        model = ToyLm(self.VOCAB, learning_rate=0.3, logits=table)
-        twice = train(train(model, passages, batch, w, 7), passages, batch, w, 5)
+        once = train(dense_model(self.VOCAB, table), passages, batch, w, 7, 0.3)
+        twice = train(once, passages, batch, w, 5, 0.3)
         assert twice.step == 12
-        assert twice.logits.tobytes() == dense_reference_train(model, passages, batch, w, 12).tobytes()
+        reference = dense_reference_train(table, passages, batch, w, 12, 0.3)
+        assert dense_logits(twice).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("size", [6, 37, 507])
-    def test_token_logprob_matches_row_log_softmax(self, size):
+    def test_token_logprob_matches_row_log_softmax(self, size, dense_model):
         vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(size - 2)])
         rng = np.random.default_rng(size)
         logits = rng.normal(0.0, 3.0, (size, size))
-        model = ToyLm(vocab, logits=logits)
+        model = dense_model(vocab, logits)
         rows = range(size) if size < 100 else rng.integers(0, size, 25)
         for prev in rows:
             expected = oracle_log_softmax(logits[prev])
@@ -406,11 +408,11 @@ class TestBitExactOracles:
             for nxt in cols:
                 assert model.token_logprob(int(prev), int(nxt)) == float(expected[nxt])
 
-    def test_generate_follows_row_argmax(self):
+    def test_generate_follows_row_argmax(self, dense_model):
         vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(10)])
         rng = np.random.default_rng(8)
         logits = rng.integers(0, 3, (12, 12)).astype(float)  # many ties
-        model = ToyLm(vocab, logits=logits)
+        model = dense_model(vocab, logits)
         for start in range(12):
             expected, prev = [], start
             for _ in range(9):
@@ -420,20 +422,21 @@ class TestBitExactOracles:
                 expected.append(prev)
             assert list(model.generate(TokenSeq((start,), ""), 9).tokens) == expected
 
-    def test_table_is_a_read_only_copy(self):
+    def test_table_is_a_read_only_copy(self, dense_model):
         logits = np.zeros((V4.size, V4.size))
-        model = ToyLm(V4, logits=logits)
-        logits[2, 3] = 50.0  # the caller's array is not the model's table
+        model = dense_model(V4, logits)
+        logits[2, 3] = 50.0  # the caller's array is not the model's rows
         assert model.token_logprob(2, 3) == pytest.approx(-math.log(4), abs=1e-12)
-        with pytest.raises(ValueError):
-            model.logits[2, 3] = 50.0
+        for rows in (model.default, model.lengths, model.cols, model.vals):
+            with pytest.raises(ValueError):
+                rows[0] = 1
 
 
 class TestSparseRows:
     """Sparse training from uniform init against the dense loop, the tie
     rule, and a vocabulary far too large for a dense table."""
 
-    def test_train_benchmark_world_roles(self, monkeypatch):
+    def test_train_benchmark_world_roles(self, monkeypatch, dense_logits):
         # the 120/60 world and settings of the train benchmark
         passages, qa_pairs = synthetic_world(120, 60)
         cfg = PipelineConfig(k=2, format=FormatSpec(AnswerKind.ENTITY, 8), max_output_tokens=12)
@@ -442,21 +445,22 @@ class TestSparseRows:
         index = DenseIndex.build(passages, embedder)
         calls = []
 
-        def recording_train(model, passages, batch, w, steps):
-            trained = train(model, passages, batch, w, steps)
-            calls.append((model, passages, batch, w, steps, trained))
+        def recording_train(model, passages, batch, w, steps, learning_rate):
+            trained = train(model, passages, batch, w, steps, learning_rate)
+            calls.append((model, passages, batch, w, steps, learning_rate, trained))
             return trained
 
         monkeypatch.setattr(generation, "train", recording_train)
         train_pipeline_models(passages, qa_pairs, index, embedder, vocab, cfg, 60, 0.5)
         assert len(calls) == 3
-        for model, passages, batch, w, steps, trained in calls:
+        for model, passages, batch, w, steps, rate, trained in calls:
+            assert (steps, rate) == (60, 0.5)
             assert trained.lengths.sum() < vocab.size  # a few hundred of 507 x 507 cells
-            reference = dense_reference_train(model, passages, batch, w, steps)
-            assert_sparse_matches_dense(trained, reference)
+            reference = dense_reference_train(dense_logits(model), passages, batch, w, steps, rate)
+            assert_sparse_matches_dense(trained, dense_logits(trained), reference)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_worlds(self, seed):
+    def test_random_worlds(self, seed, dense_logits):
         rng = random.Random(seed)
         words = [f"w{i}" for i in range(rng.randint(3, 30))]
         vocab = Vocabulary(["<unk>", "</s>"] + words)
@@ -469,28 +473,31 @@ class TestSparseRows:
                  for _ in range(rng.randint(1, 6))]
         lam1 = rng.uniform(0.6, 2.0)
         w = LossWeights(lam1, rng.uniform(0.1, lam1 * 0.9))
-        model = ToyLm(vocab, learning_rate=rng.choice([0.05, 0.2, 0.5]))
+        rate = rng.choice([0.05, 0.2, 0.5])
         steps = rng.randint(1, 60)
-        trained = train(model, passages, batch, w, steps)
-        reference = dense_reference_train(model, passages, batch, w, steps)
-        assert_sparse_matches_dense(trained, reference)
+        trained = train(ToyLm(vocab), passages, batch, w, steps, rate)
+        reference = dense_reference_train(
+            dense_logits(ToyLm(vocab)), passages, batch, w, steps, rate
+        )
+        assert_sparse_matches_dense(trained, dense_logits(trained), reference)
         # a second run trains on the union of the entries and new transitions
         more = [TrainExample(seq(vocab, text(1, 3)), seq(vocab, text(1, 4)))]
-        again = train(trained, passages[:2], more, w, 5)
-        assert_sparse_matches_dense(again, dense_reference_train(trained, passages[:2], more, w, 5))
+        again = train(trained, passages[:2], more, w, 5, rate)
+        reference = dense_reference_train(dense_logits(trained), passages[:2], more, w, 5, rate)
+        assert_sparse_matches_dense(again, dense_logits(again), reference)
 
-    def test_full_rows_ignore_their_default(self):
+    def test_full_rows_ignore_their_default(self, dense_model, dense_logits):
         # a dense table stores every cell; its rows' default logit (0) is
         # far above every logit and must not enter the normaliser
         logits = np.full((V4.size, V4.size), -1000.0)
         logits[2, 3] = -999.0
-        model = ToyLm(V4, learning_rate=0.5, logits=logits)
+        model = dense_model(V4, logits)
         assert model.token_logprob(0, 1) == pytest.approx(-math.log(4), abs=1e-12)
         assert model._greedy_next.tolist() == [0, 0, 3, 0]
         passages, batch = [seq(V4, "a b a")], [TrainExample(seq(V4, "b"), seq(V4, "a"))]
-        trained = train(model, passages, batch, LossWeights(), 10)
-        reference = dense_reference_train(model, passages, batch, LossWeights(), 10)
-        assert trained.logits.tobytes() == reference.tobytes()
+        trained = train(model, passages, batch, LossWeights(), 10, 0.5)
+        reference = dense_reference_train(logits, passages, batch, LossWeights(), 10, 0.5)
+        assert dense_logits(trained).tobytes() == reference.tobytes()
 
     def test_row_without_entries_goes_to_unk(self):
         model = ToyLm(V6)
@@ -508,16 +515,16 @@ class TestSparseRows:
             (-1.0, [0, 1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0, 0.0], 0),
         ],
     )
-    def test_tie_rule(self, default, cols, vals, successor):
+    def test_tie_rule(self, default, cols, vals, successor, dense_logits):
         size = V6.size
         lengths = np.zeros(size, int)
         lengths[2] = len(cols)
         model = ToyLm.from_rows(V6, np.full(size, default), lengths, cols, vals)
         assert model._greedy_next[2] == successor
-        assert model._greedy_next.tolist() == model.logits.argmax(axis=1).tolist()
+        assert model._greedy_next.tolist() == dense_logits(model).argmax(axis=1).tolist()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_rows_decode_and_score_like_dense(self, seed):
+    def test_random_rows_decode_and_score_like_dense(self, seed, dense_logits):
         rng = np.random.default_rng(seed)
         size = V6.size
         present = rng.random((size, size)) < 0.5
@@ -525,7 +532,7 @@ class TestSparseRows:
         cols = np.nonzero(present)[1]
         values = rng.integers(-2, 3, len(cols)).astype(float)  # many ties
         model = ToyLm.from_rows(V6, rng.integers(-2, 3, size).astype(float), lengths, cols, values)
-        table = model.logits
+        table = dense_logits(model)
         assert model._greedy_next.tolist() == table.argmax(axis=1).tolist()
         for prev in range(size):
             expected = oracle_log_softmax(table[prev])
@@ -541,7 +548,7 @@ class TestSparseRows:
                               seq(vocab, " ".join(rng.choices(words, k=2)))) for _ in range(200)]
         tracemalloc.start()
         try:
-            trained = train(ToyLm(vocab, learning_rate=0.5), passages, batch, LossWeights(), 60)
+            trained = train(ToyLm(vocab), passages, batch, LossWeights(), 60, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -561,11 +568,11 @@ class TestGenerate:
         out = model.generate(seq(V4, "a"), 4)
         assert out.text == "b a b a"
 
-    def test_stops_before_eos(self):
+    def test_stops_before_eos(self, dense_model):
         logits = np.zeros((V4.size, V4.size))
         logits[V4.id("a"), V4.id("b")] = 5.0
         logits[V4.id("b"), V4.eos_id] = 5.0
-        model = ToyLm(V4, logits=logits)
+        model = dense_model(V4, logits)
         out = model.generate(seq(V4, "a"), 10)
         assert out.text == "b"
 
@@ -583,15 +590,15 @@ class TestGenerate:
             uniform_model(V4).generate(TokenSeq((), ""), 3)
 
 
-def reference_greedy(model, prompt, max_tokens):
+def reference_greedy(table, vocab, prompt, max_tokens):
     """The per-token loop generate_batch replaces: argmax of the row, until </s>."""
     out, prev = [], prompt.tokens[-1]
     for _ in range(max_tokens):
-        prev = int(np.argmax(model.logits[prev]))
-        if prev == model.vocab.eos_id:
+        prev = int(np.argmax(table[prev]))
+        if prev == vocab.eos_id:
             break
         out.append(prev)
-    return TokenSeq(tuple(out), model.vocab.decode(out))
+    return TokenSeq(tuple(out), vocab.decode(out))
 
 
 class TestGenerateBatch:
@@ -599,42 +606,44 @@ class TestGenerateBatch:
 
     VOCAB = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(10)])
 
-    def check(self, model, prompts, max_tokens):
+    def check(self, model, table, prompts, max_tokens):
         batch = model.generate_batch(prompts, max_tokens)
         assert batch == [model.generate(p, max_tokens) for p in prompts]
-        assert batch == [reference_greedy(model, p, max_tokens) for p in prompts]
+        assert batch == [reference_greedy(table, model.vocab, p, max_tokens) for p in prompts]
         assert all(type(t) is int for out in batch for t in out.tokens)
         return batch
 
-    def test_argmax_ties(self):
+    def test_argmax_ties(self, dense_model):
         rng = np.random.default_rng(8)
-        model = ToyLm(self.VOCAB, logits=rng.integers(0, 3, (12, 12)).astype(float))
+        table = rng.integers(0, 3, (12, 12)).astype(float)
         prompts = [TokenSeq((start,), "") for start in range(12)] * 2
-        self.check(model, prompts, 9)
-        assert self.check(uniform_model(V4), [seq(V4, "a"), seq(V4, "b")], 3)[0].tokens == (0, 0, 0)
+        self.check(dense_model(self.VOCAB, table), table, prompts, 9)
+        uniform = uniform_model(V4), np.zeros((V4.size, V4.size))
+        assert self.check(*uniform, [seq(V4, "a"), seq(V4, "b")], 3)[0].tokens == (0, 0, 0)
 
-    def test_eos_at_step_zero(self):
+    def test_eos_at_step_zero(self, dense_model):
         logits = np.zeros((V4.size, V4.size))
         logits[V4.id("a"), V4.eos_id] = 5.0  # a -> </s> at once
         logits[V4.id("b"), V4.id("a")] = 5.0  # b -> a -> </s>
-        model = ToyLm(V4, logits=logits)
-        out = self.check(model, [seq(V4, "a"), seq(V4, "b"), seq(V4, "b a")], 5)
+        model = dense_model(V4, logits)
+        out = self.check(model, logits, [seq(V4, "a"), seq(V4, "b"), seq(V4, "b a")], 5)
         assert [o.text for o in out] == ["", "a", ""]
 
-    def test_zero_max_tokens(self):
+    def test_zero_max_tokens(self, dense_logits):
         model = certain_model(V4, [("a", "b"), ("b", "a")])
-        out = self.check(model, [seq(V4, "a"), seq(V4, "b a b")], 0)
+        out = self.check(model, dense_logits(model), [seq(V4, "a"), seq(V4, "b a b")], 0)
         assert out == [TokenSeq((), ""), TokenSeq((), "")]
 
-    def test_prompts_of_different_lengths(self):
+    def test_prompts_of_different_lengths(self, dense_model):
         rng = np.random.default_rng(3)
-        model = ToyLm(self.VOCAB, logits=rng.normal(size=(12, 12)))
+        table = rng.normal(size=(12, 12))
+        model = dense_model(self.VOCAB, table)
         words = self.VOCAB.words()[2:]
         prompts = [
             self.VOCAB.encode(" ".join(rng.choice(words, size=n))) for n in (1, 7, 2, 30, 1, 4)
         ]
         for max_tokens in (1, 5, 40):
-            self.check(model, prompts, max_tokens)
+            self.check(model, table, prompts, max_tokens)
 
     def test_empty_batch(self):
         assert uniform_model(V4).generate_batch([], 4) == []
@@ -648,14 +657,14 @@ class TestGenerateBatch:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
+    def test_round_trip_exact(self, tmp_path, dense_model, dense_logits):
         rng = np.random.default_rng(9)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         model.step = 17
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert loaded.logits.tobytes() == model.logits.tobytes()
+        assert dense_logits(loaded).tobytes() == dense_logits(model).tobytes()
         assert loaded.vocab.words() == V6.words()
         assert loaded.step == 17
         context, target = seq(V6, "a b"), seq(V6, "c d")
@@ -690,7 +699,7 @@ class TestCheckpoint:
             "vals": pack(rows[3], "<f8"),
         }
 
-    def test_written_format_is_version_3(self, tmp_path):
+    def test_written_format_is_version_3(self, tmp_path, dense_logits):
         rows, expected = self.payload()
         model = ToyLm.from_rows(V6, *rows)
         model.step = 40
@@ -698,7 +707,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         assert json.loads(path.read_text()) == expected
         loaded = load_checkpoint(path)
-        assert loaded.logits.tobytes() == model.logits.tobytes()
+        assert dense_logits(loaded).tobytes() == dense_logits(model).tobytes()
         assert loaded.lengths.tolist() == rows[1].tolist()
 
     def test_seed_of_earlier_schema_3_files_ignored(self, tmp_path):
@@ -780,18 +789,20 @@ class TestCheckpoint:
 
 class TestToyLmValidation:
     def test_wrong_logit_shape_rejected(self):
-        with pytest.raises(ValueError):
-            ToyLm(V4, logits=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="4 values"):
+            ToyLm.from_rows(V4, np.zeros(3), np.zeros(4), [], [])
+        with pytest.raises(ValueError, match="4 values"):
+            ToyLm.from_rows(V4, np.zeros(4), np.zeros((4, 1)), [], [])
 
     def test_nonfinite_logits_rejected(self):
-        logits = np.zeros((4, 4))
-        logits[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ToyLm(V4, logits=logits)
+        with pytest.raises(ValueError, match="finite"):
+            ToyLm.from_rows(V4, np.zeros(4), [0, 0, 1, 0], [3], [np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            ToyLm.from_rows(V4, [0.0, np.inf, 0.0, 0.0], np.zeros(4), [], [])
 
-    def test_rows_softmax_to_one(self):
+    def test_rows_softmax_to_one(self, dense_model):
         rng = np.random.default_rng(10)
-        model = ToyLm(V6, logits=rng.normal(size=(6, 6)))
+        model = dense_model(V6, rng.normal(size=(6, 6)))
         for i in range(V6.size):
             probs = [math.exp(model.token_logprob(i, j)) for j in range(V6.size)]
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)

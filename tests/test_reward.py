@@ -172,7 +172,7 @@ class TestTrainReward:
         rng = random.Random(5)
         train_pairs = self.build_pairs(rng, 20)
         held_out = self.build_pairs(rng, 20)
-        model = train_reward(ToyRewardModel(), train_pairs, steps=200)
+        model = train_reward(ToyRewardModel(), train_pairs, steps=200, learning_rate=0.05)
         wins = sum(
             1
             for p in held_out
@@ -184,26 +184,26 @@ class TestTrainReward:
         rng = random.Random(6)
         pairs = self.build_pairs(rng, 20)
         before = ToyRewardModel()
-        after = train_reward(before, pairs, steps=100)
+        after = train_reward(before, pairs, steps=100, learning_rate=0.05)
         mean_before = sum(pairwise_loss(before, p) for p in pairs) / len(pairs)
         mean_after = sum(pairwise_loss(after, p) for p in pairs) / len(pairs)
         assert mean_after < mean_before
 
     def test_zero_steps_copies_unchanged(self):
         model = ToyRewardModel(weights=[0.5, -0.25, 1.0])
-        copy = train_reward(model, [pair()], steps=0)
+        copy = train_reward(model, [pair()], steps=0, learning_rate=0.05)
         assert copy is not model
         assert np.array_equal(copy.weights, model.weights)
 
     def test_deterministic(self):
         pairs = [pair(), PreferencePair("a b", "c d e f", ENTITY)]
-        a = train_reward(ToyRewardModel(), pairs, steps=50)
-        b = train_reward(ToyRewardModel(), pairs, steps=50)
+        a = train_reward(ToyRewardModel(), pairs, steps=50, learning_rate=0.05)
+        b = train_reward(ToyRewardModel(), pairs, steps=50, learning_rate=0.05)
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
-            train_reward(ToyRewardModel(), [], steps=1)
+            train_reward(ToyRewardModel(), [], steps=1, learning_rate=0.05)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_step_feature_loop(self, seed):
@@ -217,15 +217,14 @@ class TestTrainReward:
             question = " ".join(rng.choices(words, k=rng.randint(0, 5)))
             if pos != neg:
                 pairs.append(PreferencePair(pos, neg, rng.choice(formats), question))
-        start = ToyRewardModel(
-            weights=np.random.default_rng(seed).normal(0.0, 0.01, 3),
-            learning_rate=rng.choice([0.05, 0.3, 1.0]),
-        )
-        trained = train_reward(start, pairs, steps=60)
-        assert trained.weights.tobytes() == reference_train_reward(start, pairs, 60).tobytes()
+        start = ToyRewardModel(weights=np.random.default_rng(seed).normal(0.0, 0.01, 3))
+        rate = rng.choice([0.05, 0.3, 1.0])
+        trained = train_reward(start, pairs, steps=60, learning_rate=rate)
+        reference = reference_train_reward(start, pairs, 60, rate)
+        assert trained.weights.tobytes() == reference.tobytes()
 
 
-def reference_train_reward(model, pairs, steps):
+def reference_train_reward(model, pairs, steps, rate):
     """The loop train_reward replaces: every step re-extracts every pair's features."""
     weights = model.weights.copy()
     for _ in range(steps):
@@ -237,7 +236,7 @@ def reference_train_reward(model, pairs, steps):
             margin = float(weights @ delta)
             grad += -np.exp(-np.logaddexp(0.0, margin)) * delta
         grad /= len(pairs)
-        weights = weights - model.learning_rate * grad
+        weights = weights - rate * grad
     return weights
 
 
