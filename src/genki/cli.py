@@ -21,12 +21,20 @@ from typing import Iterator, Sequence
 
 from .clients import EndpointConfig, RemoteJudge, RemoteScorer
 from .corpus import (
+    INTEGER,
+    NUMBER,
+    STRING,
+    STRING_OR_NULL,
+    STRINGS,
+    TABLE,
     AnswerKind,
     CorpusError,
     atomic_write,
     build_stats,
+    check,
     ingest_passages,
     ingest_qa_pairs,
+    parse_json_object,
     read_jsonl,
     write_jsonl,
 )
@@ -133,7 +141,6 @@ _FLAGS = {
 # Config-file tables: the key <section>.<key> sets the CliConfig field
 # <section>_<key>; every other field is a top-level key of the same name.
 _SECTIONS = ("format", "embedder", "train", "remote")
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a table of strings"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -153,17 +160,11 @@ def _load_config_file(path: str) -> dict:
             return tomllib.loads(raw.decode("utf-8"))
         except Exception as exc:
             raise ConfigError(f"{path}: invalid TOML: {exc}") from exc
-    try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
-    if not isinstance(parsed, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return parsed
+    return parse_json_object(raw, path)
 
 
 def _config_items(data: dict) -> Iterator[tuple[str, str, object]]:
-    """(name in messages, CliConfig field, value) for each config-file setting."""
+    """(key as the file spells it, CliConfig field, value) for each config-file setting."""
     for key, value in data.items():
         if key in _SECTIONS:
             if not isinstance(value, dict):
@@ -173,38 +174,26 @@ def _config_items(data: dict) -> Iterator[tuple[str, str, object]]:
         elif key.partition("_")[0] in _SECTIONS:  # a flat spelling such as format_kind
             raise ConfigError(f"unknown config field {key!r}")
         else:
-            yield repr(key), key, value
-
-
-def _checked(label: str, default: object, value: object) -> object:
-    """*value* if it has the type of the field's *default*; ConfigError otherwise.
-
-    An integer is accepted where a number is expected; a bool never is.
-    """
-    kind = type(default)
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kind)
-        or (kind is dict and not all(isinstance(v, str) for v in value.values()))
-    ):
-        raise ConfigError(f"config field {label} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
+            yield key, key, value
 
 
 def load_cli_config(args: argparse.Namespace) -> CliConfig:
     """Defaults, then the config file, then command-line flags; later wins."""
     cfg = CliConfig()
-    names = {f.name for f in fields(CliConfig)}
+    # The field kind of each CliConfig field, from its annotation.
+    kinds = {f.name: {"int": INTEGER, "float": NUMBER, "str": STRING, "dict": TABLE}[f.type]
+             for f in fields(CliConfig)}
     if getattr(args, "config", None):
-        for label, name, value in _config_items(_load_config_file(args.config)):
-            if name not in names:
-                raise ConfigError(f"unknown config field {label}")
-            value = _checked(label, getattr(cfg, name), value)
-            setattr(cfg, name, {**cfg.templates, **value} if name == "templates" else value)
+        try:
+            for key, name, value in _config_items(_load_config_file(args.config)):
+                if name not in kinds:
+                    raise ConfigError(f"unknown config field {key!r}")
+                value = check(value, kinds[name], key, args.config)
+                setattr(cfg, name, {**cfg.templates, **value} if name == "templates" else value)
+        except CorpusError as exc:  # the file's JSON, or a value of the wrong kind
+            raise ConfigError(str(exc)) from None
     for name, value in vars(args).items():
-        if value is not None and name in names:
+        if value is not None and name in kinds:
             setattr(cfg, name, value)
     if cfg.backend not in ("toy", "remote"):
         raise ConfigError(f"backend must be 'toy' or 'remote', got {cfg.backend!r}")
@@ -212,6 +201,9 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
                       ("train_reward_steps", 0)):
         if getattr(cfg, name) < low:
             raise ConfigError(f"{name} must be >= {low}")
+    for name in ("train_learning_rate", "train_reward_learning_rate"):
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be > 0")
     return cfg
 
 
@@ -245,15 +237,9 @@ def _load_answers(path: str) -> dict[str, str]:
     """Read runs.jsonl (final_answer) or a simple {'id', 'answer'} JSONL."""
     answers: dict[str, str] = {}
     for lineno, record in read_jsonl(path):
-        if "final_answer" in record:
-            key, value = record.get("qid"), record.get("final_answer")
-        else:
-            key, value = record.get("id"), record.get("answer")
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise DataError(
-                f"{path}: line {lineno}: need qid/final_answer or id/answer string fields"
-            )
-        answers[key] = value
+        key, value = ("qid", "final_answer") if "final_answer" in record else ("id", "answer")
+        qid = check(record.get(key), STRING, key, path, lineno)
+        answers[qid] = check(record.get(value), STRING, value, path, lineno)
     return answers
 
 
@@ -484,23 +470,6 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_run_fields(record: dict, path: str, lineno: int) -> None:
-    """DataError unless the runs.jsonl fields analyze reads have their types.
-
-    A missing field is allowed; analyze skips or defaults it.
-    """
-    for key, kinds, name in (
-        ("qid", str, "a string"),
-        ("final_answer", str, "a string"),
-        ("error", (str, type(None)), "a string or null"),
-    ):
-        if key in record and not isinstance(record[key], kinds):
-            raise DataError(f"{path}: line {lineno}: field {key!r} must be {name}")
-    ids = record.get("retrieved_ids", [])
-    if not isinstance(ids, list) or not all(isinstance(pid, str) for pid in ids):
-        raise DataError(f"{path}: line {lineno}: field 'retrieved_ids' must be a list of strings")
-
-
 def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     qa_pairs = _load(cfg, args, "qa")
     passages = _load(cfg, args, "corpus")
@@ -510,17 +479,17 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     qa_map = {qa.id: qa for qa in qa_pairs}
     points = []
     for lineno, record in read_jsonl(runs_path):
-        _check_run_fields(record, runs_path, lineno)
-        qa = qa_map.get(record.get("qid"))
-        if qa is None or record.get("error"):
+        # A missing field is allowed: a run without a qid is skipped, the others default.
+        qid = check(record.get("qid", ""), STRING, "qid", runs_path, lineno)
+        answer = check(record.get("final_answer", ""), STRING, "final_answer", runs_path, lineno)
+        error = check(record.get("error"), STRING_OR_NULL, "error", runs_path, lineno)
+        ids = check(record.get("retrieved_ids", []), STRINGS, "retrieved_ids", runs_path, lineno)
+        qa = qa_map.get(qid)
+        if qa is None or error:
             continue
-        texts = [
-            passage_map[pid].text
-            for pid in record.get("retrieved_ids", [])
-            if pid in passage_map
-        ]
+        texts = [passage_map[pid].text for pid in ids if pid in passage_map]
         quality = max(retrieval_quality(gold, texts) for gold in qa.answers)
-        recall = text_recall(list(qa.answers), record.get("final_answer", ""))
+        recall = text_recall(list(qa.answers), answer)
         points.append((quality, recall))
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")

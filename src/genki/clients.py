@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import threading
 import urllib.parse
@@ -22,7 +21,7 @@ import urllib.parse
 from _blake2 import blake2b
 from dataclasses import dataclass
 
-from .corpus import TokenSeq, tokenize
+from .corpus import NUMBER, CorpusError, TokenSeq, check, parse_json_object, tokenize
 from .ensemble import Choice
 from .reward import FormatSpec
 
@@ -116,12 +115,9 @@ class _JsonHttpClient:
                 last_error = exc
                 continue
             try:
-                parsed = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"{url}: response is not valid JSON") from exc
-            if not isinstance(parsed, dict):
-                raise ProtocolError(f"{url}: response must be a JSON object")
-            return parsed
+                return parse_json_object(raw, url)
+            except CorpusError as exc:
+                raise ProtocolError(str(exc)) from None
         raise TransportError(f"{url}: no response after {attempts} attempt(s): {last_error!r}")
 
 
@@ -145,15 +141,10 @@ class RemoteScorer:
 
     def logprob_cond(self, context: TokenSeq, target: TokenSeq) -> float:
         resp = self._client.post("/score", {"context": context.text, "target": target.text})
-        value = resp.get("logprob")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProtocolError(f"/score returned non-numeric logprob: {value!r}")
         try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf if value > 0 else -math.inf
-        if not math.isfinite(value):
-            raise ProtocolError(f"/score returned non-finite logprob {value}")
+            value = check(resp.get("logprob"), NUMBER, "logprob", "/score reply")
+        except CorpusError as exc:
+            raise ProtocolError(str(exc)) from None
         if value > 0.0:
             raise ProtocolError(f"/score returned positive logprob {value}")
         return value

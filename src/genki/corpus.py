@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 UNK = "<unk>"
 EOS = "</s>"
@@ -30,7 +31,7 @@ class AnswerKind(Enum):
 
 
 # One token per CJK character, otherwise runs of word characters; punctuation
-# is dropped.  normalize_text() must stay consistent with this.
+# is dropped.
 _CJK = "㐀-鿿"
 _TOKEN_RE = re.compile(rf"[{_CJK}]|[^\W{_CJK}]+")
 
@@ -46,14 +47,6 @@ def tokenize(text: str) -> list[str]:
     own token, and punctuation is dropped.
     """
     return _TOKEN_RE.findall(text.lower())
-
-
-def normalize_text(text: str) -> str:
-    """Canonical form of *text*: lowercased word tokens joined by single spaces.
-
-    Idempotent; normalize_text(normalize_text(x)) == normalize_text(x).
-    """
-    return " ".join(tokenize(text))
 
 
 def split_sentences(text: str) -> list[str]:
@@ -197,51 +190,84 @@ class Vocabulary:
         return " ".join(self._words[i] for i in token_ids)
 
 
+def _source(path: str | Path, line: int | None) -> str:
+    """How messages name a file, or one line of it."""
+    return f"{path}: line {line}" if line else str(path)
+
+
+def parse_json_object(data: bytes, path: str | Path, line: int | None = None) -> dict:
+    """The JSON object *data* holds, read from *path* (at *line* of a JSONL file).
+
+    The one JSON reader of every input file, JSONL line and remote reply.
+    Invalid UTF-8, invalid JSON, nesting too deep to parse, a \\u escape
+    naming a lone surrogate (no output could encode it) and a value that is
+    not an object raise CorpusError naming the file and the line.
+    """
+    try:
+        text = data.decode("utf-8")
+        value = json.loads(text)
+        # Only a \u escape can put a lone surrogate in a string; a search for
+        # one character is the fast way to rule it out.
+        if "\\" in text and "\\u" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeDecodeError:
+        problem = "invalid UTF-8"
+    except UnicodeEncodeError:
+        problem = "a \\u escape names a lone surrogate"
+    except RecursionError:
+        problem = "JSON nested too deeply"
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+    else:
+        if isinstance(value, dict):
+            return value
+        problem = "expected a JSON object"
+    raise CorpusError(f"{_source(path, line)}: {problem}")
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file.
 
-    A line that is not valid UTF-8, not valid JSON, or not a JSON object,
-    raises CorpusError naming the file and the line.
+    Each line goes through parse_json_object, so a bad one raises
+    CorpusError naming the file and the line.
     """
-    # surrogateescape turns each undecodable byte into a lone surrogate,
-    # which valid UTF-8 never decodes to, so it marks the bad line.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CorpusError(f"{path}: line {lineno}: invalid UTF-8") from None
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, obj
+            if not line.isspace():
+                yield lineno, parse_json_object(line, path, lineno)
 
 
-def read_checkpoint_json(path: str | Path) -> dict:
-    """Parse a checkpoint file that must hold one JSON object; ValueError otherwise."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid checkpoint JSON ({exc.msg})") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: not valid checkpoint JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: checkpoint must be a JSON object")
-    return payload
+# Field kinds, named as messages name them, and the values each accepts.  A
+# bool is never an integer or a number, and a number must be finite.
+STRING = "a string"
+STRING_OR_NULL = "a string or null"
+INTEGER = "an integer"
+NUMBER = "a finite number"
+STRINGS = "a list of strings"
+TABLE = "a table of strings"
+_ACCEPTS = {
+    STRING: lambda v: isinstance(v, str),
+    STRING_OR_NULL: lambda v: v is None or isinstance(v, str),
+    INTEGER: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    NUMBER: lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max),  # not NaN, nor an int beyond a float
+    STRINGS: lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    TABLE: lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+}
 
 
-def checkpoint_int(payload: dict, key: str, path: str | Path) -> int:
-    """The integer field *key* of a checkpoint payload; ValueError otherwise."""
-    value = payload[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{path}: checkpoint field {key!r} must be an integer, got {value!r}")
-    return value
+def check(value: Any, kind: str, key: str, path: str | Path, line: int | None = None) -> Any:
+    """*value*, field *key* of the object read from *path* (at *line*), if it is of *kind*.
+
+    A value of another kind raises CorpusError naming the file, the line
+    and the field; callers pass obj.get(key), so a missing field reads as
+    null.  A number comes back as a float.
+    """
+    if isinstance(value, str) and (kind is STRING or kind is STRING_OR_NULL):  # the usual case
+        return value
+    if not _ACCEPTS[kind](value):
+        raise CorpusError(f"{_source(path, line)}: field {key!r} must be {kind}")
+    return float(value) if kind is NUMBER else value
 
 
 @contextmanager
@@ -280,13 +306,6 @@ def write_checkpoint_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _require_str(obj: dict, key: str, path: str | Path, lineno: int) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise CorpusError(f"{path}: line {lineno}: field {key!r} must be a string")
-    return value
-
-
 def ingest_passages(path: str | Path) -> list[Passage]:
     """Load passages from a JSONL file of ``{"id", "text", "source"?}`` records.
 
@@ -296,11 +315,9 @@ def ingest_passages(path: str | Path) -> list[Passage]:
     passages: list[Passage] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
-        pid = _require_str(obj, "id", path, lineno)
-        text = _require_str(obj, "text", path, lineno)
-        source = obj.get("source")
-        if source is not None and not isinstance(source, str):
-            raise CorpusError(f"{path}: line {lineno}: field 'source' must be a string")
+        pid = check(obj.get("id"), STRING, "id", path, lineno)
+        text = check(obj.get("text"), STRING, "text", path, lineno)
+        source = check(obj.get("source"), STRING_OR_NULL, "source", path, lineno)
         if pid in seen:
             raise CorpusError(f"{path}: line {lineno}: duplicate passage id {pid!r}")
         seen.add(pid)
@@ -320,12 +337,10 @@ def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
     pairs: list[QaPair] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
-        qid = _require_str(obj, "id", path, lineno)
-        question = _require_str(obj, "question", path, lineno)
-        raw_answers = obj.get("answers")
-        if not isinstance(raw_answers, list) or not all(isinstance(a, str) for a in raw_answers):
-            raise CorpusError(f"{path}: line {lineno}: field 'answers' must be a list of strings")
-        fmt_raw = _require_str(obj, "format", path, lineno)
+        qid = check(obj.get("id"), STRING, "id", path, lineno)
+        question = check(obj.get("question"), STRING, "question", path, lineno)
+        answers = check(obj.get("answers"), STRINGS, "answers", path, lineno)
+        fmt_raw = check(obj.get("format"), STRING, "format", path, lineno)
         try:
             fmt = AnswerKind(fmt_raw.lower())
         except ValueError:
@@ -337,7 +352,7 @@ def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
             raise CorpusError(f"{path}: line {lineno}: duplicate qa pair id {qid!r}")
         seen.add(qid)
         try:
-            pairs.append(QaPair(qid, question, tuple(raw_answers), fmt))
+            pairs.append(QaPair(qid, question, tuple(answers), fmt))
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
     return pairs

@@ -34,10 +34,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import (
+    INTEGER,
+    STRING,
+    STRINGS,
     TokenSeq,
     Vocabulary,
-    checkpoint_int,
-    read_checkpoint_json,
+    check,
+    parse_json_object,
     write_checkpoint_json,
 )
 
@@ -403,6 +406,10 @@ def train(
     return trained
 
 
+# The row arrays of a checkpoint, in ToyLm.from_rows order, with their dtypes.
+_ROWS = {"default": "<f8", "lengths": "<i4", "cols": "<i4", "vals": "<f8"}
+
+
 def _pack(array: np.ndarray, dtype: str) -> str:
     return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
 
@@ -419,18 +426,12 @@ def save_checkpoint(model: ToyLm, path: str | Path) -> None:
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "vocab": model.vocab.words(),
         "step": model.step,
-        "default": _pack(model.default, "<f8"),
-        "lengths": _pack(model.lengths, "<i4"),
-        "cols": _pack(model.cols, "<i4"),
-        "vals": _pack(model.vals, "<f8"),
+        **{key: _pack(getattr(model, key), dtype) for key, dtype in _ROWS.items()},
     }
     write_checkpoint_json(path, payload)
 
 
-def _unpack(payload: dict, key: str, dtype: str) -> np.ndarray:
-    raw = payload[key]
-    if not isinstance(raw, str):
-        raise ValueError(f"checkpoint field {key!r} must be a base64 string")
+def _unpack(key: str, raw: str, dtype: str) -> np.ndarray:
     try:
         data = base64.b64decode(raw, validate=True)
     except binascii.Error as exc:
@@ -446,27 +447,20 @@ def load_checkpoint(path: str | Path) -> ToyLm:
 
     A checkpoint of another schema (1 and 2 stored a dense table) raises
     CheckpointSchemaError.  Any other malformed content raises ValueError:
-    row lengths that do not sum to the entry count, columns out of range or
-    not strictly increasing within a row, or a non-finite logit.
+    a field missing or of the wrong kind, row lengths that do not sum to
+    the entry count, columns out of range or not strictly increasing within
+    a row, or a non-finite logit.
     """
-    payload = read_checkpoint_json(path)
+    payload = parse_json_object(Path(path).read_bytes(), path)
     version = payload.get("schema_version", 1)
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointSchemaError(f"{path}: unsupported checkpoint schema {version!r}")
-    missing = {"vocab", "step", "default", "lengths", "cols", "vals"} - set(payload)
-    if missing:
-        raise ValueError(f"{path}: checkpoint missing fields: {sorted(missing)}")
-    words = payload["vocab"]
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise ValueError(f"{path}: checkpoint vocab must be a list of strings")
-    step = checkpoint_int(payload, "step", path)
+    words = check(payload.get("vocab"), STRINGS, "vocab", path)
+    step = check(payload.get("step"), INTEGER, "step", path)
+    packed = {key: check(payload.get(key), STRING, key, path) for key in _ROWS}
     try:
         model = ToyLm.from_rows(
-            Vocabulary(words),
-            _unpack(payload, "default", "<f8"),
-            _unpack(payload, "lengths", "<i4"),
-            _unpack(payload, "cols", "<i4"),
-            _unpack(payload, "vals", "<f8"),
+            Vocabulary(words), *(_unpack(key, packed[key], dtype) for key, dtype in _ROWS.items())
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

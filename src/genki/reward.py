@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AnswerKind, read_checkpoint_json, tokenize, write_checkpoint_json
+from .corpus import NUMBER, AnswerKind, check, parse_json_object, tokenize, write_checkpoint_json
 
 FEATURE_NAMES = ("answer_length", "format_overlap", "question_fraction")
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -172,14 +172,12 @@ def load_reward_checkpoint(path: str | Path) -> ToyRewardModel:
     Keys it does not read, such as the ``seed`` of files written when the
     weights started random, are ignored.
     """
-    payload = read_checkpoint_json(path)
+    payload = parse_json_object(Path(path).read_bytes(), path)
     if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {payload.get('schema_version')!r}")
     if payload.get("features") != list(FEATURE_NAMES):
         raise ValueError(f"{path}: feature schema mismatch: {payload.get('features')!r}")
-    if "weights" not in payload:
-        raise ValueError(f"{path}: checkpoint missing fields: ['weights']")
-    try:
-        return ToyRewardModel(weights=np.array(payload["weights"], dtype=np.float64))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: bad reward weights ({exc})") from exc
+    weights = payload.get("weights")
+    if not isinstance(weights, list) or len(weights) != len(FEATURE_NAMES):
+        raise ValueError(f"{path}: field 'weights' must be a list of {len(FEATURE_NAMES)} numbers")
+    return ToyRewardModel([check(w, NUMBER, f"weights[{i}]", path) for i, w in enumerate(weights)])

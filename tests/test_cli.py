@@ -17,6 +17,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import genki
 from genki import cli, generation, lm_core
@@ -342,6 +344,133 @@ def test_gold_answer_without_word_token_is_data_error(workdir, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"data error: {qa}: line 3: qa pair 'q002': gold answer '!!!' has no word token\n"
     )
+
+
+DEEP = "[" * 100_000
+LONG_INT = "1" + "0" * 5000  # past the interpreter's 4,300-digit limit on int("...")
+
+
+def corpus_plus(workdir, line):
+    return Path(workdir["corpus"]).read_text(encoding="utf-8") + line + "\n"
+
+
+def qa_with_first_id(workdir, qid):
+    lines = read_lines(workdir["qa"])
+    lines[0] = json.dumps({**json.loads(lines[0]), "id": qid})
+    return "\n".join(lines) + "\n"
+
+
+# Inputs that ended in a traceback, or in exit 0 or 4 (an infinite lambda1):
+# what the file holds, the command line that reads it as {bad}, and the
+# error after the file name.
+MALFORMED = {
+    "config-invalid-utf8": (b'{"k": "\xff"}', "index --config {bad} --corpus {corpus} --out {out}",
+                            "config error", "invalid UTF-8"),
+    "config-deep": (DEEP, "index --config {bad} --corpus {corpus} --out {out}",
+                    "config error", "JSON nested too deeply"),
+    "config-long-int": ('{"k": %s}' % LONG_INT, "index --config {bad} --corpus {corpus} --out {out}",
+                        "config error", "invalid JSON (Exceeds the limit (4300 digits)"),
+    "config-huge-number": ('{"lambda1": 1%s}' % ("0" * 400), "ingest --config {bad} --corpus {corpus}",
+                           "config error", "field 'lambda1' must be a finite number"),
+    "config-1e400": ('{"lambda1": 1e400}', "ingest --config {bad} --corpus {corpus}",
+                     "config error", "field 'lambda1' must be a finite number"),
+    "corpus-deep": (lambda w: corpus_plus(w, DEEP), "ingest --corpus {bad}",
+                    "data error", "line 13: JSON nested too deeply"),
+    "answers-deep": (DEEP, "eval --qa {qa} --answers {bad}", "data error", "line 1: JSON nested too deeply"),
+    "runs-long-int": ('{"qid": "q000", "n": %s}' % LONG_INT,
+                      "analyze --corpus {corpus} --qa {qa} --runs {bad} --out {out}",
+                      "data error", "line 1: invalid JSON (Exceeds the limit (4300 digits)"),
+    "passage-id-surrogate": (lambda w: corpus_plus(w, '{"id": "p\\ud800", "text": "a b."}'),
+                             "index --config {config} --corpus {bad} --out {out}",
+                             "data error", "line 13: a \\u escape names a lone surrogate"),
+    "qa-id-surrogate": (lambda w: qa_with_first_id(w, "q\udc00"),
+                        "eval --qa {bad} --answers {runs} --out {out}",
+                        "data error", "line 1: a \\u escape names a lone surrogate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(workdir, tmp_path, capsys, case):
+    content, command, kind, problem = MALFORMED[case]
+    content = content(workdir) if callable(content) else content
+    bad = tmp_path / "bad.json"
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    bad.write_bytes(content)
+    argv = command.format(bad=bad, out=tmp_path / "out", runs=workdir["answers"] + "/runs.jsonl",
+                          **{k: workdir[k] for k in ("config", "corpus", "qa")}).split()
+    assert main(argv) == (EXIT_CONFIG if kind == "config error" else EXIT_DATA)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind}: {bad}: {problem}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+# Values that replace a field; the integers are small, so a retyped k,
+# embedder.dim or max_output_tokens stays within the fixture's sizes.
+WRONG_VALUES = (
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=6)
+    | st.lists(st.integers(-2, 3) | st.text(max_size=3), max_size=3)
+    | st.dictionaries(st.text(max_size=3), st.integers(-2, 3), max_size=2)
+)
+
+
+@st.composite
+def damaged(draw, text):
+    """*text*, a JSON document or JSONL records, with one kind of damage."""
+    how = draw(st.sampled_from(["truncate", "flip", "nest", "surrogate", "retype"]))
+    data = text.encode("utf-8")
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    lines = text.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[at])
+    target = record
+    key = draw(st.sampled_from(sorted(target)))
+    while isinstance(target[key], dict) and target[key] and draw(st.booleans()):
+        target = target[key]
+        key = draw(st.sampled_from(sorted(target)))
+    if how == "surrogate":
+        if isinstance(target[key], str):
+            target[key] += "\ud800"
+        else:
+            target[key + "\udc00"] = target.pop(key)
+        lines[at] = json.dumps(record)  # writes each surrogate as a \u escape
+    elif how == "nest":
+        depth = draw(st.sampled_from([2, 500, 100_000]))
+        target[key] = "NEST"
+        lines[at] = json.dumps(record).replace('"NEST"', "[" * depth + "]" * depth)
+    else:
+        target[key] = draw(WRONG_VALUES)
+        lines[at] = json.dumps(record)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_input_exits_0_2_or_3_with_one_error_line(workdir, tmp_path, capsys, data):
+    runs = workdir["answers"] + "/runs.jsonl"
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    # The file damaged, and the command that reads the damaged copy.
+    source, argv = data.draw(st.sampled_from([
+        (workdir["corpus"], ["ingest", "--corpus", bad]),
+        (workdir["qa"], ["ingest", "--corpus", workdir["corpus"], "--qa", bad]),
+        (runs, ["eval", "--qa", workdir["qa"], "--answers", bad]),
+        (runs, ["analyze", "--corpus", workdir["corpus"], "--qa", workdir["qa"], "--runs", bad,
+                "--out", out]),
+        (workdir["config"], ["index", "--config", bad, "--corpus", workdir["corpus"],
+                             "--out", out + "/index.bin"]),
+    ]))
+    bad.write_bytes(data.draw(damaged(Path(source).read_text(encoding="utf-8"))))
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+    if code != EXIT_OK:
+        assert err.count("\n") == 1 and err.startswith(("config error: ", "data error: ")), err
 
 
 @pytest.mark.parametrize("command", ["retrieve", "eval", "answer"])
@@ -861,15 +990,24 @@ class TestConfigHandling:
             assert "TOML" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, config, message", [
-        ("retrieve", {"k": "3"}, "config field 'k' must be"),
-        ("train", {"k": "3"}, "config field 'k' must be"),
-        ("eval", {"jobs": "2"}, "config field 'jobs' must be"),
-        ("train", {"train": {"steps": "10"}}, "config field train.steps must be"),
-        ("index", {"embedder": {"dim": "big"}}, "config field embedder.dim must be"),
-        ("train", {"templates": {"I": 5}}, "config field 'templates' must be"),
-        ("ingest", {"corpus": 5}, "config field 'corpus' must be"),
-        ("train", {"lambda1": True}, "config field 'lambda1' must be"),
-        ("answer", {"remote": {"retries": 1.5}}, "config field remote.retries must be"),
+        ("retrieve", {"k": "3"}, "{config}: field 'k' must be an integer"),
+        ("train", {"k": "3"}, "{config}: field 'k' must be an integer"),
+        ("eval", {"jobs": "2"}, "{config}: field 'jobs' must be an integer"),
+        ("train", {"train": {"steps": "10"}}, "{config}: field 'train.steps' must be an integer"),
+        ("index", {"embedder": {"dim": "big"}}, "{config}: field 'embedder.dim' must be an integer"),
+        ("train", {"templates": {"I": 5}}, "{config}: field 'templates' must be a table of strings"),
+        ("ingest", {"corpus": 5}, "{config}: field 'corpus' must be a string"),
+        ("train", {"lambda1": True}, "{config}: field 'lambda1' must be a finite number"),
+        ("answer", {"remote": {"retries": 1.5}}, "{config}: field 'remote.retries' must be an integer"),
+        ("train", {"lambda1": float("inf")}, "{config}: field 'lambda1' must be a finite number"),
+        ("train", {"lambda2": float("nan")}, "{config}: field 'lambda2' must be a finite number"),
+        ("train", {"lambda1": 10**400}, "{config}: field 'lambda1' must be a finite number"),
+        ("train", {"train": {"learning_rate": float("-inf")}},
+         "{config}: field 'train.learning_rate' must be a finite number"),
+        ("train", {"train": {"learning_rate": -0.5}}, "train_learning_rate must be > 0"),
+        ("train", {"train": {"learning_rate": 0}}, "train_learning_rate must be > 0"),
+        ("train", {"train": {"reward_learning_rate": -1}}, "train_reward_learning_rate must be > 0"),
+        ("train", {"train": {"reward_learning_rate": 0.0}}, "train_reward_learning_rate must be > 0"),
         ("retrieve", {"k": 0}, "k must be >= 1"),
         ("index", {"embedder": {"dim": 0}}, "embedder_dim must be >= 1"),
         ("answer", {"remote": {"judge_url": "http://127.0.0.1:9", "retries": -1}},
@@ -898,7 +1036,7 @@ class TestConfigHandling:
             "eval": ["--qa", workdir["qa"], "--answers", workdir["answers"] + "/runs.jsonl"],
         }
         assert main([command, "--config", str(path), *paths[command]]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert capsys.readouterr().err.startswith("config error: " + message.format(config=path))
 
     def test_int_accepted_as_number(self, tmp_path):
         path = tmp_path / "int.json"

@@ -175,7 +175,7 @@ class TestRemoteScorer:
         # Python's json reads NaN and Infinity, and a long integer overflows a float
         enqueue(server, "/score", 200, b'{"logprob": ' + raw + b"}")
         s = scorer(server)
-        with pytest.raises(ProtocolError, match="non-finite logprob"):
+        with pytest.raises(ProtocolError, match="field 'logprob' must be a finite number"):
             s.logprob_cond(s.encode("a"), s.encode("b"))
 
     def test_non_numeric_logprob_rejected(self, server):
@@ -189,7 +189,7 @@ class TestRemoteScorer:
     def test_non_json_response_rejected(self, server):
         enqueue(server, "/score", 200, b"<html>oops</html>")
         s = scorer(server)
-        with pytest.raises(ProtocolError, match="not valid JSON"):
+        with pytest.raises(ProtocolError, match="invalid JSON"):
             s.logprob_cond(s.encode("a"), s.encode("b"))
 
     def test_non_object_response_rejected(self, server):

@@ -4,6 +4,12 @@ import random
 import pytest
 
 from genki.corpus import (
+    INTEGER,
+    NUMBER,
+    STRING,
+    STRING_OR_NULL,
+    STRINGS,
+    TABLE,
     AnswerKind,
     CorpusError,
     Passage,
@@ -11,9 +17,10 @@ from genki.corpus import (
     TokenSeq,
     Vocabulary,
     build_stats,
+    check,
     ingest_passages,
     ingest_qa_pairs,
-    normalize_text,
+    parse_json_object,
     split_sentences,
     tokenize,
 )
@@ -42,11 +49,6 @@ class TestTokenize:
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
 
-    def test_normalize_text_idempotent(self):
-        text = "Hello,   World! 你好。"
-        once = normalize_text(text)
-        assert normalize_text(once) == once
-
 
 class TestSplitSentences:
     def test_two_terminal_periods(self):
@@ -69,6 +71,50 @@ class TestSplitSentences:
         text = "First one. Second one! Third?"
         joined = " ".join(split_sentences(text))
         assert tokenize(joined) == tokenize(text)
+
+
+class TestParseJsonObject:
+    def test_object(self):
+        assert parse_json_object('{"a": ["\\ud83d\\ude00", 1]}'.encode(), "f.json") == {"a": ["😀", 1]}
+
+    @pytest.mark.parametrize("data, problem", [
+        (b'{"a": "\xff"}', "invalid UTF-8"),
+        (b'{"a": }', "invalid JSON (Expecting value)"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+        (b'{"a": "x\\ud800"}', "a \\u escape names a lone surrogate"),
+        (b'{"\\udc00": 1}', "a \\u escape names a lone surrogate"),
+        (b"[1, 2]", "expected a JSON object"),
+        (b'{"n": 1' + b"0" * 5000 + b"}", "invalid JSON (Exceeds the limit (4300 digits)"),
+    ])
+    def test_rejected_naming_file_and_line(self, data, problem):
+        with pytest.raises(CorpusError) as info:
+            parse_json_object(data, "f.jsonl", 7)
+        assert str(info.value).startswith(f"f.jsonl: line 7: {problem}")
+        with pytest.raises(CorpusError, match=r"^f\.json: "):
+            parse_json_object(data, "f.json")
+
+
+class TestCheck:
+    @pytest.mark.parametrize("kind, accepted, rejected", [
+        (STRING, ["", "x"], [None, 1, True, ["x"]]),
+        (STRING_OR_NULL, [None, "x"], [1, False, ["x"]]),
+        (INTEGER, [0, -3, 10**400], [True, 1.0, "1", None]),
+        (NUMBER, [0, -2.5, 1e308, 2**1023],
+         [True, float("nan"), float("inf"), float("-inf"), 10**400, "1", None]),
+        (STRINGS, [[], ["a", "b"]], [["a", 1], "ab", None, ("a",)]),
+        (TABLE, [{}, {"I": "x"}], [{"I": 5}, [], None]),
+    ])
+    def test_kinds(self, kind, accepted, rejected):
+        for value in accepted:
+            assert check(value, kind, "f", "x.json") == value
+        for value in rejected:
+            with pytest.raises(CorpusError) as info:
+                check(value, kind, "f", "x.jsonl", 3)
+            assert str(info.value) == f"x.jsonl: line 3: field 'f' must be {kind}"
+
+    def test_number_comes_back_as_a_float(self):
+        value = check(2, NUMBER, "lambda1", "x.json")
+        assert value == 2.0 and isinstance(value, float)
 
 
 class TestIngestPassages:

@@ -739,7 +739,7 @@ class TestCheckpoint:
             ("vocab", ["<unk>", "</s>", 3], "vocab"),
             ("vals", "not base64!", "base64"),
             ("default", base64.b64encode(b"\0" * 35).decode(), "bytes"),
-            ("cols", [1, 4, 0, 2, 3, 5], "base64 string"),
+            ("cols", [1, 4, 0, 2, 3, 5], "field 'cols' must be a string"),
             ("vals", pack(np.full(6, np.inf), "<f8"), "finite"),
             ("default", pack([0, 0, 0, np.nan, 0, 0], "<f8"), "finite"),
             ("default", pack(np.zeros(5), "<f8"), "6 values"),
