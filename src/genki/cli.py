@@ -194,7 +194,11 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
             raise ConfigError(str(exc)) from None
     for name, value in vars(args).items():
         if value is not None and name in kinds:
-            setattr(cfg, name, value)
+            flag = "--" + name.replace("_", "-")
+            try:
+                setattr(cfg, name, check(value, kinds[name], flag, "command line"))
+            except CorpusError as exc:  # a non-finite --lambda1, say
+                raise ConfigError(str(exc)) from None
     if cfg.backend not in ("toy", "remote"):
         raise ConfigError(f"backend must be 'toy' or 'remote', got {cfg.backend!r}")
     for name, low in (("k", 1), ("jobs", 1), ("embedder_dim", 1), ("train_steps", 1),
@@ -456,17 +460,14 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     answers = _load(cfg, args, "answers")
     missing = [qa.id for qa in qa_pairs if qa.id not in answers]
     if missing:
-        shown = ", ".join(missing[:5])
+        shown = ", ".join(map(repr, missing[:5]))
         raise DataError(f"{args.answers}: no answer for {len(missing)} question(s): {shown}")
-    report = evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
+    rows, means = evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
     if cfg.out:
         with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(report_tsv(report))
-    print(
-        f"em {report.em:.4f}  recall {report.recall:.4f}  f1 {report.f1:.4f}  "
-        f"bleu1 {report.bleu[1]:.4f}  rouge_l {report.rouge_l:.4f}"
-        + (f"  -> {cfg.out}" if cfg.out else "")
-    )
+            fh.write(report_tsv(rows, means))
+    print("  ".join(f"{name} {means[name]:.4f}" for name in ("em", "recall", "f1", "bleu1", "rouge_l"))
+          + (f"  -> {cfg.out}" if cfg.out else ""))
     return EXIT_OK
 
 
@@ -498,12 +499,10 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:
             fh.write(f"{mid:.6f},{mean_recall:.6f},{count}\n")
-    payload = {"fit": None, "reason": f"need >= 6 points, have {len(points)}"}
-    if len(points) >= 6:
-        try:
-            payload = asdict(two_segment_fit(points))
-        except ValueError as exc:
-            payload = {"fit": None, "reason": str(exc)}
+    try:
+        payload = asdict(two_segment_fit(points))
+    except ValueError as exc:  # fewer than 6 points, or no x value to split them at
+        payload = {"fit": None, "reason": str(exc)}
     _write_json(out / "fit.json", payload)
     print(f"analyzed {len(points)} runs into {len(buckets)} buckets -> {out}")
     return EXIT_OK

@@ -12,7 +12,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +41,28 @@ def exact_match(gold: Sequence[str], hyp: str) -> float:
     return 1.0 if any(normalize_answer(g) == normalized for g in gold) else 0.0
 
 
-def _overlap(gold_tokens: list[str], hyp_counts: Counter) -> int:
-    return sum((Counter(gold_tokens) & hyp_counts).values())
+def _best(gold: Sequence[str], hyp: str, score: Callable[[list[str], list[str]], float]) -> float:
+    """The largest score(gold tokens, hypothesis tokens) over the gold answers.
+
+    Golds with no word token are skipped; 0.0 when none is left.
+    """
+    if not gold:
+        raise ValueError("gold answers must be non-empty")
+    hyp_tokens = tokenize(hyp)
+    return max((score(ref, hyp_tokens) for ref in map(tokenize, gold) if ref), default=0.0)
+
+
+def _overlap(ref_tokens: list[str], hyp_tokens: list[str]) -> int:
+    return sum((Counter(ref_tokens) & Counter(hyp_tokens)).values())
+
+
+def _f_measure(match: int, ref_tokens: list[str], hyp_tokens: list[str]) -> float:
+    """Harmonic mean of match/len(hyp) and match/len(ref); 0.0 without a match."""
+    if match == 0:
+        return 0.0
+    precision = match / len(hyp_tokens)
+    recall = match / len(ref_tokens)
+    return 2 * precision * recall / (precision + recall)
 
 
 def text_recall(gold: Sequence[str], hyp: str) -> float:
@@ -50,36 +71,12 @@ def text_recall(gold: Sequence[str], hyp: str) -> float:
     Token counts intersect as multisets, so a hypothesis token only covers
     as many gold occurrences as it has itself.  Empty hypothesis scores 0.
     """
-    if not gold:
-        raise ValueError("gold answers must be non-empty")
-    hyp_counts = Counter(tokenize(hyp))
-    best = 0.0
-    for answer in gold:
-        gold_tokens = tokenize(answer)
-        if not gold_tokens:
-            continue
-        best = max(best, _overlap(gold_tokens, hyp_counts) / len(gold_tokens))
-    return best
+    return _best(gold, hyp, lambda r, h: _overlap(r, h) / len(r))
 
 
 def text_f1(gold: Sequence[str], hyp: str) -> float:
     """Best token-level F1 (harmonic mean of precision and recall) over golds."""
-    if not gold:
-        raise ValueError("gold answers must be non-empty")
-    hyp_tokens = tokenize(hyp)
-    hyp_counts = Counter(hyp_tokens)
-    best = 0.0
-    for answer in gold:
-        gold_tokens = tokenize(answer)
-        if not gold_tokens or not hyp_tokens:
-            continue
-        overlap = _overlap(gold_tokens, hyp_counts)
-        if overlap == 0:
-            continue
-        precision = overlap / len(hyp_tokens)
-        recall = overlap / len(gold_tokens)
-        best = max(best, 2 * precision * recall / (precision + recall))
-    return best
+    return _best(gold, hyp, lambda r, h: _f_measure(_overlap(r, h), r, h))
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -112,10 +109,7 @@ def bleu(refs: Sequence[str], hyp: str, n: int) -> float:
     """
     if not 1 <= n <= 4:
         raise ValueError("n must be in 1..4")
-    if not refs:
-        raise ValueError("references must be non-empty")
-    hyp_tokens = tokenize(hyp)
-    return max(_bleu_single(tokenize(ref), hyp_tokens, n) for ref in refs)
+    return _best(refs, hyp, partial(_bleu_single, n=n))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -132,23 +126,17 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(refs: Sequence[str], hyp: str) -> float:
     """ROUGE-L F-measure (beta=1) via longest common subsequence, max over refs."""
-    if not refs:
-        raise ValueError("references must be non-empty")
-    hyp_tokens = tokenize(hyp)
-    if not hyp_tokens:
-        return 0.0
-    best = 0.0
-    for ref in refs:
-        ref_tokens = tokenize(ref)
-        if not ref_tokens:
-            continue
-        lcs = _lcs_length(ref_tokens, hyp_tokens)
-        if lcs == 0:
-            continue
-        recall = lcs / len(ref_tokens)
-        precision = lcs / len(hyp_tokens)
-        best = max(best, 2 * precision * recall / (precision + recall))
-    return best
+    return _best(refs, hyp, lambda r, h: _f_measure(_lcs_length(r, h), r, h))
+
+
+# The answer metrics of genki eval, in report column order.
+METRICS: dict[str, Callable[[Sequence[str], str], float]] = {
+    "em": exact_match,
+    "recall": text_recall,
+    "f1": text_f1,
+    **{f"bleu{n}": partial(bleu, n=n) for n in range(1, 5)},
+    "rouge_l": rouge_l,
+}
 
 
 def _fold_plural(word: str) -> str:
@@ -242,98 +230,45 @@ def two_segment_fit(points: Sequence[tuple[float, float]]) -> FitResult:
                      single=_ols(xs, ys))
 
 
-@dataclass(frozen=True)
-class QuestionScore:
-    """Per-question metric row."""
-
-    qid: str
-    em: float
-    recall: float
-    f1: float
-    bleu: Mapping[int, float]
-    rouge_l: float
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregate metrics (arithmetic means) plus the per-question rows."""
-
-    em: float
-    recall: float
-    f1: float
-    bleu: Mapping[int, float]
-    rouge_l: float
-    rows: tuple[QuestionScore, ...]
-
-
-def evaluate_answers(items: Sequence[tuple[QaPair, str]]) -> MetricReport:
-    """Score every (question, hypothesis) pair and average the columns."""
+def evaluate_answers(
+    items: Sequence[tuple[QaPair, str]],
+) -> tuple[list[tuple[str, dict[str, float]]], dict[str, float]]:
+    """(qid, {metric: score}) for every (question, hypothesis) pair, and each metric's mean."""
     if not items:
         raise ValueError("nothing to evaluate")
-
-    def score(item: tuple[QaPair, str]) -> QuestionScore:
-        qa, hyp = item
-        gold = list(qa.answers)
-        return QuestionScore(
-            qid=qa.id,
-            em=exact_match(gold, hyp),
-            recall=text_recall(gold, hyp),
-            f1=text_f1(gold, hyp),
-            bleu={n: bleu(gold, hyp, n) for n in range(1, 5)},
-            rouge_l=rouge_l(gold, hyp),
-        )
-
-    rows = [score(item) for item in items]
-    count = len(rows)
-    return MetricReport(
-        em=sum(r.em for r in rows) / count,
-        recall=sum(r.recall for r in rows) / count,
-        f1=sum(r.f1 for r in rows) / count,
-        bleu={n: sum(r.bleu[n] for r in rows) / count for n in range(1, 5)},
-        rouge_l=sum(r.rouge_l for r in rows) / count,
-        rows=tuple(rows),
-    )
+    rows = [(qa.id, {name: score(qa.answers, hyp) for name, score in METRICS.items()})
+            for qa, hyp in items]
+    means = {name: sum(scores[name] for _, scores in rows) / len(rows) for name in METRICS}
+    return rows, means
 
 
-def report_tsv(report: MetricReport) -> str:
-    """Render a report as TSV: per-question rows then a mean footer row."""
-    header = ["qid", "em", "recall", "f1", "bleu1", "bleu2", "bleu3", "bleu4", "rouge_l"]
-    lines = ["\t".join(header)]
-
-    def fmt(value: float) -> str:
-        return f"{value:.6f}"
-
-    for row in report.rows:
-        cells = [row.qid, fmt(row.em), fmt(row.recall), fmt(row.f1)]
-        cells += [fmt(row.bleu[n]) for n in range(1, 5)]
-        cells.append(fmt(row.rouge_l))
-        lines.append("\t".join(cells))
-    footer = ["mean", fmt(report.em), fmt(report.recall), fmt(report.f1)]
-    footer += [fmt(report.bleu[n]) for n in range(1, 5)]
-    footer.append(fmt(report.rouge_l))
-    lines.append("\t".join(footer))
+def report_tsv(rows: Sequence[tuple[str, Mapping[str, float]]], means: Mapping[str, float]) -> str:
+    """Render scores as TSV: a header, one row per question, then a mean row."""
+    lines = ["\t".join(["qid", *METRICS])]
+    for qid, scores in [*rows, ("mean", means)]:
+        lines.append("\t".join([qid, *(f"{scores[name]:.6f}" for name in METRICS)]))
     return "\n".join(lines) + "\n"
 
 
-def quality_recall_points(
-    pairs: Sequence[tuple[float, float]], buckets: int = 10
-) -> list[tuple[float, float, int]]:
+_BUCKETS = 10
+
+
+def quality_recall_points(pairs: Sequence[tuple[float, float]]) -> list[tuple[float, float, int]]:
     """Bucket (quality, recall) pairs for plotting: (bucket midpoint, mean, n).
 
-    Quality is clipped into [0, 1] and empty buckets are skipped.
+    Quality is clipped into [0, 1] and falls in one of ten equal buckets;
+    empty buckets are skipped.
     """
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    sums = [0.0] * buckets
-    counts = [0] * buckets
+    sums = [0.0] * _BUCKETS
+    counts = [0] * _BUCKETS
     for quality, recall in pairs:
         clipped = min(max(quality, 0.0), 1.0)
-        idx = min(int(clipped * buckets), buckets - 1)
+        idx = min(int(clipped * _BUCKETS), _BUCKETS - 1)
         sums[idx] += recall
         counts[idx] += 1
-    width = 1.0 / buckets
+    width = 1.0 / _BUCKETS
     return [
         ((i + 0.5) * width, sums[i] / counts[i], counts[i])
-        for i in range(buckets)
+        for i in range(_BUCKETS)
         if counts[i] > 0
     ]

@@ -828,6 +828,17 @@ class TestEval:
         assert "no answer for 2 question(s)" in err
         assert qa[-1]["id"] in err
 
+    def test_missing_id_with_line_break_is_one_line(self, tmp_path, capsys):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text(json.dumps({"id": "q\n1", "question": "who", "answers": ["cat"],
+                                  "format": "entity"}) + "\n")
+        answers = tmp_path / "answers.jsonl"
+        answers.write_text(json.dumps({"id": "q1", "answer": "cat"}) + "\n")
+        assert main(["eval", "--qa", str(qa), "--answers", str(answers)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {answers}: no answer for 1 question(s): 'q\\n1'\n"
+        )
+
     def test_malformed_answers_line_numbered(self, workdir, tmp_path, capsys):
         answers = tmp_path / "bad.jsonl"
         answers.write_text('{"id": "q000", "answer": "x"}\nnot json\n')
@@ -873,6 +884,18 @@ class TestAnalyze:
         assert fit["segment2"] == {"slope": 0.0, "intercept": 1.0, "r2": 1.0}
         assert set(fit) == {"segment1", "segment2", "breakpoint", "single"}
         assert set(fit["segment1"]) == set(fit["single"]) == {"slope", "intercept", "r2"}
+
+    def test_fewer_than_six_runs_give_the_reason(self, workdir, tmp_path, capsys):
+        runs = tmp_path / "runs.jsonl"
+        lines = read_lines(workdir["answers"] + "/runs.jsonl")[:5]
+        runs.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(out)]) == EXIT_OK
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit == {"fit": None, "reason": "need at least 6 points, got 5"}
+        assert (out / "analysis.csv").read_text() == "quality,mean_recall,count\n0.450000,1.000000,5\n"
+        assert "5 runs" in capsys.readouterr().out
 
     def test_no_usable_runs_leaves_no_output(self, workdir, tmp_path, capsys):
         runs = tmp_path / "runs.jsonl"
@@ -959,6 +982,16 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "m"),
                      "--lambda1", "0.5", "--lambda2", "0.5"]) == EXIT_CONFIG
         assert "lambda" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_config_error(self, workdir, tmp_path, capsys, value):
+        assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--out", str(tmp_path / "m"), "--lambda1", value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: command line: field '--lambda1' must be a finite number\n"
+        )
+        assert not (tmp_path / "m").exists()
 
     def test_bad_k_rejected(self, workdir, tmp_path, capsys):
         assert main(["train", "--config", workdir["config"], "--corpus", workdir["corpus"],

@@ -13,6 +13,7 @@ import pytest
 
 from genki.corpus import AnswerKind, QaPair
 from genki.metrics import (
+    METRICS,
     bleu,
     evaluate_answers,
     exact_match,
@@ -250,6 +251,16 @@ class TestRougeL:
             assert rouge_l([ref], hyp) == pytest.approx(expected, abs=1e-9), (ref, hyp)
 
 
+class TestBestOverGolds:
+    @pytest.mark.parametrize("name", ["recall", "f1", "bleu1", "bleu2", "rouge_l"])
+    def test_gold_without_word_token_is_skipped(self, name):
+        score = METRICS[name]
+        assert score(["!!!", "the cat"], "the cat") == 1.0
+        assert score(["!!!"], "the cat") == 0.0
+        with pytest.raises(ValueError, match="non-empty"):
+            score([], "the cat")
+
+
 class TestRetrievalQuality:
     def test_plural_folding_hand_value(self):
         passages = ["Large language models have gained widespread language applications."]
@@ -353,12 +364,35 @@ class TestEvaluateAnswers:
         ]
 
     def test_aggregates_are_means(self):
-        report = evaluate_answers(self.items())
-        assert report.em == pytest.approx((1.0 + 0.0 + 0.0) / 3)
+        rows, means = evaluate_answers(self.items())
+        assert means["em"] == pytest.approx((1.0 + 0.0 + 0.0) / 3)
         # recall keeps articles: "the cat" vs "cat" covers 1 of 2 tokens
-        assert report.recall == pytest.approx((0.5 + 2 / 3 + 0.0) / 3)
-        assert len(report.rows) == 3
-        assert [r.qid for r in report.rows] == ["q1", "q2", "q3"]
+        assert means["recall"] == pytest.approx((0.5 + 2 / 3 + 0.0) / 3)
+        assert len(rows) == 3
+        assert [qid for qid, _ in rows] == ["q1", "q2", "q3"]
+
+    def test_every_column_by_hand(self):
+        rows, means = evaluate_answers(self.items())
+        e1, e05 = math.exp(-1.0), math.exp(-0.5)
+        # q1 "cat" vs "the cat": p 1, r 1/2; one hypothesis token, brevity e^(1-2/1)
+        # q2 "language model" vs "large language model": p 1, r 2/3, brevity e^(1-3/2)
+        expected = {
+            "q1": dict(em=1.0, recall=0.5, f1=2 / 3, bleu1=e1, bleu2=0.0, bleu3=0.0, bleu4=0.0,
+                       rouge_l=2 / 3),
+            "q2": dict(em=0.0, recall=2 / 3, f1=0.8, bleu1=e05, bleu2=e05, bleu3=0.0, bleu4=0.0,
+                       rouge_l=0.8),
+            "q3": dict(em=0.0, recall=0.0, f1=0.0, bleu1=0.0, bleu2=0.0, bleu3=0.0, bleu4=0.0,
+                       rouge_l=0.0),
+        }
+        assert [qid for qid, _ in rows] == list(expected)
+        for qid, scores in rows:
+            assert list(scores) == list(METRICS)
+            assert scores == pytest.approx(expected[qid]), qid
+        assert list(means) == list(METRICS)
+        assert means == pytest.approx(dict(
+            em=1 / 3, recall=(0.5 + 2 / 3) / 3, f1=(2 / 3 + 0.8) / 3, bleu1=(e1 + e05) / 3,
+            bleu2=e05 / 3, bleu3=0.0, bleu4=0.0, rouge_l=(2 / 3 + 0.8) / 3,
+        ))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -367,19 +401,25 @@ class TestEvaluateAnswers:
 
 class TestReportTsv:
     def test_layout(self):
-        report = evaluate_answers([(qa("q1", "who", ["cat"]), "cat")])
-        text = report_tsv(report)
+        rows, means = evaluate_answers([(qa("q1", "who", ["cat"]), "cat")])
+        text = report_tsv(rows, means)
         lines = text.splitlines()
         assert lines[0].split("\t")[:3] == ["qid", "em", "recall"]
         assert lines[1].startswith("q1\t1.000000\t1.000000")
         assert lines[-1].startswith("mean\t1.000000")
         assert text.endswith("\n")
 
+    def test_header_follows_metrics(self):
+        rows, means = evaluate_answers([(qa("q1", "who", ["cat"]), "dog")])
+        lines = report_tsv(rows, means).splitlines()
+        assert lines[0] == "qid\tem\trecall\tf1\tbleu1\tbleu2\tbleu3\tbleu4\trouge_l"
+        assert lines[1:] == ["q1" + "\t0.000000" * 8, "mean" + "\t0.000000" * 8]
+
 
 class TestQualityRecallPoints:
     def test_bucketing(self):
         pairs = [(0.05, 0.2), (0.07, 0.4), (0.95, 1.0)]
-        points = quality_recall_points(pairs, buckets=10)
+        points = quality_recall_points(pairs)
         assert len(points) == 2
         assert points[0][0] == pytest.approx(0.05)
         assert points[0][1] == pytest.approx(0.3)
@@ -389,14 +429,10 @@ class TestQualityRecallPoints:
         assert points[1][2] == 1
 
     def test_clipping_and_top_edge(self):
-        points = quality_recall_points([(1.0, 0.5), (1.7, 0.7), (-0.2, 0.1)], buckets=10)
+        points = quality_recall_points([(1.0, 0.5), (1.7, 0.7), (-0.2, 0.1)])
         assert points[0][0] == pytest.approx(0.05)
         assert points[0][1] == pytest.approx(0.1)
         assert points[0][2] == 1
         assert points[-1][0] == pytest.approx(0.95)
         assert points[-1][1] == pytest.approx(0.6)
         assert points[-1][2] == 2
-
-    def test_bad_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            quality_recall_points([(0.5, 0.5)], buckets=0)
