@@ -1,4 +1,4 @@
-"""Command-line surface: ingest, index, retrieve, train, answer, eval, analyze.
+"""Command-line surface: synth, ingest, index, retrieve, train, answer, eval, analyze.
 
 Stages communicate through files (index binary, model checkpoints, JSONL
 runs), so each command can be rerun or audited on its own.  Every command
@@ -120,7 +120,7 @@ class CliConfig:
 
 
 # Command-line flags, as add_argument keywords.  A flag overrides the
-# CliConfig field of its own name; --config, --answers and --runs have none.
+# CliConfig field of its own name, where there is one.
 _FLAGS = {
     "config": dict(help="config file (JSON or TOML)"),
     "corpus": dict(help="passage JSONL file"),
@@ -136,6 +136,8 @@ _FLAGS = {
     "backend": dict(choices=["toy", "remote"], help="judge/scorer backend"),
     "answers": dict(help="runs.jsonl or a JSONL of {id, answer}"),
     "runs": dict(help="runs.jsonl from genki answer"),
+    "passages": dict(type=int, default=200, help="passages to write, at least --questions"),
+    "questions": dict(type=int, default=100, help="questions to write, one passage each"),
 }
 
 # Config-file tables: the key <section>.<key> sets the CliConfig field
@@ -243,6 +245,8 @@ def _load_answers(path: str) -> dict[str, str]:
     for lineno, record in read_jsonl(path):
         key, value = ("qid", "final_answer") if "final_answer" in record else ("id", "answer")
         qid = check(record.get(key), STRING, key, path, lineno)
+        if qid in answers:
+            raise CorpusError(f"{path}: line {lineno}: duplicate answer id {qid!r}")
         answers[qid] = check(record.get(value), STRING, value, path, lineno)
     return answers
 
@@ -314,6 +318,18 @@ def _write_json(path: Path, payload: object) -> None:
         fh.write("\n")
 
 
+def cmd_synth(cfg: CliConfig, args: argparse.Namespace) -> int:
+    from .synth import write_world  # here, so no other command loads genki.synth
+
+    out = _need(cfg, args, "out", "an output directory")
+    try:
+        write_world(out, args.passages, args.questions)
+    except ValueError as exc:  # sizes synthetic_world rejects, checked before any write
+        raise ConfigError(f"--passages {args.passages} --questions {args.questions}: {exc}") from exc
+    print(f"wrote corpus.jsonl and qa.jsonl to {out}")
+    return EXIT_OK
+
+
 def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     qa_pairs = _load(cfg, args, "qa") if cfg.qa else []
@@ -375,6 +391,8 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     pipeline_cfg = _pipeline_config(cfg)
     passages = _load(cfg, args, "corpus")
     qa_pairs = _load(cfg, args, "qa")
+    if not qa_pairs:
+        raise DataError(f"{cfg.qa}: no qa pairs to train on")
     index = _load(cfg, args, "index")
     out = Path(_need(cfg, args, "out", "a model output directory"))
     embedder = _embedder(cfg, index.dim)
@@ -457,6 +475,8 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     qa_pairs = _load(cfg, args, "qa")
+    if not qa_pairs:
+        raise DataError(f"{cfg.qa}: no qa pairs to evaluate")
     answers = _load(cfg, args, "answers")
     missing = [qa.id for qa in qa_pairs if qa.id not in answers]
     if missing:
@@ -510,6 +530,7 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 # Commands: function, help text, and flags after --config.
 _COMMANDS = {
+    "synth": (cmd_synth, "write a synthetic corpus.jsonl and qa.jsonl", "out passages questions"),
     "ingest": (cmd_ingest, "validate a corpus and report statistics", "corpus qa out"),
     "index": (cmd_index, "embed passages and write the index file", "corpus out"),
     "retrieve": (cmd_retrieve, "top-k passages per question", "index qa k out"),

@@ -17,11 +17,9 @@ import logging
 import os
 import threading
 import urllib.parse
-# hashlib.blake2b, without loading OpenSSL's libcrypto (see genki.retriever).
-from _blake2 import blake2b
 from dataclasses import dataclass
 
-from .corpus import NUMBER, CorpusError, TokenSeq, check, parse_json_object, tokenize
+from .corpus import NUMBER, CorpusError, TokenSeq, check, parse_json_object
 from .ensemble import Choice
 from .reward import FormatSpec
 
@@ -121,15 +119,6 @@ class _JsonHttpClient:
         raise TransportError(f"{url}: no response after {attempts} attempt(s): {last_error!r}")
 
 
-def _placeholder_tokens(text: str) -> tuple[int, ...]:
-    # Local stand-in ids so TokenSeq plumbing works; the server only ever
-    # sees the text.
-    return tuple(
-        int.from_bytes(blake2b(w.encode("utf-8"), digest_size=4).digest(), "little")
-        for w in tokenize(text)
-    )
-
-
 class RemoteScorer:
     """LmScorer backed by the /score endpoint."""
 
@@ -137,7 +126,7 @@ class RemoteScorer:
         self._client = _JsonHttpClient(cfg)
 
     def encode(self, text: str) -> TokenSeq:
-        return TokenSeq(_placeholder_tokens(text), text)
+        return TokenSeq((), text)  # the server only ever sees the text
 
     def logprob_cond(self, context: TokenSeq, target: TokenSeq) -> float:
         resp = self._client.post("/score", {"context": context.text, "target": target.text})

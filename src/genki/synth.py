@@ -12,7 +12,6 @@ fillers by id so exact score ties resolve to the right passage.
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 from .corpus import AnswerKind, Passage, QaPair, write_jsonl
@@ -73,17 +72,3 @@ def write_world(out_dir: str | Path, n_passages: int = 200, n_questions: int = 1
          "format": qa.format.value}
         for qa in qa_pairs
     ))
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description="write a synthetic QA corpus")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--passages", type=int, default=200)
-    parser.add_argument("--questions", type=int, default=100)
-    args = parser.parse_args()
-    write_world(args.out, args.passages, args.questions)
-    print(f"wrote corpus.jsonl and qa.jsonl to {args.out}")
-
-
-if __name__ == "__main__":
-    main()

@@ -8,6 +8,7 @@ text are asserted directly.
 import base64
 import json
 import os
+import shlex
 import struct
 import shutil
 import socket
@@ -62,6 +63,31 @@ def workdir(tmp_path_factory):
                  "--qa", paths["qa"], "--index", paths["index"],
                  "--models", paths["models"], "--out", paths["answers"]]) == EXIT_OK
     return paths
+
+
+class TestSynth:
+    def test_writes_the_fixture_world(self, tmp_path, capsys):
+        out = tmp_path / "world"
+        assert main(["synth", "--out", str(out), "--passages", "50", "--questions", "20"]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote corpus.jsonl and qa.jsonl to {out}\n"
+        write_world(tmp_path / "expected", 50, 20)
+        for name in ("corpus.jsonl", "qa.jsonl"):
+            assert (out / name).read_bytes() == (tmp_path / "expected" / name).read_bytes()
+
+    def test_default_sizes(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(read_lines(tmp_path / "corpus.jsonl")) == 200
+        assert len(read_lines(tmp_path / "qa.jsonl")) == 100
+
+    @pytest.mark.parametrize("sizes", [
+        ["--passages", "5", "--questions", "10"], ["--questions", "0"], ["--passages", "-1"],
+    ])
+    def test_rejected_sizes_are_config_errors(self, tmp_path, capsys, sizes):
+        out = tmp_path / "world"
+        assert main(["synth", "--out", str(out), *sizes]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --passages ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestIngest:
@@ -473,13 +499,15 @@ def test_damaged_input_exits_0_2_or_3_with_one_error_line(workdir, tmp_path, cap
         assert err.count("\n") == 1 and err.startswith(("config error: ", "data error: ")), err
 
 
-@pytest.mark.parametrize("command", ["retrieve", "eval", "answer"])
+@pytest.mark.parametrize("command", ["retrieve", "eval", "answer", "synth"])
 def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
     directory, file = tmp_path / "dir", tmp_path / "file"
     directory.mkdir()
     file.write_text("")
-    out = {"retrieve": directory, "eval": directory, "answer": file / "sub"}[command]
+    out = {"retrieve": directory, "eval": directory, "answer": file / "sub",
+           "synth": file / "sub"}[command]
     argv = {
+        "synth": ["synth"],
         "retrieve": ["retrieve", "--config", workdir["config"], "--index", workdir["index"],
                      "--qa", workdir["qa"]],
         "eval": ["eval", "--qa", workdir["qa"], "--answers", workdir["answers"] + "/runs.jsonl"],
@@ -592,6 +620,76 @@ def test_train_loads_neither_numpy_random_nor_openssl(workdir, tmp_path):
         env=subprocess_env(), capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_qa_file_is_data_error(workdir, tmp_path, capsys, command):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("")
+    argv = {
+        "train": ["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                  "--index", workdir["index"], "--out", str(tmp_path / "models")],
+        "eval": ["eval", "--answers", workdir["answers"] + "/runs.jsonl",
+                 "--out", str(tmp_path / "eval")],
+    }[command]
+    assert main([*argv, "--qa", str(qa)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {qa}: no qa pairs") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [qa]
+
+
+@pytest.mark.parametrize("command", ["retrieve", "answer"])
+def test_empty_qa_file_answers_zero_questions(workdir, tmp_path, capsys, command):
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text("")
+    argv = {
+        "retrieve": ["retrieve", "--config", workdir["config"], "--index", workdir["index"],
+                     "--out", str(tmp_path / "retrieved.jsonl")],
+        "answer": ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                   "--index", workdir["index"], "--models", workdir["models"],
+                   "--out", str(tmp_path / "run")],
+    }[command]
+    assert main([*argv, "--qa", str(qa)]) == EXIT_OK
+    assert " 0 questions" in capsys.readouterr().out
+
+
+def test_only_synth_loads_genki_synth(workdir, tmp_path):
+    code = ("import json, sys, genki.cli; "
+            "codes = [genki.cli.main(json.loads(argv)) for argv in sys.argv[1:]]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('genki'))]))")
+    index = ["index", "--config", workdir["config"], "--corpus", workdir["corpus"],
+             "--out", str(tmp_path / "index.bin")]
+    answer = ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+              "--qa", workdir["qa"], "--index", workdir["index"], "--models", workdir["models"],
+              "--out", str(tmp_path / "run")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(index), json.dumps(answer)],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], [
+        "genki", "genki.cli", "genki.clients", "genki.consistency", "genki.corpus",
+        "genki.ensemble", "genki.generation", "genki.lm_core", "genki.metrics",
+        "genki.retriever", "genki.reward", "genki.textstats",
+    ]]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path):
+    # The ```sh block under "## Quick start", as CI runs it through the
+    # installed script, with genki defined as this checkout's genki.cli.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quickstart.sh"
+    script.write_text(f'genki() {{ {shlex.quote(sys.executable)} -m genki.cli "$@"; }}\n{block}')
+    done = subprocess.run(
+        ["bash", "-euo", "pipefail", str(script)], cwd=tmp_path,
+        env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "(0 failures)" in done.stdout
+    work = tmp_path / "work"
+    assert len(read_lines(work / "eval")) == len(read_lines(work / "qa.jsonl")) + 2
+    json.loads((work / "analysis" / "fit.json").read_text(encoding="utf-8"))
 
 
 def test_oov_warnings_do_not_depend_on_the_hash_seed(tmp_path):
@@ -837,6 +935,16 @@ class TestEval:
         assert main(["eval", "--qa", str(qa), "--answers", str(answers)]) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: {answers}: no answer for 1 question(s): 'q\\n1'\n"
+        )
+
+    def test_repeated_answer_id_is_data_error(self, workdir, tmp_path, capsys):
+        runs = Path(workdir["answers"]) / "runs.jsonl"
+        answers = tmp_path / "runs.jsonl"
+        answers.write_text(runs.read_text() + json.dumps({"id": "q000", "answer": "wrong"}) + "\n")
+        line = len(read_lines(runs)) + 1
+        assert main(["eval", "--qa", workdir["qa"], "--answers", str(answers)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {answers}: line {line}: duplicate answer id 'q000'\n"
         )
 
     def test_malformed_answers_line_numbered(self, workdir, tmp_path, capsys):
@@ -1121,5 +1229,6 @@ class TestParser:
     def test_help_lists_all_commands(self):
         from genki.cli import build_parser
         text = build_parser().format_help()
-        for command in ("ingest", "index", "retrieve", "train", "answer", "eval", "analyze"):
+        for command in ("synth", "ingest", "index", "retrieve", "train", "answer", "eval",
+                        "analyze"):
             assert command in text
