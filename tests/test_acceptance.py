@@ -453,7 +453,8 @@ def test_retrieval_exactness():
         k = int(rng.integers(1, n + 6))
 
         got = top_k(index, query, k)
-        scores = [float(np.dot(index.matrix[i].astype(np.float64), query)) for i in range(n)]
+        stored = index.matrix  # rebuilt from the sparse rows on each read
+        scores = [float(np.dot(stored[i].astype(np.float64), query)) for i in range(n)]
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
         assert [r.passage_id for r in got] == [ids[i] for i in order], trial
         for result, i in zip(got, order):

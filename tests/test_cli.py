@@ -237,6 +237,14 @@ class TestRetrieve:
         assert "data error:" in err
         assert str(index) in err
 
+    def test_header_dim_past_the_cap_is_data_error(self, workdir, tmp_path, capsys):
+        # A dim no embedder accepts, in a file too short for even one row.
+        index = tmp_path / "index.bin"
+        index.write_bytes(b"GKIX1" + struct.pack("<IQ", 2**32 - 1, 1) + bytes(13))
+        assert main(["retrieve", "--index", str(index), "--qa", workdir["qa"]]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {index}: dim must be between 1 and 65536, got 4294967295\n"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_vector_is_data_error(
             self, workdir, tmp_path, capsys, index_file_bytes, value):
@@ -1178,6 +1186,16 @@ class TestConfigHandling:
         }
         assert main([command, "--config", str(path), *paths[command]]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: " + message.format(config=path))
+
+    def test_embedder_dim_past_the_cap_is_config_error(self, workdir, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"embedder": {"dim": 2**40}}))
+        out = tmp_path / "i.bin"
+        assert main(["index", "--config", str(path), "--corpus", workdir["corpus"],
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: embedder.dim must be between 1 and 65536, got 1099511627776\n"
+        assert not out.exists()
 
     def test_int_accepted_as_number(self, tmp_path):
         path = tmp_path / "int.json"

@@ -168,9 +168,20 @@ class TestScreenExactness:
         rng = np.random.default_rng(34)
         matrix = rng.normal(size=(30, 8)).astype(np.float32)
         matrix[::3] = 0.0
+        # -0.0 rows, and rows of -0.0 and one nonzero entry: the sparse rows
+        # must keep every -0.0, or these rows' zero scores change sign.
+        matrix[1::6] = -0.0
+        matrix[2::6] = -0.0
+        matrix[2::6, 5] = 1.0
         ids = [f"p{i:02d}" for i in range(30)]
         rng.shuffle(ids)
-        for query in (np.zeros(8), rng.normal(size=8), -np.abs(rng.normal(size=8))):
+        sparse = np.zeros(8)
+        sparse[[0, 4]] = [1.5, -2.0]
+        sparse[2] = -0.0
+        stored = DenseIndex(matrix, ids).matrix
+        assert np.array_equal(stored.view(np.uint32), matrix.view(np.uint32))
+        for query in (np.zeros(8), rng.normal(size=8), -np.abs(rng.normal(size=8)),
+                      np.abs(rng.normal(size=8)), sparse):
             for k in (1, 5, 15, 30):
                 assert_exact(matrix, ids, query, k)
                 # Zero rows score a sum of signed zeros; the sign must be the
@@ -558,13 +569,17 @@ class TestDenseIndexValidation:
         with pytest.raises(ValueError):
             DenseIndex(matrix, ["a"])
 
+    @pytest.mark.parametrize("row_block", [retriever.ROW_BLOCK, 10], ids=["one", "blocks"])
     @pytest.mark.parametrize("row", [0, 3, 6])
     @pytest.mark.parametrize(
         "values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
         ids=["nan", "+inf", "-inf", "+inf-inf"],
     )
     def test_nonfinite_rows_rejected_in_memory_and_on_load(
-            self, tmp_path, index_file_bytes, row, values):
+            self, tmp_path, index_file_bytes, monkeypatch, row, values, row_block):
+        # With 10-float blocks the 7 rows of dim 5 come in blocks of 2 rows,
+        # so row 6 is alone in the last, partial block.
+        monkeypatch.setattr(retriever, "ROW_BLOCK", row_block)
         matrix = np.random.default_rng(row).normal(size=(7, 5)).astype(np.float32)
         matrix[row, 1:1 + len(values)] = values
         ids = [f"p{i}" for i in range(7)]
@@ -608,6 +623,21 @@ class TestDenseIndexValidation:
             "<d", old_max_row_norm(matrix)
         )
 
+    def test_dim_is_capped_at_query_block(self, tmp_path, index_file_bytes):
+        top = retriever.QUERY_BLOCK
+        assert HashEmbedder(dim=top).embed_question("x").shape == (top,)
+        assert DenseIndex(np.ones((1, top), dtype=np.float32), ["a"]).dim == top
+        message = f"dim must be between 1 and {top}, got {top + 1}"
+        with pytest.raises(ValueError, match=message):
+            HashEmbedder(dim=top + 1)
+        with pytest.raises(ValueError, match=message):
+            DenseIndex(np.ones((1, top + 1), dtype=np.float32), ["a"])
+        # A well-formed file whose header dim is past the cap.
+        path = tmp_path / "x.idx"
+        path.write_bytes(index_file_bytes(np.ones((1, top + 1), dtype=np.float32), ["a"]))
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             DenseIndex(np.zeros((2, 2), dtype=np.float32), ["a", "a"])
@@ -619,31 +649,48 @@ class TestDenseIndexValidation:
         assert index.count == 2
         assert index.dim == 32
 
-    def test_build_peaks_near_the_matrix_size(self):
-        # The matrix plus small per-word arrays; a second copy of the rows would be 2x.
+    def test_build_and_load_peak_near_the_sparse_size(self, tmp_path):
+        # The dense rows would take 8 MB, the sparse rows about 0.1 MB.  One
+        # block has ROW_BLOCK cells: build holds embed_many's float64 counts
+        # and float32 rows for it (12 bytes a cell), load_index its float32
+        # buffer and a nonzero mask (5 bytes a cell); ids and per-block
+        # arrays take the last 256 KB.
         passages = [Passage(f"p{i:04d}", f"topic{i % 97} item{i} shares a few words")
                     for i in range(2000)]
         embedder = HashEmbedder(dim=1024, seed=0)
-        tracemalloc.start()
-        try:
-            index = DenseIndex.build(passages, embedder)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert index.matrix.nbytes == 2000 * 1024 * 4
-        assert peak < 1.3 * index.matrix.nbytes
+        path = tmp_path / "x.idx"
+
+        def traced(step):
+            tracemalloc.start()
+            try:
+                return step(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        index, build_peak = traced(lambda: DenseIndex.build(passages, embedder))
+        save_index(index, path)
+        _, load_peak = traced(lambda: load_index(path))
+        dense = index.matrix
+        assert dense.nbytes == 2000 * 1024 * 4
+        # 4-byte column and 4-byte value per entry, 8-byte row offsets.
+        sparse = 8 * (np.count_nonzero(dense.view(np.uint32)) + 2001)
+        assert sparse < dense.nbytes / 50
+        cells, slack = retriever.ROW_BLOCK, 1 << 18
+        assert build_peak < sparse + 12 * cells + slack
+        assert load_peak < sparse + 5 * cells + slack
 
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(3, 4)).astype(np.float32)
+        matrix[1, 2] = matrix[2] = -0.0
         index = DenseIndex(matrix, ["a", "b", "c"])
         path = tmp_path / "x.idx"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.ids == index.ids
-        assert loaded.matrix.tobytes() == index.matrix.tobytes()
+        assert loaded.matrix.tobytes() == index.matrix.tobytes() == matrix.tobytes()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -672,15 +719,19 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load_index(path)
 
-    def test_short_vector_read_is_truncation(self, tmp_path, monkeypatch):
-        # A file that shrinks after its size is checked reads short.
-        index = DenseIndex(np.ones((3, 4), dtype=np.float32), ["a", "b", "c"])
+    @pytest.mark.parametrize("full_reads", [0, 2])
+    def test_short_vector_read_is_truncation(self, tmp_path, monkeypatch, full_reads):
+        # A file that shrinks after its size is checked reads short: in the
+        # first block, or with 8-float blocks (2 rows), in the third.
+        index = DenseIndex(np.ones((7, 4), dtype=np.float32), list("abcdefg"))
         path = tmp_path / "x.idx"
         save_index(index, path)
+        monkeypatch.setattr(retriever, "ROW_BLOCK", 8)
 
         class ShortReads:
             def __init__(self, fh):
                 self.fh = fh
+                self.reads = 0
 
             def __getattr__(self, name):
                 return getattr(self.fh, name)
@@ -692,6 +743,9 @@ class TestPersistence:
                 self.fh.close()
 
             def readinto(self, buffer):
+                self.reads += 1
+                if self.reads <= full_reads:
+                    return self.fh.readinto(buffer)
                 return self.fh.readinto(memoryview(buffer)[:-1])
 
         monkeypatch.setattr(retriever, "open", lambda *a: ShortReads(open(*a)), raising=False)
