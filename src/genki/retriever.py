@@ -5,12 +5,12 @@ keeps its vectors as compressed sparse rows: a feature-hashed bag of words
 has at most one nonzero per distinct word, so a row holds a few dozen of its
 dim entries.  DenseIndex(matrix, ids), DenseIndex.build and load_index all
 store the rows a block of ROW_BLOCK floats at a time, so no command holds a
-count x dim array.  Retrieval is exact: top_k_batch() returns what a float64
-scan of every row would, ordered by score descending, then passage id
-ascending, with float64 scores.  Its docstring states the method (a float32
-screen, then float64 rescores), the rounding bound and the proof.
-retrieve_texts embeds and retrieves many questions one block at a time, so
-memory stays bounded however many there are.
+count x dim array.  top_k_batch() ranks every row by score descending,
+then passage id ascending.  A score is the float64 sum of the row's stored
+entries times the query's, added in ascending column order from +0.0; only
+columns where a query is nonzero are read, which its docstring shows is
+exact.  retrieve_texts embeds and retrieves many questions one block at a
+time, so memory stays bounded however many there are.
 
 The index file layout is fixed little-endian binary:
 
@@ -43,14 +43,12 @@ logger = logging.getLogger(__name__)
 
 MAGIC = b"GKIX1"
 HEADER_BYTES = len(MAGIC) + 4 + 8
-# Float32 screen scores held at once by top_k_batch (16 MB).
-SCREEN_BLOCK = 1 << 22
+# Float64 scores and products held at once by top_k_batch (4 MB).
+SCORE_BLOCK = 1 << 19
 # Query floats converted at once by top_k_batch and retrieve_texts (64
 # queries at dim 1024).  It is also the largest dim, so that a block holds
 # at least one query.
 QUERY_BLOCK = 1 << 16
-# Float64 products held at once by the rescore in top_k_batch (512 KB).
-RESCORE_BLOCK = 1 << 16
 # Dense float32 index entries held at once while an index is stored, loaded
 # or saved (1 MB).
 ROW_BLOCK = 1 << 18
@@ -101,7 +99,7 @@ class HashEmbedder:
 
         Each distinct word is hashed once; its little-endian u64 digest v
         gives bucket (v >> 1) % dim and sign +1 if v & 1 else -1.  Each
-        cell's signs are counted exactly (np.bincount, float64) and rounded
+        hit cell's signs are counted exactly (np.bincount, float64) and rounded
         to float32 once, which equals adding them in word order in float32
         while every running sum stays below 2**24.  Above that they differ:
         the exact count is rounded once, whereas a float32 running sum stops
@@ -121,8 +119,10 @@ class HashEmbedder:
         del codes, words  # only the matrix grows with the block from here on
         cells += ((values >> 1) % self.dim).astype(np.intp)
         signs = np.where(values & 1, 1.0, -1.0)
-        counts = np.bincount(cells, signs, minlength=len(texts) * self.dim).astype(np.float32)
-        matrix = counts.reshape(len(texts), self.dim)
+        # Count only the cells some word hits: memory per word, not per cell.
+        hit, which = np.unique(cells, return_inverse=True)
+        matrix = np.zeros((len(texts), self.dim), dtype=np.float32)
+        np.put(matrix, hit, np.bincount(which, signs))
         squares = np.einsum("ij,ij->i", matrix, matrix)
         norms = np.sqrt(squares)
         for row in np.flatnonzero(squares >= 2**24):
@@ -163,8 +163,8 @@ class DenseIndex:
     ascending) with float32 values: every entry whose bits are not +0.0,
     -0.0 included, so the dense rows come back bit for bit.  The caller
     must not change ``ids`` afterwards.  The rows are stored a block of
-    ROW_BLOCK floats at a time; each block's squares are summed per row in
-    float64, which rejects non-finite vectors and gives max_row_norm.
+    ROW_BLOCK floats at a time; a NaN or inf entry has nonzero bits, so
+    checking the stored values of each block rejects non-finite vectors.
     """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
@@ -207,20 +207,17 @@ class DenseIndex:
             raise ValueError("index must hold at least one vector with dim >= 1")
         _check_dim(dim)
         lengths, columns, values = [], [], []
-        top = 0.0
         for block in blocks:
             block = np.ascontiguousarray(block, dtype=np.float32)
             if block.shape[1:] != (dim,):
                 raise ValueError(f"vectors of shape {block.shape[1:]}, expected ({dim},)")
-            # A float64 sum of float32 squares is non-finite only for a NaN or inf row.
-            squares = np.einsum("ij,ij->i", block, block, dtype=np.float64)
-            if not np.isfinite(squares).all():
-                raise ValueError("index vectors must be finite")
-            top = max(top, squares.max())
             cells = np.flatnonzero(block.view(np.uint32) != 0)  # by bits: keeps -0.0
+            stored = block.ravel()[cells]
+            if not np.isfinite(stored).all():
+                raise ValueError("index vectors must be finite")
             lengths.append(np.bincount(cells // dim, minlength=len(block)))
             columns.append((cells % dim).astype(np.int32))
-            values.append(block.ravel()[cells])
+            values.append(stored)
             del block  # free it before the next block is made
         rows = sum(map(len, lengths))
         if rows != count:
@@ -229,7 +226,6 @@ class DenseIndex:
             raise ValueError("passage ids must be unique")
         self.ids = list(ids)
         self.count, self.dim = count, dim
-        self.max_row_norm = float(np.sqrt(top))
         self._offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
         self._columns = np.concatenate(columns)
         self._values = np.concatenate(values)
@@ -240,7 +236,7 @@ class DenseIndex:
 
         For tests and inspection: no command reads it.
         """
-        matrix = _rows(self, slice(None))
+        matrix = _rows(self, 0, self.count)
         matrix.flags.writeable = False
         return matrix
 
@@ -250,39 +246,14 @@ def _block_rows(dim: int) -> int:
     return max(1, ROW_BLOCK // max(1, dim))
 
 
-def _rows(
-    index: DenseIndex, rows: slice | np.ndarray, used: np.ndarray | None = None
-) -> np.ndarray:
-    """The index's rows *rows* (a slice, or an array of row numbers) at its
-    ascending columns *used* (all of them if None), as one dense C-order
-    float32 block, bit for bit that part of index.matrix.
-    """
-    offsets = index._offsets
-    if isinstance(rows, slice):
-        span = range(index.count)[rows]
-        lengths = np.diff(offsets[span.start:span.stop + 1])
-        entries = slice(offsets[span.start], offsets[span.stop])
-    else:
-        starts = offsets[rows]
-        lengths = offsets[rows + 1] - starts
-        # Row r's entries follow one another from starts[r].
-        entries = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        entries += np.arange(len(entries))
-    width = index.dim if used is None else len(used)
-    flat = np.repeat(np.arange(len(lengths)) * width, lengths)
-    if used is None:
-        flat += index._columns[entries]
-    else:
-        place = np.full(index.dim, -1, dtype=np.int32)
-        place[used] = np.arange(width)
-        place = place[index._columns[entries]]
-        flat += place
-        # Entries outside *used* land in one spare float past the block.
-        flat[place < 0] = len(lengths) * width
-        del place
-    block = np.zeros(len(lengths) * width + 1, dtype=np.float32)
-    block[flat] = index._values[entries]
-    return block[:-1].reshape(len(lengths), width)
+def _rows(index: DenseIndex, lo: int, hi: int) -> np.ndarray:
+    """Rows lo to hi (clipped to count) of index.matrix, bit for bit."""
+    hi = min(hi, index.count)
+    entries = slice(index._offsets[lo], index._offsets[hi])
+    flat = np.repeat(np.arange(hi - lo) * index.dim, np.diff(index._offsets[lo:hi + 1]))
+    block = np.zeros((hi - lo) * index.dim, dtype=np.float32)
+    block[flat + index._columns[entries]] = index._values[entries]
+    return block.reshape(hi - lo, index.dim)
 
 
 def top_k(index: DenseIndex, question_vec: np.ndarray, k: int) -> list[RetrievalResult]:
@@ -298,134 +269,63 @@ def top_k_batch(
     Each list is ordered by descending float64 score; exact score ties
     break by ascending passage id.  Asking for more passages than the index
     holds returns them all; zero queries give [].  Queries must be finite
-    vectors of the index's dimension (ValueError otherwise).
+    vectors of the index's dimension, and no score may overflow float64
+    (ValueError otherwise).
 
-    Method.  Each query q is scaled by a power of two s, so that
-    max|s·q| < 2**100 and every score is below sqrt(dim)·2**64; the scaled
-    queries are rounded to float32 and scored against all rows in one
-    float32 product over the block's used columns, those where some query
-    of the block is nonzero.  The used columns are scattered from the sparse rows into a
-    dense float32 chunk of at most SCREEN_BLOCK floats at a time, so the
-    chunk holds exactly those entries of the dense rows, zeros included.
-    Per query, the rows whose float32 score a_i is at least θ - 2·B, where θ
-    is the k-th largest a_i, are the candidates.  A candidate that shares a
-    nonzero column with its query is rescored in float64 with the unscaled
-    query (c_i); the others take c_i = 0 for now.  The candidates are sorted
-    by (-c_i, id), and each query keeps its first k.  Kept candidates that
-    were not rescored are rescored then, with the same per-row expression.
-    Queries go through in blocks of at most QUERY_BLOCK floats and
-    SCREEN_BLOCK screen scores; each block is selected, rescored and sorted
-    with array operations, and the rescore holds at most RESCORE_BLOCK
-    float64 products at once.
+    Score.  A row's score is the float64 sum of its stored entries times
+    the query's entries, added in ascending column order from +0.0.  Only
+    columns where some query of the block is nonzero are read.  Skipping
+    the others is exact: their products are signed zeros (rows are finite),
+    which leave a sum that starts at +0.0, and so is never -0.0, unchanged.
+    Scores thus ignore the blocking and chunking; every zero score is +0.0.
 
-    Bound.  With q' = s·q, n = dim, u = 2**-24, M = max_row_norm and
-    t_i = row_i·q' the exact score, in units of q':
-
-        B = (n+2)·2**-23·‖q'‖·M + n·(M+1)·2**-149 + n·s·2**-1074
-          ≥ |a_i - t_i| + |s·c_i - t_i|.
-
-    Scaling by s is exact, barring float64 underflow far below B.  Rounding
-    q' to x = float32(q') moves the score by at most u·M·‖q'‖ plus
-    2**-150·sqrt(n)·M from gradual underflow; nothing overflows, by the
-    choice of s.  The screen leaves out only columns where x is zero; their
-    products x_j·row_ij are exact zeros (rows are finite), whether or not
-    the sparse rows store row_ij, and adding them last would not change the
-    value of a float32 sum, so a_i is one summation order of the full
-    length-n product.  A float32 dot product of length n, in any summation
-    order and with or without fused multiply-add, is off by at most
-    γ_n·M·‖x‖ + n·2**-150, where γ_n = n·u/(1-n·u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., §3.1) and each product may
-    underflow by 2**-150.  The float64 rescore is off by at most
-    γ64_n·M·‖q'‖ + n·s·2**-1074 once scaled, with γ64_n the same for
-    u = 2**-53.  For n ≤ 2**22, n·u ≤ 1/4, so γ_n ≤ (4/3)·n·u and the relative
-    terms total at most u + (4/3)·n·u·(1+u) + γ64_n, which leaves room
-    inside (n+2)·2**-23 = 2·(n+2)·u for the float64 rounding of M, ‖q'‖
-    (summed over the used columns, as the others add nothing) and B; the
-    absolute terms total at most n·(M+1)·2**-149 and n·s·2**-1074.
-
-    Exactness.  Let J be k rows with a_j ≥ θ.  For a row i that is not a
-    candidate and any j in J:
-
-        s·c_j ≥ a_j - B ≥ θ - B > a_i + B ≥ s·c_i,
-
-    so k rows have a strictly higher float64 score than row i, and i is
-    not in the float64 top k whatever its id.  The candidates therefore
-    hold the float64 top k, including every row tied with the k-th float64
-    score.  This assumes the float64 scores do not overflow
-    (‖q‖·M < 2**1000).
-
-    Skipped rescores.  If row i shares no nonzero column with q, every
-    float64 product q_j·row_ij is a signed zero, so c_i is ±0 in any
-    summation order.  The sort compares -c_i with <, under which +0 and -0
-    are equal, so sorting such a candidate as 0.0 gives the same order as
-    its rescore would, and rescoring only the kept ones returns their
-    exact bits, sign of zero included.
+    Method.  A block of queries holds at most QUERY_BLOCK floats and, past
+    one query, SCORE_BLOCK float64 scores and products (one per row and
+    stored entry); np.bincount sums the products into (query, row) cells in
+    order from +0.0 (_scores).  The rows scoring at least a query's k-th
+    score are sorted by (query, -score, id); each query keeps its first k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    step = max(1, min(SCREEN_BLOCK // index.count, QUERY_BLOCK // index.dim))
-    results: list[list[RetrievalResult]] = []
-    for start in range(0, len(questions), step):
-        results.extend(_top_k_block(index, questions[start:start + step], k))
-    return results
+    per_query = index.count + len(index._values)
+    step = max(1, min(SCORE_BLOCK // per_query, QUERY_BLOCK // index.dim))
+    return [results for start in range(0, len(questions), step)
+            for results in _top_k_block(index, questions[start:start + step], k)]
 
 
 def _top_k_block(
     index: DenseIndex, questions: Sequence[np.ndarray] | np.ndarray, k: int
 ) -> list[list[RetrievalResult]]:
     """top_k_batch for one block of queries, with array operations only."""
-    queries = np.asarray(questions, dtype=np.float64)
+    queries = np.asarray(questions)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs index dim {index.dim}")
-    count, dim = index.count, index.dim
-    # The block's nonzero query columns (NaN and inf among them); every
-    # product over the other columns is an exact zero.
+    # The block's nonzero query columns (NaN and inf among them), the only
+    # ones made float64: every product over the others is a signed zero.
     used = np.flatnonzero((queries != 0).any(axis=0))
-    active = queries[:, used]
-    # Rows per dense chunk of the used columns: at most SCREEN_BLOCK floats.
-    step = max(1, SCREEN_BLOCK // max(1, len(used)))
+    active = queries[:, used].astype(np.float64)
     if not np.isfinite(active).all():
         raise ValueError("query vectors must be finite")
-    if k < count:
-        norm = index.max_row_norm
-        _, row_exp = np.frexp(norm)
-        _, query_exp = np.frexp(np.abs(active).max(axis=1, initial=0.0))
-        shift = 64 - max(int(row_exp), -36) - query_exp
-        scaled = np.ldexp(active, shift[:, None])
-        bounds = (
-            (dim + 2) * 2.0**-23 * np.linalg.norm(scaled, axis=1) * norm
-            + dim * (norm + 1.0) * 2.0**-149
-            + np.ldexp(float(dim), shift - 1074)
-        )
-        screen = _screen(index, scaled.astype(np.float32), used, step)
-        kth = np.partition(screen, count - k, axis=1)[:, count - k]
-        cutoff = kth - 2.0 * bounds
-        # (query, row) candidate pairs, query-major; float32 scores compare
-        # against the float64 cutoffs exactly.
-        query_of, rows = np.nonzero(screen >= cutoff[:, None])
-        del screen
-    else:
-        query_of = np.repeat(np.arange(len(queries)), count)
-        rows = np.tile(np.arange(count), len(queries))
+    scores = _scores(index, active, used)
+    if not np.isfinite(scores).all():
+        raise ValueError("query vectors too large: a score overflows float64")
+    count = index.count
+    # (query, row) candidate pairs, query-major: every row scoring at least
+    # the query's k-th score (all rows when k >= count).
+    kth = np.partition(scores, count - min(k, count), axis=1)[:, count - min(k, count)]
+    query_of, rows = np.nonzero(scores >= kth[:, None])
+    scores = scores[query_of, rows]
     ids = index.ids
-    distinct, which = np.unique(rows, return_inverse=True)
-    # Candidates sharing no nonzero column with their query sort as 0.0 and
-    # are rescored only if kept (top_k_batch, "Skipped rescores").
-    shared = _shares_column(index, distinct, active, used, step)[which, query_of]
-    scores = np.zeros(len(rows))
-    live = np.flatnonzero(shared)
-    scores[live] = _rescore(index, queries, query_of[live], rows[live])
     # Ties break by id: rank only the ids of the block's distinct candidates.
+    distinct, which = np.unique(rows, return_inverse=True)
     names = [ids[row] for row in distinct.tolist()]
     id_rank = np.empty(len(names), dtype=np.intp)
     id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((id_rank[which], -scores, query_of))
-    query_of, rows, scores, shared = query_of[order], rows[order], scores[order], shared[order]
+    query_of, rows, scores = query_of[order], rows[order], scores[order]
     # Each query has at least min(k, count) candidates; keep its first ones.
     rank = np.arange(len(rows)) - np.searchsorted(query_of, query_of) + 1
     keep = rank <= k
-    late = np.flatnonzero(keep & ~shared)
-    scores[late] = _rescore(index, queries, query_of[late], rows[late])
     flat = [
         RetrievalResult(passage_id=ids[row], score=score, rank=r)
         for row, score, r in zip(
@@ -436,49 +336,27 @@ def _top_k_block(
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
-def _screen(index: DenseIndex, x: np.ndarray, used: np.ndarray, step: int) -> np.ndarray:
-    """Float32 scores of every row against x, which holds the columns *used*.
-
-    The used columns are made dense *step* rows at a time.
-    """
-    screen = np.empty((len(x), index.count), dtype=np.float32)
-    for lo in range(0, index.count, step):
-        screen[:, lo:lo + step] = x @ _rows(index, slice(lo, lo + step), used).T
-    return screen
-
-
-def _shares_column(
-    index: DenseIndex, rows: np.ndarray, active: np.ndarray, used: np.ndarray, step: int
-) -> np.ndarray:
-    """(len(rows), len(active)) booleans: does the row have a nonzero entry in
-    a column where the query does?  *active* holds the queries' columns
-    *used*, made dense *step* rows at a time as in the screen; the counts of
-    shared columns are small integers, exact in a float32 product.
-    """
-    touched = (active != 0).astype(np.float32).T
-    shared = np.empty((len(rows), len(active)), dtype=bool)
-    for lo in range(0, len(rows), step):
-        nonzero = _rows(index, rows[lo:lo + step], used) != 0
-        shared[lo:lo + step] = nonzero.astype(np.float32) @ touched > 0
-    return shared
-
-
-def _rescore(
-    index: DenseIndex, queries: np.ndarray, query_of: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Float64 score of each (query, row) pair, at most RESCORE_BLOCK products at once.
-
-    Each row is made dense again, then the row-wise products are summed per
-    row: a pair's score does not depend on which other pairs are rescored
-    or on the chunking.
-    """
-    scores = np.empty(len(rows))
-    chunk = max(1, RESCORE_BLOCK // index.dim)
-    for lo in range(0, len(rows), chunk):
-        part = slice(lo, lo + chunk)
-        product = queries[query_of[part]]
-        np.multiply(_rows(index, rows[part]), product, out=product)
-        scores[part] = product.sum(axis=1)
+def _scores(index: DenseIndex, active: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """(len(active), count) float64 scores of the queries *active*, which
+    hold the columns *used*, in row chunks of at most SCORE_BLOCK products."""
+    offsets, count = index._offsets, index.count
+    place = np.full(index.dim, -1, dtype=np.int32)  # column -> place in *active*
+    place[used] = np.arange(len(used))
+    span = max(1, SCORE_BLOCK // len(active))
+    scores = np.empty((len(active), count))
+    lo = 0
+    while lo < count:
+        hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + span, "right")) - 1)
+        where = place[index._columns[offsets[lo]:offsets[hi]]]
+        hit = np.flatnonzero(where >= 0)
+        products = active[:, where[hit]]
+        products *= index._values[offsets[lo] + hit]
+        # Each read entry's (query, row) cell; bincount adds in entry order.
+        rows = np.searchsorted(offsets[lo:hi + 1], offsets[lo] + hit, "right") - 1
+        cells = np.arange(len(active))[:, None] * (hi - lo) + rows
+        sums = np.bincount(cells.ravel(), products.ravel(), minlength=len(active) * (hi - lo))
+        scores[:, lo:hi] = sums.reshape(len(active), hi - lo)
+        lo = hi
     return scores
 
 
@@ -508,7 +386,7 @@ def save_index(index: DenseIndex, path: str | Path) -> None:
         fh.write(struct.pack("<I", index.dim))
         fh.write(struct.pack("<Q", index.count))
         for lo in range(0, index.count, step):
-            fh.write(np.ascontiguousarray(_rows(index, slice(lo, lo + step)), dtype="<f4"))
+            fh.write(np.ascontiguousarray(_rows(index, lo, lo + step), dtype="<f4"))
         raws = [pid.encode("utf-8") for pid in index.ids]
         fh.write(b"".join(struct.pack("<I", len(raw)) + raw for raw in raws))
 

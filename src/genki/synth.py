@@ -5,9 +5,11 @@ Every question owns one passage whose token stream is a closed cycle
 trained bigram model walks the cycle instead of wandering once it leaves
 the answer span.  The remaining passages are same-shaped fillers over
 disjoint tokens.  Gold answers are the two value tokens and occur verbatim
-in exactly one passage, questions mention their topic token twice so
-bag-of-words retrieval has a clear margin, and topic passages sort before
-fillers by id so exact score ties resolve to the right passage.
+in exactly one passage, and questions mention their topic token twice.
+Hashed words still collide: at dim 1024, seed 0, the 300/150 world's gold
+passage ranks first for 141 of 150 questions.  Eight misses are exact ties
+with a lower-id topic passage whose topic word shares its bucket and sign
+(topic019, 064, 068 and 120 share one); in the ninth a filler scores higher.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 import _blake2
 import hashlib
 import logging
-import math
 import random
 import struct
 import tracemalloc
@@ -28,12 +27,6 @@ from genki.retriever import (
 
 def index_from_rows(rows, ids):
     return DenseIndex(np.asarray(rows, dtype=np.float32), list(ids))
-
-
-def old_max_row_norm(matrix):
-    """max_row_norm as it was computed before the single validation pass."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-    return float(np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64).max()))
 
 
 class TestTopK:
@@ -113,8 +106,8 @@ def assert_exact(matrix, ids, query, k):
 
 
 class TestScreenExactness:
-    """Inputs built to trip a float32 screen: top_k must still match the
-    float64 full scan exactly."""
+    """Inputs on which float32 scores would misorder rows: top_k must still
+    match the float64 full scan exactly."""
 
     def test_rows_one_ulp_apart(self):
         rng = np.random.default_rng(31)
@@ -184,10 +177,11 @@ class TestScreenExactness:
                       np.abs(rng.normal(size=8)), sparse):
             for k in (1, 5, 15, 30):
                 assert_exact(matrix, ids, query, k)
-                # Zero rows score a sum of signed zeros; the sign must be the
-                # per-row expression's, bit for bit.
-                got = bits(top_k(DenseIndex(matrix, ids), query, k))
-                assert got == exact_scan(matrix, ids, query, k)
+                # Zero rows score a sum of signed zeros, which starts at
+                # +0.0 and so stays +0.0, bit for bit.
+                got = top_k(DenseIndex(matrix, ids), query, k)
+                assert bits(got) == exact_scan(matrix, ids, query, k)
+                assert not any(np.signbit(r.score) for r in got if r.score == 0.0)
         got = top_k(DenseIndex(matrix, ids), np.zeros(8), 30)
         assert [r.passage_id for r in got] == sorted(ids)
         assert all(r.score == 0.0 for r in got)
@@ -255,6 +249,12 @@ class TestTopKBatchContract:
         with pytest.raises(ValueError, match="finite"):
             top_k_batch(index, [[1.0, 0.0], [bad, 0.0]], 1)
 
+    def test_overflowing_score_rejected(self):
+        # inf + -inf would make a NaN score, which no candidate cutoff admits.
+        index = index_from_rows([[3e38, 3e38], [3e38, -3e38], [1.0, 0.0]], ["a", "b", "c"])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows float64"):
+            top_k_batch(index, [[1e300, 1e300], [1.0, 1.0]], 2)
+
     def test_shape_rejected(self):
         index = index_from_rows([[1.0, 0.0]], ["a"])
         with pytest.raises(ValueError):
@@ -271,8 +271,17 @@ def bits(results):
 
 
 def exact_scan(matrix, ids, query, k):
-    """A float64 scan of every row with the rescore's per-row expression."""
-    scores = (matrix.astype(np.float64) * np.asarray(query, dtype=np.float64)).sum(axis=1)
+    """top_k's score by its definition: per row, the float64 products of its
+    stored entries (nonzero bits) and the query, added in column order from
+    +0.0."""
+    query = np.asarray(query, dtype=np.float64)
+    scores = []
+    for row in np.asarray(matrix, dtype=np.float32):
+        stored = np.flatnonzero(row.view(np.uint32))
+        score = 0.0
+        for value, weight in zip(row[stored].tolist(), query[stored].tolist()):
+            score += value * weight
+        scores.append(score)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
     return [
         (ids[i], struct.pack("<d", float(scores[i])), rank)
@@ -290,6 +299,22 @@ def assert_blocked_exact(matrix, ids, queries, k):
         assert bits(results) == exact_scan(matrix, ids, query, k)
 
 
+class BincountSpy:
+    """numpy for genki.retriever, recording how many products each weighted
+    np.bincount call sums."""
+
+    def __init__(self):
+        self.summed = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, x, weights=None, minlength=0):
+        if weights is not None:
+            self.summed.append(len(weights))
+        return np.bincount(x, weights, minlength=minlength)
+
+
 def tied_world(rng, count=120, dim=1024, copies=12):
     """Rows where *copies* duplicates of row 0 tie, ids shuffled."""
     matrix = rng.normal(size=(count, dim)).astype(np.float32)
@@ -299,24 +324,8 @@ def tied_world(rng, count=120, dim=1024, copies=12):
     return matrix, ids
 
 
-class NumpySpy:
-    """numpy for the retriever module, recording the rows of each multiply."""
-
-    def __init__(self):
-        self.multiplied = []
-        self.pairs = set()  # (row bytes, query bytes) of every multiplied pair
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def multiply(self, a, b, **kwargs):
-        self.multiplied.append(len(a))
-        self.pairs.update(zip(map(bytes, a), map(bytes, b)))
-        return np.multiply(a, b, **kwargs)
-
-
 class TestBlockedSelection:
-    """top_k_batch selects, rescores and sorts a block of queries at once;
+    """top_k_batch scores, selects and sorts a block of queries at once;
     every block boundary must give what one query at a time gives."""
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -358,23 +367,23 @@ class TestBlockedSelection:
         assert all(sorted(r.passage_id for r in results) == sorted(ids) for results in got)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_rescore_chunks_split_one_query(self, monkeypatch, chunk):
+    def test_score_chunks_split_one_query(self, monkeypatch, chunk):
         rng = np.random.default_rng(65)
-        dim = 32
-        matrix, ids = tied_world(rng, count=60, dim=dim, copies=16)
+        count, dim = 60, 32
+        matrix, ids = tied_world(rng, count=count, dim=dim, copies=16)
         queries = rng.normal(size=(6, dim))
-        queries[[1, 4]] = matrix[0]  # 16 tied candidates each
+        queries[[1, 4]] = matrix[0]  # 16 tied rows each, split across chunks
         index = DenseIndex(matrix, ids)
         want = [bits(r) for r in top_k_batch(index, queries, 4)]
-        monkeypatch.setattr(retriever, "RESCORE_BLOCK", chunk * dim)
-        spy = NumpySpy()
+        monkeypatch.setattr(retriever, "SCORE_BLOCK", chunk * dim)
+        spy = BincountSpy()
         monkeypatch.setattr(retriever, "np", spy)
         got = [bits(r) for r in top_k_batch(index, queries, 4)]
         monkeypatch.undo()
-        # Each rescore chunk multiplies at most *chunk* candidate rows, so
-        # the 16 tied candidates of queries 1 and 4 were split.
-        assert max(spy.multiplied) <= chunk
-        assert len(spy.multiplied) >= 2 * (16 // chunk)
+        # A block holds one query, and each chunk sums the products of at
+        # most *chunk* rows of dim stored entries.
+        assert max(spy.summed) <= chunk * dim
+        assert len(spy.summed) == len(queries) * -(-count // chunk)
         assert got == want
         for results, query in zip(got, queries):
             assert results == exact_scan(matrix, ids, query, 4)
@@ -412,9 +421,9 @@ def sparse_queries(rng, count, dim, pool):
 
 
 class TestSparseQueries:
-    """The screen sums over the queries' nonzero columns only, and candidates
-    that share no nonzero column with their query are rescored only if kept;
-    results must still equal the exact scan bit for bit."""
+    """top_k_batch reads only the stored entries in the queries' nonzero
+    columns, in chunks of rows; results must still equal the exact scan bit
+    for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -422,10 +431,11 @@ class TestSparseQueries:
         count=st.integers(1, 40),
         queries=st.integers(1, 7),
         per_block=st.integers(1, 3),
+        score_block=st.integers(1, 1 << 12),
         extra_k=st.integers(0, 41),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_exact_scan(self, dim, count, queries, per_block, extra_k, seed):
+    def test_matches_exact_scan(self, dim, count, queries, per_block, score_block, extra_k, seed):
         rng = np.random.default_rng(seed)
         pool = rng.choice(dim, size=32, replace=False)
         matrix = sparse_rows(rng, count, dim, pool, hit=count // 4)
@@ -433,13 +443,16 @@ class TestSparseQueries:
         ids = [f"p{i:02d}" for i in range(count)]
         rng.shuffle(ids)
         k = 1 + extra_k % (count + 2)
-        # per_block queries per block, so the queries straddle block boundaries.
-        with mock.patch.object(retriever, "QUERY_BLOCK", per_block * dim):
+        # At most per_block queries per block, so the queries straddle block
+        # boundaries; a small score_block also gives blocks of one query and
+        # splits the rows into chunks.
+        with mock.patch.object(retriever, "QUERY_BLOCK", per_block * dim), \
+                mock.patch.object(retriever, "SCORE_BLOCK", score_block):
             assert_blocked_exact(matrix, ids, block, k)
 
-    def test_rescores_only_overlapping_and_kept_pairs(self, monkeypatch):
+    def test_scores_only_stored_entries_in_used_columns(self, monkeypatch):
         # Shaped like the answer workload: sparse rows, queries with 4
-        # nonzero columns, k = 2, and most rows tied at 0 with each query.
+        # nonzero columns, k = 2, and many rows on columns no query uses.
         rng = np.random.default_rng(70)
         count, dim, k = 120, 1024, 2
         pool = rng.choice(dim, size=40, replace=False)
@@ -448,33 +461,24 @@ class TestSparseQueries:
         for query in queries:
             support = rng.choice(pool, size=4, replace=False)
             query[support] = rng.choice([-1.0, 1.0], size=4) / 2.0
-        # Every fourth query is on columns no row uses, so all rows tie at 0.
-        unused = np.flatnonzero(~(matrix != 0).any(axis=0))
-        for query in queries[::4]:
-            query[:] = 0.0
-            query[rng.choice(unused, size=4, replace=False)] = -0.5
         queries[5] = 0.0
         ids = [f"p{i:03d}" for i in range(count)]
         rng.shuffle(ids)
         index = DenseIndex(matrix, ids)
-        overlapping = ((queries != 0).astype(int) @ (matrix != 0).T.astype(int) > 0).sum(axis=1)
-        scans = [exact_scan(matrix, ids, query, count) for query in queries]
-        at_zero = [sum(score == struct.pack("<d", 0.0) for _, score, _ in scan) for scan in scans]
-        kth_is_zero = [scan[k - 1][1] == struct.pack("<d", 0.0) for scan in scans]
-        # Many queries tie dozens of rows at 0 with their k-th score; a full
-        # rescore of the candidates would multiply all of those pairs.
-        assert sum(kth_is_zero) >= 16 and min(at_zero) >= 60
-        spy = NumpySpy()
+        stored = matrix.view(np.uint32) != 0
+        used = (queries != 0).any(axis=0)
+        # All 64 queries fit one block, which reads the stored entries in
+        # the columns some query uses, once per query.
+        assert (retriever.QUERY_BLOCK // dim) >= len(queries)
+        read = int(stored[:, used].sum())
+        assert 0 < read < stored.sum()
+        spy = BincountSpy()
         monkeypatch.setattr(retriever, "np", spy)
         got = top_k_batch(index, queries, k)
         monkeypatch.undo()
-        assert sum(spy.multiplied) <= overlapping.sum() + k * len(queries)
+        assert sum(spy.summed) == len(queries) * read
         for results, query in zip(got, queries):
             assert bits(results) == exact_scan(matrix, ids, query, k)
-            # Every returned score came from the per-row float64 expression.
-            for r in results:
-                row = matrix[ids.index(r.passage_id)]
-                assert (bytes(row), bytes(query)) in spy.pairs
 
     def test_block_missing_one_column_does_not_copy_the_matrix(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -484,7 +488,7 @@ class TestSparseQueries:
         query = rng.normal(size=dim)
         query[17] = 0.0
         want = exact_scan(matrix, index.ids, query, 3)
-        monkeypatch.setattr(retriever, "SCREEN_BLOCK", 1 << 16)
+        monkeypatch.setattr(retriever, "SCORE_BLOCK", 1 << 14)
         tracemalloc.start()
         try:
             got = top_k_batch(index, [query], 3)
@@ -492,8 +496,9 @@ class TestSparseQueries:
         finally:
             tracemalloc.stop()
         assert bits(got[0]) == want
-        # A gathered copy of 255 columns would take 8.4 MB; chunks take 256 KB.
-        assert peak < matrix.nbytes / 4
+        # A gathered copy of 255 columns would take 8.4 MB; a chunk of 2**14
+        # entries with its float64 products and cells takes under 1 MB.
+        assert peak < matrix.nbytes / 8
 
 
 class TestCandidateIdTieBreak:
@@ -596,8 +601,7 @@ class TestDenseIndexValidation:
         matrix = np.full((3, 2048), sign * big, dtype=np.float32)
         matrix[1, ::2] = -matrix[1, ::2]
         index = DenseIndex(matrix, ["a", "b", "c"])
-        assert index.max_row_norm == old_max_row_norm(matrix)
-        assert index.max_row_norm == pytest.approx(float(big) * math.sqrt(2048), rel=1e-12)
+        assert index.matrix.tobytes() == matrix.tobytes()
         query = np.random.default_rng(5).normal(size=2048)
         assert bits(top_k(index, query, 2)) == exact_scan(matrix, index.ids, query, 2)
 
@@ -607,21 +611,33 @@ class TestDenseIndexValidation:
         matrix = np.full((4, 64), tiny, dtype=np.float32)
         matrix[2] = np.finfo(np.float32).tiny / 3
         index = DenseIndex(matrix, ["a", "b", "c", "d"])
-        assert 0.0 < index.max_row_norm == old_max_row_norm(matrix)
+        assert index.matrix.tobytes() == matrix.tobytes()
         query = np.ones(64)
         assert bits(top_k(index, query, 3)) == exact_scan(matrix, index.ids, query, 3)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_max_row_norm_matches_einsum_then_sqrt(self, seed):
+    def test_any_input_stored_bit_for_bit(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        count, dim = rng.integers(1, 300), rng.integers(1, 700)
+        count, dim = int(rng.integers(1, 300)), int(rng.integers(1, 700))
         matrix = rng.normal(size=(count, dim)) * 10.0 ** rng.integers(-30, 30, size=(count, 1))
-        # float64 input in column-major order is converted before the pass.
+        # Entries that convert to +0.0, -0.0 and the smallest subnormal.
+        cells = rng.random(size=matrix.shape)
+        matrix[cells < 0.3] = 1e-46
+        matrix[cells < 0.2] = -1e-46
+        matrix[cells < 0.1] = 1.4e-45
+        # float64 input in column-major order is converted a block at a time.
         matrix = np.asfortranarray(matrix)
-        index = DenseIndex(matrix, [str(i) for i in range(count)])
-        assert struct.pack("<d", index.max_row_norm) == struct.pack(
-            "<d", old_max_row_norm(matrix)
-        )
+        want = matrix.astype(np.float32)
+        ids = [str(i) for i in range(count)]
+        whole = DenseIndex(matrix, ids)
+        monkeypatch.setattr(retriever, "ROW_BLOCK", 3 * dim)
+        blocked = DenseIndex(matrix, ids)
+        for index in (whole, blocked):
+            assert index.matrix.tobytes() == want.tobytes()
+            # Every entry but +0.0 is stored, -0.0 included.
+            assert len(index._values) == np.count_nonzero(want.view(np.uint32))
+        query = rng.normal(size=dim)
+        assert bits(top_k(blocked, query, 5)) == exact_scan(want, ids, query, 5)
 
     def test_dim_is_capped_at_query_block(self, tmp_path, index_file_bytes):
         top = retriever.QUERY_BLOCK
@@ -651,10 +667,9 @@ class TestDenseIndexValidation:
 
     def test_build_and_load_peak_near_the_sparse_size(self, tmp_path):
         # The dense rows would take 8 MB, the sparse rows about 0.1 MB.  One
-        # block has ROW_BLOCK cells: build holds embed_many's float64 counts
-        # and float32 rows for it (12 bytes a cell), load_index its float32
-        # buffer and a nonzero mask (5 bytes a cell); ids and per-block
-        # arrays take the last 256 KB.
+        # block has ROW_BLOCK cells: build holds embed_many's float32 rows
+        # for it, load_index its float32 buffer, and each a nonzero mask (5
+        # bytes a cell); ids and per-block arrays take the last 256 KB.
         passages = [Passage(f"p{i:04d}", f"topic{i % 97} item{i} shares a few words")
                     for i in range(2000)]
         embedder = HashEmbedder(dim=1024, seed=0)
@@ -676,7 +691,7 @@ class TestDenseIndexValidation:
         sparse = 8 * (np.count_nonzero(dense.view(np.uint32)) + 2001)
         assert sparse < dense.nbytes / 50
         cells, slack = retriever.ROW_BLOCK, 1 << 18
-        assert build_peak < sparse + 12 * cells + slack
+        assert build_peak < sparse + 5 * cells + slack
         assert load_peak < sparse + 5 * cells + slack
 
 
@@ -691,6 +706,9 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.ids == index.ids
         assert loaded.matrix.tobytes() == index.matrix.tobytes() == matrix.tobytes()
+        # float64 input in column-major order is converted to the same rows.
+        wide = DenseIndex(np.asfortranarray(matrix.astype(np.float64)), ["a", "b", "c"])
+        assert wide.matrix.tobytes() == matrix.tobytes()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
