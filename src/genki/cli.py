@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .clients import EndpointConfig, RemoteJudge, RemoteScorer
 from .corpus import (
@@ -37,6 +37,7 @@ from .corpus import (
     parse_json_object,
     read_jsonl,
     write_jsonl,
+    write_rows,
 )
 from .ensemble import StubJudge
 from .generation import (
@@ -44,6 +45,8 @@ from .generation import (
     PipelineConfig,
     PipelineError,
     PipelineModels,
+    PipelineRun,
+    answer_blocks,
     build_vocabulary,
     preference_pairs_from_drafts,
     run_pipeline,
@@ -382,8 +385,7 @@ def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
         write_jsonl(cfg.out, records)
         print(f"retrieved top-{cfg.k} for {len(records)} questions -> {cfg.out}")
     else:
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
+        write_rows(sys.stdout, records)
     return EXIT_OK
 
 
@@ -423,6 +425,18 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_runs(runs_file: IO[str], audit_file: IO[str], runs: Sequence[PipelineRun]) -> int:
+    """Append *runs* to runs.jsonl and audit.jsonl; return how many failed."""
+    records = [run_record(r) for r in runs]
+    write_rows(runs_file, records)
+    # audit.jsonl: the scoring inputs of each question that reached selection.
+    write_rows(audit_file, (
+        {"qid": rec["qid"], **rec["bundle"], "winner_provenance": rec["winner_provenance"]}
+        for rec in records if rec["bundle"] is not None
+    ))
+    return sum(1 for rec in records if rec["error"])
+
+
 def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     pipeline_cfg = _pipeline_config(cfg)
     passages = _load(cfg, args, "corpus")
@@ -453,23 +467,22 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     )
     embedder = _embedder(cfg, index.dim)
     passage_map = {p.id: p for p in passages}
-    try:
-        # Only a remote scorer or judge waits on the network, so only it gets threads.
-        runs = run_pipeline(
-            qa_pairs, models, index, embedder, passage_map, stats, pipeline_cfg,
-            jobs=cfg.jobs if cfg.backend == "remote" else 1,
-        )
-    except PipelineError as exc:  # retrieved ids missing from the corpus
-        raise _index_mismatch(cfg, exc) from exc
-    records = [run_record(r) for r in runs]
-    # audit.jsonl: the scoring inputs of each question that reached selection.
-    write_jsonl(out / "audit.jsonl", [
-        {"qid": rec["qid"], **rec["bundle"], "winner_provenance": rec["winner_provenance"]}
-        for rec in records if rec["bundle"] is not None
-    ])
-    write_jsonl(out / "runs.jsonl", records)
-    failures = sum(1 for r in runs if r.error)
-    print(f"answered {len(runs)} questions ({failures} failures) -> {out}")
+    # Only a remote scorer or judge waits on the network, so only it gets threads.
+    jobs = cfg.jobs if cfg.backend == "remote" else 1
+    failures = 0
+    # Each block's rows are written before the next block is answered; both
+    # files replace their old versions only after the last block.
+    with (atomic_write(out / "runs.jsonl", "w", encoding="utf-8") as runs,
+          atomic_write(out / "audit.jsonl", "w", encoding="utf-8") as audit):
+        for block in answer_blocks(qa_pairs):
+            try:
+                # no name holds a block's runs, so they are freed before the next block
+                failures += _write_runs(runs, audit, run_pipeline(
+                    block, models, index, embedder, passage_map, stats, pipeline_cfg, jobs=jobs,
+                ))
+            except PipelineError as exc:  # retrieved ids missing from the corpus
+                raise _index_mismatch(cfg, exc) from exc
+    print(f"answered {len(qa_pairs)} questions ({failures} failures) -> {out}")
     return EXIT_OK
 
 

@@ -7,9 +7,10 @@ import os
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
@@ -277,9 +278,11 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
     The temporary file lives in the same directory, so os.replace() is
     atomic: a failed or interrupted write leaves the previous file as it
     was and removes the temporary file.  Missing parent directories are
-    created first.
+    created first, and a failed write removes those it created once they
+    are empty again.
     """
     path = Path(path)
+    created = list(takewhile(lambda folder: not folder.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -288,15 +291,23 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for folder in created:  # innermost first
+            with suppress(OSError):  # not empty: another writer still uses it
+                folder.rmdir()
         raise
 
 
+def write_rows(fh: IO[str], records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line to *fh*: the one JSONL row format."""
+    for record in records:
+        fh.write(json.dumps(record, sort_keys=True))
+        fh.write("\n")
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write one sorted-key JSON object per line, atomically (see atomic_write)."""
+    """write_rows to *path*, atomically (see atomic_write)."""
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        write_rows(fh, records)
 
 
 def write_checkpoint_json(path: str | Path, payload: dict) -> None:

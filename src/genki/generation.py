@@ -10,12 +10,19 @@ once, in blocks (retriever.retrieve_texts), and render every prompt with the
 same two block renderers: draft_prompts (templates I and II) and
 rewrite_prompts (template III).
 
-run_pipeline answers a block of ANSWER_BLOCK questions one stage at a time:
-retrieval, then both drafts (answer_paths_block), then the rewrites
-(postprocess_block), then selection.  Each distinct prompt is encoded once
-and each model decodes all of its prompts with one generate_batch, so a
-draft or rewrite shared by many questions is computed once; each distinct
-question and candidate is split, weighted and encoded once for consistency
+run_pipeline answers a block of ANSWER_BLOCK (256) questions one stage at
+a time: retrieval, then both drafts (answer_paths_block), then the rewrites
+(postprocess_block), then selection.  genki answer calls it once per block
+(answer_blocks) and writes that block's runs.jsonl and audit.jsonl rows
+before it answers the next, so its memory does not grow with the number
+of questions.  Both go to temporary files that replace them only after the
+last block, so a failed run writes neither (earlier files stay as they
+were) and leaves no temporary file or new directory.
+
+Each distinct prompt of a block is encoded once and each model decodes all
+of its prompts with one generate_batch, so a draft or rewrite shared by
+many questions is computed once; each distinct question and candidate is
+split, weighted and encoded once for consistency
 (consistency.prepare_texts).  answer_paths and postprocess are the
 one-question cases of the block stages.  Drafts and rewrites run in the
 calling thread; jobs > 1 fans out only selection.  A question that fails a
@@ -37,7 +44,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .consistency import prepare_texts
 from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary
@@ -63,8 +70,12 @@ from .reward import FormatSpec, PreferencePair, RewardModel
 DEFAULT_MAX_OUTPUT_TOKENS = 50
 
 # Questions per run_pipeline block: each distinct prompt, draft and scored
-# text is encoded and decoded once per block.
-ANSWER_BLOCK = 1024
+# text is encoded and decoded once per block, and genki answer holds one
+# block's runs at a time.  On the answer benchmark world (2,000 questions,
+# 2-core x86-64 VM) blocks of 128/256/512/1024 peaked at 36.2/36.4/36.9/37.6
+# MB, and at 45.7/44.9/45.7/45.8 MB on a 20,000-question stream; times were
+# within noise of each other.
+ANSWER_BLOCK = 256
 
 DEFAULT_TEMPLATES = {
     "I": "answer from memory . question : {question}",
@@ -407,10 +418,15 @@ def run_pipeline(
     runs: list[PipelineRun] = []
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         map_fn = pool.map if pool is not None else map
-        for start in range(0, len(questions), ANSWER_BLOCK):
-            block = questions[start : start + ANSWER_BLOCK]
+        for block in answer_blocks(questions):
             runs += _run_block(block, models, index, embedder, passages, stats, cfg, map_fn)
     return runs
+
+
+def answer_blocks(questions: Sequence[QaPair]) -> Iterator[Sequence[QaPair]]:
+    """*questions* in consecutive slices of ANSWER_BLOCK, the blocks run_pipeline answers."""
+    for start in range(0, len(questions), ANSWER_BLOCK):
+        yield questions[start : start + ANSWER_BLOCK]
 
 
 def run_record(run: PipelineRun) -> dict:

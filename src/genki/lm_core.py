@@ -90,6 +90,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), by sorting: np.unique's hash path imports numpy.ma (about 1.25 MB)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 class _Segments:
     """Consecutive non-empty segments of a flat array, one per model row."""
 
@@ -102,7 +110,7 @@ class _Segments:
         # then sums exactly as the same row of a dense table would
         self._blocks = [
             (which, self.starts[which, None] + np.arange(length))
-            for length in np.unique(lengths).tolist()
+            for length in _distinct(lengths).tolist()
             for which in [np.flatnonzero(lengths == length)]
         ]
 
@@ -373,7 +381,7 @@ def train(
     size = model.vocab.size
     codes, counts = _weighted_counts(model, passages, batch, w)
     own = model._row_of * size + model.cols
-    entries = np.union1d(own, codes)
+    entries = _distinct(np.concatenate((own, codes)))
     entry_row = entries // size
     theta = model.default[entry_row]
     theta[np.searchsorted(entries, own)] = model.vals

@@ -14,6 +14,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -24,8 +25,12 @@ from hypothesis import strategies as st
 import genki
 from genki import cli, generation, lm_core
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from genki.corpus import write_jsonl
-from genki.retriever import HashEmbedder, load_index, top_k
+from genki.corpus import AnswerKind, build_stats, ingest_passages, ingest_qa_pairs, write_jsonl
+from genki.ensemble import StubJudge
+from genki.generation import PipelineConfig, PipelineModels, run_pipeline, run_record
+from genki.lm_core import load_checkpoint
+from genki.retriever import HashEmbedder, load_index, retrieve_texts, top_k
+from genki.reward import FormatSpec, load_reward_checkpoint
 from genki.synth import write_world
 
 
@@ -662,23 +667,28 @@ def test_empty_qa_file_answers_zero_questions(workdir, tmp_path, capsys, command
 
 
 def test_only_synth_loads_genki_synth(workdir, tmp_path):
+    # numpy.ma costs a command about 1.25 MB; np.unique's hash path (np.unique
+    # of integers without return_inverse, np.union1d) imports it
     code = ("import json, sys, genki.cli; "
             "codes = [genki.cli.main(json.loads(argv)) for argv in sys.argv[1:]]; "
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('genki'))]))")
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('genki')), "
+            "'numpy.ma' in sys.modules]))")
     index = ["index", "--config", workdir["config"], "--corpus", workdir["corpus"],
              "--out", str(tmp_path / "index.bin")]
+    train = ["train", "--config", workdir["config"], "--corpus", workdir["corpus"],
+             "--qa", workdir["qa"], "--index", workdir["index"], "--out", str(tmp_path / "models")]
     answer = ["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
               "--qa", workdir["qa"], "--index", workdir["index"], "--models", workdir["models"],
               "--out", str(tmp_path / "run")]
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(index), json.dumps(answer)],
+        [sys.executable, "-c", code, json.dumps(index), json.dumps(train), json.dumps(answer)],
         env=subprocess_env(), capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], [
+    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK, EXIT_OK], [
         "genki", "genki.cli", "genki.clients", "genki.consistency", "genki.corpus",
         "genki.ensemble", "genki.generation", "genki.lm_core", "genki.metrics",
         "genki.retriever", "genki.reward", "genki.textstats",
-    ]]
+    ], False]
 
 
 def test_readme_quick_start_runs_as_written(tmp_path):
@@ -899,6 +909,127 @@ class TestAnswer:
                      "--models", workdir["models"], "--out", str(tmp_path / "o"),
                      "--backend", "remote"]) == EXIT_CONFIG
         assert "judge_url" in capsys.readouterr().err
+
+
+def write_questions(workdir, path, count):
+    """*count* QA records that cycle through the workdir's questions, each under its own id."""
+    records = [json.loads(line) for line in read_lines(workdir["qa"])]
+    write_jsonl(path, [{**records[i % len(records)], "id": f"s{i:05d}"} for i in range(count)])
+    return path
+
+
+def answer_argv(workdir, qa, out, corpus=None):
+    return ["answer", "--config", workdir["config"], "--corpus", str(corpus or workdir["corpus"]),
+            "--qa", str(qa), "--index", workdir["index"], "--models", workdir["models"],
+            "--out", str(out)]
+
+
+# Bytes of tracemalloc peak a four-block answer run may hold above a one-block
+# run plus its extra QaPairs: the interpreter's free lists keep some freed
+# tuples and dicts of earlier blocks.  With 128-question blocks the excess is
+# under 30 KB when blocks are written as they finish, and about 600 KB when
+# every run is kept to the end.
+STREAM_SLACK = 128 * 1024
+
+
+class TestStreamedAnswer:
+    """genki answer writes each block's rows before it answers the next block."""
+
+    def test_blocks_write_what_one_pipeline_call_over_all_questions_writes(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        qa = write_questions(workdir, tmp_path / "qa.jsonl", 10)
+        passages = ingest_passages(workdir["corpus"])
+        models = Path(workdir["models"])
+        runs = run_pipeline(
+            ingest_qa_pairs(qa),
+            PipelineModels(*(load_checkpoint(models / f"l{i}.json") for i in (1, 2, 3)),
+                           load_reward_checkpoint(models / "reward.json"), StubJudge()),
+            load_index(workdir["index"]), HashEmbedder(1024, 0), {p.id: p for p in passages},
+            build_stats(passages),
+            PipelineConfig(k=2, format=FormatSpec(AnswerKind.ENTITY, 8, ""), max_output_tokens=12),
+        )
+        records = [run_record(run) for run in runs]
+        write_jsonl(tmp_path / "runs.jsonl", records)
+        write_jsonl(tmp_path / "audit.jsonl", [
+            {"qid": rec["qid"], **rec["bundle"], "winner_provenance": rec["winner_provenance"]}
+            for rec in records if rec["bundle"] is not None
+        ])
+        assert len(runs) == 10 and all(run.bundle for run in runs)
+
+        sizes, pipeline = [], cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda block, *args, **kwargs: sizes.append(len(block))
+                            or pipeline(block, *args, **kwargs))
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        assert main(answer_argv(workdir, qa, tmp_path / "run")) == EXIT_OK
+        assert sizes == [3, 3, 3, 1]
+        for name in ("runs.jsonl", "audit.jsonl"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_mismatch_in_the_second_block_leaves_no_output(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        qa = write_questions(workdir, tmp_path / "qa.jsonl", 6)
+        questions = [pair.question for pair in ingest_qa_pairs(qa)]
+        retrievals = retrieve_texts(load_index(workdir["index"]), HashEmbedder(1024, 0),
+                                    questions, 2)
+        first = {r.passage_id for results in retrievals[:3] for r in results}
+        missing = next(r.passage_id for results in retrievals[3:] for r in results
+                       if r.passage_id not in first)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(line + "\n" for line in read_lines(workdir["corpus"])
+                                  if json.loads(line)["id"] != missing))
+        written, write_rows = [], cli.write_rows
+
+        def recording_write_rows(fh, records):
+            records = list(records)
+            written.append([record["qid"] for record in records])
+            write_rows(fh, records)
+
+        monkeypatch.setattr(cli, "write_rows", recording_write_rows)
+        out = tmp_path / "new" / "run"
+        assert main(answer_argv(workdir, qa, out, corpus)) == EXIT_DATA
+        assert f"index returned unknown passage ids: [{missing!r}]" in capsys.readouterr().err
+        # the first block's rows were written, then every trace of them went
+        assert written[0] == ["s00000", "s00001", "s00002"]
+        assert sorted(tmp_path.iterdir()) == [corpus, qa]
+
+    def test_empty_qa_file_writes_both_files_empty(self, workdir, tmp_path, capsys):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("")
+        assert main(answer_argv(workdir, qa, tmp_path / "run")) == EXIT_OK
+        assert capsys.readouterr().out == f"answered 0 questions (0 failures) -> {tmp_path / 'run'}\n"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["audit.jsonl", "runs.jsonl"]
+        assert all((tmp_path / "run" / name).read_bytes() == b""
+                   for name in ("audit.jsonl", "runs.jsonl"))
+
+    def test_peak_memory_does_not_grow_with_the_number_of_blocks(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        block = 128
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", block)
+        one = write_questions(workdir, tmp_path / "one.jsonl", block)
+        four = write_questions(workdir, tmp_path / "four.jsonl", 4 * block)
+        assert main(answer_argv(workdir, one, tmp_path / "warm")) == EXIT_OK  # first-call caches
+        tracemalloc.start()
+        try:
+            peaks = []
+            for qa in (one, four):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(answer_argv(workdir, qa, tmp_path / qa.stem)) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            # the four-block run holds 3 * block more QaPairs than the one-block run
+            start = tracemalloc.get_traced_memory()[0]
+            held = [ingest_qa_pairs(one)]
+            middle = tracemalloc.get_traced_memory()[0]
+            held.append(ingest_qa_pairs(four))
+            extra = (tracemalloc.get_traced_memory()[0] - middle) - (middle - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + extra + STREAM_SLACK
 
 
 class TestEval:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from genki import generation
+from genki import generation, lm_core
 from genki.corpus import AnswerKind, TokenSeq, Vocabulary
 from genki.generation import PipelineConfig, build_vocabulary, train_pipeline_models
 from genki.lm_core import (
@@ -810,3 +810,16 @@ class TestToyLmValidation:
     def test_empty_context_rejected(self):
         with pytest.raises(ValueError):
             uniform_model(V4).logprob_cond(TokenSeq((), ""), seq(V4, "a"))
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7]),
+    np.array([3, 1, 3, 2, 1, 9, 0, 9]),
+    np.random.default_rng(0).integers(0, 50, 1000),
+])
+def test_distinct_equals_np_unique(values):
+    # lm_core._distinct stands in for np.unique, whose hash path imports numpy.ma
+    distinct = lm_core._distinct(values)
+    assert distinct.dtype == np.unique(values).dtype
+    assert np.array_equal(distinct, np.unique(values))
