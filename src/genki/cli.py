@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -34,9 +35,9 @@ from .corpus import (
     check,
     ingest_passages,
     ingest_qa_pairs,
+    iter_qa_pairs,
     parse_json_object,
     read_jsonl,
-    write_jsonl,
     write_rows,
 )
 from .ensemble import StubJudge
@@ -278,13 +279,16 @@ def _need(cfg: CliConfig, args: argparse.Namespace, flag: str, what: str = "") -
     return path
 
 
-def _load(cfg: CliConfig, args: argparse.Namespace, flag: str):
-    """The contents of input *flag*, read by its _INPUTS reader.
+def _load(cfg: CliConfig, args: argparse.Namespace, flag: str, read=None):
+    """The contents of input *flag*, read by *read* or else its _INPUTS reader.
 
     A missing file is a DataError that names the command producing it, and
-    so is a file the reader rejects as malformed.
+    so is a file the reader rejects as malformed.  A lazy reader such as
+    iter_qa_pairs rejects a malformed line only when it reaches it, with a
+    CorpusError that main reports as the same data error.
     """
-    _, producer, read = _INPUTS[flag]
+    _, producer, default = _INPUTS[flag]
+    read = read or default
     path = _need(cfg, args, flag)
     producer = producer.format(path)
     files = [str(Path(path) / name) for name in _MODEL_FILES] if flag == "models" else [path]
@@ -335,11 +339,11 @@ def cmd_synth(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 def cmd_ingest(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
-    qa_pairs = _load(cfg, args, "qa") if cfg.qa else []
+    qa_count = sum(1 for _ in _load(cfg, args, "qa", iter_qa_pairs)) if cfg.qa else 0
     stats = build_stats(passages)
     summary = {
         "passages": len(passages),
-        "qa_pairs": len(qa_pairs),
+        "qa_pairs": qa_count,
         "sentences": stats.sentence_count,
         "vocab": stats.vocab_size,
         "words": sum(stats.word_freq.values()),
@@ -368,24 +372,28 @@ def cmd_index(cfg: CliConfig, args: argparse.Namespace) -> int:
 
 def cmd_retrieve(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load(cfg, args, "index")
-    qa_pairs = _load(cfg, args, "qa")
+    qa_pairs = _load(cfg, args, "qa", iter_qa_pairs)
     embedder = _embedder(cfg, index.dim)
-    retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
-    records = [
-        {
-            "qid": qa.id,
-            "retrieved": [
-                {"passage_id": r.passage_id, "score": r.score, "rank": r.rank}
-                for r in results
-            ],
-        }
-        for qa, results in zip(qa_pairs, retrievals)
-    ]
+    count = 0
+    # Each block's rows are written before the next block is read; --out
+    # replaces its old version only after the last block.
+    with (atomic_write(cfg.out, "w", encoding="utf-8") if cfg.out
+          else nullcontext(sys.stdout)) as fh:
+        for block in answer_blocks(qa_pairs):
+            retrievals = retrieve_texts(index, embedder, [qa.question for qa in block], cfg.k)
+            write_rows(fh, (
+                {
+                    "qid": qa.id,
+                    "retrieved": [
+                        {"passage_id": r.passage_id, "score": r.score, "rank": r.rank}
+                        for r in results
+                    ],
+                }
+                for qa, results in zip(block, retrievals)
+            ))
+            count += len(block)
     if cfg.out:
-        write_jsonl(cfg.out, records)
-        print(f"retrieved top-{cfg.k} for {len(records)} questions -> {cfg.out}")
-    else:
-        write_rows(sys.stdout, records)
+        print(f"retrieved top-{cfg.k} for {count} questions -> {cfg.out}")
     return EXIT_OK
 
 
@@ -440,7 +448,7 @@ def _write_runs(runs_file: IO[str], audit_file: IO[str], runs: Sequence[Pipeline
 def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     pipeline_cfg = _pipeline_config(cfg)
     passages = _load(cfg, args, "corpus")
-    qa_pairs = _load(cfg, args, "qa")
+    qa_pairs = _load(cfg, args, "qa", iter_qa_pairs)
     index = _load(cfg, args, "index")
     full, retrieved, postp, reward = _load(cfg, args, "models")
     out = Path(_need(cfg, args, "out", "an output directory"))
@@ -469,8 +477,8 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     passage_map = {p.id: p for p in passages}
     # Only a remote scorer or judge waits on the network, so only it gets threads.
     jobs = cfg.jobs if cfg.backend == "remote" else 1
-    failures = 0
-    # Each block's rows are written before the next block is answered; both
+    count = failures = 0
+    # Each block's rows are written before the next block is read; both
     # files replace their old versions only after the last block.
     with (atomic_write(out / "runs.jsonl", "w", encoding="utf-8") as runs,
           atomic_write(out / "audit.jsonl", "w", encoding="utf-8") as audit):
@@ -482,7 +490,8 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
                 ))
             except PipelineError as exc:  # retrieved ids missing from the corpus
                 raise _index_mismatch(cfg, exc) from exc
-    print(f"answered {len(qa_pairs)} questions ({failures} failures) -> {out}")
+            count += len(block)
+    print(f"answered {count} questions ({failures} failures) -> {out}")
     return EXIT_OK
 
 

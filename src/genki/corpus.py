@@ -339,13 +339,15 @@ def ingest_passages(path: str | Path) -> list[Passage]:
     return passages
 
 
-def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
-    """Load QA pairs from a JSONL file.
+def iter_qa_pairs(path: str | Path) -> Iterator[QaPair]:
+    """Each QA pair of a JSONL file, read and checked one line at a time.
 
     Each record is ``{"id", "question", "answers": [...], "format"}`` where
-    format is one of "entity", "sentence", "span".
+    format is one of "entity", "sentence", "span".  A malformed line or a
+    repeated id raises CorpusError naming the line when the reader reaches
+    it; only the ids read so far are kept, so a caller that takes the pairs
+    a block at a time holds one block of them.
     """
-    pairs: list[QaPair] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
         qid = check(obj.get("id"), STRING, "id", path, lineno)
@@ -363,10 +365,15 @@ def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
             raise CorpusError(f"{path}: line {lineno}: duplicate qa pair id {qid!r}")
         seen.add(qid)
         try:
-            pairs.append(QaPair(qid, question, tuple(answers), fmt))
+            pair = QaPair(qid, question, tuple(answers), fmt)
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
-    return pairs
+        yield pair
+
+
+def ingest_qa_pairs(path: str | Path) -> list[QaPair]:
+    """Every QA pair of a JSONL file (see iter_qa_pairs)."""
+    return list(iter_qa_pairs(path))
 
 
 def build_stats(passages: Sequence[Passage]) -> CorpusStats:

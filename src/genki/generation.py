@@ -12,10 +12,11 @@ rewrite_prompts (template III).
 
 run_pipeline answers a block of ANSWER_BLOCK (256) questions one stage at
 a time: retrieval, then both drafts (answer_paths_block), then the rewrites
-(postprocess_block), then selection.  genki answer calls it once per block
-(answer_blocks) and writes that block's runs.jsonl and audit.jsonl rows
-before it answers the next, so its memory does not grow with the number
-of questions.  Both go to temporary files that replace them only after the
+(postprocess_block), then selection.  genki answer reads its QA file a
+block at a time (answer_blocks over corpus.iter_qa_pairs), calls it once
+per block and writes that block's runs.jsonl and audit.jsonl rows before
+it reads the next, so its memory does not grow with the number of
+questions.  Both go to temporary files that replace them only after the
 last block, so a failed run writes neither (earlier files stay as they
 were) and leaves no temporary file or new directory.
 
@@ -44,7 +45,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .consistency import prepare_texts
 from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary
@@ -423,10 +425,14 @@ def run_pipeline(
     return runs
 
 
-def answer_blocks(questions: Sequence[QaPair]) -> Iterator[Sequence[QaPair]]:
-    """*questions* in consecutive slices of ANSWER_BLOCK, the blocks run_pipeline answers."""
-    for start in range(0, len(questions), ANSWER_BLOCK):
-        yield questions[start : start + ANSWER_BLOCK]
+def answer_blocks(questions: Iterable[QaPair]) -> Iterator[list[QaPair]]:
+    """*questions* in consecutive lists of ANSWER_BLOCK, the blocks run_pipeline answers.
+
+    An iterator is read one block at a time, as each block is asked for.
+    """
+    questions = iter(questions)
+    while block := list(islice(questions, ANSWER_BLOCK)):
+        yield block
 
 
 def run_record(run: PipelineRun) -> dict:

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 import genki
 from genki import cli, generation, lm_core
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from genki.corpus import AnswerKind, build_stats, ingest_passages, ingest_qa_pairs, write_jsonl
+from genki.corpus import (
+    AnswerKind, build_stats, ingest_passages, ingest_qa_pairs, iter_qa_pairs, write_jsonl,
+)
 from genki.ensemble import StubJudge
 from genki.generation import PipelineConfig, PipelineModels, run_pipeline, run_record
 from genki.lm_core import load_checkpoint
@@ -918,18 +920,41 @@ def write_questions(workdir, path, count):
     return path
 
 
+# Line 5 of a 6-question file, the second block when blocks hold 3
+# questions, damaged one way, and the message that line gets.
+SECOND_BLOCK_DAMAGE = {
+    "malformed": ("not json", "line 5: invalid JSON (Expecting value)"),
+    "repeated": ('{"id": "s00001", "question": "who", "answers": ["a"], "format": "entity"}',
+                 "line 5: duplicate qa pair id 's00001'"),
+}
+
+
+def write_damaged_questions(workdir, path, damage):
+    """write_questions of 6 records, line 5 replaced as SECOND_BLOCK_DAMAGE[damage] says."""
+    lines = read_lines(write_questions(workdir, path, 6))
+    lines[4] = SECOND_BLOCK_DAMAGE[damage][0]
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
 def answer_argv(workdir, qa, out, corpus=None):
     return ["answer", "--config", workdir["config"], "--corpus", str(corpus or workdir["corpus"]),
             "--qa", str(qa), "--index", workdir["index"], "--models", workdir["models"],
             "--out", str(out)]
 
 
+def retrieve_argv(workdir, qa, out=None):
+    return ["retrieve", "--config", workdir["config"], "--index", workdir["index"],
+            "--qa", str(qa), *(["--out", str(out)] if out else [])]
+
+
 # Bytes of tracemalloc peak a four-block answer run may hold above a one-block
-# run plus its extra QaPairs: the interpreter's free lists keep some freed
+# run plus its extra seen ids: the interpreter's free lists keep some freed
 # tuples and dicts of earlier blocks.  With 128-question blocks the excess is
-# under 30 KB when blocks are written as they finish, and about 600 KB when
-# every run is kept to the end.
-STREAM_SLACK = 128 * 1024
+# about 13 KB when blocks are read and written one at a time, about 108 KB
+# when every QaPair of the file is kept, and about 600 KB when every run is
+# kept to the end.
+STREAM_SLACK = 64 * 1024
 
 
 class TestStreamedAnswer:
@@ -996,6 +1021,21 @@ class TestStreamedAnswer:
         assert written[0] == ["s00000", "s00001", "s00002"]
         assert sorted(tmp_path.iterdir()) == [corpus, qa]
 
+    @pytest.mark.parametrize("damage", sorted(SECOND_BLOCK_DAMAGE))
+    def test_bad_line_in_the_second_block_leaves_no_output(
+        self, workdir, tmp_path, monkeypatch, capsys, damage
+    ):
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", damage)
+        sizes, pipeline = [], cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda block, *args, **kwargs: sizes.append(len(block))
+                            or pipeline(block, *args, **kwargs))
+        assert main(answer_argv(workdir, qa, tmp_path / "new" / "run")) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {qa}: {SECOND_BLOCK_DAMAGE[damage][1]}\n"
+        assert sizes == [3]  # the first block was answered before line 5 was read
+        assert sorted(tmp_path.iterdir()) == [qa]
+
     def test_empty_qa_file_writes_both_files_empty(self, workdir, tmp_path, capsys):
         qa = tmp_path / "qa.jsonl"
         qa.write_text("")
@@ -1021,15 +1061,71 @@ class TestStreamedAnswer:
                 start = tracemalloc.get_traced_memory()[0]
                 assert main(answer_argv(workdir, qa, tmp_path / qa.stem)) == EXIT_OK
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
-            # the four-block run holds 3 * block more QaPairs than the one-block run
+            # the four-block run holds 3 * block more seen ids than the one-block
+            # run, and no more QaPairs
             start = tracemalloc.get_traced_memory()[0]
-            held = [ingest_qa_pairs(one)]
+            held = [{pair.id for pair in iter_qa_pairs(one)}]
             middle = tracemalloc.get_traced_memory()[0]
-            held.append(ingest_qa_pairs(four))
+            held.append({pair.id for pair in iter_qa_pairs(four)})
             extra = (tracemalloc.get_traced_memory()[0] - middle) - (middle - start)
         finally:
             tracemalloc.stop()
         assert peaks[1] <= peaks[0] + extra + STREAM_SLACK
+
+
+class TestStreamedRetrieve:
+    """genki retrieve writes each block's rows before it reads the next block."""
+
+    def test_blocks_write_what_one_retrieve_call_over_all_questions_writes(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        qa = write_questions(workdir, tmp_path / "qa.jsonl", 10)
+        pairs = ingest_qa_pairs(qa)
+        retrievals = retrieve_texts(load_index(workdir["index"]), HashEmbedder(1024, 0),
+                                    [pair.question for pair in pairs], 2)
+        write_jsonl(tmp_path / "expected.jsonl", [
+            {"qid": pair.id, "retrieved": [
+                {"passage_id": r.passage_id, "score": r.score, "rank": r.rank} for r in results
+            ]}
+            for pair, results in zip(pairs, retrievals)
+        ])
+
+        sizes, retrieve = [], cli.retrieve_texts
+        monkeypatch.setattr(cli, "retrieve_texts",
+                            lambda index, embedder, questions, k: sizes.append(len(questions))
+                            or retrieve(index, embedder, questions, k))
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        out = tmp_path / "retrieved.jsonl"
+        assert main(retrieve_argv(workdir, qa, out)) == EXIT_OK
+        assert capsys.readouterr().out == f"retrieved top-2 for 10 questions -> {out}\n"
+        assert sizes == [3, 3, 3, 1]
+        assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        assert main(retrieve_argv(workdir, qa)) == EXIT_OK  # the same rows on stdout
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("damage", sorted(SECOND_BLOCK_DAMAGE))
+    def test_bad_line_in_the_second_block_leaves_no_output(
+        self, workdir, tmp_path, monkeypatch, capsys, damage
+    ):
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", damage)
+        assert main(retrieve_argv(workdir, qa, tmp_path / "new" / "retrieved.jsonl")) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {qa}: {SECOND_BLOCK_DAMAGE[damage][1]}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [qa]
+
+    def test_without_out_earlier_blocks_are_printed_before_a_bad_line(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", "malformed")
+        assert main(retrieve_argv(workdir, qa)) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert [json.loads(line)["qid"] for line in captured.out.splitlines()] == [
+            "s00000", "s00001", "s00002"
+        ]
+        assert captured.err == f"data error: {qa}: {SECOND_BLOCK_DAMAGE['malformed'][1]}\n"
 
 
 class TestEval:
