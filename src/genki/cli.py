@@ -8,19 +8,31 @@ outputs.
 Exit codes: 0 success, 2 configuration errors, 3 data errors (missing,
 malformed or unwritable files), 4 model errors (training failures).  A remote
 backend failure fails only its own question, recorded in runs.jsonl.
+
+Each command compiles and executes only the modules it uses.  genki.corpus
+and genki.retriever, which read every command's inputs, are imported here;
+the other modules are registered through importlib's LazyLoader (_lazy)
+and execute on first use, so index, retrieve and ingest run no other
+genki module.  An import inside each command would do the same, but
+perfbench's tracer looks each traced module up in sys.modules right after
+importing this one; a lazy module is there from the start.  Once the
+benchmark reads what a run records instead of wrapping functions (ROADMAP
+item 1), plain imports inside the commands will do.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import ModuleType
 from typing import IO, Iterator, Sequence
 
-from .clients import EndpointConfig, RemoteJudge, RemoteScorer
+from . import corpus, retriever
 from .corpus import (
     INTEGER,
     NUMBER,
@@ -30,48 +42,53 @@ from .corpus import (
     TABLE,
     AnswerKind,
     CorpusError,
+    answer_blocks,
     atomic_write,
     build_stats,
     check,
-    ingest_passages,
-    ingest_qa_pairs,
     iter_qa_pairs,
     parse_json_object,
     read_jsonl,
     write_rows,
 )
-from .ensemble import StubJudge
-from .generation import (
-    DEFAULT_TEMPLATES,
-    PipelineConfig,
-    PipelineError,
-    PipelineModels,
-    PipelineRun,
-    answer_blocks,
-    build_vocabulary,
-    preference_pairs_from_drafts,
-    run_pipeline,
-    run_record,
-    train_pipeline_models,
-)
-from .lm_core import CheckpointSchemaError, LossWeights, load_checkpoint, save_checkpoint
-from .metrics import (
-    evaluate_answers,
-    quality_recall_points,
-    report_tsv,
-    retrieval_quality,
-    text_recall,
-    two_segment_fit,
-)
 from .retriever import (
     DenseIndex,
     HashEmbedder,
-    load_index,
     retrieve_texts,
     save_index,
     top_k,  # noqa: F401  (perfbench/selftest.py checks the tracer wraps it here)
 )
-from .reward import FormatSpec, ToyRewardModel, load_reward_checkpoint, save_reward_checkpoint, train_reward
+
+
+def _lazy(name: str) -> ModuleType:
+    """genki.<name>, in sys.modules now but compiled and executed on first use.
+
+    An attribute access executes the module.  Before Python 3.12 that load
+    takes no lock, so no two threads may race to it: a module that worker
+    threads use must be executed in the main thread before they start.
+    genki answer keeps this rule: it builds its remote clients in the main
+    thread, and executing generation executes every other module selection
+    uses (ensemble, consistency, reward, textstats and lm_core).
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The modules the commands call, and consistency and textstats, which they
+# reach only through generation: the tracer looks each one up.  Only
+# cmd_synth registers genki.synth, since no other command uses it.
+clients, consistency, ensemble, generation, lm_core, metrics, reward, textstats = map(
+    _lazy, ("clients", "consistency", "ensemble", "generation", "lm_core", "metrics", "reward",
+            "textstats"),
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,7 +126,7 @@ class CliConfig:
     format_kind: str = "entity"
     format_max_tokens: int = 8
     format_description: str = ""
-    templates: dict = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
+    templates: dict = field(default_factory=dict)  # laid over generation.DEFAULT_TEMPLATES
     embedder_dim: int = 256
     embedder_seed: int = 0
     train_steps: int = 50
@@ -195,7 +212,7 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
                 if name not in kinds:
                     raise ConfigError(f"unknown config field {key!r}")
                 value = check(value, kinds[name], key, args.config)
-                setattr(cfg, name, {**cfg.templates, **value} if name == "templates" else value)
+                setattr(cfg, name, value)
         except CorpusError as exc:  # the file's JSON, or a value of the wrong kind
             raise ConfigError(str(exc)) from None
     for name, value in vars(args).items():
@@ -217,17 +234,17 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
     return cfg
 
 
-def _pipeline_config(cfg: CliConfig) -> PipelineConfig:
+def _pipeline_config(cfg: CliConfig) -> generation.PipelineConfig:
     try:
-        weights = LossWeights(cfg.lambda1, cfg.lambda2)
-        fmt = FormatSpec(
+        weights = lm_core.LossWeights(cfg.lambda1, cfg.lambda2)
+        fmt = reward.FormatSpec(
             AnswerKind(cfg.format_kind), cfg.format_max_tokens, cfg.format_description
         )
-        return PipelineConfig(
+        return generation.PipelineConfig(
             k=cfg.k,
             weights=weights,
             format=fmt,
-            prompt_templates=cfg.templates,
+            prompt_templates={**generation.DEFAULT_TEMPLATES, **cfg.templates},
             max_output_tokens=cfg.max_output_tokens,
         )
     except ValueError as exc:
@@ -239,8 +256,8 @@ _MODEL_FILES = ("l1.json", "l2.json", "l3.json", "reward.json")
 
 def _load_models(path: str) -> tuple:
     """The three language-model roles and the reward model under *path*."""
-    roles = [load_checkpoint(Path(path) / name) for name in _MODEL_FILES[:3]]
-    return (*roles, load_reward_checkpoint(Path(path) / _MODEL_FILES[3]))
+    roles = [lm_core.load_checkpoint(Path(path) / name) for name in _MODEL_FILES[:3]]
+    return (*roles, reward.load_reward_checkpoint(Path(path) / _MODEL_FILES[3]))
 
 
 def _load_answers(path: str) -> dict[str, str]:
@@ -258,11 +275,15 @@ def _load_answers(path: str) -> dict[str, str]:
 _ANSWER = "genki answer --corpus <corpus> --qa <qa> --index <index> --models <dir> --out <dir>"
 
 # Input flags: what each one names, the command that produces it ({} is the
-# path), and how to read it.
+# path), and how to read it.  A reader is looked up on its module when it
+# runs, so a wrapper put there later (a tracer, a test) sees the call.
 _INPUTS = {
-    "corpus": ("a passage file", "your corpus exporter (JSONL of id/text)", ingest_passages),
-    "qa": ("a QA file", "your QA exporter (JSONL of id/question/answers/format)", ingest_qa_pairs),
-    "index": ("an index file", "genki index --corpus <corpus.jsonl> --out {}", load_index),
+    "corpus": ("a passage file", "your corpus exporter (JSONL of id/text)",
+               lambda path: corpus.ingest_passages(path)),
+    "qa": ("a QA file", "your QA exporter (JSONL of id/question/answers/format)",
+           lambda path: corpus.ingest_qa_pairs(path)),
+    "index": ("an index file", "genki index --corpus <corpus.jsonl> --out {}",
+              lambda path: retriever.load_index(path)),
     "models": ("a trained model directory",
                "genki train --corpus <corpus> --qa <qa> --index <index> --out {}", _load_models),
     "answers": ("an answers file", _ANSWER, _load_answers),
@@ -297,7 +318,7 @@ def _load(cfg: CliConfig, args: argparse.Namespace, flag: str, read=None):
             raise DataError(f"missing {file}; produce it with: {producer}")
     try:
         return read(path)
-    except CheckpointSchemaError as exc:
+    except lm_core.CheckpointSchemaError as exc:
         raise DataError(f"{exc}; retrain with: {producer}") from exc
     except ValueError as exc:  # CorpusError, IndexFormatError, a malformed checkpoint
         raise DataError(str(exc)) from exc
@@ -326,11 +347,9 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def cmd_synth(cfg: CliConfig, args: argparse.Namespace) -> int:
-    from .synth import write_world  # here, so no other command loads genki.synth
-
     out = _need(cfg, args, "out", "an output directory")
     try:
-        write_world(out, args.passages, args.questions)
+        _lazy("synth").write_world(out, args.passages, args.questions)
     except ValueError as exc:  # sizes synthetic_world rejects, checked before any write
         raise ConfigError(f"--passages {args.passages} --questions {args.questions}: {exc}") from exc
     print(f"wrote corpus.jsonl and qa.jsonl to {out}")
@@ -406,26 +425,28 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load(cfg, args, "index")
     out = Path(_need(cfg, args, "out", "a model output directory"))
     embedder = _embedder(cfg, index.dim)
-    vocab = build_vocabulary(passages, qa_pairs, pipeline_cfg)
+    vocab = generation.build_vocabulary(passages, qa_pairs, pipeline_cfg)
     try:
-        models = train_pipeline_models(
+        models = generation.train_pipeline_models(
             passages, qa_pairs, index, embedder, vocab, pipeline_cfg,
             steps=cfg.train_steps, learning_rate=cfg.train_learning_rate,
         )
-        pairs = preference_pairs_from_drafts(qa_pairs, models.drafts, pipeline_cfg.format)
-        reward = ToyRewardModel()
+        pairs = generation.preference_pairs_from_drafts(
+            qa_pairs, models.drafts, pipeline_cfg.format
+        )
+        reward_model = reward.ToyRewardModel()
         if pairs:
-            reward = train_reward(
-                reward, pairs, cfg.train_reward_steps, cfg.train_reward_learning_rate
+            reward_model = reward.train_reward(
+                reward_model, pairs, cfg.train_reward_steps, cfg.train_reward_learning_rate
             )
-    except PipelineError as exc:  # retrieved ids missing from the corpus
+    except generation.PipelineError as exc:  # retrieved ids missing from the corpus
         raise _index_mismatch(cfg, exc) from exc
     except (ValueError, RuntimeError) as exc:
         raise ModelError(f"training failed: {exc}") from exc
-    save_checkpoint(models.full, out / "l1.json")
-    save_checkpoint(models.retrieved, out / "l2.json")
-    save_checkpoint(models.postp, out / "l3.json")
-    save_reward_checkpoint(reward, out / "reward.json")
+    lm_core.save_checkpoint(models.full, out / "l1.json")
+    lm_core.save_checkpoint(models.retrieved, out / "l2.json")
+    lm_core.save_checkpoint(models.postp, out / "l3.json")
+    reward.save_reward_checkpoint(reward_model, out / "reward.json")
     print(
         f"trained models on {len(passages)} passages / {len(qa_pairs)} questions "
         f"({len(pairs)} preference pairs) -> {out}"
@@ -433,9 +454,10 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_runs(runs_file: IO[str], audit_file: IO[str], runs: Sequence[PipelineRun]) -> int:
+def _write_runs(runs_file: IO[str], audit_file: IO[str],
+                runs: Sequence[generation.PipelineRun]) -> int:
     """Append *runs* to runs.jsonl and audit.jsonl; return how many failed."""
-    records = [run_record(r) for r in runs]
+    records = [generation.run_record(r) for r in runs]
     write_rows(runs_file, records)
     # audit.jsonl: the scoring inputs of each question that reached selection.
     write_rows(audit_file, (
@@ -450,27 +472,27 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     qa_pairs = _load(cfg, args, "qa", iter_qa_pairs)
     index = _load(cfg, args, "index")
-    full, retrieved, postp, reward = _load(cfg, args, "models")
+    full, retrieved, postp, reward_model = _load(cfg, args, "models")
     out = Path(_need(cfg, args, "out", "an output directory"))
     stats = build_stats(passages)
 
-    judge, scorer = StubJudge(), None
+    judge, scorer = ensemble.StubJudge(), None
     if cfg.backend == "remote":
         if not cfg.remote_judge_url:
             raise ConfigError("backend 'remote' needs remote.judge_url in the config file")
         try:
-            endpoint = EndpointConfig(
+            endpoint = clients.EndpointConfig(
                 cfg.remote_judge_url, cfg.remote_timeout_ms, cfg.remote_retries,
                 cfg.remote_max_in_flight,
             )
             if cfg.remote_scorer_url:
-                scorer = RemoteScorer(replace(endpoint, base_url=cfg.remote_scorer_url))
+                scorer = clients.RemoteScorer(replace(endpoint, base_url=cfg.remote_scorer_url))
         except ValueError as exc:
             raise ConfigError(f"remote: {exc}") from exc
-        judge = RemoteJudge(endpoint)
+        judge = clients.RemoteJudge(endpoint)
 
-    models = PipelineModels(
-        full=full, retrieved=retrieved, postp=postp, reward=reward,
+    models = generation.PipelineModels(
+        full=full, retrieved=retrieved, postp=postp, reward=reward_model,
         judge=judge, consistency_scorer=scorer,
     )
     embedder = _embedder(cfg, index.dim)
@@ -485,10 +507,10 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
         for block in answer_blocks(qa_pairs):
             try:
                 # no name holds a block's runs, so they are freed before the next block
-                failures += _write_runs(runs, audit, run_pipeline(
+                failures += _write_runs(runs, audit, generation.run_pipeline(
                     block, models, index, embedder, passage_map, stats, pipeline_cfg, jobs=jobs,
                 ))
-            except PipelineError as exc:  # retrieved ids missing from the corpus
+            except generation.PipelineError as exc:  # retrieved ids missing from the corpus
                 raise _index_mismatch(cfg, exc) from exc
             count += len(block)
     print(f"answered {count} questions ({failures} failures) -> {out}")
@@ -504,10 +526,10 @@ def cmd_eval(cfg: CliConfig, args: argparse.Namespace) -> int:
     if missing:
         shown = ", ".join(map(repr, missing[:5]))
         raise DataError(f"{args.answers}: no answer for {len(missing)} question(s): {shown}")
-    rows, means = evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
+    rows, means = metrics.evaluate_answers([(qa, answers[qa.id]) for qa in qa_pairs])
     if cfg.out:
         with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(report_tsv(rows, means))
+            fh.write(metrics.report_tsv(rows, means))
     print("  ".join(f"{name} {means[name]:.4f}" for name in ("em", "recall", "f1", "bleu1", "rouge_l"))
           + (f"  -> {cfg.out}" if cfg.out else ""))
     return EXIT_OK
@@ -531,18 +553,18 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
         if qa is None or error:
             continue
         texts = [passage_map[pid].text for pid in ids if pid in passage_map]
-        quality = max(retrieval_quality(gold, texts) for gold in qa.answers)
-        recall = text_recall(list(qa.answers), answer)
+        quality = max(metrics.retrieval_quality(gold, texts) for gold in qa.answers)
+        recall = metrics.text_recall(list(qa.answers), answer)
         points.append((quality, recall))
     if not points:
         raise DataError(f"{runs_path}: no usable runs (all missing, errored, or unmatched)")
-    buckets = quality_recall_points(points)
+    buckets = metrics.quality_recall_points(points)
     with atomic_write(out / "analysis.csv", "w", encoding="utf-8") as fh:
         fh.write("quality,mean_recall,count\n")
         for mid, mean_recall, count in buckets:
             fh.write(f"{mid:.6f},{mean_recall:.6f},{count}\n")
     try:
-        payload = asdict(two_segment_fit(points))
+        payload = asdict(metrics.two_segment_fit(points))
     except ValueError as exc:  # fewer than 6 points, or no x value to split them at
         payload = {"fit": None, "reason": str(exc)}
     _write_json(out / "fit.json", payload)

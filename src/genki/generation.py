@@ -10,13 +10,13 @@ once, in blocks (retriever.retrieve_texts), and render every prompt with the
 same two block renderers: draft_prompts (templates I and II) and
 rewrite_prompts (template III).
 
-run_pipeline answers a block of ANSWER_BLOCK (256) questions one stage at
-a time: retrieval, then both drafts (answer_paths_block), then the rewrites
-(postprocess_block), then selection.  genki answer reads its QA file a
-block at a time (answer_blocks over corpus.iter_qa_pairs), calls it once
-per block and writes that block's runs.jsonl and audit.jsonl rows before
-it reads the next, so its memory does not grow with the number of
-questions.  Both go to temporary files that replace them only after the
+run_pipeline answers a block of corpus.ANSWER_BLOCK (256) questions one
+stage at a time: retrieval, then both drafts (answer_paths_block), then the
+rewrites (postprocess_block), then selection.  genki answer reads its QA
+file a block at a time (corpus.answer_blocks over corpus.iter_qa_pairs),
+calls it once per block and writes that block's runs.jsonl and audit.jsonl
+rows before it reads the next, so its memory does not grow with the number
+of questions.  Both go to temporary files that replace them only after the
 last block, so a failed run writes neither (earlier files stay as they
 were) and leaves no temporary file or new directory.
 
@@ -45,11 +45,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .consistency import prepare_texts
-from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary
+from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, answer_blocks
 from .ensemble import (
     AnswerCandidate,
     ExternalJudge,
@@ -70,14 +69,6 @@ from .retriever import (
 from .reward import FormatSpec, PreferencePair, RewardModel
 
 DEFAULT_MAX_OUTPUT_TOKENS = 50
-
-# Questions per run_pipeline block: each distinct prompt, draft and scored
-# text is encoded and decoded once per block, and genki answer holds one
-# block's runs at a time.  On the answer benchmark world (2,000 questions,
-# 2-core x86-64 VM) blocks of 128/256/512/1024 peaked at 36.2/36.4/36.9/37.6
-# MB, and at 45.7/44.9/45.7/45.8 MB on a 20,000-question stream; times were
-# within noise of each other.
-ANSWER_BLOCK = 256
 
 DEFAULT_TEMPLATES = {
     "I": "answer from memory . question : {question}",
@@ -406,7 +397,7 @@ def run_pipeline(
 ) -> list[PipelineRun]:
     """Answer every question; failures are recorded per question, not raised.
 
-    Questions go through in blocks of ANSWER_BLOCK, each stage over the
+    Questions go through in blocks of corpus.ANSWER_BLOCK, each stage over the
     whole block: retrieval (retrieve_texts), both drafts, the rewrites,
     then selection.  A retrieval failure, such as an embedder whose
     dimension differs from the index's, raises, and so does a retrieved id
@@ -423,16 +414,6 @@ def run_pipeline(
         for block in answer_blocks(questions):
             runs += _run_block(block, models, index, embedder, passages, stats, cfg, map_fn)
     return runs
-
-
-def answer_blocks(questions: Iterable[QaPair]) -> Iterator[list[QaPair]]:
-    """*questions* in consecutive lists of ANSWER_BLOCK, the blocks run_pipeline answers.
-
-    An iterator is read one block at a time, as each block is asked for.
-    """
-    questions = iter(questions)
-    while block := list(islice(questions, ANSWER_BLOCK)):
-        yield block
 
 
 def run_record(run: PipelineRun) -> dict:

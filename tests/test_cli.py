@@ -693,6 +693,107 @@ def test_only_synth_loads_genki_synth(workdir, tmp_path):
     ], False]
 
 
+# Subprocess source: executed() lists which lazily registered genki modules
+# have run their code, read without loading any of them.  Each name in
+# DEFINES is one its module defines.
+EXECUTED = """
+import sys
+DEFINES = {"clients": "RemoteJudge", "consistency": "consistency", "ensemble": "select",
+           "generation": "run_pipeline", "lm_core": "ToyLm", "metrics": "evaluate_answers",
+           "reward": "ToyRewardModel", "synth": "write_world", "textstats": "nisf"}
+
+def executed():
+    found = []
+    for name, defined in DEFINES.items():
+        module = sys.modules.get("genki." + name)
+        if module is not None and defined in object.__getattribute__(module, "__dict__"):
+            found.append(name)
+    return found
+"""
+
+
+def test_index_retrieve_and_ingest_execute_only_corpus_and_retriever(workdir, tmp_path):
+    # perfbench's tracer looks up every module it wraps in sys.modules right
+    # after importing genki.cli, and reads genki.textstats.OOV_WORDS
+    code = EXECUTED + (
+        "import json, genki.cli\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import TARGETS\n"
+        "report = {'missing': sorted({m for m, _ in TARGETS} - set(sys.modules))}\n"
+        "for argv in map(json.loads, sys.argv[2:]):\n"
+        "    report[argv[0]] = [genki.cli.main(argv), executed()]\n"
+        "report['oov'] = genki.textstats.OOV_WORDS.count\n"
+        "print(json.dumps(report))\n"
+    )
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    index = ["index", "--config", workdir["config"], "--corpus", workdir["corpus"],
+             "--out", str(tmp_path / "index.bin")]
+    ingest = ["ingest", "--corpus", workdir["corpus"], "--qa", workdir["qa"]]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(perfbench), json.dumps(index),
+         json.dumps(retrieve_argv(workdir, workdir["qa"], tmp_path / "retrieved.jsonl")),
+         json.dumps(ingest)],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "missing": [], "index": [EXIT_OK, []], "retrieve": [EXIT_OK, []],
+        "ingest": [EXIT_OK, []], "oov": 0,
+    }
+
+
+def test_selection_threads_start_after_their_modules_ran(workdir, tmp_path):
+    # Before Python 3.12 a lazy module loads without a lock, so no selection
+    # thread may be the first to touch one.
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()  # nothing listens there now, so each connection is refused
+    config = json.loads(Path(workdir["config"]).read_text())
+    config["remote"] = {"judge_url": url, "scorer_url": url}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = EXECUTED + (
+        "import json, threading, genki.cli\n"
+        "from genki import generation\n"
+        "original, seen = generation.run_pipeline, []\n"
+        "def checked(*args, **kwargs):\n"
+        "    seen.append([threading.current_thread() is threading.main_thread(),\n"
+        "                 kwargs['jobs'], executed()])\n"
+        "    return original(*args, **kwargs)\n"
+        "generation.run_pipeline = checked\n"
+        "print(json.dumps([genki.cli.main(sys.argv[1:]), seen]))\n"
+    )
+    argv = answer_argv({**workdir, "config": str(tmp_path / "config.json")}, workdir["qa"],
+                       tmp_path / "run")
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--backend", "remote", "--jobs", "2"],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_OK, [[True, 2, [
+        "clients", "consistency", "ensemble", "generation", "lm_core", "metrics", "reward",
+        "textstats",
+    ]]]]
+
+
+@pytest.mark.parametrize("module, reader, command", [
+    ("corpus", "ingest_passages", "index"),
+    ("retriever", "load_index", "retrieve"),
+])
+def test_inputs_are_read_through_the_reader_on_its_module(
+    workdir, tmp_path, monkeypatch, module, reader, command
+):
+    # a tracer wraps a reader where it is defined, after genki.cli is imported
+    owner = getattr(genki, module)
+    calls, original = [], getattr(owner, reader)
+    monkeypatch.setattr(owner, reader, lambda path: calls.append(path) or original(path))
+    argv = {
+        "index": ["index", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                  "--out", str(tmp_path / "index.bin")],
+        "retrieve": retrieve_argv(workdir, workdir["qa"], tmp_path / "retrieved.jsonl"),
+    }[command]
+    assert main(argv) == EXIT_OK
+    assert calls == [workdir["corpus" if command == "index" else "index"]]
+
+
 def test_readme_quick_start_runs_as_written(tmp_path):
     # The ```sh block under "## Quick start", as CI runs it through the
     # installed script, with genki defined as this checkout's genki.cli.
@@ -779,7 +880,7 @@ class TestAnswer:
         shutil.copytree(workdir["answers"], out)
         (out / "audit.jsonl").write_text("previous audit\n")
         (out / "runs.jsonl").write_text("previous runs\n")
-        record = cli.run_record
+        record = generation.run_record
 
         def unwritable_third_bundle(run):
             fields = record(run)
@@ -787,7 +888,7 @@ class TestAnswer:
                 fields["bundle"] = {**fields["bundle"], "cs1": object()}
             return fields
 
-        monkeypatch.setattr(cli, "run_record", unwritable_third_bundle)
+        monkeypatch.setattr(generation, "run_record", unwritable_third_bundle)
         with pytest.raises(TypeError):
             main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
                   "--qa", workdir["qa"], "--index", workdir["index"],
@@ -866,7 +967,7 @@ class TestAnswer:
     ):
         seen = []
         monkeypatch.setattr(
-            cli, "run_pipeline", lambda *args, **kwargs: seen.append(kwargs["jobs"]) or []
+            generation, "run_pipeline", lambda *args, **kwargs: seen.append(kwargs["jobs"]) or []
         )
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"remote": {"judge_url": "http://127.0.0.1:9"}}))
@@ -982,11 +1083,11 @@ class TestStreamedAnswer:
         ])
         assert len(runs) == 10 and all(run.bundle for run in runs)
 
-        sizes, pipeline = [], cli.run_pipeline
-        monkeypatch.setattr(cli, "run_pipeline",
+        sizes, pipeline = [], generation.run_pipeline
+        monkeypatch.setattr(generation, "run_pipeline",
                             lambda block, *args, **kwargs: sizes.append(len(block))
                             or pipeline(block, *args, **kwargs))
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         assert main(answer_argv(workdir, qa, tmp_path / "run")) == EXIT_OK
         assert sizes == [3, 3, 3, 1]
         for name in ("runs.jsonl", "audit.jsonl"):
@@ -995,7 +1096,7 @@ class TestStreamedAnswer:
     def test_mismatch_in_the_second_block_leaves_no_output(
         self, workdir, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         qa = write_questions(workdir, tmp_path / "qa.jsonl", 6)
         questions = [pair.question for pair in ingest_qa_pairs(qa)]
         retrievals = retrieve_texts(load_index(workdir["index"]), HashEmbedder(1024, 0),
@@ -1025,10 +1126,10 @@ class TestStreamedAnswer:
     def test_bad_line_in_the_second_block_leaves_no_output(
         self, workdir, tmp_path, monkeypatch, capsys, damage
     ):
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", damage)
-        sizes, pipeline = [], cli.run_pipeline
-        monkeypatch.setattr(cli, "run_pipeline",
+        sizes, pipeline = [], generation.run_pipeline
+        monkeypatch.setattr(generation, "run_pipeline",
                             lambda block, *args, **kwargs: sizes.append(len(block))
                             or pipeline(block, *args, **kwargs))
         assert main(answer_argv(workdir, qa, tmp_path / "new" / "run")) == EXIT_DATA
@@ -1049,7 +1150,7 @@ class TestStreamedAnswer:
         self, workdir, tmp_path, monkeypatch
     ):
         block = 128
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", block)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", block)
         one = write_questions(workdir, tmp_path / "one.jsonl", block)
         four = write_questions(workdir, tmp_path / "four.jsonl", 4 * block)
         assert main(answer_argv(workdir, one, tmp_path / "warm")) == EXIT_OK  # first-call caches
@@ -1094,7 +1195,7 @@ class TestStreamedRetrieve:
         monkeypatch.setattr(cli, "retrieve_texts",
                             lambda index, embedder, questions, k: sizes.append(len(questions))
                             or retrieve(index, embedder, questions, k))
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         out = tmp_path / "retrieved.jsonl"
         assert main(retrieve_argv(workdir, qa, out)) == EXIT_OK
         assert capsys.readouterr().out == f"retrieved top-2 for 10 questions -> {out}\n"
@@ -1107,7 +1208,7 @@ class TestStreamedRetrieve:
     def test_bad_line_in_the_second_block_leaves_no_output(
         self, workdir, tmp_path, monkeypatch, capsys, damage
     ):
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", damage)
         assert main(retrieve_argv(workdir, qa, tmp_path / "new" / "retrieved.jsonl")) == EXIT_DATA
         captured = capsys.readouterr()
@@ -1118,7 +1219,7 @@ class TestStreamedRetrieve:
     def test_without_out_earlier_blocks_are_printed_before_a_bad_line(
         self, workdir, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         qa = write_damaged_questions(workdir, tmp_path / "qa.jsonl", "malformed")
         assert main(retrieve_argv(workdir, qa)) == EXIT_DATA
         captured = capsys.readouterr()

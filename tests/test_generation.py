@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import genki.corpus
 from genki.corpus import (
     AnswerKind, Passage, QaPair, TokenSeq, Vocabulary, build_stats, split_sentences, tokenize,
 )
@@ -569,7 +570,7 @@ class TestBlockOracle:
         self, default_world, monkeypatch, jobs, offset
     ):
         questions = default_world["args"][0]
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", len(questions) + offset)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", len(questions) + offset)
         assert_equals_reference(default_world["args"], default_world["reference"], jobs)
         failed = [run for run in default_world["reference"] if run.error]
         assert len(failed) == 150
@@ -590,7 +591,7 @@ class TestBlockOracle:
     def test_distinct_candidates(self, world, monkeypatch, jobs, noisy, seed, shows, dense_model):
         # an untrained model on one path drafts noise, so the two candidates
         # differ and some drafts or rewrites come out empty
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 3)
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
         size = world["vocab"].size
         noise = np.random.default_rng(seed).normal(0.0, 1.0, (size, size))
@@ -621,7 +622,7 @@ class TestBlockOracle:
             return decode(model, prompts, max_tokens)
 
         monkeypatch.setattr(ToyLm, "generate_batch", counting_decode)
-        monkeypatch.setattr(generation, "ANSWER_BLOCK", 4)  # 9 questions: 3 blocks
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 4)  # 9 questions: 3 blocks
         cfg = make_config(prompt_templates={**DEFAULT_TEMPLATES, "I": "{question}"})
         qa = world["qa"]
         stream = [*qa[:3], QaPair("blank", "???", qa[0].answers, qa[0].format), *qa[3:]]
