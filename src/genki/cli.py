@@ -49,6 +49,7 @@ from .corpus import (
     iter_qa_pairs,
     parse_json_object,
     read_jsonl,
+    write_checkpoint_json,
     write_rows,
 )
 from .retriever import (
@@ -251,13 +252,21 @@ def _pipeline_config(cfg: CliConfig) -> generation.PipelineConfig:
         raise ConfigError(str(exc)) from exc
 
 
-_MODEL_FILES = ("l1.json", "l2.json", "l3.json", "reward.json")
+_MODEL_FILES = ("l1.json", "l2.json", "span.json", "reward.json")
 
 
 def _load_models(path: str) -> tuple:
-    """The three language-model roles and the reward model under *path*."""
-    roles = [lm_core.load_checkpoint(Path(path) / name) for name in _MODEL_FILES[:3]]
-    return (*roles, reward.load_reward_checkpoint(Path(path) / _MODEL_FILES[3]))
+    """The two language-model roles, the answer span and the reward model under *path*.
+
+    span.json holds {"length", "start"}: integers, length at least 1 and start at least 0.
+    """
+    l1, l2, span_file, reward_file = (Path(path) / name for name in _MODEL_FILES)
+    span = parse_json_object(span_file.read_bytes(), span_file)
+    start, length = (check(span.get(key), INTEGER, key, span_file) for key in ("start", "length"))
+    if start < 0 or length < 1:
+        raise CorpusError(f"{span_file}: an answer span needs start >= 0 and length >= 1")
+    return (lm_core.load_checkpoint(l1), lm_core.load_checkpoint(l2),
+            generation.AnswerSpan(start, length), reward.load_reward_checkpoint(reward_file))
 
 
 def _load_answers(path: str) -> dict[str, str]:
@@ -445,7 +454,7 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
         raise ModelError(f"training failed: {exc}") from exc
     lm_core.save_checkpoint(models.full, out / "l1.json")
     lm_core.save_checkpoint(models.retrieved, out / "l2.json")
-    lm_core.save_checkpoint(models.postp, out / "l3.json")
+    write_checkpoint_json(out / "span.json", asdict(models.span))
     reward.save_reward_checkpoint(reward_model, out / "reward.json")
     print(
         f"trained models on {len(passages)} passages / {len(qa_pairs)} questions "
@@ -472,7 +481,7 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
     passages = _load(cfg, args, "corpus")
     qa_pairs = _load(cfg, args, "qa", iter_qa_pairs)
     index = _load(cfg, args, "index")
-    full, retrieved, postp, reward_model = _load(cfg, args, "models")
+    full, retrieved, span, reward_model = _load(cfg, args, "models")
     out = Path(_need(cfg, args, "out", "an output directory"))
     stats = build_stats(passages)
 
@@ -492,7 +501,7 @@ def cmd_answer(cfg: CliConfig, args: argparse.Namespace) -> int:
         judge = clients.RemoteJudge(endpoint)
 
     models = generation.PipelineModels(
-        full=full, retrieved=retrieved, postp=postp, reward=reward_model,
+        full=full, retrieved=retrieved, span=span, reward=reward_model,
         judge=judge, consistency_scorer=scorer,
     )
     embedder = _embedder(cfg, index.dim)
@@ -578,7 +587,7 @@ _COMMANDS = {
     "ingest": (cmd_ingest, "validate a corpus and report statistics", "corpus qa out"),
     "index": (cmd_index, "embed passages and write the index file", "corpus out"),
     "retrieve": (cmd_retrieve, "top-k passages per question", "index qa k out"),
-    "train": (cmd_train, "train the three model roles and the reward model",
+    "train": (cmd_train, "train the two model roles, the answer span and the reward model",
               "corpus qa index k lambda1 lambda2 max-output-tokens out"),
     "answer": (cmd_answer, "run the full pipeline over a QA file",
                "corpus qa index models k jobs max-output-tokens out backend"),

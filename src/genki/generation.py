@@ -1,54 +1,54 @@
-"""End-to-end answer pipeline: two knowledge paths, format stage, selection.
+"""End-to-end answer pipeline: two knowledge paths, format step, selection.
 
-Three model roles cooperate per question.  The full-knowledge model answers
-from a prompt alone (it saw every passage during training), the
-retrieved-knowledge model answers from a prompt carrying the top-k
-passages, and the postprocessor rewrites each draft into the requested
-format.  The ensemble module then picks one of the two postprocessed
-candidates.  run_pipeline and train_pipeline_models retrieve each question
-once, in blocks (retriever.retrieve_texts), and render every prompt with the
-same two block renderers: draft_prompts (templates I and II) and
-rewrite_prompts (template III).
+Two model roles draft an answer per question.  The full-knowledge model
+answers from a prompt alone (it saw every passage during training), and
+the retrieved-knowledge model from a prompt carrying the top-k passages.
+The format step (postprocess) cuts each draft to the trained answer span,
+an extractive step in the spirit of DrQA's span reader, and the ensemble
+module picks one of the two cut candidates.  run_pipeline and
+train_pipeline_models retrieve each question once, in blocks
+(retriever.retrieve_texts), and render every prompt with one block
+renderer, draft_prompts (templates I and II).
 
 run_pipeline answers a block of corpus.ANSWER_BLOCK (256) questions one
-stage at a time: retrieval, then both drafts (answer_paths_block), then the
-rewrites (postprocess_block), then selection.  genki answer reads its QA
-file a block at a time (corpus.answer_blocks over corpus.iter_qa_pairs),
-calls it once per block and writes that block's runs.jsonl and audit.jsonl
-rows before it reads the next, so its memory does not grow with the number
-of questions.  Both go to temporary files that replace them only after the
+stage at a time: retrieval, then both drafts (answer_paths_block), then
+the format step, then selection.  genki answer reads its QA file a block
+at a time (corpus.answer_blocks over corpus.iter_qa_pairs), calls it once
+per block and writes that block's runs.jsonl and audit.jsonl rows before
+it reads the next, so its memory does not grow with the number of
+questions.  Both go to temporary files that replace them only after the
 last block, so a failed run writes neither (earlier files stay as they
 were) and leaves no temporary file or new directory.
 
 Each distinct prompt of a block is encoded once and each model decodes all
-of its prompts with one generate_batch, so a draft or rewrite shared by
-many questions is computed once; each distinct question and candidate is
+of its prompts with one generate_batch, so a draft shared by many
+questions is computed once; each distinct question and candidate is
 split, weighted and encoded once for consistency
-(consistency.prepare_texts).  answer_paths and postprocess are the
-one-question cases of the block stages.  Drafts and rewrites run in the
-calling thread; jobs > 1 fans out only selection.  A question that fails a
-stage records its error and the fields filled before it, exactly as if it
-ran alone.  The drafts and rewrites fail a question only for its own
-outputs (a prompt with no token, an empty draft, an empty rewrite);
-templates are checked when the PipelineConfig is built, and a retrieved id
-missing from the corpus fails the whole run.
+(consistency.prepare_texts).  answer_paths is the one-question case of the
+block stage.  Drafts run in the calling thread; jobs > 1 fans out only
+selection.  A question that fails a stage records its error and the fields
+filled before it, exactly as if it ran alone.  The drafts and the format
+step fail a question only for its own outputs (a prompt with no token, an
+empty draft, a draft too short to reach the span); templates are checked
+when the PipelineConfig is built, and a retrieved id missing from the
+corpus fails the whole run.
 
-Training encodes each prompt and gold answer once and trains the three
-roles over different material: all passages, the retrieved subsets, and
-format-transcription pairs built by pairing each retrieved-knowledge draft
-with its gold answer (the draft rambles, the gold target teaches the format
-stage both the wording and where to stop).
+Training encodes each prompt and gold answer once and trains the two
+roles over different material: all passages, and the retrieved subsets.
+The answer span is read off the training questions' retrieved-knowledge
+drafts: where most of them hold their gold answer (answer_span).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .consistency import prepare_texts
-from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, answer_blocks
+from .corpus import CorpusStats, Passage, QaPair, TokenSeq, Vocabulary, answer_blocks, tokenize
 from .ensemble import (
     AnswerCandidate,
     ExternalJudge,
@@ -73,16 +73,12 @@ DEFAULT_MAX_OUTPUT_TOKENS = 50
 DEFAULT_TEMPLATES = {
     "I": "answer from memory . question : {question}",
     "II": "context : {passages} question : {question}",
-    "III": "rewrite the draft as a {format} answer . draft : {draft}",
-    "IV": "question : {question} answer one : {answer_1} answer two : {answer_2} pick the better {format} answer",
 }
 
 # The slots each template is rendered with.
 TEMPLATE_SLOTS = {
     "I": ("question",),
     "II": ("passages", "question"),
-    "III": ("format", "draft"),
-    "IV": ("question", "answer_1", "answer_2", "format"),
 }
 
 
@@ -160,9 +156,12 @@ def draft_prompts(
     return full, retrieved
 
 
-def rewrite_prompts(drafts: Sequence[str], cfg: PipelineConfig) -> list[str]:
-    """The format stage's prompt (template III) for each draft text."""
-    return [cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=d) for d in drafts]
+@dataclass(frozen=True)
+class AnswerSpan:
+    """The format step's trained parameters: a draft's words from *start*, at most *length*."""
+
+    start: int  # >= 0
+    length: int  # >= 1
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class PipelineModels:
 
     full: ToyLm
     retrieved: ToyLm
-    postp: ToyLm
+    span: AnswerSpan
     reward: RewardModel
     judge: ExternalJudge
     consistency_scorer: LmScorer | None = None  # defaults to the full-knowledge model
@@ -266,31 +265,6 @@ def answer_paths_block(
     return paths
 
 
-def postprocess_block(
-    cands: Sequence[AnswerCandidate], postp_model: ToyLm, cfg: PipelineConfig
-) -> list[AnswerCandidate | PipelineError]:
-    """postprocess for a block of drafts: each distinct draft is rewritten once.
-
-    Each entry is the rewritten candidate, or the PipelineError postprocess
-    would raise for it.  An already postprocessed candidate raises for the
-    whole block.
-    """
-    if any(cand.postprocessed for cand in cands):
-        raise ValueError("candidate is already postprocessed")
-    prompts = rewrite_prompts([cand.text for cand in cands], cfg)
-    texts = _greedy_texts(postp_model, prompts, cfg.format.max_tokens)
-    rewrites: list[AnswerCandidate | PipelineError] = []
-    for cand, prompt in zip(cands, prompts):
-        out, name = texts[prompt], cand.provenance.value
-        if isinstance(out, Exception):
-            rewrites.append(PipelineError(f"postprocess failed for {name}: {out}"))
-        elif not out.strip():
-            rewrites.append(PipelineError(f"postprocess produced empty output for {name}"))
-        else:
-            rewrites.append(AnswerCandidate(out, cand.provenance, postprocessed=True))
-    return rewrites
-
-
 def answer_paths(
     q: QaPair,
     results: Sequence[RetrievalResult],
@@ -309,14 +283,19 @@ def answer_paths(
     return _ok(answer_paths_block([q], [results], full_model, retr_model, passages, cfg)[0])
 
 
-def postprocess(cand: AnswerCandidate, postp_model: ToyLm, cfg: PipelineConfig) -> AnswerCandidate:
-    """Rewrite a raw draft into the requested format.
+def postprocess(cand: AnswerCandidate, span: AnswerSpan, cfg: PipelineConfig) -> AnswerCandidate:
+    """Cut a raw draft to *span*: its words from span.start, at most span.length of them.
 
-    Output length is capped at cfg.format.max_tokens.  An empty rewrite is an
-    error rather than a silent empty answer.  The one-draft case of
-    postprocess_block.
+    Output length is also capped at cfg.format.max_tokens.  A draft too
+    short to reach the span gives an empty cut, which is an error rather
+    than a silent empty answer.
     """
-    return _ok(postprocess_block([cand], postp_model, cfg)[0])
+    if cand.postprocessed:
+        raise ValueError("candidate is already postprocessed")
+    words = cand.text.split()[span.start:][:min(span.length, cfg.format.max_tokens)]
+    if not words:
+        raise PipelineError(f"postprocess produced empty output for {cand.provenance.value}")
+    return AnswerCandidate(" ".join(words), cand.provenance, postprocessed=True)
 
 
 def _error(exc: Exception) -> str:
@@ -333,46 +312,42 @@ def _run_block(
     cfg: PipelineConfig,
     map_fn: Callable,
 ) -> list[PipelineRun]:
-    """One block, stage by stage: retrieve, draft, rewrite, then select per question.
+    """One block, stage by stage: retrieve, draft, cut, then select per question.
 
     Each question records its fields up to its first failure, as answer_paths,
     postprocess and select would return them one at a time: only its id and
     question when a draft fails, the drafts and retrieved ids too when the
-    full-knowledge rewrite fails, and the full-knowledge rewrite as well
-    when only the retrieved-knowledge one fails.  One map over the block
-    then selects for each question that has both rewrites.
+    full-knowledge cut fails, and the full-knowledge cut as well when only
+    the retrieved-knowledge one fails.  One map over the block then selects
+    for each question that has both cuts.
     """
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in block], cfg.k)
     paths = answer_paths_block(block, retrievals, models.full, models.retrieved, passages, cfg)
-    # Equal drafts get equal rewrites, so each question looks its two up.
-    drafts = list(dict.fromkeys(
-        cand for path in paths if not isinstance(path, Exception) for cand in path[:2]
-    ))
-    rewritten = dict(zip(drafts, postprocess_block(drafts, models.postp, cfg)))
-    items: list[tuple[dict, tuple[AnswerCandidate, ...]]] = []  # fields, rewrites to select from
+    items: list[tuple[dict, tuple[AnswerCandidate, ...]]] = []  # fields, cuts to select from
     for qa, path in zip(block, paths):
-        fields, rewrites = {"qid": qa.id, "question": qa.question}, ()
+        fields, cuts = {"qid": qa.id, "question": qa.question}, ()
         try:
             full, retr, fields["retrieved_ids"] = _ok(path)
             fields.update(raw_full=full.text, raw_retrieved=retr.text)
-            post_full, post_retr = rewritten[full], rewritten[retr]
-            fields["post_full"] = _ok(post_full).text
-            fields["post_retrieved"] = _ok(post_retr).text
-            rewrites = (post_full, post_retr)
+            post_full = postprocess(full, models.span, cfg)
+            fields["post_full"] = post_full.text
+            post_retr = postprocess(retr, models.span, cfg)
+            fields["post_retrieved"] = post_retr.text
+            cuts = (post_full, post_retr)
         except PipelineError as exc:
             fields["error"] = _error(exc)
-        items.append((fields, rewrites))
+        items.append((fields, cuts))
 
-    texts = (text for fields, rewrites in items if rewrites
-             for text in (fields["question"], *(cand.text for cand in rewrites)))
+    texts = (text for fields, cuts in items if cuts
+             for text in (fields["question"], *(cand.text for cand in cuts)))
     prepared = prepare_texts(texts, models.scorer, stats)
 
     def choose(item: tuple[dict, tuple[AnswerCandidate, ...]]) -> PipelineRun:
-        fields, rewrites = item
-        if rewrites:
+        fields, cuts = item
+        if cuts:
             try:
                 winner, bundle = select(
-                    fields["question"], *rewrites, models.scorer, stats,
+                    fields["question"], *cuts, models.scorer, stats,
                     models.reward, models.judge, cfg.format, prepared,
                 )
             except Exception as exc:  # per-question isolation: record and move on
@@ -398,7 +373,7 @@ def run_pipeline(
     """Answer every question; failures are recorded per question, not raised.
 
     Questions go through in blocks of corpus.ANSWER_BLOCK, each stage over the
-    whole block: retrieval (retrieve_texts), both drafts, the rewrites,
+    whole block: retrieval (retrieve_texts), both drafts, the format step,
     then selection.  A retrieval failure, such as an embedder whose
     dimension differs from the index's, raises, and so does a retrieved id
     missing from *passages* (PipelineError).  Only selection can wait on
@@ -424,16 +399,16 @@ def run_record(run: PipelineRun) -> dict:
 
 @dataclass(frozen=True)
 class TrainedModels:
-    """The three trained model roles and the training questions' drafts.
+    """The two trained model roles, the answer span and the training questions' drafts.
 
     drafts maps each training question's id to its retrieved-knowledge
-    draft, the text the format role learned to rewrite; the reward model's
+    draft, the text the answer span was read from; the reward model's
     preference pairs reuse it instead of decoding again.
     """
 
     full: ToyLm
     retrieved: ToyLm
-    postp: ToyLm
+    span: AnswerSpan
     drafts: Mapping[str, str]
 
 
@@ -446,7 +421,6 @@ def build_vocabulary(
         texts.append(qa.question)
         texts.extend(qa.answers)
     texts.extend(cfg.prompt_templates.values())
-    texts.append(cfg.format.wording)
     return Vocabulary.from_texts(texts)
 
 
@@ -472,16 +446,14 @@ def train_pipeline_models(
     steps: int,
     learning_rate: float,
 ) -> TrainedModels:
-    """Train the three model roles from scratch.
+    """Train the two model roles from scratch and read the answer span off their drafts.
 
     Each training question is retrieved once, and each prompt and gold
     answer is rendered and encoded once; the retrieved-knowledge drafts are
     decoded from the encoded template-II prompts and returned with the
-    models.  The full-knowledge role sees every passage, the
-    retrieved-knowledge role only the union of top-k retrievals, and the
-    format role trains purely on instruction pairs mapping each
-    retrieved-knowledge draft to its gold answer with an end token
-    appended, which is what teaches it to stop.  Passages of fewer than 2
+    models.  The full-knowledge role sees every passage and the
+    retrieved-knowledge role only the union of top-k retrievals; both learn
+    the gold answers of the training questions.  Passages of fewer than 2
     tokens have no transition, so both domain losses leave them out.
     Retrieved ids missing from *passages* raise PipelineError before any
     training.
@@ -497,21 +469,38 @@ def train_pipeline_models(
     )
     answers = [vocab.encode(qa.answers[0]) for qa in train_qa]
 
-    def fit(domain: Sequence[Passage], prompts: Sequence[TokenSeq],
-            targets: Sequence[TokenSeq]) -> ToyLm:
+    def fit(domain: Sequence[Passage], prompts: Sequence[TokenSeq]) -> ToyLm:
         seqs = [seq for seq in (vocab.encode(p.text) for p in domain) if len(seq.tokens) >= 2]
-        batch = [TrainExample(prompt, target) for prompt, target in zip(prompts, targets)]
+        batch = [TrainExample(prompt, answer) for prompt, answer in zip(prompts, answers)]
         return train(ToyLm(vocab), seqs, batch, cfg.weights, steps, learning_rate)
 
-    full = fit(passages, prompts_full, answers)
-    retrieved = fit(retr_union, prompts_retr, answers)
+    full = fit(passages, prompts_full)
+    retrieved = fit(retr_union, prompts_retr)
     drafts = drafts_for_questions(train_qa, prompts_retr, retrieved, cfg)
-    prompts_post = rewrite_prompts([drafts[qa.id] for qa in train_qa], cfg)
-    postp = fit(
-        [], [vocab.encode(prompt) for prompt in prompts_post],
-        [TokenSeq(answer.tokens + (vocab.eos_id,), answer.text) for answer in answers],
-    )
-    return TrainedModels(full, retrieved, postp, drafts)
+    return TrainedModels(full, retrieved, answer_span(train_qa, drafts, cfg.format.max_tokens),
+                         drafts)
+
+
+def answer_span(
+    questions: Sequence[QaPair], drafts: Mapping[str, str], max_tokens: int
+) -> AnswerSpan:
+    """The (start, length) at which the most drafts hold their gold answer.
+
+    Each question's gold is its first answer's words, cut to *max_tokens*;
+    where its draft (drafts[qa.id]) holds them, the first such start and the
+    gold's length count once.  Ties go to the earliest start, then the
+    shortest length.  When no draft holds its gold, the span starts at 0
+    and has the most common gold length (the shortest on ties).
+    """
+    golds = [tokenize(qa.answers[0])[:max_tokens] for qa in questions]
+    found: Counter[tuple[int, int]] = Counter()
+    for qa, gold in zip(questions, golds):
+        words = drafts[qa.id].split()
+        start = next((i for i in range(len(words)) if words[i:i + len(gold)] == gold), None)
+        if start is not None:
+            found[start, len(gold)] += 1
+    found = found or Counter((0, len(gold)) for gold in golds)
+    return AnswerSpan(*min(found, key=lambda span: (-found[span], span)))
 
 
 def drafts_for_questions(

@@ -30,7 +30,7 @@ class RewardModel(Protocol):
 
 @dataclass(frozen=True)
 class FormatSpec:
-    """A requested answer shape: kind, length cap, and prompt wording."""
+    """A requested answer shape: kind, length cap, and the wording judges see."""
 
     kind: AnswerKind
     max_tokens: int
@@ -47,7 +47,7 @@ class FormatSpec:
 
     @property
     def wording(self) -> str:
-        """The format as prompts and judges name it: the description, else the kind."""
+        """The format as judges name it: the description, else the kind."""
         return self.description or self.kind.value
 
 

@@ -603,7 +603,7 @@ def test_training_direction():
     pairs = preference_pairs_from_drafts(qa_pairs, drafts, fmt)
     reward = train_reward_or_fresh(pairs)
     models = PipelineModels(
-        full=trained.full, retrieved=trained.retrieved, postp=trained.postp,
+        full=trained.full, retrieved=trained.retrieved, span=trained.span,
         reward=reward, judge=StubJudge(),
     )
     stats = build_stats(passages)
@@ -646,7 +646,7 @@ def test_two_regime_fit():
 
 @criterion("8/9 end-to-end determinism (byte-identical reruns)")
 def test_determinism(tmp_path):
-    artifacts = ("index.bin", "models/l1.json", "models/l2.json", "models/l3.json",
+    artifacts = ("index.bin", "models/l1.json", "models/l2.json", "models/span.json",
                  "models/reward.json", "out/runs.jsonl", "out/audit.jsonl")
     trees = []
     for name in ("a", "b"):

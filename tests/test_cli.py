@@ -29,7 +29,9 @@ from genki.corpus import (
     AnswerKind, build_stats, ingest_passages, ingest_qa_pairs, iter_qa_pairs, write_jsonl,
 )
 from genki.ensemble import StubJudge
-from genki.generation import PipelineConfig, PipelineModels, run_pipeline, run_record
+from genki.generation import (
+    AnswerSpan, PipelineConfig, PipelineModels, run_pipeline, run_record,
+)
 from genki.lm_core import load_checkpoint
 from genki.retriever import HashEmbedder, load_index, retrieve_texts, top_k
 from genki.reward import FormatSpec, load_reward_checkpoint
@@ -306,7 +308,7 @@ class TestTrain:
         questions = [json.loads(line)["question"]
                      for line in read_lines(workdir["qa"])]
         assert counts == Counter(questions)
-        for name in ("l1.json", "l2.json", "l3.json", "reward.json"):
+        for name in ("l1.json", "l2.json", "span.json", "reward.json"):
             reference = (workdir["root"] / "models" / name).read_bytes()
             assert (tmp_path / "models" / name).read_bytes() == reference
 
@@ -323,7 +325,7 @@ class TestTrain:
                      "--qa", workdir["qa"], "--index", workdir["index"],
                      "--out", str(tmp_path / "models")]) == EXIT_OK
         assert len(batches) == 1 and len(batches[0]) == 8
-        for name in ("l1.json", "l2.json", "l3.json", "reward.json"):
+        for name in ("l1.json", "l2.json", "span.json", "reward.json"):
             reference = (workdir["root"] / "models" / name).read_bytes()
             assert (tmp_path / "models" / name).read_bytes() == reference
 
@@ -540,13 +542,13 @@ def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["train", "answer"])
 @pytest.mark.parametrize("template", [
-    "draft : {nonexistent}", "draft : {}", "draft : {draft.x}", "draft : {draft!z}",
-    "draft : {draft:d}",
+    "question : {nonexistent}", "question : {}", "question : {question.x}",
+    "question : {question!z}", "question : {question:d}",
 ])
 def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, template):
     config = tmp_path / "config.json"
     settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
-    config.write_text(json.dumps({**settings, "templates": {"III": template}}))
+    config.write_text(json.dumps({**settings, "templates": {"I": template}}))
     inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
               "--index", workdir["index"]]
     argv = {
@@ -555,7 +557,7 @@ def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, templa
     }[command]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: prompt template III {template!r} cannot be rendered: ")
+    assert err.startswith(f"config error: prompt template I {template!r} cannot be rendered: ")
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -577,11 +579,12 @@ def test_corpus_without_a_retrieved_passage_is_data_error(workdir, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["train", "answer"])
-def test_unknown_template_name_is_config_error(workdir, tmp_path, capsys, command):
-    # names are case-sensitive: "iii" is not template III
+@pytest.mark.parametrize("name", ["ii", "III", "IV"])
+def test_unknown_template_name_is_config_error(workdir, tmp_path, capsys, command, name):
+    # names are case-sensitive ("ii" is not template II), and only I and II remain
     config = tmp_path / "config.json"
     settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
-    config.write_text(json.dumps({**settings, "templates": {"iii": "zebra crossing {draft}"}}))
+    config.write_text(json.dumps({**settings, "templates": {name: "zebra crossing {draft}"}}))
     inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
               "--index", workdir["index"]]
     argv = {
@@ -590,7 +593,7 @@ def test_unknown_template_name_is_config_error(workdir, tmp_path, capsys, comman
     }[command]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: unknown prompt templates: ['iii'] (known: ['I', 'II', 'III', 'IV'])\n"
+        f"config error: unknown prompt templates: [{name!r}] (known: ['I', 'II'])\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -1006,6 +1009,43 @@ class TestAnswer:
                      "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "data error:" in capsys.readouterr().err
 
+    def test_models_without_span_ask_for_training(self, workdir, tmp_path, capsys):
+        # a models directory with a bigram format role (l3.json) and no span.json
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        (models / "span.json").rename(models / "l3.json")
+        assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: missing {models / 'span.json'}; produce it with: genki train "
+            f"--corpus <corpus> --qa <qa> --index <index> --out {models}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content, problem", [
+        ("[0, 2]", "expected a JSON object"),
+        ("{", "invalid JSON"),
+        ('{"length": 2}', "field 'start' must be an integer"),
+        ('{"start": 0}', "field 'length' must be an integer"),
+        ('{"length": 2, "start": "0"}', "field 'start' must be an integer"),
+        ('{"length": 2.0, "start": 0}', "field 'length' must be an integer"),
+        ('{"length": true, "start": 0}', "field 'length' must be an integer"),
+        ('{"length": 2, "start": -1}', "an answer span needs start >= 0 and length >= 1"),
+        ('{"length": 0, "start": 0}', "an answer span needs start >= 0 and length >= 1"),
+    ])
+    def test_damaged_span_is_data_error(self, workdir, tmp_path, capsys, content, problem):
+        models = tmp_path / "models"
+        shutil.copytree(workdir["models"], models)
+        (models / "span.json").write_text(content)
+        assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
+                     "--qa", workdir["qa"], "--index", workdir["index"],
+                     "--models", str(models), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {models / 'span.json'}: {problem}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_remote_backend_needs_judge_url(self, workdir, tmp_path, capsys):
         assert main(["answer", "--config", workdir["config"], "--corpus", workdir["corpus"],
                      "--qa", workdir["qa"], "--index", workdir["index"],
@@ -1069,7 +1109,8 @@ class TestStreamedAnswer:
         models = Path(workdir["models"])
         runs = run_pipeline(
             ingest_qa_pairs(qa),
-            PipelineModels(*(load_checkpoint(models / f"l{i}.json") for i in (1, 2, 3)),
+            PipelineModels(*(load_checkpoint(models / f"l{i}.json") for i in (1, 2)),
+                           AnswerSpan(**json.loads((models / "span.json").read_text())),
                            load_reward_checkpoint(models / "reward.json"), StubJudge()),
             load_index(workdir["index"]), HashEmbedder(1024, 0), {p.id: p for p in passages},
             build_stats(passages),

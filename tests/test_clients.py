@@ -400,7 +400,7 @@ def test_cli_starts_without_the_http_stack():
 
 
 def test_pipeline_never_asks_a_remote_judge_about_identical_drafts(server):
-    # on this world both postprocessed drafts are the same text for every
+    # on this world both cut drafts are the same text for every
     # question, so the judge has nothing to choose
     passages, qa_pairs = synthetic_world(12, 8)
     cfg = PipelineConfig(k=2, format=FORMAT, max_output_tokens=12)
@@ -411,7 +411,7 @@ def test_pipeline_never_asks_a_remote_judge_about_identical_drafts(server):
         steps=60, learning_rate=0.5,
     )
     models = PipelineModels(
-        full=trained.full, retrieved=trained.retrieved, postp=trained.postp,
+        full=trained.full, retrieved=trained.retrieved, span=trained.span,
         reward=ToyRewardModel(), judge=StubJudge(),
     )
     args = (qa_pairs, models, index, embedder, {p.id: p for p in passages},

@@ -1,14 +1,15 @@
 """Tests for the end-to-end answer pipeline.
 
 A small synthetic world is trained once per module; individual tests probe
-draft generation, the format stage, selection routing, per-question fault
-isolation, and training effects (draft recall, format-stage exactness).
+draft generation, the format step, selection routing, per-question fault
+isolation, and training effects (draft recall, format-step exactness).
 """
 
 import functools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from genki.ensemble import (
 from genki import generation
 from genki.generation import (
     DEFAULT_TEMPLATES,
+    AnswerSpan,
     PipelineConfig,
     PipelineError,
     PipelineModels,
     answer_paths,
+    answer_span,
     build_vocabulary,
     draft_prompts,
     drafts_for_questions,
@@ -70,7 +73,7 @@ def world():
     models = PipelineModels(
         full=trained.full,
         retrieved=trained.retrieved,
-        postp=trained.postp,
+        span=trained.span,
         reward=reward,
         judge=StubJudge(),
     )
@@ -104,7 +107,7 @@ def retrieved_drafts(world, model):
 # -- the one-question flow run_pipeline replaced, kept as its oracle ---------
 #
 # Each question on its own: encode its prompts, decode them token by token
-# from the argmax of the logit table, rewrite both drafts, then score both
+# from the argmax of the logit table, cut both drafts to the span, then score both
 # candidates (sentences split, weighted and encoded per call) and route.
 
 
@@ -186,15 +189,15 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
             retrieved_ids=tuple(r.passage_id for r in results),
             raw_full=drafts[0].text, raw_retrieved=drafts[1].text,
         )
-        rewrites = []
+        cuts = []
         for cand, key in zip(drafts, ("post_full", "post_retrieved")):
-            prompt = cfg.prompt_templates["III"].format(format=cfg.format.wording, draft=cand.text)
-            out = reference_generate(models.postp, models.postp.encode(prompt), cfg.format.max_tokens)
-            if not out.text.strip():
+            end = models.span.start + min(models.span.length, cfg.format.max_tokens)
+            text = " ".join(cand.text.split()[models.span.start:end])
+            if not text:
                 raise PipelineError(f"postprocess produced empty output for {cand.provenance.value}")
-            rewrites.append(AnswerCandidate(out.text, cand.provenance, postprocessed=True))
-            fields[key] = out.text
-        winner, bundle = reference_select(qa.question, *rewrites, models, stats, cfg.format)
+            cuts.append(AnswerCandidate(text, cand.provenance, postprocessed=True))
+            fields[key] = text
+        winner, bundle = reference_select(qa.question, *cuts, models, stats, cfg.format)
         return generation.PipelineRun(
             **fields, bundle=bundle, final_answer=winner.text,
             winner_provenance=winner.provenance.value,
@@ -213,11 +216,11 @@ class TestPipelineConfig:
             PipelineConfig(k=1, format=None)
 
     def test_missing_template_rejected(self):
-        templates = {k: v for k, v in DEFAULT_TEMPLATES.items() if k != "III"}
-        with pytest.raises(ValueError, match="III"):
+        templates = {k: v for k, v in DEFAULT_TEMPLATES.items() if k != "II"}
+        with pytest.raises(ValueError, match="missing: \\['II'\\]"):
             make_config(prompt_templates=templates)
 
-    @pytest.mark.parametrize("name", ["iii", "V", ""])
+    @pytest.mark.parametrize("name", ["iii", "III", "IV", "V", ""])
     def test_unknown_template_rejected(self, name):
         with pytest.raises(ValueError, match=f"unknown prompt templates: \\['{name}'\\]"):
             make_config(prompt_templates={**DEFAULT_TEMPLATES, name: "zebra crossing {draft}"})
@@ -232,8 +235,10 @@ class TestPipelineConfig:
 class TestBuildVocabulary:
     def test_covers_all_material(self, world):
         vocab = world["vocab"]
-        for word in ("topic003", "alpha003", "beta003", "question", "rewrite", "entity"):
+        for word in ("topic003", "alpha003", "beta003", "question", "memory", "context"):
             assert vocab.id(word) != 0, word
+        # the format's wording is in no prompt, so it is no vocabulary word
+        assert vocab.id("entity") == 0
 
     def test_deterministic(self, world):
         again = build_vocabulary(world["passages"], world["qa"], world["cfg"])
@@ -300,37 +305,42 @@ class TestAnswerPaths:
 
 
 class TestPostprocess:
-    def test_output_respects_token_cap(self, world):
+    def test_cuts_the_span(self, world):
         qa = world["qa"][0]
         _, cand_retr, _ = answer_paths(
             qa, retrieve(world, qa), world["trained"].full, world["trained"].retrieved,
             world["passage_map"], world["cfg"],
         )
-        out = postprocess(cand_retr, world["trained"].postp, world["cfg"])
+        out = postprocess(cand_retr, AnswerSpan(1, 3), world["cfg"])
         assert out.postprocessed
         assert out.provenance is cand_retr.provenance
-        assert len(out.text.split()) <= FORMAT.max_tokens
+        assert out.text == " ".join(cand_retr.text.split()[1:4])
+
+    def test_output_respects_token_cap(self):
+        cand = AnswerCandidate(" ".join(f"w{i}" for i in range(20)), Provenance.FULL_KNOWLEDGE)
+        out = postprocess(cand, AnswerSpan(2, 15), make_config())
+        assert out.text == " ".join(f"w{i}" for i in range(2, 2 + FORMAT.max_tokens))
+
+    def test_short_draft_keeps_what_the_span_reaches(self):
+        cand = AnswerCandidate("alpha  beta\tgamma", Provenance.RETRIEVED_KNOWLEDGE)
+        assert postprocess(cand, AnswerSpan(1, 5), make_config()).text == "beta gamma"
 
     def test_already_postprocessed_rejected(self, world):
         done = AnswerCandidate("alpha000 beta000", Provenance.FULL_KNOWLEDGE, postprocessed=True)
         with pytest.raises(ValueError, match="already"):
-            postprocess(done, world["trained"].postp, world["cfg"])
+            postprocess(done, world["trained"].span, world["cfg"])
 
-    def test_empty_output_is_error(self, world):
-        class SilentModel:
-            def encode(self, text):
-                return world["vocab"].encode(text)
-
-            def generate_batch(self, prompts, max_tokens):
-                return [TokenSeq((), "") for _ in prompts]
-
-        cand = AnswerCandidate("some draft", Provenance.FULL_KNOWLEDGE)
-        with pytest.raises(PipelineError, match="empty"):
-            postprocess(cand, SilentModel(), world["cfg"])
+    @pytest.mark.parametrize("provenance", list(Provenance))
+    def test_empty_output_is_error(self, provenance):
+        cand = AnswerCandidate("some draft", provenance)
+        with pytest.raises(PipelineError) as info:
+            postprocess(cand, AnswerSpan(2, 1), make_config())
+        assert str(info.value) == f"postprocess produced empty output for {provenance.value}"
 
     @pytest.mark.parametrize("name, template", [
-        ("I", "question : {nonexistent}"), ("II", "context : {}"), ("III", "{draft.x}"),
-        ("IV", "{question!z}"), ("III", "{draft:d}"), ("I", "{question[1]}"), ("II", "unclosed {"),
+        ("I", "question : {nonexistent}"), ("II", "context : {}"), ("I", "{question.x}"),
+        ("II", "{question!z}"), ("II", "{passages:d}"), ("I", "{question[1]}"),
+        ("II", "unclosed {"),
     ])
     def test_bad_template_slot_raises(self, name, template):
         # every template fails when the config is built, not per question
@@ -338,9 +348,43 @@ class TestPostprocess:
             make_config(prompt_templates={**DEFAULT_TEMPLATES, name: template})
 
     def test_template_of_real_slots_accepted(self):
-        templates = {"I": "{question!r:>2}", "II": "{passages[0]} {question}", "III": "{draft}",
-                     "IV": "{answer_1} {answer_2}"}
+        templates = {"I": "{question!r:>2}", "II": "{passages[0]} {question}"}
         assert make_config(prompt_templates=templates).prompt_templates == templates
+
+
+def qa(qid, answer):
+    return QaPair(qid, f"what is {qid}", (answer,), AnswerKind.ENTITY)
+
+
+class TestAnswerSpan:
+    def test_most_common_place_of_the_gold(self):
+        questions = [qa("a", "x y"), qa("b", "x y"), qa("c", "p q"), qa("d", "z")]
+        drafts = {"a": "x y x y", "b": "w x y", "c": "r p q", "d": "w z"}
+        assert answer_span(questions, drafts, 8) == AnswerSpan(1, 2)
+
+    def test_first_occurrence_counts_once(self):
+        questions = [qa("a", "x y"), qa("b", "x y"), qa("c", "z")]
+        drafts = {"a": "x y w x y", "b": "w w x y", "c": "z"}
+        # a counts at 0 only; the tie of (0, 2), (2, 2) and (0, 1) goes to
+        # the earliest start, then the shortest length
+        assert answer_span(questions, drafts, 8) == AnswerSpan(0, 1)
+
+    def test_gold_is_cut_and_tokenized(self):
+        questions = [qa("a", "X, y z"), qa("b", "x y w")]
+        drafts = {"a": "v x y q", "b": "v x y r"}
+        assert answer_span(questions, drafts, 2) == AnswerSpan(1, 2)
+        assert answer_span(questions, drafts, 3) == AnswerSpan(0, 3)  # no draft holds its gold
+
+    def test_no_draft_holds_its_gold(self):
+        questions = [qa("a", "x y z"), qa("b", "p q"), qa("c", "r s t"), qa("d", "u v")]
+        drafts = dict.fromkeys("abcd", "<unk> <unk>")
+        # lengths 3 and 2 are equally common: the shortest wins
+        assert answer_span(questions, drafts, 8) == AnswerSpan(0, 2)
+        assert answer_span(questions[:1], {"a": ""}, 8) == AnswerSpan(0, 3)
+
+    def test_trained_span_of_the_world(self, world):
+        # every retrieved-knowledge draft of the synth world starts with its gold
+        assert world["trained"].span == AnswerSpan(0, 2)
 
 
 class TestTrainingEffects:
@@ -477,7 +521,7 @@ class TestRunPipeline:
         models = PipelineModels(
             full=world["models"].full,
             retrieved=world["models"].retrieved,
-            postp=world["models"].postp,
+            span=world["models"].span,
             reward=world["models"].reward,
             judge=FlakyJudge(),
         )
@@ -514,10 +558,8 @@ class TestRunPipeline:
 def default_world():
     """The 300/150 synth world under the CLI's built-in defaults.
 
-    All 150 of its questions fail: the format model rewrites their
-    full-knowledge draft to nothing.  Each draft ends on its beta token,
-    whose format-model row ties ``</s>`` with the alpha token; the tie goes
-    to the lower id, ``</s>``.
+    Every full-knowledge draft starts with its gold answer, and the trained
+    span cuts it there.
     """
     passages, qa_pairs = synthetic_world(300, 150)
     cfg = PipelineConfig(k=2, format=FORMAT)
@@ -530,7 +572,7 @@ def default_world():
     passage_map = {p.id: p for p in passages}
     pairs = preference_pairs_from_drafts(qa_pairs, trained.drafts, FORMAT)
     reward = train_reward(ToyRewardModel(), pairs, 100, 0.05)
-    models = PipelineModels(trained.full, trained.retrieved, trained.postp, reward, StubJudge())
+    models = PipelineModels(trained.full, trained.retrieved, trained.span, reward, StubJudge())
     args = (qa_pairs, models, index, embedder, passage_map, build_stats(passages), cfg)
     return {"args": args, "reference": reference_runs(*args)}
 
@@ -566,38 +608,49 @@ class TestBlockOracle:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_failed_rewrites_keep_partial_fields(
-        self, default_world, monkeypatch, jobs, offset
-    ):
+    def test_built_in_defaults(self, default_world, monkeypatch, jobs, offset):
         questions = default_world["args"][0]
         monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", len(questions) + offset)
         assert_equals_reference(default_world["args"], default_world["reference"], jobs)
-        failed = [run for run in default_world["reference"] if run.error]
-        assert len(failed) == 150
-        for run in failed:
+        assert all(run.error is None for run in default_world["reference"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cuts_keep_partial_fields(self, default_world, jobs):
+        # a span that starts past the output length cuts every draft to nothing
+        questions, models, *rest = default_world["args"]
+        past = replace(models, span=AnswerSpan(rest[-1].max_output_tokens, 2))
+        args = (questions, past, *rest)
+        reference = reference_runs(*args)
+        assert_equals_reference(args, reference, jobs)
+        assert len(reference) == 150
+        for run in reference:
             assert run.error == "PipelineError: postprocess produced empty output for FullKnowledge"
             assert run.raw_full and run.retrieved_ids
             assert run.post_full == run.post_retrieved == "" and run.bundle is None
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("noisy, seed, shows", [
-        ("full", 3, "RewardPick"),
-        ("full", 1, "PipelineError: postprocess produced empty output for FullKnowledge"),
-        ("full", 2, "PipelineError: full-knowledge path failed: candidate text must be non-empty"),
-        ("retrieved", 1, "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
-        ("retrieved", 2,
+    @pytest.mark.parametrize("noisy, seed, start, shows", [
+        ("full", 3, 0, "RewardPick"),
+        ("full", 1, 1, "PipelineError: postprocess produced empty output for FullKnowledge"),
+        ("full", 10, 0,
+         "PipelineError: full-knowledge path failed: candidate text must be non-empty"),
+        ("retrieved", 1, 1,
+         "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
+        ("retrieved", 10, 0,
          "PipelineError: retrieved-knowledge path failed: candidate text must be non-empty"),
     ])
-    def test_distinct_candidates(self, world, monkeypatch, jobs, noisy, seed, shows, dense_model):
+    def test_distinct_candidates(
+        self, world, monkeypatch, jobs, noisy, seed, start, shows, dense_model
+    ):
         # an untrained model on one path drafts noise, so the two candidates
-        # differ and some drafts or rewrites come out empty
+        # differ and some drafts come out empty or too short to reach the span
         monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
         roles = {"full": world["models"].full, "retrieved": world["models"].retrieved}
         size = world["vocab"].size
         noise = np.random.default_rng(seed).normal(0.0, 1.0, (size, size))
         roles[noisy] = dense_model(world["vocab"], noise)
         models = PipelineModels(
-            **roles, postp=world["models"].postp, reward=ParityReward(), judge=StubJudge()
+            **roles, span=AnswerSpan(start, 2), reward=ParityReward(), judge=StubJudge()
         )
         args = (
             world["qa"], models, world["index"], world["embedder"], world["passage_map"],
@@ -637,7 +690,7 @@ class TestBlockOracle:
         )
         assert sum(run.bundle is not None for run in reference) >= len(qa) - 1
         # each role decodes each block once, the rejected prompt's block too
-        roles = (world["models"].full, world["models"].retrieved, world["models"].postp)
+        roles = (world["models"].full, world["models"].retrieved)
         assert calls == Counter({id(model): 3 for model in roles})
 
 
