@@ -25,7 +25,6 @@ IndexFormatError on any file that does not follow the layout.
 
 from __future__ import annotations
 
-import logging
 import os
 import struct
 # hashlib.blake2b is this same object (OpenSSL's BLAKE2 takes no key), but
@@ -38,8 +37,6 @@ from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .corpus import Passage, atomic_write, tokenize
-
-logger = logging.getLogger(__name__)
 
 MAGIC = b"GKIX1"
 HEADER_BYTES = len(MAGIC) + 4 + 8
@@ -128,8 +125,12 @@ class HashEmbedder:
         for row in np.flatnonzero(squares >= 2**24):
             norms[row] = np.linalg.norm(matrix[row])
         for row in np.flatnonzero(norms == 0):
+            # Imported at its one use, so that commands start without
+            # logging (and the traceback and string modules it imports).
+            import logging
+
             self.empty_count += 1
-            logger.warning("text embeds to the zero vector: %r", texts[row])
+            logging.getLogger(__name__).warning("text embeds to the zero vector: %r", texts[row])
         matrix /= np.where(norms == 0, np.float32(1), norms)[:, None]
         return matrix
 
@@ -282,8 +283,13 @@ def top_k_batch(
     Method.  A block of queries holds at most QUERY_BLOCK floats and, past
     one query, SCORE_BLOCK float64 scores and products (one per row and
     stored entry); np.bincount sums the products into (query, row) cells in
-    order from +0.0 (_scores).  The rows scoring at least a query's k-th
-    score are sorted by (query, -score, id); each query keeps its first k.
+    order from +0.0 (_scores).  A query's k-th score is selected as the
+    negated (k-1)-th smallest of its negated scores, partitioned in place:
+    a hashed query scores +0.0 against most rows, and np.partition selects
+    near the top of such a tie block about ten times slower than near the
+    bottom.  Negation is exact, so the threshold is the k-th score itself.
+    The rows scoring at least it are sorted by (query, -score, id); each
+    query keeps its first k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -310,9 +316,15 @@ def _top_k_block(
     if not np.isfinite(scores).all():
         raise ValueError("query vectors too large: a score overflows float64")
     count = index.count
+    width = min(k, count)
+    # Each query's k-th score, from the low end of its negated scores (see
+    # Method above); the one negated copy is partitioned in place.
+    negated = np.negative(scores)
+    negated.partition(width - 1, axis=1)
+    kth = -negated[:, width - 1]
+    del negated
     # (query, row) candidate pairs, query-major: every row scoring at least
     # the query's k-th score (all rows when k >= count).
-    kth = np.partition(scores, count - min(k, count), axis=1)[:, count - min(k, count)]
     query_of, rows = np.nonzero(scores >= kth[:, None])
     scores = scores[query_of, rows]
     ids = index.ids
@@ -332,7 +344,6 @@ def _top_k_block(
             rows[keep].tolist(), scores[keep].tolist(), rank[keep].tolist()
         )
     ]
-    width = min(k, count)
     return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
@@ -391,10 +402,10 @@ def save_index(index: DenseIndex, path: str | Path) -> None:
         fh.write(b"".join(struct.pack("<I", len(raw)) + raw for raw in raws))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def _read_exact(fh: BinaryIO, n: int, what: str, path: str | Path) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise IndexFormatError(f"truncated index file while reading {what}")
+        raise IndexFormatError(f"{path}: truncated index file while reading {what}")
     return data
 
 
@@ -414,22 +425,26 @@ def _read_blocks(fh: BinaryIO, count: int, dim: int) -> Iterator[np.ndarray]:
 
 
 def _parse_ids(block: bytes, count: int, path: str | Path) -> list[str]:
-    """The *count* length-prefixed UTF-8 ids that make up all of *block*."""
+    """The *count* length-prefixed UTF-8 ids that make up all of *block*.
+
+    *block* holds at least the 4 * count bytes of the length prefixes (the
+    header check in load_index); *spare* counts the bytes no id has claimed.
+    """
+    unpack = struct.Struct("<I").unpack_from
     ids = []
-    pos, end = 0, len(block)
+    pos, spare = 0, len(block) - 4 * count
     for i in range(count):
-        if end - pos < 4:
-            raise IndexFormatError(f"truncated index file while reading id {i} length")
-        (length,) = struct.unpack_from("<I", block, pos)
+        (length,) = unpack(block, pos)
         pos += 4
-        if length > end - pos - 4 * (count - 1 - i):
+        spare -= length
+        if spare < 0:
             raise IndexFormatError(f"{path}: id {i} claims {length} bytes past the end")
         try:
             ids.append(block[pos:pos + length].decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise IndexFormatError(f"{path}: id {i} is not UTF-8 ({exc})") from exc
         pos += length
-    if pos != end:
+    if spare:
         raise IndexFormatError(f"{path}: trailing bytes after {count} ids")
     return ids
 
@@ -450,8 +465,8 @@ def load_index(path: str | Path) -> DenseIndex:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise IndexFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (dim,) = struct.unpack("<I", _read_exact(fh, 4, "dim"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "count"))
+        (dim,) = struct.unpack("<I", _read_exact(fh, 4, "dim", path))
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "count", path))
         if dim < 1 or count < 1:
             raise IndexFormatError(f"{path}: degenerate shape {count}x{dim}")
         try:
@@ -463,8 +478,9 @@ def load_index(path: str | Path) -> DenseIndex:
             raise IndexFormatError(
                 f"{path}: header claims {count}x{dim} vectors, more than its {size} bytes hold"
             )
-        fh.seek(HEADER_BYTES + count * dim * 4)
-        ids = _parse_ids(fh.read(), count, path)
+        ids_at = HEADER_BYTES + count * dim * 4
+        fh.seek(ids_at)
+        ids = _parse_ids(_read_exact(fh, size - ids_at, "ids", path), count, path)
         fh.seek(HEADER_BYTES)
         try:
             return DenseIndex._from_blocks(_read_blocks(fh, count, dim), count, dim, ids)

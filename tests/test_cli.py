@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import genki
-from genki import cli, generation, lm_core
+from genki import cli, generation, lm_core, retriever
 from genki.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from genki.corpus import (
     AnswerKind, build_stats, ingest_passages, ingest_qa_pairs, iter_qa_pairs, write_jsonl,
@@ -253,6 +253,43 @@ class TestRetrieve:
         assert main(["retrieve", "--index", str(index), "--qa", workdir["qa"]]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err == f"data error: {index}: dim must be between 1 and 65536, got 4294967295\n"
+
+    @pytest.mark.parametrize("cut", ["dim", "count", "vectors", "ids"])
+    def test_truncated_index_names_the_file(self, workdir, tmp_path, capsys, monkeypatch, cut):
+        # A file cut inside its header, or one that shrinks after its size
+        # was checked, so that reading its vectors or its ids comes up short.
+        index = tmp_path / "index.bin"
+        data = Path(workdir["index"]).read_bytes()
+        index.write_bytes(data[:{"dim": 7, "count": 10}.get(cut, len(data))])
+
+        class ShortReads:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, buffer):
+                if cut == "vectors":
+                    buffer = memoryview(buffer)[:-1]
+                return self.fh.readinto(buffer)
+
+            def read(self, n=-1):
+                past_header = self.fh.tell() >= retriever.HEADER_BYTES
+                data = self.fh.read(n)
+                return data[:-1] if cut == "ids" and past_header else data
+
+        monkeypatch.setattr(retriever, "open", lambda *a: ShortReads(open(*a)), raising=False)
+        assert main(["retrieve", "--index", str(index), "--qa", workdir["qa"]]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {index}: truncated index file while reading {cut}\n"
+        )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_vector_is_data_error(
@@ -742,6 +779,33 @@ def test_index_retrieve_and_ingest_execute_only_corpus_and_retriever(workdir, tm
         "missing": [], "index": [EXIT_OK, []], "retrieve": [EXIT_OK, []],
         "ingest": [EXIT_OK, []], "oov": 0,
     }
+
+
+def test_index_and_retrieve_start_without_logging(workdir, tmp_path):
+    # logging (with traceback and string) loads only for a zero-vector
+    # warning, which still reaches stderr as one line
+    code = ("import json, sys, genki.cli; "
+            "codes = [genki.cli.main(json.loads(argv)) for argv in sys.argv[1:]]; "
+            "print(json.dumps([codes, 'logging' in sys.modules]))")
+    index = ["index", "--config", workdir["config"], "--corpus", workdir["corpus"],
+             "--out", str(tmp_path / "index.bin")]
+    retrieve = retrieve_argv(workdir, workdir["qa"], tmp_path / "retrieved.jsonl")
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(index), json.dumps(retrieve)],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], False]
+    assert done.stderr == ""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(Path(workdir["corpus"]).read_text()
+                      + json.dumps({"id": "blank", "text": "?! --", "source": "s"}) + "\n")
+    index[index.index("--corpus") + 1] = str(corpus)
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(index)],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK], True]
+    assert done.stderr == "text embeds to the zero vector: '?! --'\n"
 
 
 def test_selection_threads_start_after_their_modules_ran(workdir, tmp_path):

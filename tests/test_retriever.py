@@ -532,6 +532,59 @@ class TestCandidateIdTieBreak:
             assert got != [ids[row] for row in sorted(group)]
 
 
+class TestTiedZeroScores:
+    """Most rows score exactly +0.0 against every query, three score above
+    it and three below: as k runs from 1 to count, the k-th score falls
+    among the positive rows, inside the zero block (ties by id) and among
+    the negative rows."""
+
+    ZERO = struct.pack("<d", 0.0)
+
+    def world(self):
+        rng = np.random.default_rng(71)
+        count, dim = 80, 32
+        matrix = np.zeros((count, dim), dtype=np.float32)
+        # Only rows 0-5 meet the queries' columns 0-3 with a nonzero entry;
+        # column 0 outweighs the rest, so rows 0-2 score above +0.0 and rows
+        # 3-5 below.  Row 2 ties row 1.
+        matrix[:6, 0] = [4.0, 3.0, 3.0, -4.0, -3.0, -2.0]
+        matrix[:6, 1:4] = rng.choice([-1.0, 0.0, 1.0], size=(6, 3))
+        matrix[2] = matrix[1]
+        # Row 6 stores a -0.0 in column 0, row 7 nothing; the other rows
+        # hold entries outside columns 0-3 only.
+        matrix[6, 0] = -0.0
+        for row in range(8, count):
+            columns = rng.choice(np.arange(4, dim), size=int(rng.integers(1, 6)), replace=False)
+            matrix[row, columns] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=len(columns))
+        ids = [f"p{i:02d}" for i in range(count)]
+        rng.shuffle(ids)
+        queries = np.zeros((7, dim))
+        queries[:, 0] = rng.uniform(1.0, 2.0, size=7)
+        queries[:, 1:4] = rng.uniform(-0.2, 0.2, size=(7, 3))
+        return matrix, ids, queries
+
+    @pytest.mark.parametrize("per_block", [1, 2, 5])
+    def test_every_k_matches_exact_scan(self, monkeypatch, per_block):
+        matrix, ids, queries = self.world()
+        count = len(ids)
+        scans = [exact_scan(matrix, ids, query, count) for query in queries]
+        for scan in scans:
+            scores = [score for _, score, _ in scan]
+            # 74 of 80 scores are +0.0, so the k-th is in the zero block for k = 4..77.
+            assert scores[3:77] == [self.ZERO] * 74
+            assert all(struct.unpack("<d", score)[0] < 0 for score in scores[77:])
+        index = DenseIndex(matrix, ids)
+        monkeypatch.setattr(retriever, "SCORE_BLOCK", per_block * (count + len(index._values)))
+        blocks, original = [], retriever._top_k_block
+        monkeypatch.setattr(retriever, "_top_k_block",
+                            lambda *args: blocks.append(len(args[1])) or original(*args))
+        for k in range(1, count + 1):
+            got = top_k_batch(index, queries, k)
+            assert [bits(results) for results in got] == [scan[:k] for scan in scans], k
+        sizes = [min(per_block, len(queries) - lo) for lo in range(0, len(queries), per_block)]
+        assert blocks == sizes * count
+
+
 class TestRetrieveTexts:
     def test_equals_per_question_top_k(self):
         embedder = HashEmbedder(dim=1024, seed=0)
@@ -793,6 +846,7 @@ class TestPersistence:
         assert load_index(path).ids == ["文档一"]
 
 
+retriever_logger = logging.getLogger("genki.retriever")
 reference_logger = logging.getLogger("reference_embedder")
 
 
@@ -862,7 +916,7 @@ texts_strategy = st.one_of(
 
 def assert_matches_reference(texts, dim, seed):
     embedder, reference = HashEmbedder(dim=dim, seed=seed), ReferenceEmbedder(dim=dim, seed=seed)
-    with Messages(retriever.logger) as got_log, Messages(reference_logger) as want_log:
+    with Messages(retriever_logger) as got_log, Messages(reference_logger) as want_log:
         got = embedder.embed_many(texts)
         want = np.stack([reference.embed(text) for text in texts])
     assert got.dtype == np.float32 and got.shape == (len(texts), dim)
