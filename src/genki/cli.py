@@ -27,7 +27,7 @@ import importlib.util
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import ModuleType
 from typing import IO, Iterator, Sequence
@@ -39,7 +39,6 @@ from .corpus import (
     STRING,
     STRING_OR_NULL,
     STRINGS,
-    TABLE,
     AnswerKind,
     CorpusError,
     answer_blocks,
@@ -127,7 +126,6 @@ class CliConfig:
     format_kind: str = "entity"
     format_max_tokens: int = 8
     format_description: str = ""
-    templates: dict = field(default_factory=dict)  # laid over generation.DEFAULT_TEMPLATES
     embedder_dim: int = 256
     embedder_seed: int = 0
     train_steps: int = 50
@@ -205,7 +203,7 @@ def load_cli_config(args: argparse.Namespace) -> CliConfig:
     """Defaults, then the config file, then command-line flags; later wins."""
     cfg = CliConfig()
     # The field kind of each CliConfig field, from its annotation.
-    kinds = {f.name: {"int": INTEGER, "float": NUMBER, "str": STRING, "dict": TABLE}[f.type]
+    kinds = {f.name: {"int": INTEGER, "float": NUMBER, "str": STRING}[f.type]
              for f in fields(CliConfig)}
     if getattr(args, "config", None):
         try:
@@ -245,7 +243,6 @@ def _pipeline_config(cfg: CliConfig) -> generation.PipelineConfig:
             k=cfg.k,
             weights=weights,
             format=fmt,
-            prompt_templates={**generation.DEFAULT_TEMPLATES, **cfg.templates},
             max_output_tokens=cfg.max_output_tokens,
         )
     except ValueError as exc:
@@ -434,7 +431,7 @@ def cmd_train(cfg: CliConfig, args: argparse.Namespace) -> int:
     index = _load(cfg, args, "index")
     out = Path(_need(cfg, args, "out", "a model output directory"))
     embedder = _embedder(cfg, index.dim)
-    vocab = generation.build_vocabulary(passages, qa_pairs, pipeline_cfg)
+    vocab = generation.build_vocabulary(passages, qa_pairs)
     try:
         models = generation.train_pipeline_models(
             passages, qa_pairs, index, embedder, vocab, pipeline_cfg,
@@ -561,7 +558,13 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
         qa = qa_map.get(qid)
         if qa is None or error:
             continue
-        texts = [passage_map[pid].text for pid in ids if pid in passage_map]
+        missing = [pid for pid in ids if pid not in passage_map]
+        if missing:  # scoring them as retrieval misses would hide the mismatch
+            raise DataError(
+                f"{runs_path} does not match {cfg.corpus}: line {lineno}: unknown passage ids: "
+                f"{missing[:10]}; rerun it with: {_ANSWER}"
+            )
+        texts = [passage_map[pid].text for pid in ids]
         quality = max(metrics.retrieval_quality(gold, texts) for gold in qa.answers)
         recall = metrics.text_recall(list(qa.answers), answer)
         points.append((quality, recall))

@@ -245,7 +245,6 @@ STRING_OR_NULL = "a string or null"
 INTEGER = "an integer"
 NUMBER = "a finite number"
 STRINGS = "a list of strings"
-TABLE = "a table of strings"
 _ACCEPTS = {
     STRING: lambda v: isinstance(v, str),
     STRING_OR_NULL: lambda v: v is None or isinstance(v, str),
@@ -253,7 +252,6 @@ _ACCEPTS = {
     NUMBER: lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
                        and abs(v) <= sys.float_info.max),  # not NaN, nor an int beyond a float
     STRINGS: lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-    TABLE: lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
 }
 
 

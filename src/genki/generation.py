@@ -28,10 +28,9 @@ split, weighted and encoded once for consistency
 block stage.  Drafts run in the calling thread; jobs > 1 fans out only
 selection.  A question that fails a stage records its error and the fields
 filled before it, exactly as if it ran alone.  The drafts and the format
-step fail a question only for its own outputs (a prompt with no token, an
-empty draft, a draft too short to reach the span); templates are checked
-when the PipelineConfig is built, and a retrieved id missing from the
-corpus fails the whole run.
+step fail a question only for its own outputs (an empty draft, a draft too
+short to reach the span); a retrieved id missing from the corpus fails the
+whole run.
 
 Training encodes each prompt and gold answer once and trains the two
 roles over different material: all passages, and the retrieved subsets.
@@ -70,16 +69,10 @@ from .reward import FormatSpec, PreferencePair, RewardModel
 
 DEFAULT_MAX_OUTPUT_TOKENS = 50
 
-DEFAULT_TEMPLATES = {
-    "I": "answer from memory . question : {question}",
-    "II": "context : {passages} question : {question}",
-}
-
-# The slots each template is rendered with.
-TEMPLATE_SLOTS = {
-    "I": ("question",),
-    "II": ("passages", "question"),
-}
+# The two prompt templates the models are trained and answer on: I holds the
+# question alone, II the retrieved passages and then the question.
+TEMPLATE_I = "answer from memory . question : {question}"
+TEMPLATE_II = "context : {passages} question : {question}"
 
 
 class PipelineError(RuntimeError):
@@ -93,7 +86,6 @@ class PipelineConfig:
     k: int
     weights: LossWeights = field(default_factory=LossWeights)
     format: FormatSpec = None  # type: ignore[assignment]
-    prompt_templates: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
     def __post_init__(self) -> None:
@@ -103,26 +95,6 @@ class PipelineConfig:
             raise ValueError("max_output_tokens must be >= 1")
         if self.format is None:
             raise ValueError("a FormatSpec is required")
-        missing = set(TEMPLATE_SLOTS) - set(self.prompt_templates)
-        if missing:
-            raise ValueError(f"prompt templates missing: {sorted(missing)}")
-        unknown = set(self.prompt_templates) - set(TEMPLATE_SLOTS)
-        if unknown:
-            raise ValueError(
-                f"unknown prompt templates: {sorted(unknown)} (known: {sorted(TEMPLATE_SLOTS)})"
-            )
-        object.__setattr__(self, "prompt_templates", dict(self.prompt_templates))
-        # Every slot value is a non-empty string, so a template that renders
-        # one-character values renders every value.
-        for name, slots in TEMPLATE_SLOTS.items():
-            template = self.prompt_templates[name]
-            try:
-                template.format(**dict.fromkeys(slots, "x"))
-            except (KeyError, IndexError, AttributeError, ValueError) as exc:
-                raise ValueError(
-                    f"prompt template {name} {template!r} cannot be rendered: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
 
 
 def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[Passage]:
@@ -138,7 +110,6 @@ def draft_prompts(
     questions: Sequence[QaPair],
     retrievals: Sequence[Sequence[RetrievalResult]],
     passages: Mapping[str, Passage],
-    cfg: PipelineConfig,
 ) -> tuple[list[str], list[str]]:
     """Each question's full-knowledge (template I) and retrieved-knowledge (template II) prompt.
 
@@ -149,8 +120,8 @@ def draft_prompts(
     full, retrieved = [], []
     for qa, results in zip(questions, retrievals, strict=True):
         context = _passages_for([r.passage_id for r in results], passages)
-        full.append(cfg.prompt_templates["I"].format(question=qa.question))
-        retrieved.append(cfg.prompt_templates["II"].format(
+        full.append(TEMPLATE_I.format(question=qa.question))
+        retrieved.append(TEMPLATE_II.format(
             passages=" ".join(p.text for p in context), question=qa.question
         ))
     return full, retrieved
@@ -197,22 +168,11 @@ class PipelineModels:
         return self.consistency_scorer if self.consistency_scorer is not None else self.full
 
 
-def _greedy_texts(
-    model: ToyLm, prompts: Sequence[str], max_tokens: int
-) -> dict[str, str | Exception]:
-    """Greedy output text of each distinct prompt, encoded once, decoded in one generate_batch.
-
-    A prompt with no token maps to the error it raises, so it fails only the
-    questions that use it.
-    """
-    encoded = {prompt: model.encode(prompt) for prompt in dict.fromkeys(prompts)}
-    decodable = {prompt: seq for prompt, seq in encoded.items() if seq.tokens}
-    outputs = model.generate_batch(list(decodable.values()), max_tokens)
-    texts: dict[str, str | Exception] = dict.fromkeys(
-        encoded, ValueError("generation needs a non-empty prompt")
-    )
-    texts.update(zip(decodable, (out.text for out in outputs)))
-    return texts
+def _greedy_texts(model: ToyLm, prompts: Sequence[str], max_tokens: int) -> dict[str, str]:
+    """Greedy output text of each distinct prompt, encoded once, decoded in one generate_batch."""
+    distinct = list(dict.fromkeys(prompts))
+    outputs = model.generate_batch([model.encode(prompt) for prompt in distinct], max_tokens)
+    return dict(zip(distinct, (out.text for out in outputs)))
 
 
 def _ok(output: object) -> object:
@@ -222,9 +182,9 @@ def _ok(output: object) -> object:
     return output
 
 
-def _draft_candidate(output: str | Exception, provenance: Provenance, path: str) -> AnswerCandidate:
+def _draft_candidate(output: str, provenance: Provenance, path: str) -> AnswerCandidate:
     try:
-        return AnswerCandidate(_ok(output), provenance)
+        return AnswerCandidate(output, provenance)
     except ValueError as exc:
         raise PipelineError(f"{path} path failed: {exc}") from exc
 
@@ -247,7 +207,7 @@ def answer_paths_block(
     retrieved ids), or the PipelineError answer_paths would raise for it.
     A retrieved id missing from *passages* raises for the whole block.
     """
-    prompts_full, prompts_retr = draft_prompts(questions, retrievals, passages, cfg)
+    prompts_full, prompts_retr = draft_prompts(questions, retrievals, passages)
     full_texts = _greedy_texts(full_model, prompts_full, cfg.max_output_tokens)
     retr_texts = _greedy_texts(retr_model, prompts_retr, cfg.max_output_tokens)
     paths: list[Paths | PipelineError] = []
@@ -412,15 +372,13 @@ class TrainedModels:
     drafts: Mapping[str, str]
 
 
-def build_vocabulary(
-    passages: Sequence[Passage], qa_pairs: Sequence[QaPair], cfg: PipelineConfig
-) -> Vocabulary:
+def build_vocabulary(passages: Sequence[Passage], qa_pairs: Sequence[QaPair]) -> Vocabulary:
     """One vocabulary covering passages, questions, answers, and prompt text."""
     texts = [p.text for p in passages]
     for qa in qa_pairs:
         texts.append(qa.question)
         texts.extend(qa.answers)
-    texts.extend(cfg.prompt_templates.values())
+    texts += (TEMPLATE_I, TEMPLATE_II)
     return Vocabulary.from_texts(texts)
 
 
@@ -465,7 +423,7 @@ def train_pipeline_models(
     retr_union = retrieved_passages(retrievals, passage_map)
     prompts_full, prompts_retr = (
         [vocab.encode(prompt) for prompt in prompts]
-        for prompts in draft_prompts(train_qa, retrievals, passage_map, cfg)
+        for prompts in draft_prompts(train_qa, retrievals, passage_map)
     )
     answers = [vocab.encode(qa.answers[0]) for qa in train_qa]
 

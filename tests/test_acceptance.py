@@ -576,7 +576,7 @@ def test_training_direction():
     passages, qa_pairs = synthetic_world(200, 100)
     fmt = FormatSpec(AnswerKind.ENTITY, max_tokens=8)
     cfg = PipelineConfig(k=2, format=fmt, max_output_tokens=12)
-    vocab = build_vocabulary(passages, qa_pairs, cfg)
+    vocab = build_vocabulary(passages, qa_pairs)
     from genki.retriever import HashEmbedder, retrieve_texts
 
     embedder = HashEmbedder(dim=1024, seed=0)
@@ -592,7 +592,7 @@ def test_training_direction():
         ) / len(qa_pairs)
 
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
-    prompts = [vocab.encode(p) for p in draft_prompts(qa_pairs, retrievals, passage_map, cfg)[1]]
+    prompts = [vocab.encode(p) for p in draft_prompts(qa_pairs, retrievals, passage_map)[1]]
     trained_drafts = drafts_for_questions(qa_pairs, prompts, trained.retrieved, cfg)
     untrained_drafts = drafts_for_questions(qa_pairs, prompts, ToyLm(vocab), cfg)
     recall_trained = mean_recall(trained_drafts)

@@ -578,14 +578,18 @@ def test_unwritable_out_is_data_error(workdir, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "answer"])
-@pytest.mark.parametrize("template", [
-    "question : {nonexistent}", "question : {}", "question : {question.x}",
-    "question : {question!z}", "question : {question:d}",
-])
-def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, template):
+@pytest.mark.parametrize("templates", [
+    {"I": "answer from memory . question : {question}",
+     "II": "context : {passages} question : {question}"},
+    {"I": "{question}"}, {"II": "{question}"}, {"III": "zebra crossing {draft}"}, {},
+    {"I": 5}, "{question}",
+], ids=["defaults", "I", "II-without-passages", "III", "empty", "not-a-string", "not-a-table"])
+def test_templates_key_is_unknown_config_field(workdir, tmp_path, capsys, command, templates):
+    # the prompt templates are fixed: the models are trained on them, so a
+    # config cannot set them, not even to their own text
     config = tmp_path / "config.json"
     settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
-    config.write_text(json.dumps({**settings, "templates": {"I": template}}))
+    config.write_text(json.dumps({**settings, "templates": templates}))
     inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
               "--index", workdir["index"]]
     argv = {
@@ -593,9 +597,26 @@ def test_bad_template_is_config_error(workdir, tmp_path, capsys, command, templa
         "answer": ["answer", *inputs, "--models", workdir["models"], "--out", str(tmp_path / "run")],
     }[command]
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: prompt template I {template!r} cannot be rendered: ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == "config error: unknown config field 'templates'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "retrieve", "eval", "analyze"])
+def test_templates_key_is_unknown_to_every_command(workdir, tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**settings, "templates": {"I": "{question}"}}))
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "ingest": ["--corpus", workdir["corpus"], "--qa", workdir["qa"], *out],
+        "index": ["--corpus", workdir["corpus"], *out],
+        "retrieve": ["--index", workdir["index"], "--qa", workdir["qa"], *out],
+        "eval": ["--qa", workdir["qa"], "--answers", workdir["answers"], *out],
+        "analyze": ["--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                    "--runs", workdir["answers"] + "/runs.jsonl", *out],
+    }[command]
+    assert main([command, "--config", str(config), *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown config field 'templates'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -613,26 +634,6 @@ def test_corpus_without_a_retrieved_passage_is_data_error(workdir, tmp_path, cap
         f"--out {workdir['index']}\n"
     )
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "answer"])
-@pytest.mark.parametrize("name", ["ii", "III", "IV"])
-def test_unknown_template_name_is_config_error(workdir, tmp_path, capsys, command, name):
-    # names are case-sensitive ("ii" is not template II), and only I and II remain
-    config = tmp_path / "config.json"
-    settings = json.loads(Path(workdir["config"]).read_text(encoding="utf-8"))
-    config.write_text(json.dumps({**settings, "templates": {name: "zebra crossing {draft}"}}))
-    inputs = ["--config", str(config), "--corpus", workdir["corpus"], "--qa", workdir["qa"],
-              "--index", workdir["index"]]
-    argv = {
-        "train": ["train", *inputs, "--out", str(tmp_path / "models")],
-        "answer": ["answer", *inputs, "--models", workdir["models"], "--out", str(tmp_path / "run")],
-    }[command]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: unknown prompt templates: [{name!r}] (known: ['I', 'II'])\n"
-    )
-    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
@@ -1471,6 +1472,30 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == f"data error: {runs}: line 1: expected a JSON object\n"
 
+    @pytest.mark.parametrize("line, ids, named", [
+        (1, ["not-in-corpus"], ["not-in-corpus"]),
+        (3, ["p000", "not-in-corpus", "gone"], ["not-in-corpus", "gone"]),
+        (8, [f"gone{i:02d}" for i in range(12)], [f"gone{i:02d}" for i in range(10)]),
+    ], ids=["first-line", "some-known", "first-ten-named"])
+    def test_retrieved_ids_missing_from_the_corpus_are_data_error(
+        self, workdir, tmp_path, capsys, line, ids, named
+    ):
+        # scored as retrieval misses they would land in the quality-0 bucket
+        runs = tmp_path / "runs.jsonl"
+        lines = read_lines(workdir["answers"] + "/runs.jsonl")
+        assert len(lines) == 8 and json.loads(lines[line - 1])["error"] is None
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), "retrieved_ids": ids})
+        runs.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {runs} does not match {workdir['corpus']}: line {line}: unknown passage "
+            f"ids: {named}; rerun it with: genki answer --corpus <corpus> "
+            f"--qa <qa> --index <index> --models <dir> --out <dir>\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value, kind", [
         ("qid", ["x"], "must be a string"),
         ("final_answer", 5, "must be a string"),
@@ -1577,7 +1602,6 @@ class TestConfigHandling:
         ("eval", {"jobs": "2"}, "{config}: field 'jobs' must be an integer"),
         ("train", {"train": {"steps": "10"}}, "{config}: field 'train.steps' must be an integer"),
         ("index", {"embedder": {"dim": "big"}}, "{config}: field 'embedder.dim' must be an integer"),
-        ("train", {"templates": {"I": 5}}, "{config}: field 'templates' must be a table of strings"),
         ("ingest", {"corpus": 5}, "{config}: field 'corpus' must be a string"),
         ("train", {"lambda1": True}, "{config}: field 'lambda1' must be a finite number"),
         ("answer", {"remote": {"retries": 1.5}}, "{config}: field 'remote.retries' must be an integer"),

@@ -407,7 +407,7 @@ def test_pipeline_never_asks_a_remote_judge_about_identical_drafts(server):
     embedder = HashEmbedder(dim=256, seed=0)
     index = DenseIndex.build(passages, embedder)
     trained = train_pipeline_models(
-        passages, qa_pairs, index, embedder, build_vocabulary(passages, qa_pairs, cfg), cfg,
+        passages, qa_pairs, index, embedder, build_vocabulary(passages, qa_pairs), cfg,
         steps=60, learning_rate=0.5,
     )
     models = PipelineModels(

@@ -9,7 +9,6 @@ from genki.corpus import (
     STRING,
     STRING_OR_NULL,
     STRINGS,
-    TABLE,
     AnswerKind,
     CorpusError,
     Passage,
@@ -102,7 +101,6 @@ class TestCheck:
         (NUMBER, [0, -2.5, 1e308, 2**1023],
          [True, float("nan"), float("inf"), float("-inf"), 10**400, "1", None]),
         (STRINGS, [[], ["a", "b"]], [["a", 1], "ab", None, ("a",)]),
-        (TABLE, [{}, {"I": "x"}], [{"I": 5}, [], None]),
     ])
     def test_kinds(self, kind, accepted, rejected):
         for value in accepted:

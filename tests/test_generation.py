@@ -24,7 +24,8 @@ from genki.ensemble import (
 )
 from genki import generation
 from genki.generation import (
-    DEFAULT_TEMPLATES,
+    TEMPLATE_I,
+    TEMPLATE_II,
     AnswerSpan,
     PipelineConfig,
     PipelineError,
@@ -62,7 +63,7 @@ def make_config(**overrides):
 def world():
     passages, qa_pairs = synthetic_world(12, 8)
     cfg = make_config()
-    vocab = build_vocabulary(passages, qa_pairs, cfg)
+    vocab = build_vocabulary(passages, qa_pairs)
     embedder = HashEmbedder(dim=1024, seed=0)
     index = DenseIndex.build(passages, embedder)
     trained = train_pipeline_models(
@@ -99,7 +100,7 @@ def retrieve(world, qa, k=2):
 def retrieved_drafts(world, model):
     """*model*'s retrieved-knowledge drafts of the world's questions, keyed by id."""
     retrievals = [retrieve(world, qa) for qa in world["qa"]]
-    _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"], world["cfg"])
+    _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"])
     encoded = [world["vocab"].encode(prompt) for prompt in prompts]
     return drafts_for_questions(world["qa"], encoded, model, world["cfg"])
 
@@ -171,10 +172,10 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
     """The per-question flow: answer_paths, postprocess twice, select."""
     fields = dict(qid=qa.id, question=qa.question)
     try:
-        prompt_retr = cfg.prompt_templates["II"].format(
+        prompt_retr = TEMPLATE_II.format(
             passages=" ".join(passages[r.passage_id].text for r in results), question=qa.question
         )
-        prompt_full = cfg.prompt_templates["I"].format(question=qa.question)
+        prompt_full = TEMPLATE_I.format(question=qa.question)
         drafts = []
         for model, prompt, provenance, path in (
             (models.full, prompt_full, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
@@ -215,22 +216,6 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="FormatSpec"):
             PipelineConfig(k=1, format=None)
 
-    def test_missing_template_rejected(self):
-        templates = {k: v for k, v in DEFAULT_TEMPLATES.items() if k != "II"}
-        with pytest.raises(ValueError, match="missing: \\['II'\\]"):
-            make_config(prompt_templates=templates)
-
-    @pytest.mark.parametrize("name", ["iii", "III", "IV", "V", ""])
-    def test_unknown_template_rejected(self, name):
-        with pytest.raises(ValueError, match=f"unknown prompt templates: \\['{name}'\\]"):
-            make_config(prompt_templates={**DEFAULT_TEMPLATES, name: "zebra crossing {draft}"})
-
-    def test_templates_copied(self):
-        templates = dict(DEFAULT_TEMPLATES)
-        cfg = make_config(prompt_templates=templates)
-        templates["I"] = "mutated"
-        assert cfg.prompt_templates["I"] == DEFAULT_TEMPLATES["I"]
-
 
 class TestBuildVocabulary:
     def test_covers_all_material(self, world):
@@ -241,8 +226,64 @@ class TestBuildVocabulary:
         assert vocab.id("entity") == 0
 
     def test_deterministic(self, world):
-        again = build_vocabulary(world["passages"], world["qa"], world["cfg"])
+        again = build_vocabulary(world["passages"], world["qa"])
         assert again.words() == world["vocab"].words()
+
+    @pytest.mark.parametrize("template", [TEMPLATE_I, TEMPLATE_II], ids=["I", "II"])
+    def test_template_words_without_material(self, template):
+        # the templates' words are known even with no passage or question
+        vocab = build_vocabulary([], [])
+        words = tokenize(template.format(question="", passages=""))
+        assert words and all(vocab.id(word) != 0 for word in words)
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("question", ["???", "...", "!?", "- -", "«»"])
+    @pytest.mark.parametrize("name", ["I", "II"])
+    def test_wordless_question_prompt_holds_the_template_words(self, world, question, name):
+        # so every prompt has a token, and no question fails for an empty prompt
+        qa = QaPair("blank", question, ("alpha",), AnswerKind.ENTITY)
+        full, retrieved = draft_prompts([qa], [[]], {})
+        prompt = {"I": full, "II": retrieved}[name][0]
+        template = {"I": TEMPLATE_I, "II": TEMPLATE_II}[name]
+        encoded = world["vocab"].encode(prompt)
+        assert encoded.tokens
+        assert encoded.tokens == world["vocab"].encode(
+            template.format(question="", passages="")
+        ).tokens
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_passages_in_rank_order_before_the_question(self, world, k):
+        qa = world["qa"][5]
+        results = retrieve(world, qa, k)
+        full, retrieved = draft_prompts([qa], [results], world["passage_map"])
+        assert full == [f"answer from memory . question : {qa.question}"]
+        texts = " ".join(world["passage_map"][r.passage_id].text for r in results)
+        assert retrieved == [f"context : {texts} question : {qa.question}"]
+
+
+class TestGreedyTexts:
+    def test_each_distinct_prompt_decoded_once_in_one_batch(self, world, monkeypatch):
+        batches = []
+        decode = ToyLm.generate_batch
+
+        def recording_decode(self, prompts, max_tokens):
+            batches.append([prompt.text for prompt in prompts])
+            return decode(self, prompts, max_tokens)
+
+        monkeypatch.setattr(ToyLm, "generate_batch", recording_decode)
+        prompts, _ = draft_prompts(world["qa"][:3], [[]] * 3, {})
+        texts = generation._greedy_texts(world["models"].full, [*prompts, prompts[1]], 12)
+        assert batches == [prompts]
+        assert list(texts) == prompts
+
+    def test_texts_match_one_prompt_at_a_time(self, world):
+        model = world["models"].retrieved
+        retrievals = [retrieve(world, qa) for qa in world["qa"]]
+        _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"])
+        texts = generation._greedy_texts(model, prompts, 12)
+        for prompt in prompts:
+            assert texts[prompt] == model.generate(model.encode(prompt), 12).text
 
 
 class TestRetrievedPassages:
@@ -336,20 +377,6 @@ class TestPostprocess:
         with pytest.raises(PipelineError) as info:
             postprocess(cand, AnswerSpan(2, 1), make_config())
         assert str(info.value) == f"postprocess produced empty output for {provenance.value}"
-
-    @pytest.mark.parametrize("name, template", [
-        ("I", "question : {nonexistent}"), ("II", "context : {}"), ("I", "{question.x}"),
-        ("II", "{question!z}"), ("II", "{passages:d}"), ("I", "{question[1]}"),
-        ("II", "unclosed {"),
-    ])
-    def test_bad_template_slot_raises(self, name, template):
-        # every template fails when the config is built, not per question
-        with pytest.raises(ValueError, match=f"prompt template {name} .* cannot be rendered"):
-            make_config(prompt_templates={**DEFAULT_TEMPLATES, name: template})
-
-    def test_template_of_real_slots_accepted(self):
-        templates = {"I": "{question!r:>2}", "II": "{passages[0]} {question}"}
-        assert make_config(prompt_templates=templates).prompt_templates == templates
 
 
 def qa(qid, answer):
@@ -565,7 +592,7 @@ def default_world():
     cfg = PipelineConfig(k=2, format=FORMAT)
     embedder = HashEmbedder(dim=256, seed=0)
     index = DenseIndex.build(passages, embedder)
-    vocab = build_vocabulary(passages, qa_pairs, cfg)
+    vocab = build_vocabulary(passages, qa_pairs)
     trained = train_pipeline_models(
         passages, qa_pairs, index, embedder, vocab, cfg, steps=50, learning_rate=0.5
     )
@@ -664,9 +691,10 @@ class TestBlockOracle:
         }
         assert shows in seen
 
-    def test_rejected_prompt_fails_only_its_question(self, world, monkeypatch):
-        # "???" has no word tokens, so with template I = "{question}" its
-        # full-knowledge prompt is empty and the model rejects it
+    def test_question_without_a_word_is_drafted_from_the_template(self, world, monkeypatch):
+        # "???" has no word token, but both prompts still hold the template's
+        # words, so it is drafted and cut like any other question; only
+        # selection, which scores the drafts given the question, fails it
         calls = Counter()
         decode = ToyLm.generate_batch
 
@@ -676,20 +704,19 @@ class TestBlockOracle:
 
         monkeypatch.setattr(ToyLm, "generate_batch", counting_decode)
         monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 4)  # 9 questions: 3 blocks
-        cfg = make_config(prompt_templates={**DEFAULT_TEMPLATES, "I": "{question}"})
         qa = world["qa"]
         stream = [*qa[:3], QaPair("blank", "???", qa[0].answers, qa[0].format), *qa[3:]]
         args = (
             stream, world["models"], world["index"], world["embedder"], world["passage_map"],
-            world["stats"], cfg,
+            world["stats"], world["cfg"],
         )
         reference = reference_runs(*args)
         assert_equals_reference(args, reference, 1)
-        assert reference[3].error == (
-            "PipelineError: full-knowledge path failed: generation needs a non-empty prompt"
-        )
-        assert sum(run.bundle is not None for run in reference) >= len(qa) - 1
-        # each role decodes each block once, the rejected prompt's block too
+        blank = reference[3]
+        assert blank.raw_full and blank.raw_retrieved and blank.post_full and blank.post_retrieved
+        assert blank.error == "ValueError: bigram scoring needs a non-empty context"
+        assert sum(run.bundle is not None for run in reference) == len(qa)
+        # each role decodes each block once, the wordless question's block too
         roles = (world["models"].full, world["models"].retrieved)
         assert calls == Counter({id(model): 3 for model in roles})
 
@@ -736,14 +763,11 @@ class TestRetrieveOnce:
             encodes[text] += 1
             return encode(vocab, text)
 
-        cfg = make_config(prompt_templates={
-            **DEFAULT_TEMPLATES, "II": CountingTemplate(DEFAULT_TEMPLATES["II"])
-        })
-        renders.clear()  # building the config renders each template once to check it
+        monkeypatch.setattr(generation, "TEMPLATE_II", CountingTemplate(TEMPLATE_II))
         monkeypatch.setattr(Vocabulary, "encode", counting_encode)
         train_pipeline_models(
             world["passages"], world["qa"], world["index"], world["embedder"],
-            world["vocab"], cfg, steps=1, learning_rate=0.5,
+            world["vocab"], world["cfg"], steps=1, learning_rate=0.5,
         )
         assert sum(renders.values()) == len(world["qa"])
         assert all(encodes[prompt] == count for prompt, count in renders.items())
@@ -761,7 +785,7 @@ class TestRetrieveOnce:
         with pytest.raises(PipelineError, match="unknown passage ids"):
             retrieved_passages([retrieve(world, world["qa"][3])], {})
         with pytest.raises(PipelineError, match="unknown passage ids"):
-            draft_prompts(world["qa"][3:4], [retrieve(world, world["qa"][3])], {}, world["cfg"])
+            draft_prompts(world["qa"][3:4], [retrieve(world, world["qa"][3])], {})
 
 
 class TestShortPassages:
@@ -769,7 +793,7 @@ class TestShortPassages:
         # fewer than 2 tokens: no transition, so training is as without them
         short = [Passage("solo", "zebra"), Passage("punct", "!!!")]
         passages = world["passages"] + short
-        vocab = build_vocabulary(passages, world["qa"], world["cfg"])
+        vocab = build_vocabulary(passages, world["qa"])
         index = DenseIndex.build(passages, world["embedder"])
         with_short = train_pipeline_models(
             passages, world["qa"], index, world["embedder"], vocab, world["cfg"],

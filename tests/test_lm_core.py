@@ -440,7 +440,7 @@ class TestSparseRows:
         # the 120/60 world and settings of the train benchmark
         passages, qa_pairs = synthetic_world(120, 60)
         cfg = PipelineConfig(k=2, format=FormatSpec(AnswerKind.ENTITY, 8), max_output_tokens=12)
-        vocab = build_vocabulary(passages, qa_pairs, cfg)
+        vocab = build_vocabulary(passages, qa_pairs)
         embedder = HashEmbedder(dim=1024, seed=0)
         index = DenseIndex.build(passages, embedder)
         calls = []
