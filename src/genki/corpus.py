@@ -341,10 +341,11 @@ def iter_qa_pairs(path: str | Path) -> Iterator[QaPair]:
     """Each QA pair of a JSONL file, read and checked one line at a time.
 
     Each record is ``{"id", "question", "answers": [...], "format"}`` where
-    format is one of "entity", "sentence", "span".  A malformed line or a
-    repeated id raises CorpusError naming the line when the reader reaches
-    it; only the ids read so far are kept, so a caller that takes the pairs
-    a block at a time holds one block of them.
+    format is one of "entity", "sentence", "span".  A malformed line, a
+    repeated id or a question with no word token raises CorpusError naming
+    the line when the reader reaches it; only the ids read so far are kept,
+    so a caller that takes the pairs a block at a time holds one block of
+    them.
     """
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
@@ -366,6 +367,10 @@ def iter_qa_pairs(path: str | Path) -> Iterator[QaPair]:
             pair = QaPair(qid, question, tuple(answers), fmt)
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        if not _TOKEN_RE.search(question.lower()):  # tokenize(question) is empty
+            raise CorpusError(
+                f"{path}: line {lineno}: qa pair {qid!r}: question {question!r} has no word token"
+            )
         yield pair
 
 

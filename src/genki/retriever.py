@@ -1,12 +1,13 @@
 """Dense retrieval: embeddings, inner-product scoring, top-k, and index files.
 
-Texts are embedded a block at a time (HashEmbedder.embed_many).  A DenseIndex
-keeps its vectors as compressed sparse rows: a feature-hashed bag of words
-has at most one nonzero per distinct word, so a row holds a few dozen of its
-dim entries.  DenseIndex(matrix, ids), DenseIndex.build and load_index all
-store the rows a block of ROW_BLOCK floats at a time, so no command holds a
-count x dim array.  top_k_batch() ranks every row by score descending,
-then passage id ascending.  A score is the float64 sum of the row's stored
+HashEmbedder.embed_passages embeds a block of texts straight into sparse
+rows, the form a DenseIndex keeps: a feature-hashed bag of words has at
+most one nonzero per distinct word, so a row holds a few dozen of its dim
+entries.  DenseIndex.build stores those rows as they come, and
+DenseIndex(matrix, ids) and load_index find the stored entries of dense
+vectors a block of ROW_BLOCK floats at a time, so no command holds a count
+x dim array.  top_k_batch() ranks every row by score descending, then
+passage id ascending.  A score is the float64 sum of the row's stored
 entries times the query's, added in ascending column order from +0.0; only
 columns where a query is nonzero are read, which its docstring shows is
 exact.  retrieve_texts embeds and retrieves many questions one block at a
@@ -46,9 +47,12 @@ SCORE_BLOCK = 1 << 19
 # queries at dim 1024).  It is also the largest dim, so that a block holds
 # at least one query.
 QUERY_BLOCK = 1 << 16
-# Dense float32 index entries held at once while an index is stored, loaded
-# or saved (1 MB).
+# Dense float32 index entries held at once while an index is stored from
+# dense rows, loaded or saved (1 MB).
 ROW_BLOCK = 1 << 18
+# Passages embedded at once by DenseIndex.build: a block's memory follows
+# its words, not dim.
+PASSAGE_BLOCK = 1024
 
 
 class IndexFormatError(ValueError):
@@ -61,17 +65,24 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be between 1 and {QUERY_BLOCK}, got {dim}")
 
 
+# A block of vectors as sparse rows: row lengths, then int32 columns
+# (ascending within a row) and float32 values, in row order, of every entry
+# whose bits are not +0.0.
+SparseRows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class Embedder(Protocol):
     """Maps blocks of questions and passages into a shared vector space.
 
-    Each method returns one float32 row per text, shape (len(texts), dim).
+    embed_questions returns one float32 row per text, shape (len(texts),
+    dim); embed_passages returns the same vectors as SparseRows.
     """
 
     dim: int
 
     def embed_questions(self, texts: Sequence[str]) -> np.ndarray: ...
 
-    def embed_passages(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed_passages(self, texts: Sequence[str]) -> SparseRows: ...
 
 
 class HashEmbedder:
@@ -91,47 +102,60 @@ class HashEmbedder:
         self._key = struct.pack("<q", seed)
         self.empty_count = 0  # texts that produced a zero vector
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """One float32 row per text, equal bit for bit to a per-word float32 sum.
+    def embed_passages(self, texts: Sequence[str]) -> SparseRows:
+        """Each text's vector as SparseRows, bit for bit a per-word float32 sum.
 
-        Each distinct word is hashed once; its little-endian u64 digest v
-        gives bucket (v >> 1) % dim and sign +1 if v & 1 else -1.  Each
-        hit cell's signs are counted exactly (np.bincount, float64) and rounded
-        to float32 once, which equals adding them in word order in float32
-        while every running sum stays below 2**24.  Above that they differ:
-        the exact count is rounded once, whereas a float32 running sum stops
-        growing at 2**24 (2**24 + 1 rounds back to 2**24), as np.add.at did.
-        Each row is divided by the square root of its float32 sum of
-        squares: exact below 2**24 (and at least 2**24 otherwise, as every
-        partial sum is), np.linalg.norm above.
+        Each distinct word is hashed once, from a copy of one keyed state; its
+        little-endian u64 digest v gives bucket (v >> 1) % dim and sign +1 if
+        v & 1 else -1.  Each hit cell's signs are counted exactly (np.bincount,
+        float64) and rounded to float32 once, which equals adding them in
+        word order in float32 while every running sum stays below 2**24.
+        Above that they differ: the exact count is rounded once, whereas a
+        float32 running sum stops growing at 2**24 (2**24 + 1 rounds back to
+        2**24), as np.add.at did.  Cells whose signs cancel are dropped.  Each
+        count is divided by the square root of its row's exact float64 sum
+        of squares, which every float32 order of adding reproduces below
+        2**24; at or above it, by np.linalg.norm of the dense float32 row.
         """
         codes: dict[str, int] = {}
         words = [[codes.setdefault(w, len(codes)) for w in tokenize(text)] for text in texts]
-        digests = b"".join([
-            blake2b(word.encode("utf-8"), key=self._key, digest_size=8).digest()
-            for word in codes
-        ])
-        values = np.frombuffer(digests, dtype="<u8")[[code for row in words for code in row]]
+        keyed = blake2b(key=self._key, digest_size=8)  # the key block, absorbed once
+        digests = []
+        for word in codes:
+            state = keyed.copy()
+            state.update(word.encode("utf-8"))
+            digests.append(state.digest())
+        values = np.frombuffer(b"".join(digests), "<u8")[[code for row in words for code in row]]
         cells = np.repeat(np.arange(len(texts)) * self.dim, [len(row) for row in words])
-        del codes, words  # only the matrix grows with the block from here on
+        del codes, words, digests  # only the rows grow with the block from here on
         cells += ((values >> 1) % self.dim).astype(np.intp)
-        signs = np.where(values & 1, 1.0, -1.0)
         # Count only the cells some word hits: memory per word, not per cell.
         hit, which = np.unique(cells, return_inverse=True)
-        matrix = np.zeros((len(texts), self.dim), dtype=np.float32)
-        np.put(matrix, hit, np.bincount(which, signs))
-        squares = np.einsum("ij,ij->i", matrix, matrix)
-        norms = np.sqrt(squares)
+        counts = np.bincount(which, np.where(values & 1, 1.0, -1.0)).astype(np.float32)
+        kept = counts != 0
+        rows, columns = np.divmod(hit[kept], self.dim)
+        counts = counts[kept]
+        squares = np.bincount(rows, np.square(counts, dtype=np.float64), minlength=len(texts))
+        norms = np.sqrt(squares.astype(np.float32))
         for row in np.flatnonzero(squares >= 2**24):
-            norms[row] = np.linalg.norm(matrix[row])
-        for row in np.flatnonzero(norms == 0):
+            dense, mine = np.zeros(self.dim, dtype=np.float32), rows == row
+            dense[columns[mine]] = counts[mine]
+            norms[row] = np.linalg.norm(dense)
+        lengths = np.bincount(rows, minlength=len(texts))
+        for row in np.flatnonzero(lengths == 0):
             # Imported at its one use, so that commands start without
             # logging (and the traceback and string modules it imports).
             import logging
 
             self.empty_count += 1
             logging.getLogger(__name__).warning("text embeds to the zero vector: %r", texts[row])
-        matrix /= np.where(norms == 0, np.float32(1), norms)[:, None]
+        return lengths, columns.astype(np.int32), counts / norms[rows]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """embed_passages' rows as one dense float32 row per text."""
+        lengths, columns, values = self.embed_passages(texts)
+        matrix = np.zeros((len(texts), self.dim), dtype=np.float32)
+        matrix[np.repeat(np.arange(len(texts)), lengths), columns] = values
         return matrix
 
     def embed(self, text: str) -> np.ndarray:
@@ -139,7 +163,7 @@ class HashEmbedder:
 
     # Questions and passages share one text encoder here; the split exists
     # so dual-encoder embedders fit the same protocol.
-    embed_questions = embed_passages = embed_many
+    embed_questions = embed_many
 
     def embed_question(self, text: str) -> np.ndarray:
         return self.embed(text)
@@ -163,9 +187,8 @@ class DenseIndex:
     Row i's entries sit in columns[offsets[i]:offsets[i + 1]] (int32,
     ascending) with float32 values: every entry whose bits are not +0.0,
     -0.0 included, so the dense rows come back bit for bit.  The caller
-    must not change ``ids`` afterwards.  The rows are stored a block of
-    ROW_BLOCK floats at a time; a NaN or inf entry has nonzero bits, so
-    checking the stored values of each block rejects non-finite vectors.
+    must not change ``ids`` afterwards.  The stored values are checked: a
+    NaN or inf entry has nonzero bits, so non-finite vectors are rejected.
     """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
@@ -174,62 +197,47 @@ class DenseIndex:
             raise ValueError("matrix must be 2-dimensional")
         count, dim = matrix.shape
         step = _block_rows(dim)
-        self._store((matrix[lo:lo + step] for lo in range(0, count, step)), count, dim, ids)
+        blocks = (matrix[lo:lo + step] for lo in range(0, count, step))
+        self._store(_sparse_rows(blocks, dim), count, dim, ids)
 
     @classmethod
     def build(cls, passages: Sequence[Passage], embedder: Embedder) -> "DenseIndex":
-        """Embed every passage, one row each in passage order, a block at a time."""
+        """Embed every passage, one row each in passage order, PASSAGE_BLOCK at a time."""
         if not passages:
             raise ValueError("cannot build an index over zero passages")
         texts = [p.text for p in passages]
-        step = _block_rows(embedder.dim)
-        blocks = (embedder.embed_passages(texts[lo:lo + step]) for lo in range(0, len(texts), step))
-        return cls._from_blocks(blocks, len(texts), embedder.dim, [p.id for p in passages])
+        blocks = (embedder.embed_passages(texts[lo:lo + PASSAGE_BLOCK])
+                  for lo in range(0, len(texts), PASSAGE_BLOCK))
+        return cls._from_rows(blocks, len(texts), embedder.dim, [p.id for p in passages])
 
     @classmethod
-    def _from_blocks(
-        cls, blocks: Iterable[np.ndarray], count: int, dim: int, ids: Sequence[str]
+    def _from_rows(
+        cls, blocks: Iterable[SparseRows], count: int, dim: int, ids: Sequence[str]
     ) -> "DenseIndex":
         index = cls.__new__(cls)
         index._store(blocks, count, dim, ids)
         return index
 
     def _store(
-        self, blocks: Iterable[np.ndarray], count: int, dim: int, ids: Sequence[str]
+        self, blocks: Iterable[SparseRows], count: int, dim: int, ids: Sequence[str]
     ) -> None:
-        """Keep *blocks*, float32 rows that make up count x dim vectors, as sparse rows.
-
-        Each block is read before the next one is asked for, so a reader may
-        reuse one buffer for all of them.
-        """
+        """Keep *blocks*, the SparseRows of count x dim vectors."""
         if count != len(ids):
             raise ValueError(f"{count} vectors but {len(ids)} ids")
         if count == 0 or dim == 0:
             raise ValueError("index must hold at least one vector with dim >= 1")
         _check_dim(dim)
-        lengths, columns, values = [], [], []
-        for block in blocks:
-            block = np.ascontiguousarray(block, dtype=np.float32)
-            if block.shape[1:] != (dim,):
-                raise ValueError(f"vectors of shape {block.shape[1:]}, expected ({dim},)")
-            cells = np.flatnonzero(block.view(np.uint32) != 0)  # by bits: keeps -0.0
-            stored = block.ravel()[cells]
-            if not np.isfinite(stored).all():
-                raise ValueError("index vectors must be finite")
-            lengths.append(np.bincount(cells // dim, minlength=len(block)))
-            columns.append((cells % dim).astype(np.int32))
-            values.append(stored)
-            del block  # free it before the next block is made
-        rows = sum(map(len, lengths))
-        if rows != count:
-            raise ValueError(f"{rows} vectors but {len(ids)} ids")
+        lengths, columns, values = (np.concatenate(part) for part in zip(*blocks))
+        if not np.isfinite(values).all():
+            raise ValueError("index vectors must be finite")
+        if len(lengths) != count:
+            raise ValueError(f"{len(lengths)} vectors but {len(ids)} ids")
         if len(set(ids)) != len(ids):
             raise ValueError("passage ids must be unique")
         self.ids = list(ids)
         self.count, self.dim = count, dim
-        self._offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-        self._columns = np.concatenate(columns)
-        self._values = np.concatenate(values)
+        self._offsets = np.concatenate([[0], np.cumsum(lengths)])
+        self._columns, self._values = columns, values
 
     @property
     def matrix(self) -> np.ndarray:
@@ -237,9 +245,29 @@ class DenseIndex:
 
         For tests and inspection: no command reads it.
         """
-        matrix = _rows(self, 0, self.count)
+        cells, entries = _cells(self, 0, self.count)
+        matrix = np.zeros(self.count * self.dim, dtype=np.float32)
+        matrix[cells] = self._values[entries]
+        matrix = matrix.reshape(self.count, self.dim)
         matrix.flags.writeable = False
         return matrix
+
+
+def _sparse_rows(blocks: Iterable[np.ndarray], dim: int) -> Iterator[SparseRows]:
+    """The SparseRows of each block of dense float32 rows.
+
+    Each block is read before the next one is asked for, so a reader may
+    reuse one buffer for all of them.
+    """
+    for block in blocks:
+        block = np.ascontiguousarray(block, dtype=np.float32)
+        if block.shape[1:] != (dim,):
+            raise ValueError(f"vectors of shape {block.shape[1:]}, expected ({dim},)")
+        cells = np.flatnonzero(block.view(np.uint32) != 0)  # by bits: keeps -0.0
+        rows, columns = np.divmod(cells, dim)
+        lengths, values = np.bincount(rows, minlength=len(block)), block.ravel()[cells]
+        del block  # free it before the next block is made
+        yield lengths, columns.astype(np.int32), values
 
 
 def _block_rows(dim: int) -> int:
@@ -247,14 +275,13 @@ def _block_rows(dim: int) -> int:
     return max(1, ROW_BLOCK // max(1, dim))
 
 
-def _rows(index: DenseIndex, lo: int, hi: int) -> np.ndarray:
-    """Rows lo to hi (clipped to count) of index.matrix, bit for bit."""
-    hi = min(hi, index.count)
+def _cells(index: DenseIndex, lo: int, hi: int) -> tuple[np.ndarray, slice]:
+    """The stored entries of rows lo to hi: their cells in those rows laid out
+    densely, row major, and their slice of the index's columns and values."""
     entries = slice(index._offsets[lo], index._offsets[hi])
-    flat = np.repeat(np.arange(hi - lo) * index.dim, np.diff(index._offsets[lo:hi + 1]))
-    block = np.zeros((hi - lo) * index.dim, dtype=np.float32)
-    block[flat + index._columns[entries]] = index._values[entries]
-    return block.reshape(hi - lo, index.dim)
+    cells = np.repeat(np.arange(hi - lo) * index.dim, np.diff(index._offsets[lo:hi + 1]))
+    cells += index._columns[entries]
+    return cells, entries
 
 
 def top_k(index: DenseIndex, question_vec: np.ndarray, k: int) -> list[RetrievalResult]:
@@ -389,15 +416,23 @@ def retrieve_texts(
 def save_index(index: DenseIndex, path: str | Path) -> None:
     """Write *index* to *path* in the binary layout documented above, atomically.
 
-    The dense vectors are written a block of ROW_BLOCK floats at a time.
+    The dense vectors are written a block of ROW_BLOCK floats at a time: each
+    block's entries are scattered into one reused zeroed buffer, which is
+    written and then zeroed again where they went.
     """
-    step = _block_rows(index.dim)
+    count, dim = index.count, index.dim
+    step = _block_rows(dim)
+    buffer = np.zeros(min(step, count) * dim, dtype="<f4")
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", index.count))
-        for lo in range(0, index.count, step):
-            fh.write(np.ascontiguousarray(_rows(index, lo, lo + step), dtype="<f4"))
+        fh.write(struct.pack("<I", dim))
+        fh.write(struct.pack("<Q", count))
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            cells, entries = _cells(index, lo, hi)
+            buffer[cells] = index._values[entries]
+            fh.write(buffer[:(hi - lo) * dim])
+            buffer[cells] = 0
         raws = [pid.encode("utf-8") for pid in index.ids]
         fh.write(b"".join(struct.pack("<I", len(raw)) + raw for raw in raws))
 
@@ -483,6 +518,7 @@ def load_index(path: str | Path) -> DenseIndex:
         ids = _parse_ids(_read_exact(fh, size - ids_at, "ids", path), count, path)
         fh.seek(HEADER_BYTES)
         try:
-            return DenseIndex._from_blocks(_read_blocks(fh, count, dim), count, dim, ids)
+            blocks = _sparse_rows(_read_blocks(fh, count, dim), dim)
+            return DenseIndex._from_rows(blocks, count, dim, ids)
         except ValueError as exc:
             raise IndexFormatError(f"{path}: {exc}") from exc

@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .corpus import AnswerKind, Passage, QaPair, write_jsonl
 
+SOURCE = "synthetic"
+
 
 def synthetic_world(
     n_passages: int = 200, n_questions: int = 100
@@ -30,35 +32,17 @@ def synthetic_world(
     passages = []
     qa_pairs = []
     for i in range(n_questions):
-        topic, alpha, beta, stop = (
-            f"topic{i:03d}", f"alpha{i:03d}", f"beta{i:03d}", f"stop{i:03d}",
-        )
-        passages.append(
-            Passage(
-                id=f"p{i:03d}",
-                text=f"{topic} {alpha} {beta} {stop} {topic} .",
-                source="synthetic",
-            )
-        )
-        qa_pairs.append(
-            QaPair(
-                id=f"q{i:03d}",
-                question=f"what goes with {topic} tell the values of {topic}",
-                answers=(f"{alpha} {beta}",),
-                format=AnswerKind.ENTITY,
-            )
-        )
+        n = f"{i:03d}"
+        topic = "topic" + n
+        passages.append(Passage(f"p{n}", f"{topic} alpha{n} beta{n} stop{n} {topic} .", SOURCE))
+        qa_pairs.append(QaPair(
+            f"q{n}", f"what goes with {topic} tell the values of {topic}", (f"alpha{n} beta{n}",),
+            AnswerKind.ENTITY,
+        ))
     for j in range(n_questions, n_passages):
-        filler, gamma, delta, end = (
-            f"filler{j:03d}", f"gamma{j:03d}", f"delta{j:03d}", f"end{j:03d}",
-        )
-        passages.append(
-            Passage(
-                id=f"p{j:03d}",
-                text=f"{filler} {gamma} {delta} {end} {filler} .",
-                source="synthetic",
-            )
-        )
+        n = f"{j:03d}"
+        filler = "filler" + n
+        passages.append(Passage(f"p{n}", f"{filler} gamma{n} delta{n} end{n} {filler} .", SOURCE))
     return passages, qa_pairs
 
 

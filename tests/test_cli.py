@@ -6,6 +6,7 @@ text are asserted directly.
 """
 
 import base64
+import hashlib
 import json
 import os
 import shlex
@@ -97,6 +98,25 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("config error: --passages ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_golden_digests_300(self, tmp_path):
+        # Any change to the hash, the embedder or the synthetic world shows here.
+        assert main(["synth", "--out", str(tmp_path), "--passages", "300",
+                     "--questions", "150"]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedder": {"dim": 1024, "seed": 0}}))
+        corpus = ["--corpus", str(tmp_path / "corpus.jsonl")]
+        assert main(["index", "--config", str(config), *corpus,
+                     "--out", str(tmp_path / "index1024.bin")]) == EXIT_OK
+        assert main(["index", *corpus, "--out", str(tmp_path / "index256.bin")]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("corpus.jsonl", "qa.jsonl", "index1024.bin", "index256.bin")}
+        assert digests == {
+            "corpus.jsonl": "d8b7470be922d010ed1425574af1f4d5fad83bbc99755d85468d9be2be72aa25",
+            "qa.jsonl": "0291d34f68ed744b1f52e31e5677e6731b27aea5a95ed69b894571d9d79795d3",
+            "index1024.bin": "b268c743cf5fd8b9e499c07396924e2fcd138425e6073b604c1432a30156baab",
+            "index256.bin": "615d5e64794ae996678a3c2dc44c0c9d6eebcc56541b7ed180b0d9761e9753af",
+        }
 
 
 class TestIngest:
@@ -424,6 +444,30 @@ def test_gold_answer_without_word_token_is_data_error(workdir, tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"data error: {qa}: line 3: qa pair 'q002': gold answer '!!!' has no word token\n"
     )
+
+
+@pytest.mark.parametrize("command", ["ingest", "retrieve", "train", "answer", "eval"])
+def test_question_without_word_token_is_data_error(workdir, tmp_path, capsys, command):
+    # such a question would embed to the zero vector and draft no answer
+    qa = tmp_path / "qa.jsonl"
+    lines = read_lines(workdir["qa"])
+    lines[2] = json.dumps({**json.loads(lines[2]), "question": "???"})
+    qa.write_text("\n".join(lines) + "\n")
+    config, out = ["--config", workdir["config"]], str(tmp_path / "out")
+    inputs = ["--corpus", workdir["corpus"], "--qa", str(qa), "--index", workdir["index"]]
+    argv = {
+        "ingest": ["ingest", "--corpus", workdir["corpus"], "--qa", str(qa)],
+        "retrieve": ["retrieve", *config, "--index", workdir["index"], "--qa", str(qa),
+                     "--out", out],
+        "train": ["train", *config, *inputs, "--out", out],
+        "answer": ["answer", *config, *inputs, "--models", workdir["models"], "--out", out],
+        "eval": ["eval", "--qa", str(qa), "--answers", workdir["answers"] + "/runs.jsonl"],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {qa}: line 3: qa pair 'q002': question '???' has no word token\n"
+    )
+    assert not Path(out).exists()
 
 
 DEEP = "[" * 100_000

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genki import retriever
@@ -718,14 +718,18 @@ class TestDenseIndexValidation:
         assert index.count == 2
         assert index.dim == 32
 
-    def test_build_and_load_peak_near_the_sparse_size(self, tmp_path):
-        # The dense rows would take 8 MB, the sparse rows about 0.1 MB.  One
-        # block has ROW_BLOCK cells: build holds embed_many's float32 rows
-        # for it, load_index its float32 buffer, and each a nonzero mask (5
-        # bytes a cell); ids and per-block arrays take the last 256 KB.
+    @pytest.mark.parametrize("dim", [1024, 16384])
+    def test_build_and_load_peak_near_the_sparse_size(self, tmp_path, dim):
+        # The dense rows would take 8 MB at dim 1024, the sparse rows about
+        # 0.1 MB.  build holds no dense row: past the sparse rows it holds
+        # one block's per-word arrays, under 96 bytes for each of the 6
+        # words of each of PASSAGE_BLOCK passages, whatever the dim.  One
+        # load_index block has ROW_BLOCK cells: its float32 buffer and a
+        # nonzero mask (5 bytes a cell); ids and per-block arrays take the
+        # last 256 KB.
         passages = [Passage(f"p{i:04d}", f"topic{i % 97} item{i} shares a few words")
                     for i in range(2000)]
-        embedder = HashEmbedder(dim=1024, seed=0)
+        embedder = HashEmbedder(dim=dim, seed=0)
         path = tmp_path / "x.idx"
 
         def traced(step):
@@ -736,16 +740,15 @@ class TestDenseIndexValidation:
                 tracemalloc.stop()
 
         index, build_peak = traced(lambda: DenseIndex.build(passages, embedder))
-        save_index(index, path)
-        _, load_peak = traced(lambda: load_index(path))
-        dense = index.matrix
-        assert dense.nbytes == 2000 * 1024 * 4
         # 4-byte column and 4-byte value per entry, 8-byte row offsets.
-        sparse = 8 * (np.count_nonzero(dense.view(np.uint32)) + 2001)
-        assert sparse < dense.nbytes / 50
-        cells, slack = retriever.ROW_BLOCK, 1 << 18
-        assert build_peak < sparse + 5 * cells + slack
-        assert load_peak < sparse + 5 * cells + slack
+        sparse = 8 * (len(index._values) + 2001)
+        assert sparse < 2000 * 1024 * 4 / 50
+        assert build_peak < sparse + 96 * 6 * retriever.PASSAGE_BLOCK
+        if dim == 1024:
+            save_index(index, path)
+            _, load_peak = traced(lambda: load_index(path))
+            cells, slack = retriever.ROW_BLOCK, 1 << 18
+            assert load_peak < sparse + 5 * cells + slack
 
 
 class TestPersistence:
@@ -955,8 +958,54 @@ class TestEmbedManyOracle:
                         embedder.embed_passage(text)):
                 assert np.array_equal(one.view(np.uint32), row.view(np.uint32))
         assert np.array_equal(embedder.embed_questions(["x y"]), block[:1])
-        assert np.array_equal(embedder.embed_passages(["y z"]), block[1:2])
+        lengths, columns, values = embedder.embed_passages(["y z"])
+        stored = np.flatnonzero(block[1])
+        assert lengths.tolist() == [len(stored)] and columns.tolist() == stored.tolist()
+        assert columns.dtype == np.int32
+        assert np.array_equal(values.view(np.uint32), block[1, stored].view(np.uint32))
         assert embedder.embed_many([]).shape == (0, 64)
+
+
+def assert_build_matches_dense(texts, dim, seed, path, index_file_bytes):
+    """DenseIndex.build stores, saves and warns as the dense path of embed_many."""
+    passages = [Passage(f"p{i}", text if text.strip() else "-") for i, text in enumerate(texts)]
+    ids = [p.id for p in passages]
+    built_by, dense_by = HashEmbedder(dim=dim, seed=seed), HashEmbedder(dim=dim, seed=seed)
+    with Messages(retriever_logger) as built_log:
+        built = DenseIndex.build(passages, built_by)
+    with Messages(retriever_logger) as dense_log:
+        matrix = dense_by.embed_many([p.text for p in passages])
+        dense = DenseIndex(matrix, ids)
+    assert built_log.messages == dense_log.messages
+    assert built_by.empty_count == dense_by.empty_count
+    for name in ("_offsets", "_columns", "_values"):
+        got, want = getattr(built, name), getattr(dense, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    save_index(built, path)
+    assert path.read_bytes() == index_file_bytes(matrix, ids)
+
+
+class TestBuildFromRows:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=st.lists(texts_strategy, min_size=1, max_size=12),
+           dim=st.sampled_from([1, 3, 64, 1024]), block=st.integers(1, 5),
+           seed=st.integers(-2**63, 2**63 - 1))
+    def test_any_block_size_matches_dense_path(
+            self, tmp_path, index_file_bytes, texts, dim, block, seed):
+        with mock.patch.object(retriever, "PASSAGE_BLOCK", block):
+            assert_build_matches_dense(texts, dim, seed, tmp_path / "x.idx", index_file_bytes)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 1024])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, retriever.PASSAGE_BLOCK + 1])
+    def test_counts_around_the_block_size_match_dense_path(
+            self, tmp_path, index_file_bytes, dim, extra):
+        # The special texts end the first block, or straddle its end.
+        texts = [f"topic{i % 97} item{i} shares"
+                 for i in range(retriever.PASSAGE_BLOCK + extra - len(SPECIAL_TEXTS))]
+        at = min(retriever.PASSAGE_BLOCK - 3, len(texts))
+        texts[at:at] = SPECIAL_TEXTS
+        assert_build_matches_dense(texts, dim, 0, tmp_path / "x.idx", index_file_bytes)
 
 
 class TestHashEmbedder:
