@@ -10,7 +10,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, takewhile
+from itertools import islice, repeat, takewhile
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
@@ -32,9 +32,12 @@ class AnswerKind(Enum):
 
 
 # One token per CJK character, otherwise runs of word characters; punctuation
-# is dropped.
+# is dropped.  On ASCII text no CJK character can occur and the word
+# characters are [a-zA-Z0-9_] under either flag, so _ASCII_TOKEN_RE finds
+# the same runs with a simpler pattern.
 _CJK = "㐀-鿿"
 _TOKEN_RE = re.compile(rf"[{_CJK}]|[^\W{_CJK}]+")
+_ASCII_TOKEN_RE = re.compile(r"\w+", re.ASCII)
 
 # ASCII terminators end a sentence only before whitespace or end of text, so
 # decimals like 3.14 stay intact.  Fullwidth terminators always end one.
@@ -45,9 +48,11 @@ def tokenize(text: str) -> list[str]:
     """Lowercase *text* and split it into word tokens.
 
     Letter and digit runs become single tokens, every CJK character is its
-    own token, and punctuation is dropped.
+    own token, and punctuation is dropped.  Text that is ASCII once
+    lowercased (str.isascii is a flag check) takes the ASCII pattern.
     """
-    return _TOKEN_RE.findall(text.lower())
+    lowered = text.lower()
+    return (_ASCII_TOKEN_RE if lowered.isascii() else _TOKEN_RE).findall(lowered)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -182,9 +187,13 @@ class Vocabulary:
         """The full word list; list position equals token id."""
         return list(self._words)
 
+    def ids(self, words: Iterable[str]) -> tuple[int, ...]:
+        """Each word's id, 0 for out-of-vocabulary words."""
+        return tuple(map(self._ids.get, words, repeat(0)))
+
     def encode(self, text: str) -> TokenSeq:
         """Tokenize *text* and map each word to its id (0 for out-of-vocabulary)."""
-        return TokenSeq(tuple(self._ids.get(w, 0) for w in tokenize(text)), text)
+        return TokenSeq(self.ids(tokenize(text)), text)
 
     def decode(self, token_ids: Iterable[int]) -> str:
         """Inverse of encode() for known ids; words joined by single spaces."""

@@ -7,8 +7,8 @@ The format step (postprocess) cuts each draft to the trained answer span,
 an extractive step in the spirit of DrQA's span reader, and the ensemble
 module picks one of the two cut candidates.  run_pipeline and
 train_pipeline_models retrieve each question once, in blocks
-(retriever.retrieve_texts), and render every prompt with one block
-renderer, draft_prompts (templates I and II).
+(retriever.retrieve_texts), and render and encode every prompt with one
+block function, draft_prompts (templates I and II).
 
 run_pipeline answers a block of corpus.ANSWER_BLOCK (256) questions one
 stage at a time: retrieval, then both drafts (answer_paths_block), then
@@ -20,10 +20,13 @@ questions.  Both go to temporary files that replace them only after the
 last block, so a failed run writes neither (earlier files stay as they
 were) and leaves no temporary file or new directory.
 
-Each distinct prompt of a block is encoded once and each model decodes all
-of its prompts with one generate_batch, so a draft shared by many
-questions is computed once; each distinct question and candidate is
-split, weighted and encoded once for consistency
+Prompts are encoded from their parts: each template's fixed text, each
+retrieved passage and each question is encoded once per block and
+vocabulary, and a prompt's ids are theirs concatenated; no rendered
+prompt is tokenized again.  Each model decodes all of its prompts with one
+generate_batch, which decodes each distinct last token once, so a draft
+shared by many questions is computed once; each distinct question and
+candidate is split, weighted and encoded once for consistency
 (consistency.prepare_texts).  answer_paths is the one-question case of the
 block stage.  Drafts run in the calling thread; jobs > 1 fans out only
 selection.  A question that fails a stage records its error and the fields
@@ -40,10 +43,13 @@ drafts: where most of them hold their gold answer (answer_span).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .consistency import prepare_texts
@@ -73,6 +79,11 @@ DEFAULT_MAX_OUTPUT_TOKENS = 50
 # question alone, II the retrieved passages and then the question.
 TEMPLATE_I = "answer from memory . question : {question}"
 TEMPLATE_II = "context : {passages} question : {question}"
+# The fixed text around each template's slots, which draft_prompts encodes
+# once per call: template I holds {question}, template II {passages} and
+# then {question}.
+_TEMPLATE_I_TEXT, _TEMPLATE_II_TEXT = (re.split(r"\{\w+\}", template)
+                                       for template in (TEMPLATE_I, TEMPLATE_II))
 
 
 class PipelineError(RuntimeError):
@@ -110,19 +121,38 @@ def draft_prompts(
     questions: Sequence[QaPair],
     retrievals: Sequence[Sequence[RetrievalResult]],
     passages: Mapping[str, Passage],
-) -> tuple[list[str], list[str]]:
+    full_vocab: Vocabulary,
+    retr_vocab: Vocabulary,
+) -> tuple[list[TokenSeq], list[TokenSeq]]:
     """Each question's full-knowledge (template I) and retrieved-knowledge (template II) prompt.
 
     retrievals[i] is the top-k of questions[i]; template II carries the text
-    of those passages.  The first question with a retrieved id missing from
-    *passages* raises PipelineError naming its missing ids.
+    of those passages.  Template I prompts are encoded with *full_vocab* and
+    template II prompts with *retr_vocab*, from their parts: each
+    template's fixed text, each retrieved passage and each question is
+    encoded once per call and vocabulary, and a prompt's ids are theirs
+    concatenated.  Its text is the rendered prompt, and its ids equal
+    encoding that text: tokens never span whitespace, and a space separates
+    every slot from its neighbours, which also ends the one context that
+    lowercasing reads (Final_Sigma).  The first question with a retrieved id
+    missing from *passages* raises PipelineError naming its missing ids.
     """
+    full_ids = cache(lambda text: full_vocab.ids(tokenize(text)))  # this call's texts only
+    retr_ids = full_ids if retr_vocab is full_vocab else cache(
+        lambda text: retr_vocab.ids(tokenize(text))
+    )
+    i_head, i_tail = map(full_ids, _TEMPLATE_I_TEXT)
+    ii_head, ii_mid, ii_tail = map(retr_ids, _TEMPLATE_II_TEXT)
     full, retrieved = [], []
     for qa, results in zip(questions, retrievals, strict=True):
-        context = _passages_for([r.passage_id for r in results], passages)
-        full.append(TEMPLATE_I.format(question=qa.question))
-        retrieved.append(TEMPLATE_II.format(
-            passages=" ".join(p.text for p in context), question=qa.question
+        texts = [p.text for p in _passages_for([r.passage_id for r in results], passages)]
+        full.append(TokenSeq(
+            (*i_head, *full_ids(qa.question), *i_tail), TEMPLATE_I.format(question=qa.question)
+        ))
+        retrieved.append(TokenSeq(
+            (*ii_head, *chain.from_iterable(map(retr_ids, texts)), *ii_mid,
+             *retr_ids(qa.question), *ii_tail),
+            TEMPLATE_II.format(passages=" ".join(texts), question=qa.question),
         ))
     return full, retrieved
 
@@ -168,13 +198,6 @@ class PipelineModels:
         return self.consistency_scorer if self.consistency_scorer is not None else self.full
 
 
-def _greedy_texts(model: ToyLm, prompts: Sequence[str], max_tokens: int) -> dict[str, str]:
-    """Greedy output text of each distinct prompt, encoded once, decoded in one generate_batch."""
-    distinct = list(dict.fromkeys(prompts))
-    outputs = model.generate_batch([model.encode(prompt) for prompt in distinct], max_tokens)
-    return dict(zip(distinct, (out.text for out in outputs)))
-
-
 def _ok(output: object) -> object:
     """*output*, or raise it if it is a stage's per-question error."""
     if isinstance(output, Exception):
@@ -207,16 +230,18 @@ def answer_paths_block(
     retrieved ids), or the PipelineError answer_paths would raise for it.
     A retrieved id missing from *passages* raises for the whole block.
     """
-    prompts_full, prompts_retr = draft_prompts(questions, retrievals, passages)
-    full_texts = _greedy_texts(full_model, prompts_full, cfg.max_output_tokens)
-    retr_texts = _greedy_texts(retr_model, prompts_retr, cfg.max_output_tokens)
+    prompts_full, prompts_retr = draft_prompts(
+        questions, retrievals, passages, full_model.vocab, retr_model.vocab
+    )
+    drafts_full = full_model.generate_batch(prompts_full, cfg.max_output_tokens)
+    drafts_retr = retr_model.generate_batch(prompts_retr, cfg.max_output_tokens)
     paths: list[Paths | PipelineError] = []
-    for results, full, retr in zip(retrievals, prompts_full, prompts_retr):
+    for results, full, retr in zip(retrievals, drafts_full, drafts_retr):
         try:
             paths.append((
-                _draft_candidate(full_texts[full], Provenance.FULL_KNOWLEDGE, "full-knowledge"),
+                _draft_candidate(full.text, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
                 _draft_candidate(
-                    retr_texts[retr], Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
+                    retr.text, Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
                 ),
                 tuple(r.passage_id for r in results),
             ))
@@ -406,8 +431,9 @@ def train_pipeline_models(
 ) -> TrainedModels:
     """Train the two model roles from scratch and read the answer span off their drafts.
 
-    Each training question is retrieved once, and each prompt and gold
-    answer is rendered and encoded once; the retrieved-knowledge drafts are
+    Each training question is retrieved once, each prompt is rendered and
+    encoded from its parts once (draft_prompts) and each gold answer is
+    encoded once; the retrieved-knowledge drafts are
     decoded from the encoded template-II prompts and returned with the
     models.  The full-knowledge role sees every passage and the
     retrieved-knowledge role only the union of top-k retrievals; both learn
@@ -421,10 +447,7 @@ def train_pipeline_models(
     passage_map = {p.id: p for p in passages}
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in train_qa], cfg.k)
     retr_union = retrieved_passages(retrievals, passage_map)
-    prompts_full, prompts_retr = (
-        [vocab.encode(prompt) for prompt in prompts]
-        for prompts in draft_prompts(train_qa, retrievals, passage_map)
-    )
+    prompts_full, prompts_retr = draft_prompts(train_qa, retrievals, passage_map, vocab, vocab)
     answers = [vocab.encode(qa.answers[0]) for qa in train_qa]
 
     def fit(domain: Sequence[Passage], prompts: Sequence[TokenSeq]) -> ToyLm:

@@ -242,10 +242,13 @@ class ToyLm:
             raise ValueError("bigram scoring needs a non-empty context")
         if not target.tokens:
             raise ValueError("target must be non-empty")
+        # token_logprob inlined: the same entries, added in the same order
+        entries, defaults = self._logprob_lookup
+        size = self.vocab.size
         total = 0.0
         prev = context.tokens[-1]
         for tok in target.tokens:
-            total += self.token_logprob(prev, tok)
+            total += entries.get(prev * size + tok, defaults[prev])
             prev = tok
         return total
 

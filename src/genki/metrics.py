@@ -17,20 +17,25 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import QaPair, tokenize
+from .corpus import _CJK, QaPair, tokenize
 
 _ARTICLES = {"a", "an", "the"}
 _TERMINAL_PUNCT = re.compile(r"[.!?。！？\s]+$")
+# The space between two CJK characters: Vocabulary.decode and the format
+# step put one between every pair of tokens, and CJK text has none.
+_CJK_GAP = re.compile(rf"(?<=[{_CJK}]) (?=[{_CJK}])")
 
 
 def normalize_answer(text: str) -> str:
     """QA exact-match normalization.
 
     Lowercase, strip outer whitespace, drop terminal punctuation, drop the
-    articles a/an/the, collapse inner whitespace.
+    articles a/an/the, collapse inner whitespace, and drop the whitespace
+    between two CJK characters (it stays between CJK and other words), so
+    a decoded CJK answer such as "東 京" matches its gold "東京".
     """
     lowered = _TERMINAL_PUNCT.sub("", text.lower().strip())
-    return " ".join(w for w in lowered.split() if w not in _ARTICLES)
+    return _CJK_GAP.sub("", " ".join(w for w in lowered.split() if w not in _ARTICLES))
 
 
 def exact_match(gold: Sequence[str], hyp: str) -> float:

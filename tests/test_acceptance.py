@@ -592,7 +592,7 @@ def test_training_direction():
         ) / len(qa_pairs)
 
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in qa_pairs], cfg.k)
-    prompts = [vocab.encode(p) for p in draft_prompts(qa_pairs, retrievals, passage_map)[1]]
+    prompts = draft_prompts(qa_pairs, retrievals, passage_map, vocab, vocab)[1]
     trained_drafts = drafts_for_questions(qa_pairs, prompts, trained.retrieved, cfg)
     untrained_drafts = drafts_for_questions(qa_pairs, prompts, ToyLm(vocab), cfg)
     recall_trained = mean_recall(trained_drafts)

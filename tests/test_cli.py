@@ -118,6 +118,37 @@ class TestSynth:
             "index256.bin": "615d5e64794ae996678a3c2dc44c0c9d6eebcc56541b7ed180b0d9761e9753af",
         }
 
+    def test_golden_answer_digests_300(self, tmp_path):
+        # Any change to tokenizing, prompt encoding, training, drafting, the
+        # format step or selection shows here.
+        assert main(["synth", "--out", str(tmp_path), "--passages", "300",
+                     "--questions", "150"]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({  # the README quick-start config
+            "k": 2,
+            "max_output_tokens": 12,
+            "embedder": {"dim": 1024, "seed": 0},
+            "train": {"steps": 60, "learning_rate": 0.5, "reward_steps": 100},
+        }))
+        world = ["--config", str(config), "--corpus", str(tmp_path / "corpus.jsonl")]
+        index, models = ["--index", str(tmp_path / "index.bin")], tmp_path / "models"
+        qa = ["--qa", str(tmp_path / "qa.jsonl")]
+        assert main(["index", *world, "--out", str(tmp_path / "index.bin")]) == EXIT_OK
+        assert main(["train", *world, *qa, *index, "--out", str(models)]) == EXIT_OK
+        assert main(["answer", *world, *qa, *index, "--models", str(models),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        files = [models / name for name in ("l1.json", "l2.json", "span.json", "reward.json")]
+        files += [tmp_path / "run" / name for name in ("runs.jsonl", "audit.jsonl")]
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+        assert digests == {
+            "l1.json": "14ceea74a02025aaf7046420575a3408beeff9570082aa330bf8d11062915d5d",
+            "l2.json": "47426cfb0b45d545fe395a46181a6779a243049ca2a5b8341a89ace95b7d1171",
+            "span.json": "75625cf37d11975c510c01437e07bc1b78b98a61ad47e52898433634c483b6bd",
+            "reward.json": "b08488bb24cfc844c9c910eea90a05e0d294c5d59631d6721057f9184762268a",
+            "runs.jsonl": "bfadf874ff1c680b3d30c2700b6069518c6a0ac29c0769da93ae99a1cb9166fb",
+            "audit.jsonl": "6d643fcff02a19ec218260e1c7c7f236adc77dabb2e8c421fc6b9f8d7a56000d",
+        }
+
 
 class TestIngest:
     def test_stats_written(self, workdir, tmp_path, capsys):

@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genki.corpus import (
+    _TOKEN_RE,
     INTEGER,
     NUMBER,
     STRING,
@@ -47,6 +50,27 @@ class TestTokenize:
         text = "a quick Brown fox: jumps, twice."
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    def test_text_that_lowercases_to_ascii_takes_the_ascii_path(self):
+        # U+212A KELVIN SIGN lowercases to ASCII k; U+0130 to i and a
+        # combining dot, which is no word character
+        assert tokenize("\u212aelvin 2.5") == ["kelvin", "2", "5"]
+        assert tokenize("\u0130stanbul") == ["i", "stanbul"]
+
+    # Texts ASCII and not: the KELVIN SIGN, dotted capital I, sigma beside
+    # letters, punctuation and spaces, both ends of the CJK range, combining
+    # marks, NBSP and other Unicode spaces.
+    SPECIAL = ["\u212a", "\u0130", "\u03a3", "\u0391\u03a3", "\u03a3.", "a\u03a3b",
+               "\u03a3 ", "'\u03a3", "\u3400", "\u9fff", "\u33ff", "\ua000", "\u0301",
+               "e\u0301", "\u00a0", "\u2009", "\u00df", "\u01c5", "_", "3.14", " ", ".", "!?"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.text(max_size=6),
+                              st.text("abcXYZ019_ .,:'-\t\n", max_size=8)),
+                    max_size=10).map("".join))
+    def test_equals_the_unicode_pattern(self, text):
+        # the reference: the one pattern over every lowercased text
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestSplitSentences:

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import genki.corpus
 from genki.corpus import (
@@ -44,7 +46,7 @@ from genki.generation import (
 )
 from genki.lm_core import ToyLm
 from genki.metrics import exact_match, text_recall
-from genki.retriever import DenseIndex, HashEmbedder, retrieve_texts, top_k
+from genki.retriever import DenseIndex, HashEmbedder, RetrievalResult, retrieve_texts, top_k
 from genki.reward import FormatSpec, PreferencePair, ToyRewardModel, train_reward
 from genki.synth import synthetic_world
 from genki.textstats import TextStatsError, nisf
@@ -97,12 +99,22 @@ def retrieve(world, qa, k=2):
     return top_k(world["index"], world["embedder"].embed_question(qa.question), k)
 
 
+def rendered_prompts(world, qa, results):
+    """*qa*'s template I and II prompts rendered whole, the texts draft_prompts must encode."""
+    texts = " ".join(world["passage_map"][r.passage_id].text for r in results)
+    return (TEMPLATE_I.format(question=qa.question),
+            TEMPLATE_II.format(passages=texts, question=qa.question))
+
+
 def retrieved_drafts(world, model):
-    """*model*'s retrieved-knowledge drafts of the world's questions, keyed by id."""
-    retrievals = [retrieve(world, qa) for qa in world["qa"]]
-    _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"])
-    encoded = [world["vocab"].encode(prompt) for prompt in prompts]
-    return drafts_for_questions(world["qa"], encoded, model, world["cfg"])
+    """*model*'s retrieved-knowledge drafts of the world's questions, keyed by id.
+
+    Each prompt is rendered and encoded whole, the reference for prompts
+    encoded from their parts.
+    """
+    prompts = [world["vocab"].encode(rendered_prompts(world, qa, retrieve(world, qa))[1])
+               for qa in world["qa"]]
+    return drafts_for_questions(world["qa"], prompts, model, world["cfg"])
 
 
 # -- the one-question flow run_pipeline replaced, kept as its oracle ---------
@@ -172,10 +184,7 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
     """The per-question flow: answer_paths, postprocess twice, select."""
     fields = dict(qid=qa.id, question=qa.question)
     try:
-        prompt_retr = TEMPLATE_II.format(
-            passages=" ".join(passages[r.passage_id].text for r in results), question=qa.question
-        )
-        prompt_full = TEMPLATE_I.format(question=qa.question)
+        prompt_full, prompt_retr = rendered_prompts({"passage_map": passages}, qa, results)
         drafts = []
         for model, prompt, provenance, path in (
             (models.full, prompt_full, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
@@ -243,27 +252,66 @@ class TestTemplates:
     def test_wordless_question_prompt_holds_the_template_words(self, world, question, name):
         # so every prompt has a token, and no question fails for an empty prompt
         qa = QaPair("blank", question, ("alpha",), AnswerKind.ENTITY)
-        full, retrieved = draft_prompts([qa], [[]], {})
+        vocab = world["vocab"]
+        full, retrieved = draft_prompts([qa], [[]], {}, vocab, vocab)
         prompt = {"I": full, "II": retrieved}[name][0]
         template = {"I": TEMPLATE_I, "II": TEMPLATE_II}[name]
-        encoded = world["vocab"].encode(prompt)
-        assert encoded.tokens
-        assert encoded.tokens == world["vocab"].encode(
-            template.format(question="", passages="")
-        ).tokens
+        assert prompt.tokens
+        assert prompt.tokens == vocab.encode(template.format(question="", passages="")).tokens
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_passages_in_rank_order_before_the_question(self, world, k):
         qa = world["qa"][5]
         results = retrieve(world, qa, k)
-        full, retrieved = draft_prompts([qa], [results], world["passage_map"])
-        assert full == [f"answer from memory . question : {qa.question}"]
+        vocab = world["vocab"]
+        full, retrieved = draft_prompts([qa], [results], world["passage_map"], vocab, vocab)
         texts = " ".join(world["passage_map"][r.passage_id].text for r in results)
-        assert retrieved == [f"context : {texts} question : {qa.question}"]
+        expected = [f"answer from memory . question : {qa.question}",
+                    f"context : {texts} question : {qa.question}"]
+        assert [full[0].text, retrieved[0].text] == expected
+        assert [full[0].tokens, retrieved[0].tokens] == [vocab.encode(e).tokens for e in expected]
+
+    def test_each_template_encoded_with_its_own_vocabulary(self, world):
+        qa, results = world["qa"][5], retrieve(world, world["qa"][5])
+        vocab, tiny = world["vocab"], Vocabulary.from_words(["question", "context"])
+        full, retrieved = draft_prompts([qa], [results], world["passage_map"], tiny, vocab)
+        prompt_full, prompt_retr = rendered_prompts(world, qa, results)
+        assert full[0].tokens == tiny.encode(prompt_full).tokens
+        assert retrieved[0].tokens == vocab.encode(prompt_retr).tokens
 
 
-class TestGreedyTexts:
-    def test_each_distinct_prompt_decoded_once_in_one_batch(self, world, monkeypatch):
+def _prompt_text():
+    """Questions and passages: ASCII, Greek (Σ next to letters), CJK, punctuation, outer spaces."""
+    pieces = st.sampled_from(["Σ", "ΑΣ", "σς", "東京", "㐀", "鿿", "topic001", "Alpha", "!!!",
+                              ".", ":", "'", " ", "  ", "\t", "\n", "\u00a0", "ǅ", "\u212a"])
+    return st.lists(st.one_of(pieces, st.text(max_size=6)), max_size=8).map("".join)
+
+
+class TestPromptsFromParts:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(question=_prompt_text(), texts=st.lists(_prompt_text(), min_size=0, max_size=3))
+    def test_equal_encoding_the_rendered_prompt(self, question, texts):
+        # a text with no visible character is no valid passage or question
+        texts = [text if text.strip() else f"{text}!{text}" for text in texts]
+        question = question if question.strip() else f"{question}?{question}"
+        passages = {f"p{i}": Passage(f"p{i}", text) for i, text in enumerate(texts)}
+        results = [RetrievalResult(pid, 1.0, rank) for rank, pid in enumerate(passages, 1)]
+        qa = QaPair("q", question, ("alpha",), AnswerKind.ENTITY)
+        vocab = Vocabulary.from_texts([question, *texts, TEMPLATE_I, TEMPLATE_II, "σ ς"])
+        for retr_vocab in (vocab, Vocabulary(vocab.words())):  # one vocabulary, or one each
+            full, retrieved = draft_prompts([qa, qa], [results, results], passages, vocab,
+                                            retr_vocab)
+            for prompts in (full, retrieved):
+                assert prompts[0] == prompts[1]
+            # the reference: render the prompt, then encode the whole text
+            rendered = rendered_prompts({"passage_map": passages}, qa, results)
+            assert [full[0].text, retrieved[0].text] == list(rendered)
+            assert [full[0].tokens, retrieved[0].tokens] == [vocab.encode(t).tokens
+                                                             for t in rendered]
+
+
+class TestDrafts:
+    def test_each_model_decodes_its_block_in_one_batch(self, world, monkeypatch):
         batches = []
         decode = ToyLm.generate_batch
 
@@ -272,18 +320,25 @@ class TestGreedyTexts:
             return decode(self, prompts, max_tokens)
 
         monkeypatch.setattr(ToyLm, "generate_batch", recording_decode)
-        prompts, _ = draft_prompts(world["qa"][:3], [[]] * 3, {})
-        texts = generation._greedy_texts(world["models"].full, [*prompts, prompts[1]], 12)
-        assert batches == [prompts]
-        assert list(texts) == prompts
+        questions = [*world["qa"][:3], world["qa"][1]]
+        retrievals = [retrieve(world, qa) for qa in questions]
+        models = world["models"]
+        generation.answer_paths_block(questions, retrievals, models.full, models.retrieved,
+                                      world["passage_map"], world["cfg"])
+        rendered = [rendered_prompts(world, qa, r) for qa, r in zip(questions, retrievals)]
+        assert batches == [[full for full, _ in rendered], [retr for _, retr in rendered]]
 
-    def test_texts_match_one_prompt_at_a_time(self, world):
-        model = world["models"].retrieved
+    def test_drafts_match_one_prompt_at_a_time(self, world):
         retrievals = [retrieve(world, qa) for qa in world["qa"]]
-        _, prompts = draft_prompts(world["qa"], retrievals, world["passage_map"])
-        texts = generation._greedy_texts(model, prompts, 12)
-        for prompt in prompts:
-            assert texts[prompt] == model.generate(model.encode(prompt), 12).text
+        models = world["models"]
+        paths = generation.answer_paths_block(world["qa"], retrievals, models.full,
+                                              models.retrieved, world["passage_map"], world["cfg"])
+        for qa, results, (full, retr, _) in zip(world["qa"], retrievals, paths):
+            prompt_full, prompt_retr = rendered_prompts(world, qa, results)
+            assert full.text == models.full.generate(models.full.encode(prompt_full), 12).text
+            assert retr.text == models.retrieved.generate(
+                models.retrieved.encode(prompt_retr), 12
+            ).text
 
 
 class TestRetrievedPassages:
@@ -748,8 +803,10 @@ class TestRetrieveOnce:
         # the drafts come from each question's own top-k
         assert trained.drafts == retrieved_drafts(world, trained.retrieved)
 
-    def test_each_retrieved_prompt_rendered_and_encoded_once(self, world, monkeypatch):
-        renders, encodes = Counter(), Counter()
+    def test_each_retrieved_prompt_rendered_once_and_encoded_from_its_parts(
+        self, world, monkeypatch
+    ):
+        renders, encodes, tokenized = Counter(), Counter(), Counter()
 
         class CountingTemplate(str):
             def format(self, *args, **kwargs):
@@ -763,14 +820,23 @@ class TestRetrieveOnce:
             encodes[text] += 1
             return encode(vocab, text)
 
+        def counting_tokenize(text):
+            tokenized[text] += 1
+            return tokenize(text)
+
         monkeypatch.setattr(generation, "TEMPLATE_II", CountingTemplate(TEMPLATE_II))
         monkeypatch.setattr(Vocabulary, "encode", counting_encode)
+        monkeypatch.setattr(generation, "tokenize", counting_tokenize)
         train_pipeline_models(
             world["passages"], world["qa"], world["index"], world["embedder"],
             world["vocab"], world["cfg"], steps=1, learning_rate=0.5,
         )
         assert sum(renders.values()) == len(world["qa"])
-        assert all(encodes[prompt] == count for prompt, count in renders.items())
+        assert not any(encodes[prompt] for prompt in renders)  # no prompt is tokenized whole
+        union = {r.passage_id for qa in world["qa"] for r in retrieve(world, qa)}
+        parts = [qa.question for qa in world["qa"]] + [world["passage_map"][pid].text
+                                                       for pid in union]
+        assert all(tokenized[text] == 1 for text in parts)
 
     def test_unknown_ids_raise_before_training(self, world, monkeypatch):
         partial = [p for p in world["passages"] if p.id != "p003"]
@@ -785,7 +851,8 @@ class TestRetrieveOnce:
         with pytest.raises(PipelineError, match="unknown passage ids"):
             retrieved_passages([retrieve(world, world["qa"][3])], {})
         with pytest.raises(PipelineError, match="unknown passage ids"):
-            draft_prompts(world["qa"][3:4], [retrieve(world, world["qa"][3])], {})
+            draft_prompts(world["qa"][3:4], [retrieve(world, world["qa"][3])], {},
+                          world["vocab"], world["vocab"])
 
 
 class TestShortPassages:
@@ -830,6 +897,11 @@ class TestPreferencePairs:
         qa0 = world["qa"][0]
         drafts = {qa0.id: qa0.answers[0].upper() + "."}
         assert preference_pairs_from_drafts([qa0], drafts, FORMAT) == []
+
+    def test_cjk_draft_decoded_with_spaces_skipped(self):
+        # a decoded draft joins CJK tokens with spaces; it still equals its gold
+        qa = QaPair("c", "首都 是 哪里", ("東京",), AnswerKind.ENTITY)
+        assert preference_pairs_from_drafts([qa], {"c": "東 京"}, FORMAT) == []
 
 
 class TestIdenticalCandidates:

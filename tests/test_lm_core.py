@@ -408,6 +408,23 @@ class TestBitExactOracles:
             for nxt in cols:
                 assert model.token_logprob(int(prev), int(nxt)) == float(expected[nxt])
 
+    def test_logprob_cond_is_the_left_to_right_token_logprob_sum(self):
+        # the loop logprob_cond inlines, kept as its reference; w8..w13 rows
+        # hold no entry, so their default column is read too
+        passages, batch = self.world()
+        model = train(ToyLm(self.VOCAB), passages, batch, LossWeights(), 20, 0.5)
+        rng = random.Random(4)
+        for _ in range(300):
+            context = TokenSeq(tuple(rng.randrange(self.VOCAB.size)
+                                     for _ in range(rng.randint(1, 4))), "")
+            target = TokenSeq(tuple(rng.randrange(self.VOCAB.size)
+                                    for _ in range(rng.randint(1, 12))), "")
+            expected, prev = 0.0, context.tokens[-1]
+            for tok in target.tokens:
+                expected += model.token_logprob(prev, tok)
+                prev = tok
+            assert model.logprob_cond(context, target).hex() == expected.hex()
+
     def test_generate_follows_row_argmax(self, dense_model):
         vocab = Vocabulary(["<unk>", "</s>"] + [f"w{i}" for i in range(10)])
         rng = np.random.default_rng(8)

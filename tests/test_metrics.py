@@ -61,6 +61,17 @@ class TestExactMatch:
     def test_any_gold_suffices(self):
         assert exact_match(["dog", "the cat"], "cat") == 1.0
 
+    def test_cjk_answer_decoded_with_spaces_matches(self):
+        # decode and the format step join CJK tokens with spaces
+        assert exact_match(["東京"], "東 京") == 1.0
+        assert exact_match(["东京大学"], " 东  京 大\t学。") == 1.0
+        assert exact_match(["東京"], "東 都") == 0.0
+
+    def test_space_kept_between_cjk_and_other_words(self):
+        assert normalize_answer("在 東 京 3 号 tower") == "在東京 3 号 tower"
+        assert exact_match(["東京 tower"], "東 京 tower") == 1.0
+        assert exact_match(["東京 tower"], "東京tower") == 0.0
+
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):
             exact_match([], "cat")
