@@ -304,11 +304,15 @@ def atomic_write(path: str | Path, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
+# json.dumps(record, sort_keys=True), without making an encoder per row.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_rows(fh: IO[str], records: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line to *fh*: the one JSONL row format."""
+    encode = _ROW_ENCODER.encode
     for record in records:
-        fh.write(json.dumps(record, sort_keys=True))
-        fh.write("\n")
+        fh.write(encode(record) + "\n")
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

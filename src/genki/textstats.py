@@ -32,14 +32,14 @@ class OovCounter:
         self._count = 0
         self._seen: set[str] = set()
 
-    def increment(self, word: str) -> bool:
-        """Count one fallback; True when *word* is new since the last reset."""
+    def add(self, words: Sequence[str]) -> list[str]:
+        """Count one fallback per word under one lock acquisition; return the
+        words new since the last reset, in first-seen order."""
         with self._lock:
-            self._count += 1
-            if word in self._seen:
-                return False
-            self._seen.add(word)
-            return True
+            self._count += len(words)
+            new = [word for word in dict.fromkeys(words) if word not in self._seen]
+            self._seen.update(new)
+        return new
 
     @property
     def count(self) -> int:
@@ -74,10 +74,15 @@ def iwf(word: str, stats: CorpusStats) -> float:
     """
     freq = stats.word_freq.get(word)
     if freq is None:
-        if OOV_WORDS.increment(word):
-            logger.warning("word %r not in corpus statistics; treating frequency as 1", word)
+        _fall_back([word])
         freq = 1
     return math.log(1 + stats.sentence_count) / freq
+
+
+def _fall_back(words: Sequence[str]) -> None:
+    """Count *words*, all missing from the corpus, and warn of each new one."""
+    for word in OOV_WORDS.add(words):
+        logger.warning("word %r not in corpus statistics; treating frequency as 1", word)
 
 
 def isf(sentence: str, stats: CorpusStats, words: Sequence[str] | None = None) -> float:
@@ -90,7 +95,13 @@ def isf(sentence: str, stats: CorpusStats, words: Sequence[str] | None = None) -
     words = dict.fromkeys(tokenize(sentence) if words is None else words)
     if not words:
         raise TextStatsError(f"sentence has no word tokens: {sentence!r}")
-    return max(iwf(word, stats) for word in words)
+    # iwf of each word, with the call's fallbacks counted at once
+    freqs = stats.word_freq
+    missing = [word for word in words if word not in freqs]
+    if missing:
+        _fall_back(missing)
+    top = math.log(1 + stats.sentence_count)
+    return max(top / freqs.get(word, 1) for word in words)
 
 
 def nisf(

@@ -25,6 +25,7 @@ from genki.corpus import (
     parse_json_object,
     split_sentences,
     tokenize,
+    write_rows,
 )
 
 
@@ -295,3 +296,19 @@ class TestDataclassValidation:
     def test_qa_pair_gold_answer_needs_a_word_token(self, answer):
         with pytest.raises(ValueError, match="has no word token"):
             QaPair("q1", "who?", ("paris", answer), AnswerKind.ENTITY)
+
+
+class TestWriteRows:
+    def test_one_write_per_row_equal_to_json_dumps(self):
+        records = [{"b": 1, "a": ["文档", 0.1]}, {}, {"z": None, "y": {"d": 1.5, "c": "\u00e9"}}]
+
+        class Writes:
+            def __init__(self):
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+
+        fh = Writes()
+        write_rows(fh, records)
+        assert fh.calls == [json.dumps(r, sort_keys=True) + "\n" for r in records]

@@ -1,8 +1,10 @@
 import _blake2
+import gc
 import hashlib
 import logging
 import random
 import struct
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genki import retriever
+from genki.cli import EXIT_DATA, main
 from genki.corpus import Passage, tokenize
 from genki.retriever import (
     DenseIndex,
@@ -847,6 +850,115 @@ class TestPersistence:
         path = tmp_path / "x.idx"
         save_index(index, path)
         assert load_index(path).ids == ["文档一"]
+
+
+def write_index(path, index_file_bytes, ids, dim=3):
+    """A hand-made index file of len(ids) rows at *dim*, with *ids* as given."""
+    matrix = np.arange(len(ids) * dim, dtype=np.float32).reshape(len(ids), dim) + 1
+    path.write_bytes(index_file_bytes(matrix, ids))
+    return path
+
+
+class TestIdSection:
+    """Ids are held as the file's id section plus offsets, never as str."""
+
+    @pytest.mark.parametrize("ids", [
+        [f"p{i}" for i in range(40)],
+        ["文档", "文档一", "é", "p1"],
+        ["a", "b", "c", "d"],
+        [c * 1000 for c in "wxyz"],
+    ], ids=["ascii", "non-ascii", "1-byte", "1000-byte"])
+    def test_build_save_load_round_trip(self, tmp_path, ids):
+        passages = [Passage(pid, f"alpha beta word{i}") for i, pid in enumerate(ids)]
+        embedder = HashEmbedder(dim=64, seed=0)
+        index = DenseIndex.build(passages, embedder)
+        first, again = tmp_path / "a.idx", tmp_path / "b.idx"
+        save_index(index, first)
+        loaded = load_index(first)
+        assert index.ids == loaded.ids == ids
+        save_index(loaded, again)
+        assert first.read_bytes() == again.read_bytes()
+        query = embedder.embed_question("alpha word1")
+        assert bits(top_k(loaded, query, 3)) == bits(top_k(index, query, 3))
+        assert top_k(loaded, query, 1)[0].passage_id == ids[1]
+
+    def test_ids_is_a_fresh_list(self):
+        index = index_from_rows([[1.0], [2.0]], ["a", "b"])
+        index.ids.append("c")
+        index.ids[0] = "z"
+        assert index.ids == ["a", "b"]
+
+    def test_index_holds_no_str_per_passage(self, tmp_path, index_file_bytes):
+        index = load_index(write_index(tmp_path / "x.idx", index_file_bytes, ["a", "b", "c"]))
+        for value in vars(index).values():
+            assert isinstance(value, (int, bytes, np.ndarray)), type(value)
+            assert not isinstance(value, np.ndarray) or value.dtype != object
+
+    def test_load_allocates_no_object_per_id(self, tmp_path):
+        count = 5000
+        index = DenseIndex(np.eye(count, 8, dtype=np.float32), [f"p{i}" for i in range(count)])
+        path = tmp_path / "x.idx"
+        save_index(index, path)
+        del index
+        gc.collect()
+        before = sys.getallocatedblocks()
+        loaded = load_index(path)
+        gc.collect()
+        assert sys.getallocatedblocks() - before < 500
+        assert loaded.count == count
+
+    def test_repeated_id_is_a_data_error_that_names_it(self, tmp_path, capsys, index_file_bytes):
+        index = write_index(tmp_path / "index.bin", index_file_bytes, ["p1", "p7", "p2", "p7"])
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text('{"id": "q1", "question": "what is alpha", "answers": ["a"],'
+                      ' "format": "entity"}\n', encoding="utf-8")
+        assert main(["retrieve", "--index", str(index), "--qa", str(qa)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {index}: passage ids must be unique: 'p7' repeats\n"
+        )
+
+    def test_first_repeat_in_row_order_is_named(self):
+        with pytest.raises(ValueError, match="^passage ids must be unique: 'b' repeats$"):
+            index_from_rows([[1.0]] * 5, ["c", "b", "a", "b", "c"])
+
+    @pytest.mark.parametrize("hashes", ["real", "all equal"])
+    def test_hash_collisions_compare_ids_exactly(
+            self, tmp_path, monkeypatch, index_file_bytes, hashes):
+        if hashes == "all equal":
+            monkeypatch.setattr(retriever, "_id_hash", lambda raw: 0)
+        distinct = ["a", "b", "ab", "ba", "", "文档", "x" * 300]
+        path = write_index(tmp_path / "x.idx", index_file_bytes, distinct)
+        assert load_index(path).ids == distinct
+        assert index_from_rows([[1.0]] * len(distinct), distinct).ids == distinct
+        repeated = distinct + ["ba"]
+        message = "passage ids must be unique: 'ba' repeats"
+        with pytest.raises(ValueError, match=message):
+            index_from_rows([[1.0]] * len(repeated), repeated)
+        path = write_index(tmp_path / "y.idx", index_file_bytes, repeated)
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+    def test_format_errors_keep_their_messages(self, tmp_path, index_file_bytes):
+        path = tmp_path / "x.idx"
+        good = index_file_bytes(np.ones((2, 2), dtype=np.float32), ["a", "bc"])
+        ids_at = retriever.HEADER_BYTES + 2 * 2 * 4
+        cases = {
+            # id 1's bytes "bc" become "\xffc"
+            "not UTF-8": (
+                good[:-2] + b"\xffc",
+                "id 1 is not UTF-8 ('utf-8' codec can't decode byte 0xff in position 0:"
+                " invalid start byte)"),
+            # id 0 claims 9 bytes where 6 follow its length
+            "past the end": (
+                good[:ids_at] + struct.pack("<I", 9) + good[ids_at + 4:],
+                "id 0 claims 9 bytes past the end"),
+            "trailing": (good + b"z", "trailing bytes after 2 ids"),
+        }
+        for data, message in cases.values():
+            path.write_bytes(data)
+            with pytest.raises(IndexFormatError) as raised:
+                load_index(path)
+            assert str(raised.value) == f"{path}: {message}"
 
 
 retriever_logger = logging.getLogger("genki.retriever")

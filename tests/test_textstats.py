@@ -42,6 +42,30 @@ class TestIwf:
 
 
 class TestIsf:
+    def test_one_lock_per_call_and_warnings_in_first_seen_order(self, caplog, monkeypatch):
+        stats = build_stats([Passage("p0", "known.")])
+        OOV_WORDS.reset()
+        acquired = []
+
+        class CountingLock:
+            def __enter__(self):
+                acquired.append(1)
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(OOV_WORDS, "_lock", CountingLock())
+        with caplog.at_level(logging.WARNING, logger="genki.textstats"):
+            assert isf("zeta known alpha zeta beta", stats) == pytest.approx(math.log(2))
+            isf("beta gamma", stats)
+            isf("known", stats)
+        assert len(acquired) == 2
+        # Each distinct word of a call counts once, a word seen before too.
+        assert OOV_WORDS.count == 5
+        warned = [r.args[0] for r in caplog.records if r.name == "genki.textstats"]
+        assert warned == ["zeta", "alpha", "beta", "gamma"]
+        OOV_WORDS.reset()
+
     def test_rarest_word_dominates(self):
         # nine sentences of common words plus one with a unique word
         passages = [Passage(f"p{i}", "common words here.") for i in range(9)]
