@@ -267,10 +267,10 @@ def _load_models(path: str) -> tuple:
 
 
 def _load_answers(path: str) -> dict[str, str]:
-    """Read runs.jsonl (final_answer) or a simple {'id', 'answer'} JSONL."""
+    """Read runs.jsonl (rows with a qid) or a simple {'id', 'answer'} JSONL."""
     answers: dict[str, str] = {}
     for lineno, record in read_jsonl(path):
-        key, value = ("qid", "final_answer") if "final_answer" in record else ("id", "answer")
+        key, value = ("qid", "final_answer") if "qid" in record else ("id", "answer")
         qid = check(record.get(key), STRING, key, path, lineno)
         if qid in answers:
             raise CorpusError(f"{path}: line {lineno}: duplicate answer id {qid!r}")
@@ -548,13 +548,16 @@ def cmd_analyze(cfg: CliConfig, args: argparse.Namespace) -> int:
     out = Path(_need(cfg, args, "out", "an output directory"))
     passage_map = {p.id: p for p in passages}
     qa_map = {qa.id: qa for qa in qa_pairs}
-    points = []
+    points, qids = [], set()
     for lineno, record in read_jsonl(runs_path):
         # A missing field is allowed: a run without a qid is skipped, the others default.
         qid = check(record.get("qid", ""), STRING, "qid", runs_path, lineno)
         answer = check(record.get("final_answer", ""), STRING, "final_answer", runs_path, lineno)
         error = check(record.get("error"), STRING_OR_NULL, "error", runs_path, lineno)
         ids = check(record.get("retrieved_ids", []), STRINGS, "retrieved_ids", runs_path, lineno)
+        if qid and qid in qids:  # counted twice, it would weigh double in its bucket
+            raise DataError(f"{runs_path}: line {lineno}: duplicate run qid {qid!r}")
+        qids.add(qid)
         qa = qa_map.get(qid)
         if qa is None or error:
             continue

@@ -180,9 +180,6 @@ class Vocabulary:
     def id(self, word: str) -> int:
         return self._ids.get(word, 0)
 
-    def word(self, token_id: int) -> str:
-        return self._words[token_id]
-
     def words(self) -> list[str]:
         """The full word list; list position equals token id."""
         return list(self._words)

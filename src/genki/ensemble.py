@@ -50,10 +50,6 @@ class AnswerCandidate:
     provenance: Provenance
     postprocessed: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValueError("candidate text must be non-empty")
-
 
 @dataclass(frozen=True)
 class ScoreBundle:

@@ -30,9 +30,11 @@ candidate is split, weighted and encoded once for consistency
 (consistency.prepare_texts).  answer_paths is the one-question case of the
 block stage.  Drafts run in the calling thread; jobs > 1 fans out only
 selection.  A question that fails a stage records its error and the fields
-filled before it, exactly as if it ran alone.  The drafts and the format
-step fail a question only for its own outputs (an empty draft, a draft too
-short to reach the span); a retrieved id missing from the corpus fails the
+filled before it, exactly as if it ran alone.  Drafting never fails a
+question: every draft, an empty one too, becomes a candidate.  The format
+step's cut is the one failure before selection: a draft too short to reach
+the span, an empty one included, fails its question with "postprocess
+produced empty output".  A retrieved id missing from the corpus fails the
 whole run.
 
 Training encodes each prompt and gold answer once and trains the two
@@ -95,8 +97,8 @@ class PipelineConfig:
     """Everything the pipeline needs besides models and data."""
 
     k: int
+    format: FormatSpec
     weights: LossWeights = field(default_factory=LossWeights)
-    format: FormatSpec = None  # type: ignore[assignment]
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
     def __post_init__(self) -> None:
@@ -104,8 +106,6 @@ class PipelineConfig:
             raise ValueError("k must be >= 1")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
-        if self.format is None:
-            raise ValueError("a FormatSpec is required")
 
 
 def _passages_for(ids: Sequence[str], passages: Mapping[str, Passage]) -> list[Passage]:
@@ -198,20 +198,6 @@ class PipelineModels:
         return self.consistency_scorer if self.consistency_scorer is not None else self.full
 
 
-def _ok(output: object) -> object:
-    """*output*, or raise it if it is a stage's per-question error."""
-    if isinstance(output, Exception):
-        raise output
-    return output
-
-
-def _draft_candidate(output: str, provenance: Provenance, path: str) -> AnswerCandidate:
-    try:
-        return AnswerCandidate(output, provenance)
-    except ValueError as exc:
-        raise PipelineError(f"{path} path failed: {exc}") from exc
-
-
 Paths = tuple[AnswerCandidate, AnswerCandidate, tuple[str, ...]]
 
 
@@ -222,32 +208,25 @@ def answer_paths_block(
     retr_model: ToyLm,
     passages: Mapping[str, Passage],
     cfg: PipelineConfig,
-) -> list[Paths | PipelineError]:
+) -> list[Paths]:
     """answer_paths for a block of questions, one batched decode per model.
 
     retrievals[i] is the top-k of questions[i].  Each entry is that
     question's (full-knowledge candidate, retrieved-knowledge candidate,
-    retrieved ids), or the PipelineError answer_paths would raise for it.
-    A retrieved id missing from *passages* raises for the whole block.
+    retrieved ids).  A retrieved id missing from *passages* raises for the
+    whole block.
     """
     prompts_full, prompts_retr = draft_prompts(
         questions, retrievals, passages, full_model.vocab, retr_model.vocab
     )
     drafts_full = full_model.generate_batch(prompts_full, cfg.max_output_tokens)
     drafts_retr = retr_model.generate_batch(prompts_retr, cfg.max_output_tokens)
-    paths: list[Paths | PipelineError] = []
-    for results, full, retr in zip(retrievals, drafts_full, drafts_retr):
-        try:
-            paths.append((
-                _draft_candidate(full.text, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
-                _draft_candidate(
-                    retr.text, Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"
-                ),
-                tuple(r.passage_id for r in results),
-            ))
-        except PipelineError as exc:
-            paths.append(exc)
-    return paths
+    return [
+        (AnswerCandidate(full.text, Provenance.FULL_KNOWLEDGE),
+         AnswerCandidate(retr.text, Provenance.RETRIEVED_KNOWLEDGE),
+         tuple(r.passage_id for r in results))
+        for results, full, retr in zip(retrievals, drafts_full, drafts_retr)
+    ]
 
 
 def answer_paths(
@@ -262,18 +241,18 @@ def answer_paths(
 
     *results* are the question's top-k retrievals.  Returns (full-knowledge
     candidate, retrieved-knowledge candidate, retrieved passage ids).  A
-    failure on either path raises PipelineError naming the path.  The
-    one-question case of answer_paths_block.
+    draft may be empty; postprocess fails it.  The one-question case of
+    answer_paths_block.
     """
-    return _ok(answer_paths_block([q], [results], full_model, retr_model, passages, cfg)[0])
+    return answer_paths_block([q], [results], full_model, retr_model, passages, cfg)[0]
 
 
 def postprocess(cand: AnswerCandidate, span: AnswerSpan, cfg: PipelineConfig) -> AnswerCandidate:
     """Cut a raw draft to *span*: its words from span.start, at most span.length of them.
 
     Output length is also capped at cfg.format.max_tokens.  A draft too
-    short to reach the span gives an empty cut, which is an error rather
-    than a silent empty answer.
+    short to reach the span, an empty one included, gives an empty cut,
+    which is an error rather than a silent empty answer.
     """
     if cand.postprocessed:
         raise ValueError("candidate is already postprocessed")
@@ -299,21 +278,20 @@ def _run_block(
 ) -> list[PipelineRun]:
     """One block, stage by stage: retrieve, draft, cut, then select per question.
 
-    Each question records its fields up to its first failure, as answer_paths,
-    postprocess and select would return them one at a time: only its id and
-    question when a draft fails, the drafts and retrieved ids too when the
-    full-knowledge cut fails, and the full-knowledge cut as well when only
-    the retrieved-knowledge one fails.  One map over the block then selects
-    for each question that has both cuts.
+    Every question records its id, question, retrieved ids and both drafts,
+    then its cuts up to the first that fails, as postprocess would return
+    them one at a time: none when the full-knowledge cut fails, and the
+    full-knowledge cut when only the retrieved-knowledge one fails.  One map
+    over the block then selects for each question that has both cuts.
     """
     retrievals = retrieve_texts(index, embedder, [qa.question for qa in block], cfg.k)
     paths = answer_paths_block(block, retrievals, models.full, models.retrieved, passages, cfg)
     items: list[tuple[dict, tuple[AnswerCandidate, ...]]] = []  # fields, cuts to select from
-    for qa, path in zip(block, paths):
-        fields, cuts = {"qid": qa.id, "question": qa.question}, ()
+    for qa, (full, retr, ids) in zip(block, paths):
+        fields = {"qid": qa.id, "question": qa.question, "retrieved_ids": ids,
+                  "raw_full": full.text, "raw_retrieved": retr.text}
+        cuts = ()
         try:
-            full, retr, fields["retrieved_ids"] = _ok(path)
-            fields.update(raw_full=full.text, raw_retrieved=retr.text)
             post_full = postprocess(full, models.span, cfg)
             fields["post_full"] = post_full.text
             post_retr = postprocess(retr, models.span, cfg)

@@ -1464,6 +1464,15 @@ class TestEval:
             f"data error: {answers}: line {line}: duplicate answer id 'q000'\n"
         )
 
+    def test_run_row_is_known_by_its_qid(self, workdir, tmp_path, capsys):
+        # a runs.jsonl row without final_answer is still a run, not an {id, answer} row
+        answers = tmp_path / "runs.jsonl"
+        answers.write_text(json.dumps({"qid": "q000", "error": "x"}) + "\n")
+        assert main(["eval", "--qa", workdir["qa"], "--answers", str(answers)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {answers}: line 1: field 'final_answer' must be a string\n"
+        )
+
     def test_malformed_answers_line_numbered(self, workdir, tmp_path, capsys):
         answers = tmp_path / "bad.jsonl"
         answers.write_text('{"id": "q000", "answer": "x"}\nnot json\n')
@@ -1532,6 +1541,29 @@ class TestAnalyze:
             f"data error: {runs}: no usable runs (all missing, errored, or unmatched)\n"
         )
         assert not out.exists()
+
+    def test_repeated_qid_is_data_error(self, workdir, tmp_path, capsys):
+        # counted twice, every bucket count would double; eval rejects the same file
+        lines = read_lines(workdir["answers"] + "/runs.jsonl")
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(line + "\n" for line in lines * 2))
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {runs}: line {len(lines) + 1}: duplicate run qid 'q000'\n"
+        )
+        assert not out.exists()
+        assert main(["eval", "--qa", workdir["qa"], "--answers", str(runs)]) == EXIT_DATA
+
+    def test_runs_without_a_qid_are_skipped_not_repeats(self, workdir, tmp_path, capsys):
+        lines = read_lines(workdir["answers"] + "/runs.jsonl")
+        blank = json.dumps({"final_answer": "x", "error": None, "retrieved_ids": []})
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(line + "\n" for line in [blank, *lines, blank]))
+        assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],
+                     "--runs", str(runs), "--out", str(tmp_path / "analysis")]) == EXIT_OK
+        assert "analyzed 8 runs" in capsys.readouterr().out
 
     def test_missing_runs_names_producer(self, workdir, tmp_path, capsys):
         assert main(["analyze", "--qa", workdir["qa"], "--corpus", workdir["corpus"],

@@ -251,6 +251,15 @@ class TestSelect:
                 TableReward({"red": 1.0, "blue": 1.0}), StubJudge(), ENTITY,
             )
 
+    @pytest.mark.parametrize("blank", ["  ", "...", ""])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_candidate_without_a_word_token_rejected(self, blank, first):
+        # the one guard against a blank candidate once it is postprocessed
+        texts = (blank, "blue") if first else ("red", blank)
+        with pytest.raises(ValueError) as info:
+            self.run({"red": 1.0, "blue": 1.0}, texts=texts)
+        assert str(info.value) == "candidates must contain at least one word token"
+
     def test_negative_mean_guard_recorded(self):
         winner, bundle, _ = self.run({"red": -3.0, "blue": -1.0})
         assert bundle.reward_guard == "negative_mean"
@@ -295,8 +304,3 @@ class TestAuditRecord:
             "reward_guard": None,
         }
 
-
-class TestAnswerCandidate:
-    def test_blank_text_rejected(self):
-        with pytest.raises(ValueError):
-            AnswerCandidate("  ", Provenance.FULL_KNOWLEDGE)

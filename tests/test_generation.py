@@ -185,16 +185,16 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
     fields = dict(qid=qa.id, question=qa.question)
     try:
         prompt_full, prompt_retr = rendered_prompts({"passage_map": passages}, qa, results)
-        drafts = []
-        for model, prompt, provenance, path in (
-            (models.full, prompt_full, Provenance.FULL_KNOWLEDGE, "full-knowledge"),
-            (models.retrieved, prompt_retr, Provenance.RETRIEVED_KNOWLEDGE, "retrieved-knowledge"),
-        ):
-            try:
-                text = reference_generate(model, model.encode(prompt), cfg.max_output_tokens).text
-                drafts.append(AnswerCandidate(text, provenance))
-            except Exception as exc:
-                raise PipelineError(f"{path} path failed: {exc}") from exc
+        drafts = [
+            AnswerCandidate(
+                reference_generate(model, model.encode(prompt), cfg.max_output_tokens).text,
+                provenance,
+            )
+            for model, prompt, provenance in (
+                (models.full, prompt_full, Provenance.FULL_KNOWLEDGE),
+                (models.retrieved, prompt_retr, Provenance.RETRIEVED_KNOWLEDGE),
+            )
+        ]
         fields.update(
             retrieved_ids=tuple(r.passage_id for r in results),
             raw_full=drafts[0].text, raw_retrieved=drafts[1].text,
@@ -216,14 +216,19 @@ def reference_run_one(qa, results, models, passages, stats, cfg):
         return generation.PipelineRun(**fields, error=f"{type(exc).__name__}: {exc}")
 
 
+def silent_model(vocab, dense_model):
+    """A model whose every row ends at once: it drafts nothing for any prompt."""
+    table = np.zeros((vocab.size, vocab.size))
+    table[:, vocab.eos_id] = 1.0
+    return dense_model(vocab, table)
+
+
 class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be"):
             make_config(k=0)
         with pytest.raises(ValueError, match="max_output_tokens"):
             make_config(max_output_tokens=0)
-        with pytest.raises(ValueError, match="FormatSpec"):
-            PipelineConfig(k=1, format=None)
 
 
 class TestBuildVocabulary:
@@ -390,6 +395,17 @@ class TestAnswerPaths:
         a2, b2, r2 = answer_paths(*args)
         assert (a1.text, b1.text, r1) == (a2.text, b2.text, r2)
 
+    def test_empty_draft_is_a_candidate(self, world, dense_model):
+        # drafting returns an empty draft; only the format step fails it
+        qa = world["qa"][0]
+        results = retrieve(world, qa)
+        full, retr, retrieved = answer_paths(
+            qa, results, silent_model(world["vocab"], dense_model), world["trained"].retrieved,
+            world["passage_map"], world["cfg"],
+        )
+        assert full == AnswerCandidate("", Provenance.FULL_KNOWLEDGE)
+        assert retr.text and retrieved == tuple(r.passage_id for r in results)
+
     def test_unknown_passage_id_raises(self, world):
         partial = dict(world["passage_map"])
         del partial["p000"]
@@ -426,11 +442,13 @@ class TestPostprocess:
         with pytest.raises(ValueError, match="already"):
             postprocess(done, world["trained"].span, world["cfg"])
 
+    @pytest.mark.parametrize("draft", ["some draft", "", " \t"])
     @pytest.mark.parametrize("provenance", list(Provenance))
-    def test_empty_output_is_error(self, provenance):
-        cand = AnswerCandidate("some draft", provenance)
+    def test_empty_output_is_error(self, provenance, draft):
+        # a draft too short to reach the span, an empty one included
+        cand = AnswerCandidate(draft, provenance)
         with pytest.raises(PipelineError) as info:
-            postprocess(cand, AnswerSpan(2, 1), make_config())
+            postprocess(cand, AnswerSpan(2 if draft else 0, 1), make_config())
         assert str(info.value) == f"postprocess produced empty output for {provenance.value}"
 
 
@@ -714,12 +732,11 @@ class TestBlockOracle:
     @pytest.mark.parametrize("noisy, seed, start, shows", [
         ("full", 3, 0, "RewardPick"),
         ("full", 1, 1, "PipelineError: postprocess produced empty output for FullKnowledge"),
-        ("full", 10, 0,
-         "PipelineError: full-knowledge path failed: candidate text must be non-empty"),
+        ("full", 10, 0, "PipelineError: postprocess produced empty output for FullKnowledge"),
         ("retrieved", 1, 1,
          "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
         ("retrieved", 10, 0,
-         "PipelineError: retrieved-knowledge path failed: candidate text must be non-empty"),
+         "PipelineError: postprocess produced empty output for RetrievedKnowledge"),
     ])
     def test_distinct_candidates(
         self, world, monkeypatch, jobs, noisy, seed, start, shows, dense_model
@@ -745,6 +762,28 @@ class TestBlockOracle:
             run.bundle.route.value for run in reference if run.bundle
         }
         assert shows in seen
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("empty", ["full", "retrieved"])
+    def test_empty_draft_fails_at_the_cut(self, world, monkeypatch, dense_model, empty, jobs):
+        # the run still records the retrieved ids and both drafts, and the
+        # format step's cut is what fails it
+        monkeypatch.setattr(genki.corpus, "ANSWER_BLOCK", 3)
+        models = replace(world["models"], **{empty: silent_model(world["vocab"], dense_model)})
+        args = (
+            world["qa"], models, world["index"], world["embedder"], world["passage_map"],
+            world["stats"], world["cfg"],
+        )
+        reference = reference_runs(*args)
+        assert_equals_reference(args, reference, jobs)
+        provenance = {"full": "FullKnowledge", "retrieved": "RetrievedKnowledge"}[empty]
+        for qa, run in zip(world["qa"], reference):
+            assert run.retrieved_ids == tuple(r.passage_id for r in retrieve(world, qa))
+            drafts = {"full": run.raw_full, "retrieved": run.raw_retrieved}
+            assert drafts.pop(empty) == "" and all(drafts.values())
+            assert run.error == f"PipelineError: postprocess produced empty output for {provenance}"
+            assert bool(run.post_full) == (empty == "retrieved")
+            assert run.post_retrieved == "" and run.bundle is None and run.final_answer == ""
 
     def test_question_without_a_word_is_drafted_from_the_template(self, world, monkeypatch):
         # "???" has no word token, but both prompts still hold the template's
