@@ -1,31 +1,22 @@
 """Dense retrieval: embeddings, inner-product scoring, top-k, and index files.
 
-HashEmbedder.embed_passages embeds a block of texts straight into sparse
-rows, the form a DenseIndex keeps: a feature-hashed bag of words has at
-most one nonzero per distinct word, so a row holds a few dozen of its dim
-entries.  DenseIndex.build stores those rows as they come, and
-DenseIndex(matrix, ids) and load_index find the stored entries of dense
-vectors a block of ROW_BLOCK floats at a time, so no command holds a count
-x dim array.  top_k_batch() ranks every row by score descending, then
-passage id ascending.  A score is the float64 sum of the row's stored
-entries times the query's, added in ascending column order from +0.0; only
-columns where a query is nonzero are read, which its docstring shows is
-exact.  retrieve_texts embeds and retrieves many questions one block at a
-time, so memory stays bounded however many there are.
+HashEmbedder.embed_passages embeds texts straight into sparse rows (a
+hashed bag of words has one entry per distinct word), which a DenseIndex
+keeps column-major, as an inverted file.  top_k_batch ranks every row by
+exact score descending, then passage id ascending, reading only the
+postings of each query's nonzero columns: its cost and memory follow the
+query's words, not the corpus.  retrieve_texts embeds and retrieves many
+questions a block at a time.
 
 The index file layout is fixed little-endian binary:
 
     magic b"GKIX1" | u32 dim | u64 count | count*dim float32 vectors (row
     major) | per id: u32 byte length + UTF-8 bytes
 
-load_index(save_index(x)) reproduces x bit for bit; save_index replaces the
-file atomically, one block of dense rows at a time, and load_index reads the
-vectors a block at a time into one reused buffer and raises
-IndexFormatError on any file that does not follow the layout.  A DenseIndex
-keeps the ids as that layout's bytes plus an array of offsets, never a str
-per id: load_index reads them in one piece and walks them once, hashing
-each id into an array to check uniqueness, and save_index writes them back
-as they are.
+load_index(save_index(x)) reproduces x bit for bit.  Both go a block of
+dense rows at a time; save_index replaces the file atomically and
+load_index raises IndexFormatError on any file that does not follow the
+layout.  A DenseIndex keeps the ids as that layout's bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +27,7 @@ import struct
 # importing hashlib also maps OpenSSL's libcrypto into every command.
 from _blake2 import blake2b
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Protocol, Sequence
 
@@ -45,7 +37,7 @@ from .corpus import Passage, atomic_write, tokenize
 
 MAGIC = b"GKIX1"
 HEADER_BYTES = len(MAGIC) + 4 + 8
-# Float64 scores and products held at once by top_k_batch (4 MB).
+# Float64 products and (query, row) cells a top_k_batch block holds at once.
 SCORE_BLOCK = 1 << 19
 # Query floats converted at once by top_k_batch and retrieve_texts (64
 # queries at dim 1024).  It is also the largest dim, so that a block holds
@@ -57,6 +49,8 @@ ROW_BLOCK = 1 << 18
 # Passages embedded at once by DenseIndex.build: a block's memory follows
 # its words, not dim.
 PASSAGE_BLOCK = 1024
+# Stored entries placed into the postings at once (about 150 KB).
+PLACE_BLOCK = 1 << 12
 
 
 class IndexFormatError(ValueError):
@@ -76,11 +70,8 @@ SparseRows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class Embedder(Protocol):
-    """Maps blocks of questions and passages into a shared vector space.
-
-    embed_questions returns one float32 row per text, shape (len(texts),
-    dim); embed_passages returns the same vectors as SparseRows.
-    """
+    """Maps blocks of questions (one float32 row per text) and passages
+    (SparseRows) into a shared vector space."""
 
     dim: int
 
@@ -111,15 +102,12 @@ class HashEmbedder:
 
         Each distinct word is hashed once, from a copy of one keyed state; its
         little-endian u64 digest v gives bucket (v >> 1) % dim and sign +1 if
-        v & 1 else -1.  Each hit cell's signs are counted exactly (np.bincount,
-        float64) and rounded to float32 once, which equals adding them in
-        word order in float32 while every running sum stays below 2**24.
-        Above that they differ: the exact count is rounded once, whereas a
-        float32 running sum stops growing at 2**24 (2**24 + 1 rounds back to
-        2**24), as np.add.at did.  Cells whose signs cancel are dropped.  Each
-        count is divided by the square root of its row's exact float64 sum
-        of squares, which every float32 order of adding reproduces below
-        2**24; at or above it, by np.linalg.norm of the dense float32 row.
+        v & 1 else -1.  Each hit cell's signs are counted exactly (float64)
+        and rounded to float32 once: a word-order float32 sum while below
+        2**24, where a float32 running sum stops growing (as np.add.at did).
+        Cells whose signs cancel are dropped.  Each count is divided by the
+        square root of its row's exact sum of squares, as every float32 order
+        of adding gives below 2**24; at or above, by np.linalg.norm.
         """
         codes: dict[str, int] = {}
         words = [[codes.setdefault(w, len(codes)) for w in tokenize(text)] for text in texts]
@@ -186,20 +174,14 @@ class RetrievalResult:
 
 
 class DenseIndex:
-    """Passage vectors as compressed sparse rows, plus aligned passage ids.
+    """Passage vectors as postings (an inverted file), plus aligned passage ids.
 
-    Row i's entries sit in columns[offsets[i]:offsets[i + 1]] (int32,
-    ascending) with float32 values: every entry whose bits are not +0.0,
-    -0.0 included, so the dense rows come back bit for bit.  The stored
-    values are checked: a NaN or inf entry has nonzero bits, so non-finite
-    vectors are rejected.
-
-    The ids are held as one bytes object in the index file's id layout (a
-    u32 length and the UTF-8 bytes of each id) and one int64 array of where
-    each id starts in it (_walk_ids), with no Python object per id: for the
-    retrieve benchmark's 20,000 passages that is 0.35 MB in place of 1.26 MB
-    of list and str objects, and at 200,000 passages 3.7 MB in place of
-    12.7 MB.  Only the ids a query ranks or returns are decoded.
+    Column c's entries are rows[starts[c]:starts[c + 1]] (int32, ascending)
+    with their float32 values: every entry whose bits are not +0.0, -0.0
+    included, so the dense rows come back bit for bit; non-finite vectors
+    are rejected.  The ids are the index file's id section (one bytes
+    object) plus an int64 array of where each id starts in it (_walk_ids);
+    only the ids a query ranks or returns are decoded.
     """
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
@@ -220,42 +202,52 @@ class DenseIndex:
         blocks = (embedder.embed_passages(texts[lo:lo + PASSAGE_BLOCK])
                   for lo in range(0, len(texts), PASSAGE_BLOCK))
         section, id_at = _id_section([p.id for p in passages], len(texts))
-        return cls._from_rows(blocks, len(texts), embedder.dim, section, id_at)
-
-    @classmethod
-    def _from_rows(
-        cls, blocks: Iterable[SparseRows], count: int, dim: int, section: bytes,
-        id_at: np.ndarray,
-    ) -> "DenseIndex":
-        index = cls.__new__(cls)
-        index._store(blocks, count, dim, section, id_at)
-        return index
+        return cls.__new__(cls)._store(blocks, len(texts), embedder.dim, section, id_at)
 
     def _store(
         self, blocks: Iterable[SparseRows], count: int, dim: int, section: bytes,
         id_at: np.ndarray,
-    ) -> None:
-        """Keep *blocks*, the SparseRows of count x dim vectors, and the ids
-        *section* with their offsets *id_at*, as _walk_ids checked them."""
+    ) -> "DenseIndex":
+        """Keep *blocks*, the SparseRows of count x dim vectors, as postings,
+        and the ids *section* with their offsets *id_at* (_walk_ids).
+
+        The blocks go as they come into byte buffers that grow in place, so
+        large ones live outside the heap and go back to the system once
+        placed; values, then rows, are placed PLACE_BLOCK entries at a time.
+        """
         if count == 0 or dim == 0:
             raise ValueError("index must hold at least one vector with dim >= 1")
         _check_dim(dim)
-        lengths, columns, values = (np.concatenate(part) for part in zip(*blocks))
-        if not np.isfinite(values).all():
-            raise ValueError("index vectors must be finite")
+        self._starts = np.zeros(dim + 1, dtype=np.int64)
+        dtypes = (np.int32, np.int32, np.float32)  # a row holds at most dim <= 2**16 entries
+        buffers = [bytearray() for _ in dtypes]
+        for block in blocks:
+            if not np.isfinite(block[2]).all():
+                raise ValueError("index vectors must be finite")
+            for i, dtype in enumerate(dtypes):
+                buffers[i] += np.ascontiguousarray(block[i], dtype=dtype).data.cast("B")
+            self._starts[1:] += np.bincount(block[1], minlength=dim)  # column c's length, at c + 1
+        lengths, columns, values = (np.frombuffer(b, t) for b, t in zip(buffers, dtypes))
         if len(lengths) != count:
             raise ValueError(f"{len(lengths)} vectors but {count} ids")
-        self._id_bytes, self._id_at = section, id_at
-        self.count, self.dim = count, dim
-        self._offsets = np.concatenate([[0], np.cumsum(lengths)])
-        self._columns, self._values = columns, values
+        self._id_bytes, self._id_at, self.count, self.dim = section, id_at, count, dim
+        np.cumsum(self._starts, out=self._starts)
+        step = max(1, PLACE_BLOCK // max(1, int(lengths.max())))  # rows per run
+        ends = np.cumsum([0] + [int(lengths[lo:lo + step].sum()) for lo in range(0, count, step)])
+        runs = list(zip(range(0, count, step), map(slice, ends[:-1], ends[1:])))  # (row, entries)
+        self._values, free = np.empty(ends[-1], dtype=np.float32), self._starts[:-1].copy()
+        for _, entries in runs:
+            self._values[_places(columns[entries], free)] = values[entries]
+        del values, buffers[2]
+        self._rows, free = np.empty(ends[-1], dtype=np.int32), self._starts[:-1].copy()
+        for lo, entries in runs:
+            rows = np.arange(lo, min(lo + step, count), dtype=np.int32)
+            self._rows[_places(columns[entries], free)] = np.repeat(rows, lengths[lo:lo + step])
+        return self
 
     @property
     def ids(self) -> list[str]:
-        """Every passage id in row order, decoded afresh.
-
-        For tests and inspection: no command reads it.
-        """
+        """Every passage id in row order, decoded afresh (for tests and inspection)."""
         return self._names(np.arange(self.count))
 
     def _names(self, rows: np.ndarray) -> list[str]:
@@ -264,26 +256,45 @@ class DenseIndex:
         return [section[lo:hi].decode("utf-8")
                 for lo, hi in zip((at[rows] + 4).tolist(), at[rows + 1].tolist())]
 
+    @cached_property
+    def _id_order(self) -> np.ndarray:
+        """Every row in ascending id order, sorted once a query needs it, from
+        the raw UTF-8 bytes: they order as their code points do, as str does."""
+        section, at = self._id_bytes, self._id_at.tolist()
+        return np.array(sorted(range(self.count), key=lambda i: section[at[i] + 4:at[i + 1]]))
+
     @property
     def matrix(self) -> np.ndarray:
-        """The dense count x dim float32 vectors, rebuilt bit for bit and read-only.
-
-        For tests and inspection: no command reads it.
-        """
-        cells, entries = _cells(self, 0, self.count)
-        matrix = np.zeros(self.count * self.dim, dtype=np.float32)
-        matrix[cells] = self._values[entries]
-        matrix = matrix.reshape(self.count, self.dim)
+        """The dense count x dim float32 vectors, rebuilt bit for bit and
+        read-only (for tests and inspection)."""
+        matrix = np.zeros((self.count, self.dim), dtype=np.float32)
+        matrix[self._rows, np.repeat(np.arange(self.dim), np.diff(self._starts))] = self._values
         matrix.flags.writeable = False
         return matrix
 
 
-def _sparse_rows(blocks: Iterable[np.ndarray], dim: int) -> Iterator[SparseRows]:
-    """The SparseRows of each block of dense float32 rows.
+def _places(columns: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Where entries with *columns*, in row order, go in the postings: at *free*,
+    their column's next free place, plus their distance from the column's first
+    entry in stable sorted order.  *free* moves past them."""
+    ordered, order = _stable_sort(columns)
+    places = np.empty(len(columns), dtype=np.int64)
+    places[order] = free[ordered] + np.arange(len(ordered)) - np.searchsorted(ordered, ordered)
+    free += np.bincount(columns, minlength=len(free))
+    return places
 
-    Each block is read before the next one is asked for, so a reader may
-    reuse one buffer for all of them.
-    """
+
+def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """*keys* (0 <= key < 2**31) sorted, and their stable sorting order, from one
+    np.sort of key * len(keys) + position: several times faster than a stable argsort."""
+    ranked = np.multiply(keys, len(keys), dtype=np.int64) + np.arange(len(keys))
+    ranked.sort()
+    return np.divmod(ranked, len(keys))
+
+
+def _sparse_rows(blocks: Iterable[np.ndarray], dim: int) -> Iterator[SparseRows]:
+    """The SparseRows of each block of dense float32 rows, each block read
+    before the next is asked for, so a reader may reuse one buffer."""
     for block in blocks:
         block = np.ascontiguousarray(block, dtype=np.float32)
         if block.shape[1:] != (dim,):
@@ -298,15 +309,6 @@ def _sparse_rows(blocks: Iterable[np.ndarray], dim: int) -> Iterator[SparseRows]
 def _block_rows(dim: int) -> int:
     """Rows per block of at most ROW_BLOCK dense floats (at least one)."""
     return max(1, ROW_BLOCK // max(1, dim))
-
-
-def _cells(index: DenseIndex, lo: int, hi: int) -> tuple[np.ndarray, slice]:
-    """The stored entries of rows lo to hi: their cells in those rows laid out
-    densely, row major, and their slice of the index's columns and values."""
-    entries = slice(index._offsets[lo], index._offsets[hi])
-    cells = np.repeat(np.arange(hi - lo) * index.dim, np.diff(index._offsets[lo:hi + 1]))
-    cells += index._columns[entries]
-    return cells, entries
 
 
 def top_k(index: DenseIndex, question_vec: np.ndarray, k: int) -> list[RetrievalResult]:
@@ -327,26 +329,23 @@ def top_k_batch(
 
     Score.  A row's score is the float64 sum of its stored entries times
     the query's entries, added in ascending column order from +0.0.  Only
-    columns where some query of the block is nonzero are read.  Skipping
-    the others is exact: their products are signed zeros (rows are finite),
+    the postings of the query's nonzero columns are read.  Skipping the
+    others is exact: their products are signed zeros (rows are finite),
     which leave a sum that starts at +0.0, and so is never -0.0, unchanged.
-    Scores thus ignore the blocking and chunking; every zero score is +0.0.
+    So a row no posting touches scores +0.0, and every zero score is +0.0.
 
     Method.  A block of queries holds at most QUERY_BLOCK floats and, past
-    one query, SCORE_BLOCK float64 scores and products (one per row and
-    stored entry); np.bincount sums the products into (query, row) cells in
-    order from +0.0 (_scores).  A query's k-th score is selected as the
-    negated (k-1)-th smallest of its negated scores, partitioned in place:
-    a hashed query scores +0.0 against most rows, and np.partition selects
-    near the top of such a tie block about ten times slower than near the
-    bottom.  Negation is exact, so the threshold is the k-th score itself.
-    The rows scoring at least it are sorted by (query, -score, id); each
-    query keeps its first k.
+    one query, SCORE_BLOCK products and cells (a query may read every
+    stored entry and touch every row).  Its postings are read a run of
+    whole columns at a time; one np.bincount per run adds each (query, row)
+    cell's products, after its sum from earlier runs, in column order.  Per
+    query, cells scoring at least its k-th nonzero score are candidates; if
+    fewer than k score above +0.0, its +0.0 rows follow in id order
+    (_id_order).  Candidates sort by (query, -score, id); each keeps k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    per_query = index.count + len(index._values)
-    step = max(1, min(SCORE_BLOCK // per_query, QUERY_BLOCK // index.dim))
+    step = max(1, min(SCORE_BLOCK // (index.count + len(index._values)), QUERY_BLOCK // index.dim))
     return [results for start in range(0, len(questions), step)
             for results in _top_k_block(index, questions[start:start + step], k)]
 
@@ -358,79 +357,78 @@ def _top_k_block(
     queries = np.asarray(questions)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError(f"dimension mismatch: queries {queries.shape} vs index dim {index.dim}")
-    # The block's nonzero query columns (NaN and inf among them), the only
-    # ones made float64: every product over the others is a signed zero.
-    used = np.flatnonzero((queries != 0).any(axis=0))
-    active = queries[:, used].astype(np.float64)
-    if not np.isfinite(active).all():
+    # Each query's nonzero columns (NaN and inf too): the postings to read.
+    query_of, columns = np.divmod(np.flatnonzero(queries != 0), index.dim)
+    weights = queries[query_of, columns].astype(np.float64)
+    if not np.isfinite(weights).all():
         raise ValueError("query vectors must be finite")
-    scores = _scores(index, active, used)
-    if not np.isfinite(scores).all():
+    count, starts = index.count, index._starts
+    lengths = starts[columns + 1] - starts[columns]
+    ends = np.cumsum(lengths)
+    # The postings, a run of whole columns at a time (see Method).  A stable
+    # sort of their (query, row) cells puts each cell's carried sum first,
+    # then its products in column order, which np.bincount adds from +0.0.
+    cells, sums, lo = np.zeros(0, dtype=np.int64), np.zeros(0), 0
+    while lo < len(columns):
+        begin = ends[lo] - lengths[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, begin + SCORE_BLOCK - len(cells), "right")))
+        run, carried = slice(lo, hi), len(cells)
+        at = np.repeat(starts[columns[run]] - ends[run] + lengths[run], lengths[run])
+        at += np.arange(begin, ends[hi - 1])
+        cells = np.concatenate([cells, np.repeat(query_of[run] * count, lengths[run])])
+        sums = np.concatenate([sums, np.repeat(weights[run], lengths[run])])
+        cells[carried:] += index._rows[at]
+        sums[carried:] *= index._values[at]
+        del at
+        cells, order = _stable_sort(cells)
+        sums = sums[order]
+        del order
+        first = cells != np.append(-1, cells[:-1])  # each cell's first entry
+        sums, cells, lo = np.bincount(np.cumsum(first) - 1, sums), cells[first], hi
+    if not np.isfinite(sums).all():
         raise ValueError("query vectors too large: a score overflows float64")
-    count = index.count
+    cells, sums = cells[sums != 0], sums[sums != 0]
+    query_of = cells // count
+    scored = np.bincount(query_of, minlength=len(queries))
+    positive = np.bincount(query_of[sums > 0], minlength=len(queries))
+    # Each query's k-th score (-inf if it has fewer cells): a row of negated
+    # scores per query, padded with +inf, partitioned at min(k, count) - 1.
     width = min(k, count)
-    # Each query's k-th score, from the low end of its negated scores (see
-    # Method above); the one negated copy is partitioned in place.
-    negated = np.negative(scores)
-    negated.partition(width - 1, axis=1)
-    kth = -negated[:, width - 1]
-    del negated
-    # (query, row) candidate pairs, query-major: every row scoring at least
-    # the query's k-th score (all rows when k >= count).
-    query_of, rows = np.nonzero(scores >= kth[:, None])
-    scores = scores[query_of, rows]
-    # Ties break by id: decode and rank only the ids of the block's distinct
-    # candidates.
+    table = np.full((len(queries), max(width, scored.max(initial=0))), -np.inf)
+    table[query_of, np.arange(len(cells)) - (np.cumsum(scored) - scored)[query_of]] = sums
+    np.negative(table, out=table).partition(width - 1, axis=1)
+    keep = sums >= (-table[:, width - 1])[query_of]
+    query_of, rows, sums = [query_of[keep]], [cells[keep] % count], [sums[keep]]
+    # Fewer than k positive scores: a query's rows scoring +0.0 come next,
+    # in id order; its first (needed + nonzero) rows by id hold them.
+    needed = np.minimum(np.maximum(k - positive, 0), count - scored)
+    if needed.any():
+        ids = index._id_order[:int(np.max(needed + scored, where=needed > 0, initial=0))]
+        keys, known = np.arange(len(queries))[:, None] * count + ids, np.append(cells, -1)
+        free = known[np.searchsorted(cells, keys)] != keys  # no nonzero score
+        first = free & (np.cumsum(free, axis=1) <= needed[:, None])
+        zero_of, at = np.divmod(np.flatnonzero(first), len(ids))
+        query_of, rows, sums = query_of + [zero_of], rows + [ids[at]], sums + [np.zeros(len(at))]
+    query_of, rows, sums = (np.concatenate(part) for part in (query_of, rows, sums))
+    # Ties break by id: only the ids of the block's distinct candidates are ranked.
     distinct, which = np.unique(rows, return_inverse=True)
     names = index._names(distinct)
-    id_rank = np.empty(len(names), dtype=np.intp)
-    id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    order = np.lexsort((id_rank[which], -scores, query_of))
-    query_of, which, scores = query_of[order], which[order], scores[order]
+    id_rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
+    order = np.lexsort((id_rank[which], -sums, query_of))
+    query_of, which, sums = query_of[order], which[order], sums[order]
     # Each query has at least min(k, count) candidates; keep its first ones.
     rank = np.arange(len(which)) - np.searchsorted(query_of, query_of) + 1
     keep = rank <= k
-    flat = [
-        RetrievalResult(passage_id=names[name], score=score, rank=r)
-        for name, score, r in zip(
-            which[keep].tolist(), scores[keep].tolist(), rank[keep].tolist()
-        )
-    ]
+    flat = [RetrievalResult(passage_id=names[name], score=score, rank=r) for name, score, r
+            in zip(which[keep].tolist(), sums[keep].tolist(), rank[keep].tolist())]
     return [flat[i:i + width] for i in range(0, len(flat), width)]
-
-
-def _scores(index: DenseIndex, active: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """(len(active), count) float64 scores of the queries *active*, which
-    hold the columns *used*, in row chunks of at most SCORE_BLOCK products."""
-    offsets, count = index._offsets, index.count
-    place = np.full(index.dim, -1, dtype=np.int32)  # column -> place in *active*
-    place[used] = np.arange(len(used))
-    span = max(1, SCORE_BLOCK // len(active))
-    scores = np.empty((len(active), count))
-    lo = 0
-    while lo < count:
-        hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + span, "right")) - 1)
-        where = place[index._columns[offsets[lo]:offsets[hi]]]
-        hit = np.flatnonzero(where >= 0)
-        products = active[:, where[hit]]
-        products *= index._values[offsets[lo] + hit]
-        # Each read entry's (query, row) cell; bincount adds in entry order.
-        rows = np.searchsorted(offsets[lo:hi + 1], offsets[lo] + hit, "right") - 1
-        cells = np.arange(len(active))[:, None] * (hi - lo) + rows
-        sums = np.bincount(cells.ravel(), products.ravel(), minlength=len(active) * (hi - lo))
-        scores[:, lo:hi] = sums.reshape(len(active), hi - lo)
-        lo = hi
-    return scores
 
 
 def retrieve_texts(
     index: DenseIndex, embedder: Embedder, texts: Sequence[str], k: int
 ) -> list[list[RetrievalResult]]:
-    """top_k_batch for each text as a question, embedding one block at a time.
-
-    At most QUERY_BLOCK query floats are held at once, however many texts
-    there are; only the results are kept for all of them.
-    """
+    """top_k_batch for each text as a question, embedding a block of at
+    most QUERY_BLOCK query floats at a time."""
     step = max(1, QUERY_BLOCK // index.dim)
     results: list[list[RetrievalResult]] = []
     for start in range(0, len(texts), step):
@@ -441,23 +439,28 @@ def retrieve_texts(
 def save_index(index: DenseIndex, path: str | Path) -> None:
     """Write *index* to *path* in the binary layout documented above, atomically.
 
-    The dense vectors are written a block of ROW_BLOCK floats at a time: each
-    block's entries are scattered into one reused zeroed buffer, which is
-    written and then zeroed again where they went.
-    """
+    Each block of ROW_BLOCK dense floats is scattered into one reused zeroed
+    buffer, written, and zeroed again where the entries went."""
     count, dim = index.count, index.dim
     step = _block_rows(dim)
     buffer = np.zeros(min(step, count) * dim, dtype="<f4")
+    # Each entry's place in the dense rows, in row order: the places are
+    # distinct, so any sort of them is stable.
+    cells = np.multiply(index._rows, dim, dtype=np.int64)
+    cells += np.repeat(np.arange(dim), np.diff(index._starts))
+    entries = np.argsort(cells)
+    cells.sort()
+    ends = np.searchsorted(cells, np.arange(step, count + step, step, dtype=np.int64) * dim)
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", dim))
         fh.write(struct.pack("<Q", count))
-        for lo in range(0, count, step):
+        for lo, start, end in zip(range(0, count, step), [0, *ends.tolist()], ends.tolist()):
             hi = min(lo + step, count)
-            cells, entries = _cells(index, lo, hi)
-            buffer[cells] = index._values[entries]
+            block = cells[start:end] - lo * dim
+            buffer[block] = index._values[entries[start:end]]
             fh.write(buffer[:(hi - lo) * dim])
-            buffer[cells] = 0
+            buffer[block] = 0
         fh.write(index._id_bytes)
 
 
@@ -469,11 +472,8 @@ def _read_exact(fh: BinaryIO, n: int, what: str, path: str | Path) -> bytes:
 
 
 def _read_blocks(fh: BinaryIO, count: int, dim: int) -> Iterator[np.ndarray]:
-    """The count x dim vectors at fh's position, a block of rows at a time.
-
-    Every block is read into the same buffer, so each one is valid only
-    until the next is asked for.
-    """
+    """The count x dim vectors at fh's position, a block of rows at a time,
+    each read into the same buffer: valid only until the next is asked for."""
     step = _block_rows(dim)
     buffer = np.empty((min(step, count), dim), dtype="<f4")
     for lo in range(0, count, step):
@@ -501,13 +501,11 @@ def _walk_ids(section: bytes, count: int) -> np.ndarray:
     """The count + 1 offsets of the *count* ids that make up all of *section*.
 
     Id i is the u32 length at offsets[i] and the UTF-8 bytes after it, up
-    to offsets[i + 1].  *section* holds at least the 4 * count bytes of the
-    lengths (the header check in load_index); *spare* counts the bytes no
-    id has claimed.  ValueError names the first id that claims bytes past
-    the end, then trailing bytes, the first id that is not UTF-8 (a section
-    that is all ASCII is all UTF-8) and the first id that repeats an
-    earlier one.  Each id's _id_hash goes into one array and only ids whose
-    hashes are equal are compared, so no str, list or set of all ids is made.
+    to offsets[i + 1]; *section* holds at least the 4 * count length bytes
+    (load_index checks).  ValueError names the first id that claims bytes
+    past the end, then trailing bytes, the first id that is not UTF-8 and
+    the first that repeats an earlier one.  Only ids whose _id_hash values
+    are equal are compared, so no str, list or set of all ids is made.
     """
     unpack = struct.Struct("<I").unpack_from
     id_hash = _id_hash
@@ -546,15 +544,13 @@ def _walk_ids(section: bytes, count: int) -> np.ndarray:
 
 
 def load_index(path: str | Path) -> DenseIndex:
-    """Read an index file written by save_index().
+    """Read an index file written by save_index(): the header, checked before
+    anything is allocated, then the ids, then the vectors a block at a time.
 
-    Raises IndexFormatError on any file that does not follow the layout: a
-    wrong magic, a dim above QUERY_BLOCK, a header that claims more bytes
-    than the file holds, a truncation, trailing bytes, ids that are not
-    UTF-8 or not unique, or non-finite vectors.  The header is checked
-    before anything is allocated.  The ids, which follow the vectors, are
-    read first; the vectors then go into the index a block at a time.  A
-    missing file raises the usual FileNotFoundError.
+    Raises IndexFormatError on a wrong magic, a dim above QUERY_BLOCK, a
+    header that claims more bytes than the file holds, a truncation,
+    trailing bytes, ids that are not UTF-8 or not unique, or non-finite
+    vectors; a missing file raises the usual FileNotFoundError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -581,6 +577,6 @@ def load_index(path: str | Path) -> DenseIndex:
             id_at = _walk_ids(section, count)
             fh.seek(HEADER_BYTES)
             blocks = _sparse_rows(_read_blocks(fh, count, dim), dim)
-            return DenseIndex._from_rows(blocks, count, dim, section, id_at)
+            return DenseIndex.__new__(DenseIndex)._store(blocks, count, dim, section, id_at)
         except ValueError as exc:
             raise IndexFormatError(f"{path}: {exc}") from exc

@@ -118,6 +118,33 @@ class TestSynth:
             "index256.bin": "615d5e64794ae996678a3c2dc44c0c9d6eebcc56541b7ed180b0d9761e9753af",
         }
 
+    def test_golden_retrieve_digests_300(self, tmp_path):
+        # Any change to top-k's scores, ranks or tie order shows here.  At k
+        # 300 every passage is returned: the +0.0 block in id order, then
+        # the negative scores.
+        assert main(["synth", "--out", str(tmp_path), "--passages", "300",
+                     "--questions", "150"]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedder": {"dim": 1024, "seed": 0}}))
+        corpus, qa = str(tmp_path / "corpus.jsonl"), str(tmp_path / "qa.jsonl")
+        digests = {}
+        for dim, settings in ((256, []), (1024, ["--config", str(config)])):
+            index = str(tmp_path / f"index{dim}.bin")
+            assert main(["index", *settings, "--corpus", corpus, "--out", index]) == EXIT_OK
+            for k in (1, 2, 300):
+                out = tmp_path / f"retrieve{dim}_k{k}.jsonl"
+                assert main(["retrieve", *settings, "--index", index, "--qa", qa,
+                             "--k", str(k), "--out", str(out)]) == EXIT_OK
+                digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "retrieve256_k1.jsonl": "c8f1684a2285e8b627be73d49b6c9cc20b40c8f30311c0b1ef672003a54cd34f",
+            "retrieve256_k2.jsonl": "ff4d5a091231440dd4716a3b53581080742b238fbef9d2da5ca86404f0ffaf4e",
+            "retrieve256_k300.jsonl": "4d38bc9ad88218884ff3df79c63e17de1fd2c0afa95895334c14c7feb094950b",
+            "retrieve1024_k1.jsonl": "a3bc76570d2c650c079ae16be082bea1a65d146f65d95523256912ebcc470dd6",
+            "retrieve1024_k2.jsonl": "18f165643220c542b8bad6094384e03509a4dc754bd4cd7e3e6e8633585c8b73",
+            "retrieve1024_k300.jsonl": "e1d0af11c945ffbd301f39987cd4bdb49e5829d78e58c96b1dc76293f02592dc",
+        }
+
     def test_golden_answer_digests_300(self, tmp_path):
         # Any change to tokenizing, prompt encoding, training, drafting, the
         # format step or selection shows here.

@@ -26,6 +26,7 @@ from genki.retriever import (
     top_k,
     top_k_batch,
 )
+from genki.synth import synthetic_world
 
 
 def index_from_rows(rows, ids):
@@ -369,24 +370,30 @@ class TestBlockedSelection:
         got = top_k_batch(DenseIndex(matrix, ids), queries, k)
         assert all(sorted(r.passage_id for r in results) == sorted(ids) for results in got)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_score_chunks_split_one_query(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("run", [1, 3, 7])
+    def test_postings_past_the_score_block_split_one_query(self, monkeypatch, run):
         rng = np.random.default_rng(65)
         count, dim = 60, 32
         matrix, ids = tied_world(rng, count=count, dim=dim, copies=16)
         queries = rng.normal(size=(6, dim))
-        queries[[1, 4]] = matrix[0]  # 16 tied rows each, split across chunks
+        queries[[1, 4]] = matrix[0]  # 16 tied rows each
         index = DenseIndex(matrix, ids)
         want = [bits(r) for r in top_k_batch(index, queries, 4)]
-        monkeypatch.setattr(retriever, "SCORE_BLOCK", chunk * dim)
+        monkeypatch.setattr(retriever, "SCORE_BLOCK", run * count)
         spy = BincountSpy()
         monkeypatch.setattr(retriever, "np", spy)
         got = [bits(r) for r in top_k_batch(index, queries, 4)]
         monkeypatch.undo()
-        # A block holds one query, and each chunk sums the products of at
-        # most *chunk* rows of dim stored entries.
-        assert max(spy.summed) <= chunk * dim
-        assert len(spy.summed) == len(queries) * -(-count // chunk)
+        # A block holds one query, whose 32 columns of 60 postings each are
+        # read a run of whole columns at a time: the run's products and the
+        # 60 cells carried from earlier runs fit SCORE_BLOCK, or the run is
+        # one column.
+        summed, carried, left = [], 0, dim
+        while left:
+            columns = min(left, max(1, (run * count - carried) // count))
+            summed.append(carried + columns * count)
+            carried, left = count, left - columns
+        assert spy.summed == summed * len(queries)
         assert got == want
         for results, query in zip(got, queries):
             assert results == exact_scan(matrix, ids, query, 4)
@@ -453,7 +460,7 @@ class TestSparseQueries:
                 mock.patch.object(retriever, "SCORE_BLOCK", score_block):
             assert_blocked_exact(matrix, ids, block, k)
 
-    def test_scores_only_stored_entries_in_used_columns(self, monkeypatch):
+    def test_reads_only_the_postings_of_each_querys_columns(self, monkeypatch):
         # Shaped like the answer workload: sparse rows, queries with 4
         # nonzero columns, k = 2, and many rows on columns no query uses.
         rng = np.random.default_rng(70)
@@ -470,16 +477,17 @@ class TestSparseQueries:
         index = DenseIndex(matrix, ids)
         stored = matrix.view(np.uint32) != 0
         used = (queries != 0).any(axis=0)
-        # All 64 queries fit one block, which reads the stored entries in
-        # the columns some query uses, once per query.
+        # All 64 queries fit one block, which reads each query's postings:
+        # the stored entries in its own nonzero columns, not in every column
+        # some query of the block uses.
         assert (retriever.QUERY_BLOCK // dim) >= len(queries)
-        read = int(stored[:, used].sum())
-        assert 0 < read < stored.sum()
+        read = sum(int(stored[:, query != 0].sum()) for query in queries)
+        assert 0 < read < len(queries) * stored[:, used].sum()
         spy = BincountSpy()
         monkeypatch.setattr(retriever, "np", spy)
         got = top_k_batch(index, queries, k)
         monkeypatch.undo()
-        assert sum(spy.summed) == len(queries) * read
+        assert spy.summed == [read]
         for results, query in zip(got, queries):
             assert bits(results) == exact_scan(matrix, ids, query, k)
 
@@ -586,6 +594,111 @@ class TestTiedZeroScores:
             assert [bits(results) for results in got] == [scan[:k] for scan in scans], k
         sizes = [min(per_block, len(queries) - lo) for lo in range(0, len(queries), per_block)]
         assert blocks == sizes * count
+
+
+def dense_scan(matrix, ids, query, k):
+    """A float64 full scan of every dense entry, each row's products added
+    in column order from +0.0, ordered by (-score, id): (id, score bits,
+    rank) of the first k."""
+    query = np.asarray(query, dtype=np.float64).tolist()
+    scores = []
+    for row in np.asarray(matrix, dtype=np.float32).tolist():
+        score = 0.0
+        for value, weight in zip(row, query):
+            score += value * weight
+        scores.append(score)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    return [(ids[i], struct.pack("<d", scores[i]), rank) for rank, i in enumerate(order, start=1)]
+
+
+# Mostly zeros, both signs of zero, and float32 values down to a subnormal.
+oracle_entries = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, -0.0]),
+    st.sampled_from([1.0, -1.0, 0.5, -2.5, 1e-40]),
+    st.floats(-4.0, 4.0, width=32),
+)
+
+
+@st.composite
+def oracle_worlds(draw):
+    """A sparse float32 index with tied (duplicate) and empty rows and
+    shuffled ids, some not ASCII; queries, the first all zero; and k from 1
+    to count + 1."""
+    count, dim = draw(st.integers(1, 24)), draw(st.integers(1, 10))
+    rows = st.lists(oracle_entries, min_size=dim, max_size=dim)
+    matrix = np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=np.float32)
+    for _ in range(draw(st.integers(0, count // 2))):
+        matrix[draw(st.integers(0, count - 1))] = matrix[draw(st.integers(0, count - 1))]
+    matrix[draw(st.integers(0, count - 1))] = 0.0
+    ids = draw(st.lists(st.text("aAzé文\x00Z0", max_size=3), min_size=count, max_size=count,
+                        unique=True))
+    weights = st.sampled_from([0.0, 0.0, -0.0, 1.0, -1.0, 0.25, -3.0, 7.5])
+    queries = np.array(draw(st.lists(st.lists(weights, min_size=dim, max_size=dim),
+                                     min_size=1, max_size=6)))
+    queries[0] = 0.0
+    return matrix, ids, queries, draw(st.integers(1, count + 1))
+
+
+class TestPostingsOracle:
+    """top_k_batch against a float64 dense full scan, bit for bit, whatever
+    the block bound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(world=oracle_worlds())
+    def test_equals_dense_full_scan(self, world):
+        matrix, ids, queries, k = world
+        index = DenseIndex(matrix, ids)
+        want = [dense_scan(matrix, ids, query, k) for query in queries]
+        assert [bits(results) for results in top_k_batch(index, queries, k)] == want
+        # One query per block; then also each query's postings one column
+        # at a time.
+        for score_block in (index.count + len(index._values), 1):
+            with mock.patch.object(retriever, "SCORE_BLOCK", score_block):
+                assert [bits(results) for results in top_k_batch(index, queries, k)] == want
+
+
+class TestIdOrder:
+    """The rows in id order are sorted from the raw id bytes; they must
+    follow Python's str order, which NULs and UTF-8 test."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text("a\x00é文Z", max_size=4), min_size=1, max_size=30, unique=True))
+    def test_rows_in_str_order(self, ids):
+        index = index_from_rows([[1.0]] * len(ids), ids)
+        assert [ids[row] for row in index._id_order] == sorted(ids)
+
+    def test_zero_block_fills_in_str_order(self):
+        ids = ["a\x00", "文档", "a", "", "é", "ab", "Z", "a\x00b"]
+        index = index_from_rows([[0.0, 1.0]] * len(ids), ids)
+        for k in range(1, len(ids) + 1):
+            got = top_k(index, np.array([1.0, 0.0]), k)
+            assert [r.passage_id for r in got] == sorted(ids)[:k]
+
+
+class TestQueryBlockMemory:
+    def test_one_block_holds_far_less_than_a_score_per_row(self, monkeypatch):
+        passages, qa_pairs = synthetic_world(50000, 64)
+        embedder = HashEmbedder(dim=1024, seed=0)
+        index = DenseIndex.build(passages, embedder)
+        queries = embedder.embed_questions([qa.question for qa in qa_pairs])
+        want = [bits(results) for results in top_k_batch(index, queries, 2)]
+        # All 64 queries in one block, the most QUERY_BLOCK allows at dim 1024.
+        monkeypatch.setattr(retriever, "SCORE_BLOCK",
+                            len(queries) * (index.count + len(index._values)))
+        blocks, original = [], retriever._top_k_block
+        monkeypatch.setattr(retriever, "_top_k_block",
+                            lambda *args: blocks.append(len(args[1])) or original(*args))
+        tracemalloc.start()
+        try:
+            got = top_k_batch(index, queries, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocks == [64]
+        assert [bits(results) for results in got] == want
+        # A float64 score per query and row would take 25.6 MB; the block's
+        # 98,000 postings and their cells take under 5 MB.
+        assert peak < len(queries) * index.count * 8 / 4
 
 
 class TestRetrieveTexts:
@@ -723,8 +836,8 @@ class TestDenseIndexValidation:
 
     @pytest.mark.parametrize("dim", [1024, 16384])
     def test_build_and_load_peak_near_the_sparse_size(self, tmp_path, dim):
-        # The dense rows would take 8 MB at dim 1024, the sparse rows about
-        # 0.1 MB.  build holds no dense row: past the sparse rows it holds
+        # The dense rows would take 8 MB at dim 1024, the postings about
+        # 0.1 MB.  build holds no dense row: past the postings it holds
         # one block's per-word arrays, under 96 bytes for each of the 6
         # words of each of PASSAGE_BLOCK passages, whatever the dim.  One
         # load_index block has ROW_BLOCK cells: its float32 buffer and a
@@ -743,9 +856,9 @@ class TestDenseIndexValidation:
                 tracemalloc.stop()
 
         index, build_peak = traced(lambda: DenseIndex.build(passages, embedder))
-        # 4-byte column and 4-byte value per entry, 8-byte row offsets.
-        sparse = 8 * (len(index._values) + 2001)
-        assert sparse < 2000 * 1024 * 4 / 50
+        # 4-byte row and 4-byte value per entry, 8-byte column starts.
+        sparse = 8 * (len(index._values) + dim + 1)
+        assert sparse < 2000 * dim * 4 / 50
         assert build_peak < sparse + 96 * 6 * retriever.PASSAGE_BLOCK
         if dim == 1024:
             save_index(index, path)
@@ -1090,7 +1203,7 @@ def assert_build_matches_dense(texts, dim, seed, path, index_file_bytes):
         dense = DenseIndex(matrix, ids)
     assert built_log.messages == dense_log.messages
     assert built_by.empty_count == dense_by.empty_count
-    for name in ("_offsets", "_columns", "_values"):
+    for name in ("_starts", "_rows", "_values"):
         got, want = getattr(built, name), getattr(dense, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     save_index(built, path)
