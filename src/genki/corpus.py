@@ -36,8 +36,9 @@ class AnswerKind(Enum):
 # characters are [a-zA-Z0-9_] under either flag, so _ASCII_TOKEN_RE finds
 # the same runs with a simpler pattern.
 _CJK = "㐀-鿿"
-_TOKEN_RE = re.compile(rf"[{_CJK}]|[^\W{_CJK}]+")
 _ASCII_TOKEN_RE = re.compile(r"\w+", re.ASCII)
+# Compiled (about 2 ms) and cached by re on the first non-ASCII text.
+_TOKEN_PATTERN = rf"[{_CJK}]|[^\W{_CJK}]+"
 
 # ASCII terminators end a sentence only before whitespace or end of text, so
 # decimals like 3.14 stay intact.  Fullwidth terminators always end one.
@@ -52,7 +53,9 @@ def tokenize(text: str) -> list[str]:
     lowercased (str.isascii is a flag check) takes the ASCII pattern.
     """
     lowered = text.lower()
-    return (_ASCII_TOKEN_RE if lowered.isascii() else _TOKEN_RE).findall(lowered)
+    if lowered.isascii():
+        return _ASCII_TOKEN_RE.findall(lowered)
+    return re.findall(_TOKEN_PATTERN, lowered)
 
 
 def split_sentences(text: str) -> list[str]:
@@ -377,7 +380,7 @@ def iter_qa_pairs(path: str | Path) -> Iterator[QaPair]:
             pair = QaPair(qid, question, tuple(answers), fmt)
         except CorpusError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
-        if not _TOKEN_RE.search(question.lower()):  # tokenize(question) is empty
+        if not tokenize(question):
             raise CorpusError(
                 f"{path}: line {lineno}: qa pair {qid!r}: question {question!r} has no word token"
             )

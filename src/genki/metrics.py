@@ -23,7 +23,8 @@ _ARTICLES = {"a", "an", "the"}
 _TERMINAL_PUNCT = re.compile(r"[.!?。！？\s]+$")
 # The space between two CJK characters: Vocabulary.decode and the format
 # step put one between every pair of tokens, and CJK text has none.
-_CJK_GAP = re.compile(rf"(?<=[{_CJK}]) (?=[{_CJK}])")
+# Compiled (about 2 ms) and cached by re on the first non-ASCII text.
+_CJK_GAP = rf"(?<=[{_CJK}]) (?=[{_CJK}])"
 
 
 def normalize_answer(text: str) -> str:
@@ -35,7 +36,8 @@ def normalize_answer(text: str) -> str:
     a decoded CJK answer such as "東 京" matches its gold "東京".
     """
     lowered = _TERMINAL_PUNCT.sub("", text.lower().strip())
-    return _CJK_GAP.sub("", " ".join(w for w in lowered.split() if w not in _ARTICLES))
+    joined = " ".join(w for w in lowered.split() if w not in _ARTICLES)
+    return joined if joined.isascii() else re.sub(_CJK_GAP, "", joined)  # no CJK in ASCII
 
 
 def exact_match(gold: Sequence[str], hyp: str) -> float:

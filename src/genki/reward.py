@@ -118,16 +118,20 @@ def _feature_delta(pair: PreferencePair) -> np.ndarray:
     )
 
 
-def _delta_grad(weights: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    margin = float(weights @ delta)
+def _loss_grad(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Summed gradient of the pairwise loss over the rows of *deltas*."""
+    # numpy sends each stacked 1x3 @ 3x1 product through the BLAS dot that
+    # weights @ delta uses, so every margin keeps its bits
+    margins = (deltas[:, None, :] @ weights[:, None])[:, 0, 0]
     # d/dm of -log sigmoid(m) is -sigmoid(-m); exp(-softplus(m)) is a
     # stable sigmoid(-m)
-    return -np.exp(-np.logaddexp(0.0, margin)) * delta
+    coefs = -np.exp(-np.logaddexp(0.0, margins))
+    return np.add.reduce(coefs[:, None] * deltas, axis=0, initial=0.0)
 
 
 def pairwise_loss_grad(model: ToyRewardModel, pair: PreferencePair) -> np.ndarray:
     """Exact gradient of pairwise_loss with respect to the toy weights."""
-    return _delta_grad(model.weights, _feature_delta(pair))
+    return _loss_grad(model.weights, _feature_delta(pair)[None])
 
 
 def train_reward(
@@ -136,24 +140,29 @@ def train_reward(
     """Full-batch gradient descent on the mean pairwise loss.
 
     Returns a new model; steps=0 returns an identical copy.  Deterministic
-    for a fixed starting model.  Each pair's feature difference is computed
-    once; every step adds the per-pair gradients in pair order.
+    for a fixed starting model.  The pairs' feature differences are stacked
+    once into a (pairs, 3) array, and each step is a few array operations
+    over all of them: every margin is the same BLAS dot as ``weights @
+    delta``, and the per-pair gradient products are summed in pair order
+    from +0.0, so the weights have the bits of a loop over the pairs.
+    Raises ValueError at the first step whose weights are not finite.
     """
     if not pairs:
         raise ValueError("train_reward needs a non-empty pair list")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    trained = ToyRewardModel(model.weights.copy())
-    deltas = [_feature_delta(pair) for pair in pairs]
-    for step in range(steps):
-        grad = np.zeros_like(trained.weights)
-        for delta in deltas:
-            grad += _delta_grad(trained.weights, delta)
-        grad /= len(pairs)
-        if not np.all(np.isfinite(grad)):
-            raise ValueError(f"reward training diverged (non-finite gradient) at step {step}")
-        trained.weights = trained.weights - learning_rate * grad
-    return trained
+    weights = model.weights.copy()
+    deltas = np.array([_feature_delta(pair) for pair in pairs])
+    # overflow shows up as non-finite weights, which we check for explicitly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            weights = weights - learning_rate * (_loss_grad(weights, deltas) / len(pairs))
+            if not np.all(np.isfinite(weights)):
+                raise ValueError(
+                    f"reward training diverged (non-finite weights) at step {step}; "
+                    "lower the learning rate"
+                )
+    return ToyRewardModel(weights)
 
 
 def save_reward_checkpoint(model: ToyRewardModel, path: str | Path) -> None:

@@ -444,6 +444,21 @@ class TestTrain:
             reference = (workdir["root"] / "models" / name).read_bytes()
             assert (tmp_path / "models" / name).read_bytes() == reference
 
+    def test_diverging_reward_training_is_model_error(self, workdir, tmp_path, capsys):
+        config = json.loads(Path(workdir["config"]).read_text())
+        config["train"]["reward_learning_rate"] = 1e308
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        models = tmp_path / "models"
+        assert main(["train", "--config", str(tmp_path / "config.json"),
+                     "--corpus", workdir["corpus"], "--qa", workdir["qa"],
+                     "--index", workdir["index"], "--out", str(models)]) == cli.EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "model error: training failed: reward training diverged (non-finite weights) "
+            "at step 0; lower the learning rate"
+        ]
+        assert not models.exists()
+
     def test_one_word_and_punctuation_passages_train_and_answer(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         with open(corpus, "w", encoding="utf-8") as fh:

@@ -1,12 +1,13 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genki.corpus import (
-    _TOKEN_RE,
+    _TOKEN_PATTERN,
     INTEGER,
     NUMBER,
     STRING,
@@ -71,7 +72,7 @@ class TestTokenize:
                     max_size=10).map("".join))
     def test_equals_the_unicode_pattern(self, text):
         # the reference: the one pattern over every lowercased text
-        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+        assert tokenize(text) == re.findall(_TOKEN_PATTERN, text.lower())
 
 
 class TestSplitSentences:

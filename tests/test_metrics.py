@@ -7,11 +7,13 @@ oracles (n-gram BLEU from scratch, recursive LCS).
 import math
 import random
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from genki.corpus import AnswerKind, QaPair
+from genki import corpus, metrics
+from genki.corpus import AnswerKind, QaPair, tokenize
 from genki.metrics import (
     METRICS,
     bleu,
@@ -71,6 +73,18 @@ class TestExactMatch:
         assert normalize_answer("在 東 京 3 号 tower") == "在東京 3 号 tower"
         assert exact_match(["東京 tower"], "東 京 tower") == 1.0
         assert exact_match(["東京 tower"], "東京tower") == 0.0
+
+    def test_ascii_text_skips_the_unicode_patterns(self, monkeypatch):
+        # they are compiled on first use, so ASCII-only runs never compile them
+        def refuse(pattern, *args):
+            raise AssertionError(f"compiled {pattern!r}")
+
+        # only the modules' own name for re: pytest itself calls re.sub
+        refusing_re = SimpleNamespace(findall=refuse, sub=refuse)
+        monkeypatch.setattr(corpus, "re", refusing_re)
+        monkeypatch.setattr(metrics, "re", refusing_re)
+        assert normalize_answer("The  Cat sat.") == "cat sat"
+        assert tokenize("The Cat_1, sat.") == ["the", "cat_1", "sat"]
 
     def test_empty_gold_rejected(self):
         with pytest.raises(ValueError):

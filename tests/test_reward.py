@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genki import reward
 from genki.corpus import AnswerKind, tokenize
@@ -222,6 +224,59 @@ class TestTrainReward:
         trained = train_reward(start, pairs, steps=60, learning_rate=rate)
         reference = reference_train_reward(start, pairs, 60, rate)
         assert trained.weights.tobytes() == reference.tobytes()
+
+    def test_diverging_run_raises_at_its_first_non_finite_step(self):
+        # Deltas (-2, -2, 0) and (2, 1, 0): at this rate the weights swing
+        # wider each step and leave the float range at step 8.
+        fmt = FormatSpec(AnswerKind.ENTITY, max_tokens=8, description="x y")
+        pairs = [PreferencePair("a", "a x y", fmt), PreferencePair("x b c", "a", fmt)]
+        finite = train_reward(ToyRewardModel(), pairs, steps=8, learning_rate=1e308)
+        assert np.all(np.isfinite(finite.weights))
+        with pytest.raises(ValueError, match=r"^reward training diverged \(non-finite weights\) "
+                                             r"at step 8; lower the learning rate$"):
+            train_reward(ToyRewardModel(), pairs, steps=9, learning_rate=1e308)
+
+
+TRAIN_WORDS = ["alpha", "beta", "gamma", "a", "short", "entity", "name", "which"]
+TRAIN_FORMATS = [ENTITY, FormatSpec(AnswerKind.SENTENCE, max_tokens=20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+       start=st.sampled_from(["zeros", "small", "large"]),
+       rate=st.floats(0.05, 2.0), steps=st.integers(1, 20))
+@example(count=300, seed=0, zero_share=0.0, start="large", rate=2.0, steps=20)
+@example(count=1, seed=1, zero_share=1.0, start="zeros", rate=0.05, steps=1)
+def test_batch_steps_match_the_per_pair_loop_bit_for_bit(
+    count, seed, zero_share, start, rate, steps
+):
+    """Whole-batch steps give the weights of the per-pair loop, bit for bit.
+
+    Zero-delta pairs swap the order of two or more distinct words; over
+    them a -0.0 start weight stays -0.0 only if the gradient sums from
+    +0.0.  Starts of +-1e3 put margins past +-745, where a coefficient is
+    -0.0 or -1.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        fmt, question = rng.choice(TRAIN_FORMATS), " ".join(rng.choices(TRAIN_WORDS, k=3))
+        if rng.random() < zero_share:
+            words = rng.sample(TRAIN_WORDS, rng.randint(2, 6))
+            pairs.append(PreferencePair(" ".join(words), " ".join(words[::-1]), fmt, question))
+            continue
+        pos, neg = (" ".join(rng.choices(TRAIN_WORDS, k=rng.randint(0, 9))) for _ in range(2))
+        if pos != neg:
+            pairs.append(PreferencePair(pos, neg, fmt, question))
+    weights = {
+        "zeros": np.random.default_rng(seed).choice([0.0, -0.0], 3),
+        "small": np.random.default_rng(seed).normal(0.0, 0.01, 3),
+        "large": np.random.default_rng(seed).choice([-1e3, 1e3], 3),
+    }[start]
+    trained = train_reward(ToyRewardModel(weights), pairs, steps=steps, learning_rate=rate)
+    reference = reference_train_reward(ToyRewardModel(weights), pairs, steps, rate)
+    assert trained.weights.tobytes() == reference.tobytes()
 
 
 def reference_train_reward(model, pairs, steps, rate):
